@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-effects test race trace-smoke serve-smoke cluster-smoke bench-compare bench-scaling
+.PHONY: check build vet lint lint-effects test race trace-smoke serve-smoke cluster-smoke bench-compare bench-scaling profile-finegrain
 
 # Everything CI runs, in CI's order.
 check: vet lint build test race trace-smoke serve-smoke cluster-smoke bench-compare
@@ -36,7 +36,7 @@ test:
 # never exhibit, the race detector catches unsynchronized access the
 # linter cannot see.
 race:
-	$(GO) test -race ./internal/core/... ./internal/apps/... ./internal/serve/... ./internal/session/... ./internal/router/... ./internal/para/... ./internal/psort/... ./internal/scan/...
+	$(GO) test -race ./internal/marks/... ./internal/detres/... ./internal/core/... ./internal/apps/... ./internal/serve/... ./internal/session/... ./internal/router/... ./internal/para/... ./internal/psort/... ./internal/scan/...
 
 # End-to-end trace check: run one traced figure at small scale, then prove
 # the emitted Chrome trace-event JSON parses and is structurally sound
@@ -83,3 +83,15 @@ bench-compare:
 # barriers/round) are the load-bearing part of the artifact.
 bench-scaling:
 	$(GO) run ./cmd/repro -bench-json bench-scaling.json -bench-sweep 1,2,4,8 -threads 1 -scale small
+
+# Where a per-task cost claim starts: a CPU profile of the fine-grained hot
+# loop — bfs and mis, g-d, repeated on one reused engine at two threads,
+# collector off so the profile shows the scheduler and not the GC — printed
+# as `pprof -top`. Binary and profile land in PROFILE_DIR (outside the
+# tree by default); `go tool pprof -list <regexp>` on them goes deeper.
+PROFILE_DIR ?= /tmp/galois-profile
+profile-finegrain:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/repro ./cmd/repro
+	GOGC=off $(PROFILE_DIR)/repro -loop bfs/g-d,mis/g-d -reps 10 -threads 2 -scale default -cpuprofile $(PROFILE_DIR)/finegrain.cpu.pprof
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/finegrain.cpu.pprof

@@ -10,6 +10,8 @@
 //	repro -fig 7 -scale full          # the paper's input sizes (slow)
 //	repro -fig 7 -trace trace.json    # also dump a Chrome/Perfetto trace
 //	repro -bench-json BENCH.json      # emit the benchmark trajectory file
+//	repro -loop bfs/g-d,mis/g-d -reps 10 -threads 2 -cpuprofile cpu.pprof
+//	                                  # profile a hot loop (make profile-finegrain)
 //
 // Figure tables go to stdout; progress diagnostics go to stderr, so
 // `repro -fig 7 > fig7.txt` captures a clean table.
@@ -22,15 +24,24 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"galois"
 	"galois/internal/harness"
 	"galois/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main with a return code, so deferred profile writers run before
+// the process exits.
+func run() int {
 	fig := flag.String("fig", "", "figure to reproduce: 4..12, 'all', 'window' (adaptive-window trace), or 'ext' (extensions)")
 	scale := flag.String("scale", "default", "input scale: small|default|full")
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts (default: 1,2,4,...,GOMAXPROCS)")
@@ -38,17 +49,21 @@ func main() {
 	benchPath := flag.String("bench-json", "", "measure every app x scheduler once and write a benchmark-trajectory JSON to this file")
 	benchAllocs := flag.Bool("bench-allocs", false, "with -bench-json: also measure allocs/bytes per run, in both fresh and engine-reused modes")
 	benchSweep := flag.String("bench-sweep", "", "with -bench-json: comma-separated thread counts; additionally measure the deterministic variants at each count (the scaling axis of the trajectory)")
+	loop := flag.String("loop", "", "comma-separated app/variant cells (e.g. bfs/g-d,mis/g-d) to run -reps times each on the shared engine at the largest thread count, printing the median wall per cell; the workload to put under -cpuprofile")
+	reps := flag.Int("reps", 10, "with -loop: runs per cell")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of everything after input generation to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile (all allocations since start) to this file on exit")
 	flag.Parse()
 
-	if *fig == "" && *benchPath == "" {
-		fmt.Fprintln(os.Stderr, "repro: -fig is required (4..12, 'all', 'window', 'ext') unless -bench-json is given")
+	if *fig == "" && *benchPath == "" && *loop == "" {
+		fmt.Fprintln(os.Stderr, "repro: -fig is required (4..12, 'all', 'window', 'ext') unless -bench-json or -loop is given")
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
 	sc, err := harness.ScaleByName(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(2)
+		return 2
 	}
 	var threads []int
 	if *threadsFlag != "" {
@@ -56,7 +71,7 @@ func main() {
 			v, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || v < 1 {
 				fmt.Fprintf(os.Stderr, "repro: bad thread count %q\n", part)
-				os.Exit(2)
+				return 2
 			}
 			threads = append(threads, v)
 		}
@@ -82,6 +97,42 @@ func main() {
 	defer eng.Close()
 	in.Engine = eng
 
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "repro:", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintln(os.Stderr, "repro:", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProfile != "" {
+		defer func() {
+			f, err := os.Create(*memProfile)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "repro:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // bring the allocation statistics up to date
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				fmt.Fprintln(os.Stderr, "repro:", err)
+			}
+		}()
+	}
+
+	if *loop != "" {
+		//detlint:ignore taintfp inputs carry harness timing state; the fingerprints printed come from det receipts, not timings
+		if err := runLoop(in, *loop, *reps, maxT); err != nil {
+			fmt.Fprintln(os.Stderr, "repro:", err)
+			return 2
+		}
+	}
+
 	// With -trace, every Galois run dispatched below feeds the same sink;
 	// the export then holds one process per run. Tracing is non-perturbing,
 	// so attaching it never changes the tables.
@@ -97,13 +148,13 @@ func main() {
 	case "ext":
 		if err := harness.Extensions(in, sweep[len(sweep)-1], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
+			return 1
 		}
 	case "window":
 		//detlint:ignore taintfp inputs carry harness timing state; report fingerprints come from det receipts, not timings
 		if err := harness.WindowTrace(in, sweep[len(sweep)-1], tr, os.Stdout, os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
+			return 1
 		}
 	default:
 		var figs []int
@@ -115,7 +166,7 @@ func main() {
 			f, err := strconv.Atoi(*fig)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "repro: bad figure %q\n", *fig)
-				os.Exit(2)
+				return 2
 			}
 			figs = []int{f}
 		}
@@ -124,7 +175,7 @@ func main() {
 			//detlint:ignore taintfp inputs carry harness timing state; report fingerprints come from det receipts, not timings
 			if err := harness.Figure(f, in, threads, os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "repro:", err)
-				os.Exit(1)
+				return 1
 			}
 		}
 	}
@@ -146,7 +197,7 @@ func main() {
 				v, err := strconv.Atoi(strings.TrimSpace(part))
 				if err != nil || v < 1 {
 					fmt.Fprintf(os.Stderr, "repro: bad -bench-sweep thread count %q\n", part)
-					os.Exit(2)
+					return 2
 				}
 				sweep = append(sweep, v)
 			}
@@ -166,7 +217,7 @@ func main() {
 		}
 		if err := b.WriteFile(*benchPath); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d entries to %s\n", len(b.Entries), *benchPath)
 	}
@@ -174,18 +225,50 @@ func main() {
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := tr.WriteChromeTrace(f); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
+			return 1
 		}
 		if err := f.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "wrote Chrome trace (%d events) to %s — load in Perfetto or chrome://tracing\n",
 			tr.Len(), *tracePath)
 		fmt.Fprint(os.Stderr, tr.Summary())
 	}
+	return 0
+}
+
+// runLoop runs each app/variant cell of spec reps times (after one untimed
+// warm-up) and prints the cell's median wall and fingerprint.
+func runLoop(in *harness.Inputs, spec string, reps, threads int) error {
+	if reps < 1 {
+		return fmt.Errorf("-reps must be at least 1")
+	}
+	type cell struct{ app, variant string }
+	var cells []cell
+	for _, c := range strings.Split(spec, ",") {
+		app, variant, ok := strings.Cut(strings.TrimSpace(c), "/")
+		if !ok || !slices.Contains(harness.Apps, app) || !slices.Contains(harness.Variants, variant) {
+			return fmt.Errorf("bad -loop cell %q (want app/variant, e.g. bfs/g-d)", c)
+		}
+		cells = append(cells, cell{app, variant})
+	}
+	for _, c := range cells {
+		in.RunOnce(c.app, c.variant, threads, nil)
+		walls := make([]time.Duration, reps)
+		var fp uint64
+		for i := range walls {
+			r := in.RunOnce(c.app, c.variant, threads, nil)
+			walls[i], fp = r.Elapsed, r.Fingerprint
+		}
+		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
+		fmt.Printf("%s/%s threads=%d reps=%d median=%.2fms min=%.2fms fingerprint=%#x\n",
+			c.app, c.variant, threads, reps,
+			float64(walls[reps/2].Microseconds())/1e3, float64(walls[0].Microseconds())/1e3, fp)
+	}
+	return nil
 }

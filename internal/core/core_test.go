@@ -480,27 +480,6 @@ func TestDuplicateAcquireIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestMarksClearedAfterDeterministicRun(t *testing.T) {
-	cells := make([]*cell, 64)
-	for i := range cells {
-		cells[i] = &cell{}
-	}
-	items := make([]int, 500)
-	r := rng.New(3)
-	for i := range items {
-		items[i] = r.Intn(64)
-	}
-	ForEach(items, func(ctx *Ctx[int], i int) {
-		ctx.Acquire(&cells[i].Lockable)
-		ctx.OnCommit(func(*Ctx[int]) { cells[i].value++ })
-	}, optsFor(Deterministic, 4))
-	for i, c := range cells {
-		if c.Holder() != nil {
-			t.Fatalf("cell %d still marked after run", i)
-		}
-	}
-}
-
 func TestPushFromInspectPhase(t *testing.T) {
 	// Pushes before OnCommit (phase 1) are legal and must only take
 	// effect if the task commits; totals must match across schedulers.

@@ -42,26 +42,32 @@ type child[T any] struct {
 }
 
 // Ctx is the per-task execution context handed to task bodies. It carries
-// the task's mark record, its discovered neighborhood, the deferred commit
-// closure and any created children. A Ctx is owned by one worker goroutine
-// at a time and must not escape the task body.
+// the task's mark record, the deferred commit closure and any created
+// children. A Ctx is owned by one worker goroutine at a time and must not
+// escape the task body.
 type Ctx[T any] struct {
 	tid     int
 	threads int
-	mode    mode
 	det     bool
+	mode    mode
 	rec     *marks.Rec
-
-	// acquired is the neighborhood discovered so far: locations this
-	// task owned at acquire time. Owners clear these marks at round end.
+	own     marks.Rec // the worker's record under the speculative scheduler
+	// tasks is the live generation's task array under the DIG scheduler:
+	// the task a WriteMax displaced is tasks[id-1].
+	tasks []detTask[T]
+	// acquired lists the locations the task holds: the speculative
+	// scheduler releases them when the task ends; the DIG scheduler never
+	// un-marks and fills the list only for the locality profile.
 	acquired []*marks.Lockable
+	depth    int // locations owned so far in inspect mode
+	// failed is set in inspect mode when the task loses a location; the
+	// body keeps running so that remaining locations still see its id.
+	failed bool
+
 	// commitFn is the failsafe continuation registered by OnCommit.
 	commitFn func(*Ctx[T])
 	// inCommit is true while commitFn runs; Acquire is then illegal.
 	inCommit bool
-	// failed is set in inspect mode when the task loses a location; the
-	// body keeps running so that remaining locations still see its id.
-	failed bool
 
 	children []child[T]
 	nchild   uint64
@@ -72,22 +78,25 @@ type Ctx[T any] struct {
 	// concurrently on different workers could write one backing array.
 	scratch []child[T]
 
-	ops int // batched atomic-op count, flushed to col per task
-	col *stats.Collector
-	pro *cachesim.Tracer
-	met *coreMetrics
+	// tally batches the worker's counts: flushed once per window range
+	// (DIG) or when the worker leaves (speculative).
+	tally stats.Tally
+	col   *stats.Collector
+	pro   *cachesim.Tracer
+	met   *coreMetrics
 }
 
 // prepare binds a retained context's per-run fields. Engines keep contexts
-// alive across runs (their acquired/children capacity is part of the
-// allocation-free steady state); prepare is called serially before the
-// workers of a new run fork.
+// alive across runs (their scratch capacity is part of the allocation-free
+// steady state); prepare is called serially before the workers of a new run
+// fork.
 func (c *Ctx[T]) prepare(threads int, det bool, col *stats.Collector, opt Options, met *coreMetrics) {
 	c.threads = threads
 	c.det = det
 	c.col = col
 	c.pro = opt.Profile
 	c.met = met
+	c.tally = stats.Tally{} // a run that panicked may have left counts behind
 }
 
 func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec) {
@@ -95,12 +104,12 @@ func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec) {
 	c.mode = m
 	c.rec = rec
 	c.acquired = c.acquired[:0]
+	c.depth = 0
 	c.commitFn = nil
 	c.inCommit = false
 	c.failed = false
 	c.children = c.children[:0]
 	c.nchild = 0
-	c.ops = 0
 }
 
 // TID returns the executing worker's id in [0, Threads()). It is stable for
@@ -132,7 +141,7 @@ func (c *Ctx[T]) Acquire(l *marks.Lockable) {
 	switch c.mode {
 	case modeDirect:
 		ok, ops := l.TryAcquire(c.rec)
-		c.ops += ops
+		c.tally.AtomicOps += uint64(ops)
 		if !ok {
 			if c.met != nil {
 				c.met.failDepth.Observe(c.tid, int64(len(c.acquired)))
@@ -144,31 +153,31 @@ func (c *Ctx[T]) Acquire(l *marks.Lockable) {
 		}
 	case modeInspect:
 		owned, stole, ops := l.WriteMax(c.rec)
-		c.ops += ops
+		c.tally.AtomicOps += uint64(ops)
 		if owned {
-			if stole != nil {
+			if stole != 0 {
 				// The displaced lower-id task can no longer
 				// own all of its neighborhood (§3.3).
-				stole.Prevented.Store(true)
-				c.ops++
+				c.tasks[stole-1].rec.Prevent()
+				c.tally.AtomicOps++
 			}
-			// Re-acquiring an owned location appends a duplicate;
-			// clearing and validation are idempotent, so that is
-			// harmless and cheaper than deduplicating here.
-			c.acquired = append(c.acquired, l)
-		} else {
+			c.depth++
+			if c.pro != nil {
+				c.acquired = append(c.acquired, l)
+			}
+		} else if !c.failed {
 			// A higher-id task holds the mark; this task cannot
 			// commit this round, but inspection continues so the
 			// remaining locations still observe its id.
-			if c.met != nil && !c.failed {
-				c.met.failDepth.Observe(c.tid, int64(len(c.acquired)))
+			if c.met != nil {
+				c.met.failDepth.Observe(c.tid, int64(c.depth))
 			}
 			c.failed = true
-			c.rec.Prevented.Store(true)
-			c.ops++
+			c.rec.Prevent()
+			c.tally.AtomicOps++
 		}
 	case modeValidate:
-		c.ops++
+		c.tally.AtomicOps++
 		if !l.OwnedBy(c.rec) {
 			panic(conflictSignal{})
 		}
@@ -204,7 +213,7 @@ func (c *Ctx[T]) OnCommit(fn func(*Ctx[T])) {
 // task's deterministic id derives from (id(parent), creation index).
 func (c *Ctx[T]) Push(item T) {
 	c.nchild++
-	c.children = append(c.children, child[T]{item: item, parent: c.rec.ID, k: c.nchild})
+	c.children = append(c.children, child[T]{item: item, parent: c.rec.ID(), k: c.nchild})
 }
 
 // PushWithID creates a new task with an explicit scheduling priority,
@@ -214,13 +223,13 @@ func (c *Ctx[T]) Push(item T) {
 // order, which is deterministic under DIG anyway).
 func (c *Ctx[T]) PushWithID(item T, id uint64) {
 	c.nchild++
-	c.children = append(c.children, child[T]{item: item, parent: c.rec.ID, k: c.nchild, pre: id})
+	c.children = append(c.children, child[T]{item: item, parent: c.rec.ID(), k: c.nchild, pre: id})
 }
 
 // CountAtomic adds n application-level atomic updates to the run's
 // statistics (the Figure 5 communication proxy) without performing any
 // synchronization itself.
-func (c *Ctx[T]) CountAtomic(n int) { c.ops += n }
+func (c *Ctx[T]) CountAtomic(n int) { c.tally.AtomicOps += uint64(n) }
 
 // runBody executes body under the current mode, translating conflict
 // panics into the returned flag. Any other panic propagates to the caller.
@@ -238,12 +247,10 @@ func (c *Ctx[T]) runBody(body func(*Ctx[T], T), item T) (conflicted bool) {
 	return false
 }
 
-// flushOps transfers the batched atomic-op count to the collector.
-func (c *Ctx[T]) flushOps() {
-	if c.ops != 0 {
-		c.col.AtomicOp(c.tid, c.ops)
-		c.ops = 0
-	}
+// flush transfers the batched counts to worker tid's collector slot.
+func (c *Ctx[T]) flush(tid int) {
+	c.col.Add(tid, c.tally)
+	c.tally = stats.Tally{}
 }
 
 // traceCommitTouches records the write phase's accesses to the task's

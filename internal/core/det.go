@@ -7,14 +7,13 @@ import (
 
 // detTask is the scheduler-side record for one task in the current
 // generation. Its rec is the task's identity in the marks protocol; the id
-// stored in rec is the task's position in the generation's deterministic
-// order (§3.2). The acquired and children slices are per-task scratch whose
-// capacity survives arena recycling, which is what makes a reused engine's
-// steady state allocation-free.
+// in rec is the task's position in the generation's deterministic order
+// (§3.2), so task id lives at arena.tasks[id-1]. The children slice is
+// per-task scratch whose capacity survives arena recycling, which is what
+// makes a reused engine's steady state allocation-free.
 type detTask[T any] struct {
 	rec      marks.Rec
 	item     T
-	acquired []*marks.Lockable
 	commitFn func(*Ctx[T])
 	children []child[T]
 	// failed records this round's outcome: the task was not in the
@@ -38,12 +37,8 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 	// Profiled runs execute single-threaded: the cachesim tracer orders
 	// accesses by arrival, and only a serial run makes that order a pure
 	// function of the schedule — thread-invariant and machine-invariant,
-	// which is what the §5.4 locality model claims to measure. (The old
-	// dynamic chunk claiming only delivered that on GOMAXPROCS=1, where the
-	// first-scheduled worker drained every chunk; static owner-computes
-	// ranges genuinely interleave, so the serialization must be explicit.)
-	// Committed output is unchanged by the portability property; worker
-	// count never reaches it.
+	// which is what the §5.4 locality model claims to measure. Committed
+	// output is unchanged by the portability property.
 	if opt.Profile != nil {
 		nthreads = 1
 	}
@@ -69,28 +64,32 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 	r.cc = &st.commit
 	st.commit.ensureLanes(nthreads)
 	r.bar = e.barrier(nthreads)
+	r.clock = e.clock
 	r.barCrossings, r.barMark = 0, 0
 	r.genIdx = 0
 	r.runDone = false
-	r.gen = generation[T]{arena: st.free.take(len(items))}
 	r.formItems, r.formChildren = items, nil
 	r.formN = len(items)
 	r.beginGeneration()
-	r.runAll(e.pool)
-	st.free.put(r.gen.arena)
+	r.arena = st.free.take(len(items))
+	e.pool.Run(nthreads, r.workerFn)
+	st.free.put(r.arena)
+	failure := r.failure.Load()
 	r.release()
 
-	// inspectTask/execTask swap task-owned scratch through the contexts, so
-	// after the run each ctx still aliases the last task buffer it touched.
-	// Those buffers live in the generation arena and are handed out to
-	// *other* workers on the next run (a retried task moves between
-	// workers), and the nondeterministic scheduler treats a leftover
-	// ctx.acquired/children as private scratch ([:0] + append). A surviving
-	// alias therefore lets two workers grow one backing array concurrently.
-	// Sever the aliases here; the capacity stays with the arena tasks.
+	// inspectTask/execTask swap task-owned children scratch through the
+	// contexts, so each ctx still aliases the last task buffer it touched.
+	// Those buffers live in the arena and go to *other* workers on the next
+	// run, and the nondeterministic scheduler treats a leftover ctx.children
+	// as private scratch; a surviving alias lets two workers grow one
+	// backing array. Sever the aliases; the capacity stays with the tasks.
 	for _, ctx := range st.ctxs[:nthreads] {
-		ctx.acquired = nil
-		ctx.children = nil
+		ctx.children, ctx.tasks = nil, nil
+	}
+	if failure != nil {
+		// Every worker has left the region and the engine's state is back in
+		// its pools; the run's marks are stale to every later epoch.
+		panic(*failure)
 	}
 }
 
@@ -99,58 +98,51 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 // continuation optimization the registered commit closure and any phase-1
 // children are retained for resumption; without it they are discarded and
 // the commit phase re-executes the body.
-func inspectTask[T any](ctx *Ctx[T], t *detTask[T], body func(*Ctx[T], T), tid int, keepCont bool) {
-	// Clear last round's outcome before writing any marks: stealers only
-	// touch this rec after its first mark write, so no flag update can
-	// be lost (see marks.Rec.Prevented).
-	t.rec.Prevented.Store(false)
+func (r *roundExecutor[T]) inspectTask(ctx *Ctx[T], t *detTask[T], tid int) {
+	// Enter this round's epoch before writing any marks: stealers only touch
+	// the rec after seeing one, and last round's Prevented flag goes stale.
+	t.rec.Enter(r.epoch)
 	ctx.reset(tid, modeInspect, &t.rec)
-	ctx.acquired = t.acquired[:0]
 	ctx.children = t.children[:0]
-	ctx.runBody(body, t.item)
-	t.acquired = ctx.acquired
-	if keepCont {
+	ctx.runBody(r.body, t.item)
+	if r.opt.Continuation {
 		t.commitFn = ctx.commitFn
 		t.children = ctx.children
 	} else {
 		t.commitFn = nil
 		t.children = ctx.children[:0]
 	}
-	ctx.flushOps()
-	ctx.col.Inspect(tid)
+	if ctx.pro != nil {
+		touched := &r.arena.touched[t.rec.ID()-1]
+		*touched = append((*touched)[:0], ctx.acquired...)
+	}
+	ctx.tally.Inspects++
 }
 
 // execTask decides whether t is in the round's independent set and, if so,
-// commits it. Either way it clears the marks t still owns, so every mark is
-// unowned again by the end of the phase.
-func execTask[T any](ctx *Ctx[T], t *detTask[T], body func(*Ctx[T], T), tid int, continuation bool) {
-	// Two branches below (prevented, and committed-without-commitFn) never
-	// reset the ctx, yet the mark-clearing epilogue flushes the atomic-op
-	// count through ctx.tid-sharded collector slots. ctx 0 is shared
-	// between worker 0's parallel phases and the batched serial rounds any
-	// worker may drain inside a coordination callback, so a ctx can reach
-	// exec carrying another caller's tid and would flush into the wrong
-	// shard. Pin the tid up front.
-	ctx.tid = tid
-	if continuation {
+// commits it. Marks are left as they are: the next round's epoch retires
+// them.
+func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid int) {
+	if r.opt.Continuation {
 		// §3.3: the prevented flag subsumes mark re-validation — it
 		// is set iff some location of t ended up owned by a higher id.
-		if t.rec.Prevented.Load() {
+		if t.rec.Prevented() {
 			t.failed = true
-			ctx.col.Abort(tid)
-		} else {
-			t.failed = false
-			if t.commitFn != nil {
-				ctx.reset(tid, modeInspect, &t.rec)
-				ctx.children = t.children
-				ctx.nchild = childMax(t.children)
-				ctx.inCommit = true
-				t.commitFn(ctx)
-				ctx.inCommit = false
-				t.children = ctx.children
-				ctx.traceCommitTouches(t.acquired)
+			ctx.tally.Aborts++
+			return
+		}
+		t.failed = false
+		if t.commitFn != nil {
+			ctx.reset(tid, modeInspect, &t.rec)
+			ctx.children = t.children
+			ctx.nchild = childMax(t.children)
+			ctx.inCommit = true
+			t.commitFn(ctx)
+			ctx.inCommit = false
+			t.children = ctx.children
+			if ctx.pro != nil {
+				ctx.traceCommitTouches(r.arena.touched[t.rec.ID()-1])
 			}
-			ctx.col.Commit(tid)
 		}
 	} else {
 		// Baseline (§3.2): re-execute from the beginning; Acquire
@@ -159,31 +151,23 @@ func execTask[T any](ctx *Ctx[T], t *detTask[T], body func(*Ctx[T], T), tid int,
 		// scratch buffer (see Ctx.scratch), reclaimed below.
 		ctx.reset(tid, modeValidate, &t.rec)
 		ctx.children = ctx.scratch[:0]
-		if conflicted := ctx.runBody(body, t.item); conflicted {
-			ctx.scratch = ctx.children
+		conflicted := ctx.runBody(r.body, t.item)
+		if !conflicted && ctx.commitFn != nil {
+			ctx.inCommit = true
+			ctx.commitFn(ctx)
+			ctx.inCommit = false
+		}
+		ctx.scratch = ctx.children
+		if conflicted {
 			t.failed = true
-			ctx.col.Abort(tid)
-		} else {
-			t.failed = false
-			if ctx.commitFn != nil {
-				ctx.inCommit = true
-				ctx.commitFn(ctx)
-				ctx.inCommit = false
-			}
-			t.children = append(t.children[:0], ctx.children...)
-			ctx.scratch = ctx.children
-			ctx.col.Commit(tid)
+			ctx.tally.Aborts++
+			return
 		}
+		t.failed = false
+		t.children = append(t.children[:0], ctx.children...)
 	}
-	for _, l := range t.acquired {
-		ctx.ops += l.ClearIfOwner(&t.rec)
-	}
-	ctx.flushOps()
-	if !t.failed {
-		for range t.children {
-			ctx.col.Push(tid)
-		}
-	}
+	ctx.tally.Commits++
+	ctx.tally.Pushes += uint64(len(t.children))
 }
 
 // childMax returns the largest creation index among cs, so that pushes from

@@ -48,11 +48,20 @@
 //
 // # Mark lifecycle
 //
-// Every round starts with all marks nil: after selectAndExec each task
-// CASes its own record out of every location it recorded (ClearIfOwner),
-// and exactly one task — the final owner — succeeds per location. A task
-// resets its Prevented flag at the start of its own inspect, strictly
-// before writing any marks, so no stealer's flag write can be lost.
+// A mark word holds (epoch, id) and nobody ever clears one. Every round
+// takes a fresh epoch from the process-wide marks.Epochs clock (a
+// speculative run takes one for the whole run), each task moves its record
+// into it before its first mark write, and WriteMax compares whole words,
+// epoch in the high bits. A word left by an earlier round, run, engine or
+// scheduler is smaller than every word of this round, so it reads as
+// unowned and can never beat a live one: every round starts with all
+// locations unowned. The Prevented flag stores the word it applies to, so
+// last round's flag is clear this round with no reset for a stealer's write
+// to race. Corollary: an operator that panics mid-round leaves nothing to
+// undo — the panic is contained at the next barrier and re-raised on the
+// caller, and the marks it stranded are stale to whatever runs next. The
+// field budgets (2^24-1 tasks per generation, 2^40-1 epochs per process)
+// are checked before any mark is written; see DESIGN.md §8.2.
 //
 // # Determinism inventory
 //
@@ -70,12 +79,12 @@
 // # Structure and state reuse
 //
 // The DIG pipeline is phase-structured across four files: generation.go
-// owns task storage and deterministic id assignment (generation, backed by
-// size-classed recyclable arenas), round.go owns the inspect/selectAndExec
-// phase loop and chunked work distribution (roundExecutor), commit.go owns
-// the serial end-of-round gather/compact/adapt step (commitCollector), and
-// det.go orchestrates the generation lifecycle. Both schedulers run on the
-// persistent worker pool of internal/para.
+// owns task storage (size-classed recyclable arenas; slot p holds the task
+// of id p+1), round.go generation formation and the inspect/selectAndExec
+// phase loop over static ranges (roundExecutor), commit.go the end-of-round
+// gather/compact/adapt step (commitCollector), and det.go the run's set-up
+// and the per-task phases. Both schedulers run on the persistent worker
+// pool of internal/para.
 //
 // All run state lives in an Engine (engine.go): the pool, barriers, the
 // collector and — per item type — arenas, contexts, worklists and scratch.

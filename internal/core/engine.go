@@ -34,7 +34,10 @@ type Engine struct {
 	states map[any]any
 	// mets caches the coreMetrics bundle per registry so reuse does not
 	// re-register (or re-allocate) instruments every run.
-	mets    map[*obs.Registry]*coreMetrics
+	mets map[*obs.Registry]*coreMetrics
+	// clock hands out mark epochs. Always the process-wide marks.Epochs; a
+	// field only so tests can exhaust a private one.
+	clock   *marks.Clock
 	running atomic.Bool
 	closed  bool
 }
@@ -52,6 +55,7 @@ func NewEngine(threads int) *Engine {
 		bars:    make(map[int]*para.Barrier),
 		states:  make(map[any]any),
 		mets:    make(map[*obs.Registry]*coreMetrics),
+		clock:   &marks.Epochs,
 	}
 }
 
@@ -106,16 +110,12 @@ func (e *Engine) collector(threads int) *stats.Collector {
 // cannot introduce type parameters, so the engine stores these behind `any`
 // and the generic free function stateFor recovers the typed view.
 type engState[T any] struct {
-	// ctxs are the per-worker execution contexts; their acquired/children
-	// scratch capacity persists across runs.
+	// ctxs are the per-worker execution contexts; their scratch capacity
+	// persists across runs.
 	ctxs []*Ctx[T]
-	// recs are the per-worker mark records of the non-deterministic
-	// scheduler (pointers, so growth never moves a record under a run).
-	recs []*marks.Rec
 	// free recycles generation arenas by size class (DIG scheduler).
 	free genFreeList[T]
-	// commit is the end-of-round collector; its produced buffer, chunk
-	// count arrays and scan scratch are the gather's retained storage.
+	// commit is the end-of-round collector and its retained gather buffers.
 	commit commitCollector[T]
 	// sortScratch is the merge buffer for sorting generations of children.
 	sortScratch []child[T]
@@ -135,7 +135,6 @@ type engState[T any] struct {
 func (st *engState[T]) ensure(n int) {
 	for len(st.ctxs) < n {
 		st.ctxs = append(st.ctxs, &Ctx[T]{})
-		st.recs = append(st.recs, &marks.Rec{})
 	}
 }
 

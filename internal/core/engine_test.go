@@ -318,9 +318,9 @@ func TestDetRunSeversCtxScratchAliases(t *testing.T) {
 		conflictRun(t, detOpt)
 		st := stateFor[int](eng)
 		for i, ctx := range st.ctxs {
-			if ctx.acquired != nil || ctx.children != nil {
-				t.Fatalf("run %d: ctx %d still aliases task scratch (acquired cap %d, children cap %d)",
-					run, i, cap(ctx.acquired), cap(ctx.children))
+			if ctx.children != nil {
+				t.Fatalf("run %d: ctx %d still aliases task scratch (children cap %d)",
+					run, i, cap(ctx.children))
 			}
 		}
 		conflictRun(t, nonOpt)

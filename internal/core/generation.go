@@ -1,19 +1,26 @@
 package core
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
 
-// genArena is the backing storage for one generation: the task records, the
-// deterministic-order pointer slice, and a second pointer slice used as the
-// destination of the locality interleave. Arenas are sized in power-of-two
-// classes so an engine can recycle them across generations and runs whose
-// sizes differ (a BFS frontier grows and shrinks by orders of magnitude
-// within one run). The per-task scratch slices (acquired, children) live in
-// the task records, so recycling an arena also recycles every task's
-// neighborhood and child buffers at their high-water capacity.
+	"galois/internal/marks"
+)
+
+// genArena is the backing storage for one generation: the task records and
+// the deterministic-order pointer slice. Slot p of tasks always holds the
+// task of id p+1, which is how a mark word's id finds its task; order starts
+// out pointing at the slots in sequence and is compacted in place as rounds
+// retire tasks. Arenas are sized in power-of-two classes so an engine can
+// recycle them across generations and runs whose sizes differ (a BFS
+// frontier grows and shrinks by orders of magnitude within one run), each
+// task keeping its children buffer at its high-water capacity.
 type genArena[T any] struct {
 	tasks []detTask[T]
 	order []*detTask[T]
-	perm  []*detTask[T]
+	// touched[id-1] is task id's neighborhood as inspected this round, for
+	// the locality model's commit-time replay (§5.4). Profiled runs only.
+	touched [][]*marks.Lockable
 }
 
 // arenaClass returns the free-list class for a generation of n tasks: the
@@ -36,8 +43,13 @@ type genFreeList[T any] struct {
 }
 
 // take returns an arena with capacity for n tasks, recycling a free one of
-// the right class when available.
+// the right class when available. A generation whose positions do not fit
+// the id field of a mark word fails the run here, before it is formed.
 func (fl *genFreeList[T]) take(n int) *genArena[T] {
+	if n > marks.MaxID {
+		panic(fmt.Sprintf("galois: generation of %d tasks exceeds the %d-bit id field of a mark word (max %d)",
+			n, marks.IDBits, marks.MaxID))
+	}
 	c := arenaClass(n)
 	if a := fl.byClass[c]; a != nil {
 		fl.byClass[c] = nil
@@ -47,7 +59,6 @@ func (fl *genFreeList[T]) take(n int) *genArena[T] {
 	a := &genArena[T]{
 		tasks: make([]detTask[T], capacity),
 		order: make([]*detTask[T], capacity),
-		perm:  make([]*detTask[T], capacity),
 	}
 	return a
 }
@@ -58,64 +69,4 @@ func (fl *genFreeList[T]) take(n int) *genArena[T] {
 // class makes rare).
 func (fl *genFreeList[T]) put(a *genArena[T]) {
 	fl.byClass[arenaClass(len(a.tasks))] = a
-}
-
-// generation owns one DIG generation: its task storage and the tasks'
-// deterministic order, including id assignment (§3.2: a task's id is its
-// position in the generation's sorted order; 0 is reserved for "unowned").
-type generation[T any] struct {
-	arena *genArena[T]
-	// tasks is the generation in deterministic order; it aliases
-	// arena.order (or arena.perm after an interleave).
-	tasks []*detTask[T]
-}
-
-// fill populates the generation with n tasks produced by item, resetting
-// recycled task records while preserving their scratch capacity.
-func (g *generation[T]) fill(n int, item func(int) T) {
-	backing := g.arena.tasks[:n]
-	order := g.arena.order[:n]
-	for i := range backing {
-		t := &backing[i]
-		t.item = item(i)
-		t.acquired = t.acquired[:0]
-		t.children = t.children[:0]
-		t.commitFn = nil
-		t.failed = false
-		order[i] = t
-	}
-	g.tasks = order
-}
-
-func (g *generation[T]) len() int { return len(g.tasks) }
-
-// interleave applies the locality-aware round placement of §3.3 for an
-// initial window w0 (see interleaveSrc), permuting into the arena's second
-// pointer slice so repeated runs allocate nothing. Used by the serial
-// coordinator oracle; the parallel formation pass applies interleaveSrc
-// per output slot instead.
-func (g *generation[T]) interleave(w0 int) {
-	n := len(g.tasks)
-	buckets := interleaveBuckets(n, w0)
-	if buckets <= 1 {
-		return
-	}
-	full := g.arena.perm
-	dst := full[:n]
-	for p := range dst {
-		dst[p] = g.tasks[interleaveSrc(p, n, buckets)]
-	}
-	// Ping-pong the two pointer slices so a later fill reuses both.
-	g.arena.perm = g.arena.order
-	g.arena.order = full
-	g.tasks = dst
-}
-
-// assignIDs gives every task its deterministic id: its position in the
-// generation's order, offset by one because id 0 means "unowned" in the
-// marks protocol (§3.2).
-func (g *generation[T]) assignIDs() {
-	for i, t := range g.tasks {
-		t.rec.Reset(uint64(i) + 1)
-	}
 }

@@ -10,9 +10,9 @@ import "galois/internal/psort"
 // ceil(n/w0) buckets (w0 = the initial window) and concatenates the
 // buckets. The permutation is a pure function of (n, w0): deterministic and
 // thread-independent. interleaveBuckets and interleaveSrc are its single
-// definition — every consumer (the parallel generation formation, the
-// serial-oracle permute, the spec tests) derives each output slot from
-// them, so there is exactly one copy of the permutation to get right.
+// definition — the generation formation and the spec tests derive each
+// output slot from them, so there is exactly one copy of the permutation to
+// get right.
 
 // interleaveBuckets returns the bucket count of the interleave for n tasks
 // and initial window w0, or <= 1 when the interleave is the identity (the
@@ -42,23 +42,6 @@ func interleaveSrc(p, n, buckets int) int {
 		b, j = rem+p/q, p%q
 	}
 	return b + j*buckets
-}
-
-// interleavePermute applies the locality interleave out of place. It is the
-// reference form used by the spec and window tests; the scheduler itself
-// uses interleaveSrc directly (parallel formation) or
-// generation.interleave (serial oracle).
-func interleavePermute[S ~[]E, E any](tasks S, w0 int) S {
-	n := len(tasks)
-	buckets := interleaveBuckets(n, w0)
-	if buckets <= 1 {
-		return tasks
-	}
-	out := make(S, n)
-	for p := range out {
-		out[p] = tasks[interleaveSrc(p, n, buckets)]
-	}
-	return out
 }
 
 // sortChildren orders dynamically created tasks deterministically with a

@@ -61,6 +61,9 @@ func pickWorklist[T any](st *engState[T], opt Options, nthreads int) interface {
 // the engine's persistent worker pool and reuses the engine-retained
 // contexts, mark records and worklist.
 func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*Ctx[T], T), opt Options, col *stats.Collector) {
+	// One epoch for the whole run: marks left by any earlier run read as
+	// unowned. Taken first, so an exhausted clock fails the run clean.
+	epoch := e.clock.Next()
 	nthreads := opt.Threads
 	met := e.metricsFor(opt.Metrics)
 
@@ -85,15 +88,14 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 
 	e.pool.Run(nthreads, func(tid int) {
 		ctx := st.ctxs[tid]
-		// Per-worker tallies for the worker-summary trace event. The
-		// event goes to the worker's own lock-free buffer, so emission
-		// adds no synchronization between workers.
-		var commits, aborts int64
-		rec := st.recs[tid]
+		// The worker's counts stay in its context for the whole run and
+		// reach the collector once, when the worker leaves.
+		tally := &ctx.tally
+		rec := &ctx.own
 		// Ids only need to be unique for the non-deterministic marks
-		// protocol (§2.1); pointer identity of rec provides that, and
-		// a nonzero ID keeps invariants uniform with DIG mode.
+		// protocol (§2.1); one per worker provides that.
 		rec.Reset(uint64(tid) + 1)
+		rec.Enter(epoch)
 
 		backoff := 0
 		for {
@@ -101,7 +103,8 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 			if !ok {
 				if pending.Load() == 0 {
 					emit(opt.Sink, tid, obs.Event{Kind: obs.KindWorker,
-						Args: [4]int64{commits, aborts}})
+						Args: [4]int64{int64(tally.Commits), int64(tally.Aborts)}})
+					ctx.flush(tid)
 					return
 				}
 				runtime.Gosched()
@@ -109,18 +112,34 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 			}
 
 			ctx.reset(tid, modeDirect, rec)
-			if conflicted := ctx.runBody(body, item); conflicted {
-				// Roll back: release every mark acquired so
-				// far and retry the task later (Figure 1b
-				// lines 7-8). Cautious tasks performed no
-				// shared writes, so no state is restored.
-				for _, l := range ctx.acquired {
-					ctx.ops += l.Release(ctx.rec)
+			conflicted := ctx.runBody(body, item)
+			if !conflicted {
+				// Commit: run the deferred write phase while still
+				// holding all neighborhood marks, then publish
+				// created tasks.
+				if ctx.commitFn != nil {
+					ctx.inCommit = true
+					ctx.commitFn(ctx)
+					ctx.inCommit = false
+					ctx.traceCommitTouches(ctx.acquired)
 				}
-				ctx.flushOps()
-				col.Abort(tid)
-				aborts++
-				wl.Push(tid, item)
+				if n := len(ctx.children); n > 0 {
+					pending.Add(int64(n))
+					for _, ch := range ctx.children {
+						wl.Push(tid, ch.item)
+					}
+					tally.Pushes += uint64(n)
+				}
+			}
+			// Commit or roll back, every mark acquired so far is released
+			// (Figure 1b lines 7-8). Cautious tasks performed no shared
+			// writes before a conflict, so no state is restored.
+			for _, l := range ctx.acquired {
+				tally.AtomicOps += uint64(l.Release(rec))
+			}
+			if conflicted {
+				tally.Aborts++
+				wl.Push(tid, item) // retry the task later
 				// Brief backoff reduces livelock between
 				// symmetric conflicting tasks.
 				backoff++
@@ -130,29 +149,7 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 				continue
 			}
 			backoff = 0
-
-			// Commit: run the deferred write phase while still
-			// holding all neighborhood marks, then publish
-			// created tasks, then release.
-			if ctx.commitFn != nil {
-				ctx.inCommit = true
-				ctx.commitFn(ctx)
-				ctx.inCommit = false
-				ctx.traceCommitTouches(ctx.acquired)
-			}
-			if n := len(ctx.children); n > 0 {
-				pending.Add(int64(n))
-				for _, ch := range ctx.children {
-					wl.Push(tid, ch.item)
-					col.Push(tid)
-				}
-			}
-			for _, l := range ctx.acquired {
-				ctx.ops += l.Release(ctx.rec)
-			}
-			ctx.flushOps()
-			col.Commit(tid)
-			commits++
+			tally.Commits++
 			pending.Add(-1)
 		}
 	})

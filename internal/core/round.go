@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sync/atomic"
+
+	"galois/internal/marks"
 	"galois/internal/obs"
 	"galois/internal/para"
 	"galois/internal/stats"
@@ -73,27 +76,34 @@ type roundExecutor[T any] struct {
 	done     bool // current generation exhausted
 	runDone  bool // no next generation: workers exit
 
-	// gen is the live generation; formItems/formChildren (exactly one
-	// non-nil) and formN describe the generation about to be formed;
+	// epoch is the current round's mark epoch, taken from clock in
+	// setupRound: every mark of an earlier round or run is stale to it.
+	epoch marks.Epoch
+	clock *marks.Clock
+
+	// failure holds the first value an operator, commit closure or budget
+	// check panicked with inside the worker region; runDeterministic
+	// re-raises it once every worker has left (see contain).
+	failure atomic.Pointer[any]
+
+	// arena stores the live generation; formItems/formChildren (exactly
+	// one non-nil) and formN describe the generation about to be formed;
 	// buckets is its locality-interleave bucket count (<= 1: identity).
-	gen          generation[T]
+	arena        *genArena[T]
 	formItems    []T
 	formChildren []child[T]
 	formN        int
 	buckets      int
 
 	// next is the generation's pending tasks in deterministic order; cur is
-	// the current round's window prefix (capacity-capped so no append can
-	// spill into rest), rest the remainder.
+	// the current round's window prefix, of w tasks.
 	next []*detTask[T]
 	w    int
 	cur  []*detTask[T]
-	rest []*detTask[T]
 
 	// serialRound: this round runs entirely inside the coordination
-	// callback (w <= serialSpan*nthreads — forking costs more than it
-	// buys). A pure function of (w, nthreads, opt), never of the machine,
-	// so the pipeline choice is reproducible.
+	// callback (w <= serialSpan*nthreads). A pure function of (w, nthreads,
+	// opt), never of the machine, so the pipeline choice is reproducible.
 	serialRound bool
 
 	win windowPolicy
@@ -132,13 +142,6 @@ func newRoundExecutor[T any](st *engState[T]) *roundExecutor[T] {
 	return r
 }
 
-// runAll executes the run's whole generation loop on the engine's worker
-// pool: every worker enters workerLoop once and leaves when the last
-// generation produces nothing.
-func (r *roundExecutor[T]) runAll(pool *para.Pool) {
-	pool.Run(r.nthreads, r.workerFn)
-}
-
 // workerLoop is one worker's life for the whole run. The structure mirrors
 // Figure 2 with every serial section fused into barrier callbacks:
 //
@@ -171,27 +174,42 @@ func (r *roundExecutor[T]) workerLoop(tid int) {
 	}
 }
 
+// contain is deferred by every parallel-phase range and, with serial set,
+// by every barrier callback: a panic becomes the run's failure and the
+// worker walks on to the barrier. Only a callback stops a failed run —
+// every other worker is parked, so done/runDone may be written and all
+// workers, having crossed the same barriers, leave the region together.
+func (r *roundExecutor[T]) contain(serial bool) {
+	if p := recover(); p != nil {
+		first := p // a copy, so only a panic allocates
+		r.failure.CompareAndSwap(nil, &first)
+	}
+	if serial && r.failure.Load() != nil {
+		r.done, r.runDone = true, true
+	}
+}
+
 // formGeneration is one worker's share of forming the next generation from
 // formItems/formChildren: fill, locality interleave and id assignment fused
 // into one pass over a static block partition. Output slot p is a pure
 // function of p — its source index comes from interleaveSrc, its id is p+1
-// — so the partition cannot perturb the deterministic order (§3.2), and id
-// assignment never enters a serial section (the paper's Opt 3). Under the
-// serial-coordinator oracle, worker 0 instead runs the historical serial
-// fill/interleave/assignIDs passes.
+// (0 means "unowned" in the marks protocol) — so the partition cannot
+// perturb the deterministic order (§3.2), and id assignment never enters a
+// serial section (the paper's Opt 3). Under the serial-coordinator oracle,
+// worker 0 runs the whole pass alone.
 func (r *roundExecutor[T]) formGeneration(tid int) {
-	if r.opt.SerialCoordinator {
-		if tid == 0 {
-			r.formSerial()
-		}
-		return
-	}
 	n := r.formN
-	backing := r.gen.arena.tasks[:n]
-	order := r.gen.arena.order[:n]
+	lo, hi := para.BlockRange(n, r.nthreads, tid)
+	if r.opt.SerialCoordinator {
+		if tid != 0 {
+			return
+		}
+		lo, hi = 0, n
+	}
+	backing := r.arena.tasks[:n]
+	order := r.arena.order[:n]
 	items, children := r.formItems, r.formChildren
 	buckets := r.buckets
-	lo, hi := para.BlockRange(n, r.nthreads, tid)
 	for p := lo; p < hi; p++ {
 		src := p
 		if buckets > 1 {
@@ -203,32 +221,12 @@ func (r *roundExecutor[T]) formGeneration(tid int) {
 		} else {
 			t.item = children[src].item
 		}
-		t.acquired = t.acquired[:0]
 		t.children = t.children[:0]
 		t.commitFn = nil
 		t.failed = false
 		t.rec.Reset(uint64(p) + 1)
 		order[p] = t
 	}
-	if tid == 0 {
-		r.gen.tasks = order
-	}
-}
-
-// formSerial is the serial-oracle generation formation: the historical
-// fill + interleave + assignIDs sequence on worker 0.
-func (r *roundExecutor[T]) formSerial() {
-	if r.formItems != nil {
-		items := r.formItems
-		r.gen.fill(r.formN, func(i int) T { return items[i] })
-	} else {
-		children := r.formChildren
-		r.gen.fill(r.formN, func(i int) T { return children[i].item })
-	}
-	if r.opt.LocalityInterleave {
-		r.gen.interleave(r.win.size)
-	}
-	r.gen.assignIDs()
 }
 
 // beginGeneration fixes the forming generation's window policy and
@@ -236,7 +234,7 @@ func (r *roundExecutor[T]) formSerial() {
 func (r *roundExecutor[T]) beginGeneration() {
 	r.win = newWindowPolicy(r.formN, r.opt)
 	r.buckets = 1
-	if r.opt.LocalityInterleave && !r.opt.SerialCoordinator {
+	if r.opt.LocalityInterleave {
 		r.buckets = interleaveBuckets(r.formN, r.win.size)
 	}
 }
@@ -247,12 +245,19 @@ func (r *roundExecutor[T]) beginGeneration() {
 // item has been copied out. Like coordinate, it drains any leading
 // stretch of sub-parallel rounds before releasing the workers.
 func (r *roundExecutor[T]) startGeneration() {
+	defer r.contain(true)
 	r.barCrossings++
+	if a := r.arena; r.opt.Profile != nil && len(a.touched) < len(a.tasks) {
+		a.touched = make([][]*marks.Lockable, len(a.tasks))
+	}
+	for _, ctx := range r.ctxs[:r.nthreads] {
+		ctx.tasks = r.arena.tasks // where Acquire finds the tasks it displaces
+	}
 	r.cc.reset()
 	r.formItems, r.formChildren = nil, nil
 	emit(r.sink, 0, obs.Event{Kind: obs.KindGenStart, Gen: r.genIdx,
 		Args: [4]int64{int64(r.formN)}})
-	r.next = r.gen.tasks
+	r.next = r.arena.order[:r.formN]
 	r.round = -1
 	r.done = false
 	r.advance()
@@ -267,12 +272,13 @@ func (r *roundExecutor[T]) setupRound() {
 	}
 	w := r.win.next(len(r.next))
 	r.w = w
-	r.cur, r.rest = r.next[:w:w], r.next[w:]
+	r.cur = r.next[:w:w]
 	r.round++
 	emit(r.sink, 0, obs.Event{Kind: obs.KindRoundStart, Gen: r.genIdx, Round: r.round,
-		Args: [4]int64{int64(w), int64(len(r.rest))}})
+		Args: [4]int64{int64(w), int64(len(r.next) - w)}})
 	r.serialRound = !r.opt.SerialCoordinator &&
 		(r.nthreads == 1 || w <= serialSpan*r.nthreads)
+	r.epoch = r.clock.Next()
 	r.ts0 = obs.Nanotime()
 }
 
@@ -292,12 +298,13 @@ func (r *roundExecutor[T]) advance() {
 	for !r.done && r.serialRound {
 		ctx := r.ctxs[0]
 		for _, t := range r.cur {
-			inspectTask(ctx, t, r.body, 0, r.opt.Continuation)
+			r.inspectTask(ctx, t, 0)
 		}
 		r.ts1 = obs.Nanotime()
 		for _, t := range r.cur {
-			execTask(ctx, t, r.body, 0, r.opt.Continuation)
+			r.execTask(ctx, t, 0)
 		}
+		ctx.flush(0)
 		r.ts2 = obs.Nanotime()
 		r.cc.gather(r)
 		r.setupRound()
@@ -311,30 +318,30 @@ func (r *roundExecutor[T]) advance() {
 // share of the window: each task runs through its failsafe point in
 // inspect mode, write-max-marking its neighborhood.
 func (r *roundExecutor[T]) inspectRange(ctx *Ctx[T], tid, lo, hi int) {
+	defer r.contain(false)
 	for _, t := range r.cur[lo:hi] {
-		inspectTask(ctx, t, r.body, tid, r.opt.Continuation)
+		r.inspectTask(ctx, t, tid)
 	}
 }
 
 // execRange runs Phase 2 (Figure 2 line 19) over the same static range the
-// worker inspected — the task records are still cache-warm from Phase 1.
-// The gather is fused in: failed tasks and produced children go to the
-// worker's own lane, eliminating the separate count/scan/place phases (and
-// their barrier). Under the serial-coordinator oracle the harvest is left
-// to the serial gather walk instead, preserving the historical pipeline as
-// the differential baseline.
+// worker inspected — the task records are still cache-warm from Phase 1 —
+// with the gather fused in: failed tasks and produced children go to the
+// worker's own lane.
 func (r *roundExecutor[T]) execRange(ctx *Ctx[T], tid, lo, hi int) {
-	if r.opt.SerialCoordinator {
-		for _, t := range r.cur[lo:hi] {
-			execTask(ctx, t, r.body, tid, r.opt.Continuation)
-		}
-		return
+	if r.failure.Load() != nil {
+		return // an inspect panicked: the marks are incomplete, nothing may commit
 	}
+	defer r.contain(false)
+	defer ctx.flush(tid)
 	lane := &r.cc.lanes[tid]
 	failed := lane.failed[:0]
 	children := lane.children
 	for _, t := range r.cur[lo:hi] {
-		execTask(ctx, t, r.body, tid, r.opt.Continuation)
+		r.execTask(ctx, t, tid)
+		if r.opt.SerialCoordinator {
+			continue // the oracle's serial gather walk harvests instead
+		}
 		if t.failed {
 			failed = append(failed, t)
 			continue
@@ -343,8 +350,8 @@ func (r *roundExecutor[T]) execRange(ctx *Ctx[T], tid, lo, hi int) {
 			children = append(children, t.children...)
 		}
 		// Drop the commit closure (it can pin arbitrary user state) but
-		// keep the acquired/children buffers: their capacity is the
-		// engine's per-task scratch, recycled by the next fill.
+		// keep the children buffer: its capacity is the engine's
+		// per-task scratch, recycled by the next fill.
 		t.commitFn = nil
 	}
 	lane.failed = failed
@@ -356,6 +363,10 @@ func (r *roundExecutor[T]) execRange(ctx *Ctx[T], tid, lo, hi int) {
 // pending list, record the round, and advance — possibly through a whole
 // batch of sub-parallel rounds — before the workers are released.
 func (r *roundExecutor[T]) coordinate() {
+	defer r.contain(true)
+	if r.failure.Load() != nil {
+		return
+	}
 	r.barCrossings++
 	r.ts2 = obs.Nanotime()
 	if r.opt.SerialCoordinator {
@@ -433,8 +444,8 @@ func (r *roundExecutor[T]) endGeneration() {
 		Args: [4]int64{int64(len(produced))}})
 	// The parent generation is fully committed; recycle its arena before
 	// taking the next so same-class generations reuse it.
-	st.free.put(r.gen.arena)
-	r.gen = generation[T]{arena: st.free.take(len(produced))}
+	st.free.put(r.arena)
+	r.arena = st.free.take(len(produced))
 	r.genIdx++
 	r.formItems, r.formChildren = nil, produced
 	r.formN = len(produced)
@@ -451,7 +462,9 @@ func (r *roundExecutor[T]) release() {
 	r.met = nil
 	r.sink = nil
 	r.bar = nil
-	r.gen = generation[T]{}
+	r.clock = nil
+	r.failure.Store(nil)
+	r.arena = nil
 	r.formItems, r.formChildren = nil, nil
-	r.next, r.cur, r.rest = nil, nil, nil
+	r.next, r.cur = nil, nil
 }

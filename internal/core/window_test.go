@@ -149,6 +149,72 @@ func TestInterleaveSrcMatchesAppendReference(t *testing.T) {
 	}
 }
 
+// TestFormGenerationMatchesNaiveReference is the formation half of the
+// differential oracle. The serial-coordinator oracle forms generations with
+// the same fused pass as the parallel path (worker 0 runs it alone), so
+// comparing the two no longer cross-checks fill, interleave or id
+// assignment; this test does, against a reference that shares no code with
+// formGeneration or interleaveSrc: deal the sources round-robin into
+// ceil(n/w0) buckets, concatenate, number the slots from 1. Every worker
+// count, both source kinds, with the oracle flag and without, over a
+// recycled arena that still holds the previous generation.
+func TestFormGenerationMatchesNaiveReference(t *testing.T) {
+	st := &engState[int]{}
+	r := newRoundExecutor(st)
+	for _, n := range []int{0, 1, 2, 3, 17, 100, 1000, 1023} {
+		for _, w0 := range []int{1, 3, 16, 99, 5000} {
+			for _, interleave := range []bool{true, false} {
+				ref := make([]int, 0, n)
+				buckets := 1
+				if interleave && n > 2 && w0 < n {
+					buckets = (n + w0 - 1) / w0
+				}
+				for b := 0; b < buckets; b++ {
+					for src := b; src < n; src += buckets {
+						ref = append(ref, 1000+src)
+					}
+				}
+				items := make([]int, n)
+				children := make([]child[int], n)
+				for i := range items {
+					items[i] = 1000 + i
+					children[i] = child[int]{item: 1000 + i, parent: 1, k: uint64(i + 1)}
+				}
+				for _, threads := range []int{1, 2, 3, 8} {
+					for _, serial := range []bool{false, true} {
+						for _, fromChildren := range []bool{false, true} {
+							r.opt = Defaults()
+							r.opt.WindowInit = w0
+							r.opt.WindowMin = 1
+							r.opt.LocalityInterleave = interleave
+							r.opt.SerialCoordinator = serial
+							r.nthreads = threads
+							r.formItems, r.formChildren, r.formN = items, nil, n
+							if fromChildren {
+								r.formItems, r.formChildren = nil, children
+							}
+							r.beginGeneration()
+							r.arena = st.free.take(n)
+							for tid := threads - 1; tid >= 0; tid-- {
+								r.formGeneration(tid)
+							}
+							for p := 0; p < n; p++ {
+								task := &r.arena.tasks[p]
+								if task.rec.ID() != uint64(p)+1 || r.arena.order[p] != task || task.item != ref[p] {
+									t.Fatalf("n=%d w0=%d interleave=%v threads=%d serial=%v children=%v slot %d: id %d item %d in order %v, want id %d item %d",
+										n, w0, interleave, threads, serial, fromChildren, p,
+										task.rec.ID(), task.item, r.arena.order[p] == task, p+1, ref[p])
+								}
+							}
+							st.free.put(r.arena)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestInterleavePermuteSpreadsNeighbors(t *testing.T) {
 	// Originally adjacent items must land in different w0-sized windows.
 	n, w0 := 1024, 64
@@ -199,4 +265,20 @@ func TestSortChildrenPreassigned(t *testing.T) {
 	if got != "acb" {
 		t.Fatalf("order = %q", got)
 	}
+}
+
+// interleavePermute applies the locality interleave out of place: the
+// reference form the spec and window tests use. The scheduler itself reads
+// interleaveSrc per output slot.
+func interleavePermute[S ~[]E, E any](tasks S, w0 int) S {
+	n := len(tasks)
+	buckets := interleaveBuckets(n, w0)
+	if buckets <= 1 {
+		return tasks
+	}
+	out := make(S, n)
+	for p := range out {
+		out[p] = tasks[interleaveSrc(p, n, buckets)]
+	}
+	return out
 }

@@ -8,11 +8,14 @@
 //
 // Reservations reuse the mark words of package marks: a minimum-index
 // reservation is a maximum-id mark under the order-reversing encoding
-// id = ^index, so the same WriteMax/ClearIfOwner machinery serves both the
-// DIG scheduler and this substrate.
+// id = MaxID - index, and every round takes a fresh epoch, so the same
+// WriteMax protocol — no un-marking between rounds — serves both the DIG
+// scheduler and this substrate.
 package detres
 
 import (
+	"fmt"
+
 	"galois/internal/cachesim"
 	"galois/internal/marks"
 	"galois/internal/para"
@@ -84,6 +87,10 @@ func For(n int, step Step, opt Options) stats.Stats {
 	if threads <= 0 {
 		threads = para.DefaultThreads()
 	}
+	if n > marks.MaxID {
+		panic(fmt.Sprintf("detres: %d items exceed the %d-bit id field of a mark word (max %d)",
+			n, marks.IDBits, marks.MaxID))
+	}
 	gran := opt.Granularity
 	if gran <= 0 {
 		if opt.Ramp {
@@ -121,14 +128,17 @@ func For(n int, step Step, opt Options) stats.Stats {
 			p = len(pending)
 		}
 		cur, rest := pending[:p:p], pending[p:]
+		// A fresh epoch retires every reservation of the previous round.
+		epoch := marks.Epochs.Next()
 
 		// Reserve phase.
 		para.For(threads, p, func(tid, k int) {
 			s := cur[k]
 			// Priority: smaller item index = higher priority, via
 			// the order-reversing encoding (0 is reserved for
-			// "free", and ^idx is never 0 for valid indices).
-			s.rec.Reset(^uint64(s.idx))
+			// "free", and MaxID-idx is never 0 for idx < n <= MaxID).
+			s.rec.Reset(marks.MaxID - uint64(s.idx))
+			s.rec.Enter(epoch)
 			s.res = Reserver{rec: &s.rec, pro: opt.Profile, tid: tid}
 			s.done = !step.Reserve(s.idx, &s.res)
 			col.AtomicOp(tid, s.res.ops)
@@ -138,7 +148,6 @@ func For(n int, step Step, opt Options) stats.Stats {
 		// Commit phase.
 		para.For(threads, p, func(tid, k int) {
 			s := cur[k]
-			ops := 0
 			if s.done {
 				s.failed = false
 				col.Commit(tid)
@@ -168,11 +177,7 @@ func For(n int, step Step, opt Options) stats.Stats {
 					col.Abort(tid)
 				}
 			}
-			for _, l := range s.res.acquired {
-				ops += l.ClearIfOwner(&s.rec)
-			}
 			s.res.acquired = nil
-			col.AtomicOp(tid, ops)
 		})
 
 		// Failed items keep their priority: they precede the untried

@@ -164,13 +164,22 @@ func TestStatsAbortsOnConflicts(t *testing.T) {
 	}
 }
 
-func TestMarksClearedBetweenRounds(t *testing.T) {
-	s := newCounterStep(8, 200, 7)
-	For(200, s, Options{Threads: 4, Granularity: 32})
-	for i := range s.cells {
-		if s.cells[i].Holder() != nil {
-			t.Fatalf("cell %d still marked after completion", i)
-		}
+// TestCellsReusableAcrossLoops: reservations are never un-marked; a later
+// loop over the same cells must see them all free, i.e. produce what it
+// produces on fresh cells.
+func TestCellsReusableAcrossLoops(t *testing.T) {
+	fresh := newCounterStep(8, 200, 7)
+	For(200, fresh, Options{Threads: 4, Granularity: 32})
+
+	reused := newCounterStep(8, 200, 7)
+	For(200, reused, Options{Threads: 4, Granularity: 32})
+	for i := range reused.values {
+		reused.values[i] = 0
+	}
+	st := For(200, reused, Options{Threads: 2, Granularity: 32})
+	if reused.fingerprint() != fresh.fingerprint() || st.Commits != 200 {
+		t.Fatalf("second loop over used cells: fingerprint %x (commits %d), fresh cells give %x",
+			reused.fingerprint(), st.Commits, fresh.fingerprint())
 	}
 }
 

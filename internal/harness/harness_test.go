@@ -362,11 +362,35 @@ func TestEngineReuseFingerprints(t *testing.T) {
 	}
 }
 
-// TestEngineSteadyStateAllocs checks the allocation payoff end-to-end: a
-// warm engine-reused deterministic run of a real app allocates less than
-// half of what a fresh run does (the residue is app-side — result arrays,
-// input bookkeeping — which reuse cannot and should not remove).
+// TestEngineSteadyStateAllocs checks the allocation payoff end-to-end, on a
+// warm engine-reused deterministic run of a real app, with two bounds taken
+// from the run's own counters.
+//
+// Ceiling: the engine run allocates at most one object per operator
+// invocation (Stats.Inspects) plus a constant. That object is app-side — the
+// commit closure mis makes on every attempt, the closure and improved list
+// bfs makes on attempts that find work — which reuse cannot and should not
+// remove; the scheduler itself must add nothing per task. mis sits 12
+// objects over its inspect count, so for it one allocation per round (493
+// rounds) trips the bound too.
+//
+// Payoff: a fresh run allocates at least Pushes/2 objects more than the
+// engine run — the children buffers a cold arena hands to pushing tasks
+// (14.7k for bfs). mis pushes nothing, so for it this only says reuse is no
+// worse.
+//
+// Measured allocs/run (small inputs, 2 threads, 20000 tasks; bfs 23457
+// inspects, mis 23260):
+//
+//	              bfs fresh  bfs engine  mis fresh  mis engine
+//	pointer marks    132450       20007     121073       23272
+//	epoch words       34677       20007      23319       23272
+//
+// The engine column did not move; fresh runs fell because the per-task
+// acquired buffers are gone. That is why the old "engine ≤ fresh/2" form of
+// this test no longer describes reuse and was restated, not dropped.
 func TestEngineSteadyStateAllocs(t *testing.T) {
+	const slack = 128
 	in := smallInputs()
 	for _, app := range []string{"bfs", "mis"} {
 		in.Engine = nil
@@ -376,16 +400,20 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		eng := galois.NewEngine(galois.WithThreads(2))
 		in.Engine = eng
 		in.RunOnce(app, "g-d", 2, nil) // warm the engine
-		in.RunOnce(app, "g-d", 2, nil)
+		st := in.RunOnce(app, "g-d", 2, nil).Stats
 		engineAllocs, _ := MeasureAllocs(3, func() { in.RunOnce(app, "g-d", 2, nil) })
 		eng.Close()
 		in.Engine = nil
 
-		if engineAllocs*2 > freshAllocs {
-			t.Errorf("%s: engine run allocates %d objects vs %d fresh — reuse saves less than half",
-				app, engineAllocs, freshAllocs)
+		if ceiling := st.Inspects + slack; engineAllocs > ceiling {
+			t.Errorf("%s: engine run allocates %d objects, over %d inspects + %d — the scheduler allocates per task or per round",
+				app, engineAllocs, st.Inspects, slack)
 		}
-		t.Logf("%s: allocs/run fresh=%d engine=%d", app, freshAllocs, engineAllocs)
+		if engineAllocs+st.Pushes/2 > freshAllocs {
+			t.Errorf("%s: engine run allocates %d objects vs %d fresh — reuse saves less than half of %d pushes",
+				app, engineAllocs, freshAllocs, st.Pushes)
+		}
+		t.Logf("%s: allocs/run fresh=%d engine=%d inspects=%d pushes=%d", app, freshAllocs, engineAllocs, st.Inspects, st.Pushes)
 	}
 }
 

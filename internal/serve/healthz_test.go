@@ -41,9 +41,12 @@ func TestHealthzSnapshot(t *testing.T) {
 	if h.Pool.Misses == 0 {
 		t.Fatalf("pool counters not reflected after a job: %+v", h)
 	}
-	if h.InFlight != 0 || h.QueueDepth != 0 {
-		t.Fatalf("drained server still reports load: %+v", h)
-	}
+	// The worker decrements after run returns, which is after the outcome
+	// reached the client; wait for it to land.
+	waitFor(t, func() bool {
+		h, err = c.Healthz(ctx)
+		return err == nil && h.InFlight == 0 && h.QueueDepth == 0
+	})
 }
 
 // blockingTask parks a worker until released, making the in-flight gauge

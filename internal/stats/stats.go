@@ -15,14 +15,22 @@ import (
 // cacheLine is the assumed cache line size for padding.
 const cacheLine = 64
 
+// Tally is a set of per-task event counts. Schedulers accumulate one per
+// worker over a stretch of tasks and hand it to Collector.Add, so the hot
+// loop touches the collector once per stretch instead of several times per
+// task.
+type Tally struct {
+	Commits   uint64 // tasks that executed to completion
+	Aborts    uint64 // failed task attempts (conflicts)
+	Pushes    uint64 // dynamically created tasks
+	AtomicOps uint64 // atomic updates to shared mark state (Figure 5)
+	Inspects  uint64 // inspect-phase executions
+}
+
 // threadCounters holds one thread's counters, padded to avoid false sharing.
 type threadCounters struct {
-	commits   uint64
-	aborts    uint64
-	pushes    uint64
-	atomicOps uint64
-	inspects  uint64
-	_         [cacheLine - 5*8%cacheLine]byte
+	Tally
+	_ [cacheLine - 5*8%cacheLine]byte
 }
 
 // Collector accumulates counters during a single scheduler run. It is sized
@@ -96,20 +104,30 @@ func (c *Collector) Stop() { c.elapsed = time.Since(c.start) }
 func (c *Collector) SetElapsed(d time.Duration) { c.elapsed = d }
 
 // Commit records a committed task on thread tid.
-func (c *Collector) Commit(tid int) { c.threads[tid].commits++ }
+func (c *Collector) Commit(tid int) { c.threads[tid].Commits++ }
 
 // Abort records an aborted/failed task attempt on thread tid.
-func (c *Collector) Abort(tid int) { c.threads[tid].aborts++ }
+func (c *Collector) Abort(tid int) { c.threads[tid].Aborts++ }
 
 // Push records a newly created task on thread tid.
-func (c *Collector) Push(tid int) { c.threads[tid].pushes++ }
+func (c *Collector) Push(tid int) { c.threads[tid].Pushes++ }
 
 // AtomicOp records n atomic shared-memory updates on thread tid. This is the
 // paper's proxy for inter-task communication (Figure 5).
-func (c *Collector) AtomicOp(tid int, n int) { c.threads[tid].atomicOps += uint64(n) }
+func (c *Collector) AtomicOp(tid int, n int) { c.threads[tid].AtomicOps += uint64(n) }
 
 // Inspect records an inspected task on thread tid.
-func (c *Collector) Inspect(tid int) { c.threads[tid].inspects++ }
+func (c *Collector) Inspect(tid int) { c.threads[tid].Inspects++ }
+
+// Add folds a worker-local tally into thread tid's counters.
+func (c *Collector) Add(tid int, t Tally) {
+	s := &c.threads[tid]
+	s.Commits += t.Commits
+	s.Aborts += t.Aborts
+	s.Pushes += t.Pushes
+	s.AtomicOps += t.AtomicOps
+	s.Inspects += t.Inspects
+}
 
 // Round records one deterministic round with the given window size and
 // committed count. Called by the scheduler coordinator between barriers.
@@ -140,11 +158,11 @@ func (c *Collector) Snapshot() Stats {
 	var s Stats
 	for i := range c.threads {
 		t := &c.threads[i]
-		s.Commits += t.commits
-		s.Aborts += t.aborts
-		s.Pushes += t.pushes
-		s.AtomicOps += t.atomicOps
-		s.Inspects += t.inspects
+		s.Commits += t.Commits
+		s.Aborts += t.Aborts
+		s.Pushes += t.Pushes
+		s.AtomicOps += t.AtomicOps
+		s.Inspects += t.Inspects
 	}
 	s.Rounds = c.rounds.Load()
 	s.WindowSum = c.windowSum.Load()
