@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-effects test race trace-smoke serve-smoke cluster-smoke bench-compare bench-scaling profile-finegrain
+.PHONY: check build vet lint lint-effects test race trace-smoke serve-smoke cluster-smoke bench bench-smoke bench-compare bench-scaling profile-finegrain
 
 # Everything CI runs, in CI's order.
-check: vet lint build test race trace-smoke serve-smoke cluster-smoke bench-compare
+check: vet lint build test race trace-smoke serve-smoke cluster-smoke bench-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,20 @@ serve-smoke:
 # cluster-load.json.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
+
+# galoisbench, the repository's benchmark (benchmark/README.md): every
+# workload of BENCHMARK.json, five untraced runs and one traced pass each,
+# built from this checkout into .bench_build/. Takes several minutes; one
+# workload is `bash benchmark/run.sh --workload engine-finegrain --seed 42
+# --seconds 15 --trace 0`.
+bench:
+	bash benchmark/run.sh
+
+# The benchmark's own unit tests, including a smoke pass of all five
+# workloads on tiny inputs with every output checked: under ten seconds, so
+# CI runs it to keep the yardstick building against the tree it measures.
+bench-smoke:
+	cd benchmark && $(GO) test .
 
 # Compare the two most recent committed benchmark trajectories
 # (BENCH_<n>.json). Wall-clock movement is report-only (different machines

@@ -243,7 +243,9 @@ func run() int {
 }
 
 // runLoop runs each app/variant cell of spec reps times (after one untimed
-// warm-up) and prints the cell's median wall and fingerprint.
+// warm-up) and prints the cell's median wall and fingerprint, and — from the
+// metrics registry, the only place they are published — how often a barrier
+// waiter parked and how long waiters waited, per run.
 func runLoop(in *harness.Inputs, spec string, reps, threads int) error {
 	if reps < 1 {
 		return fmt.Errorf("-reps must be at least 1")
@@ -257,8 +259,13 @@ func runLoop(in *harness.Inputs, spec string, reps, threads int) error {
 		}
 		cells = append(cells, cell{app, variant})
 	}
+	met := galois.NewMetrics(threads)
+	in.Metrics = met
+	defer func() { in.Metrics = nil }()
+	parks, waitNS := met.Counter("galois_barrier_parks_total"), met.Counter("galois_barrier_wait_ns_total")
 	for _, c := range cells {
 		in.RunOnce(c.app, c.variant, threads, nil)
+		parks0, wait0 := parks.Value(), waitNS.Value()
 		walls := make([]time.Duration, reps)
 		var fp uint64
 		for i := range walls {
@@ -266,9 +273,10 @@ func runLoop(in *harness.Inputs, spec string, reps, threads int) error {
 			walls[i], fp = r.Elapsed, r.Fingerprint
 		}
 		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-		fmt.Printf("%s/%s threads=%d reps=%d median=%.2fms min=%.2fms fingerprint=%#x\n",
+		fmt.Printf("%s/%s threads=%d reps=%d median=%.2fms min=%.2fms parks/run=%.1f barrier-wait=%.2fms/run fingerprint=%#x\n",
 			c.app, c.variant, threads, reps,
-			float64(walls[reps/2].Microseconds())/1e3, float64(walls[0].Microseconds())/1e3, fp)
+			float64(walls[reps/2].Microseconds())/1e3, float64(walls[0].Microseconds())/1e3,
+			float64(parks.Value()-parks0)/float64(reps), float64(waitNS.Value()-wait0)/float64(reps)/1e6, fp)
 	}
 	return nil
 }

@@ -1,7 +1,10 @@
 package bfs
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"galois"
 	"galois/internal/coredet"
@@ -187,4 +190,71 @@ func TestPThreadSyncHeavy(t *testing.T) {
 	if rt.SyncOps() < uint64(g.M()) {
 		t.Fatalf("sync ops %d < edges %d", rt.SyncOps(), g.M())
 	}
+}
+
+// TestOversubscribedEnginesProgress is galoisd's shape on a small box: four
+// engines of two threads each on two processors. Each engine's barrier has
+// as many processors as parties, so its waiters may spin — but a waiter's
+// peer is usually not running at all, and a spinner that held its P for a
+// timeslice would turn every round into milliseconds (DESIGN §9.3). The
+// waiters yield as they spin and park after one budget, so the four jobs
+// together take no longer than about the four run one after another; 3× is
+// the alarm, far below what a held timeslice per crossing costs.
+// Fingerprints are the single-threaded one throughout.
+func TestOversubscribedEnginesProgress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const engines = 4
+	g := testGraph()
+	want := Galois(g, 0, galois.WithThreads(1), galois.WithSched(galois.Deterministic)).Fingerprint()
+	engs := make([]*galois.Engine, engines)
+	for i := range engs {
+		engs[i] = galois.NewEngine(galois.WithThreads(2))
+		defer engs[i].Close()
+	}
+	fps := make([]uint64, engines)
+	run := func(i int) {
+		fps[i] = Galois(g, 0, galois.WithEngine(engs[i]), galois.WithThreads(2),
+			galois.WithSched(galois.Deterministic)).Fingerprint()
+	}
+	check := func(mode string) {
+		t.Helper()
+		for i, fp := range fps {
+			if fp != want {
+				t.Fatalf("%s: engine %d fingerprint %#x, want %#x", mode, i, fp, want)
+			}
+		}
+	}
+	for i := range engs {
+		run(i) // warm every engine, so both timings below are steady-state
+	}
+	// The box is shared, so one pair of timings can be unlucky either way:
+	// the bound must hold on one of three.
+	var together, serialized time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		t0 := time.Now()
+		for i := range engs {
+			run(i)
+		}
+		serialized = time.Since(t0)
+		check("serialized")
+
+		t0 = time.Now()
+		var wg sync.WaitGroup
+		for i := range engs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(i)
+			}()
+		}
+		wg.Wait()
+		together = time.Since(t0)
+		check("oversubscribed")
+		t.Logf("together %v, one after another %v", together, serialized)
+		if together <= 3*serialized {
+			return
+		}
+	}
+	t.Errorf("4 engines x 2 threads on 2 processors took %v, %v one after another: waiters are holding processors",
+		together, serialized)
 }

@@ -72,7 +72,13 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 	r.formN = len(items)
 	r.beginGeneration()
 	r.arena = st.free.take(len(items))
+	_, parks0, wait0 := r.bar.Stats()
 	e.pool.Run(nthreads, r.workerFn)
+	if met != nil {
+		_, parks, wait := r.bar.Stats()
+		met.barrierParks.Add(0, parks-parks0)
+		met.barrierWaitNS.Add(0, uint64(wait-wait0))
+	}
 	st.free.put(r.arena)
 	failure := r.failure.Load()
 	r.release()

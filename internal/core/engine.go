@@ -72,12 +72,15 @@ func (e *Engine) Close() {
 	e.pool.Close()
 }
 
-// barrier returns the engine's reusable barrier for the given party count.
+// barrier returns the engine's reusable barrier for the given party count,
+// its oversubscription verdict re-sampled for the run checking it out.
 func (e *Engine) barrier(parties int) *para.Barrier {
 	b := e.bars[parties]
 	if b == nil {
 		b = para.NewBarrier(parties)
 		e.bars[parties] = b
+	} else {
+		b.Resample()
 	}
 	return b
 }

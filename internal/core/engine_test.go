@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"galois/internal/obs"
@@ -324,5 +326,54 @@ func TestDetRunSeversCtxScratchAliases(t *testing.T) {
 			}
 		}
 		conflictRun(t, nonOpt)
+	}
+}
+
+// TestEngineBarrierFollowsGOMAXPROCS flips GOMAXPROCS between runs on one
+// engine. The engine's retained barrier samples its oversubscription verdict
+// at checkout (para.Barrier.Resample), so the run on one processor parks
+// every waiter at once — exactly one park per crossing at two threads, the
+// count DESIGN §9.3's guarantee implies — and the run after the flip back
+// spins again. Output and the canonical event sequence never notice, with
+// the barrier's counters published (a registry attached) or not.
+func TestEngineBarrierFollowsGOMAXPROCS(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("needs 2 CPUs: on one, a 2-party barrier is always oversubscribed")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	eng := NewEngine(2)
+	defer eng.Close()
+	reg := obs.NewRegistry(2)
+	crossings, parks := reg.Counter("round.barriers"), reg.Counter("galois_barrier_parks_total")
+	run := func(metrics *obs.Registry) (fp uint64, lines []string, crossed, parked uint64) {
+		c0, p0 := crossings.Value(), parks.Value()
+		fp, lines = tracedOrderSensitive(t, 6000, optsFor(Deterministic, 2, func(o *Options) {
+			o.Engine, o.Metrics = eng, metrics
+		}))
+		return fp, lines, crossings.Value() - c0, parks.Value() - p0
+	}
+	wantFP, wantLines, _, _ := run(nil) // counters unpublished
+	check := func(procs int, fp uint64, lines []string) {
+		t.Helper()
+		if fp != wantFP || !slices.Equal(lines, wantLines) {
+			t.Fatalf("GOMAXPROCS=%d: fingerprint %#x (want %#x) or canonical sequence moved", procs, fp, wantFP)
+		}
+	}
+
+	runtime.GOMAXPROCS(1)
+	fp, lines, crossed, parked := run(reg)
+	check(1, fp, lines)
+	if crossed < 50 {
+		t.Fatalf("only %d crossings: the workload no longer exercises the barrier", crossed)
+	}
+	if parked != crossed {
+		t.Errorf("GOMAXPROCS=1: %d parks over %d crossings, want one per crossing", parked, crossed)
+	}
+
+	runtime.GOMAXPROCS(2)
+	fp, lines, crossed, parked = run(reg)
+	check(2, fp, lines)
+	if parked >= crossed {
+		t.Errorf("GOMAXPROCS back to 2: %d parks over %d crossings, the barrier still parks every waiter", parked, crossed)
 	}
 }

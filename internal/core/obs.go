@@ -35,6 +35,13 @@ type coreMetrics struct {
 	// the crossings themselves (each barrier callback increments once), so
 	// barriers/round is a recorded quantity, not an estimate.
 	barriers *obs.Counter
+	// barrierParks/barrierWaitNS are para.Barrier's own counters for the
+	// run's waiters: waits that parked, and nanoseconds spent in waits slow
+	// enough to be timed. They depend on the machine and the moment, so
+	// they live here only — never in stats.Stats, a receipt or a BENCH
+	// column.
+	barrierParks  *obs.Counter
+	barrierWaitNS *obs.Counter
 }
 
 // newCoreMetrics registers the scheduler instruments in reg, or returns nil
@@ -51,5 +58,7 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		phaseExec:      reg.Histogram("round.execute_ns", obs.Pow2Bounds(1<<30)),
 		phaseCoord:     reg.Histogram("round.coordinate_ns", obs.Pow2Bounds(1<<30)),
 		barriers:       reg.Counter("round.barriers"),
+		barrierParks:   reg.Counter("galois_barrier_parks_total"),
+		barrierWaitNS:  reg.Counter("galois_barrier_wait_ns_total"),
 	}
 }

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -425,7 +427,11 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // counter. Phase wall-time columns must be populated (the round loop
 // always stamps them) and must sum to no more than the run's wall time.
 // None of this instrumentation may perturb the committed fingerprint —
-// the runs here are compared against an uninstrumented baseline.
+// the runs here are compared against an uninstrumented baseline — and
+// publishing para.Barrier's wait counters (metrics attached or not) may not
+// move the canonical event sequence either. Those counters depend on the
+// machine and the moment, so they are bounded here, not pinned, and must
+// never surface in the Stats JSON a receipt or a BENCH entry is built from.
 func TestBarrierAndPhaseCountersConsistent(t *testing.T) {
 	in := smallInputs()
 	for _, app := range []string{"bfs", "mis"} {
@@ -434,11 +440,23 @@ func TestBarrierAndPhaseCountersConsistent(t *testing.T) {
 		tr := galois.NewTrace(2)
 		in.Metrics, in.TraceSink = reg, tr
 		r1 := in.RunOnce(app, "g-d", 2, nil)
-		in.Metrics, in.TraceSink = nil, nil
+		trOff := galois.NewTrace(2)
+		in.Metrics, in.TraceSink = nil, trOff
 		r2 := in.RunOnce(app, "g-d", 2, nil)
+		in.TraceSink = nil
 
 		if r1.Fingerprint != base.Fingerprint {
 			t.Errorf("%s: instrumented fingerprint %#x != baseline %#x", app, r1.Fingerprint, base.Fingerprint)
+		}
+		if r2.Fingerprint != base.Fingerprint || !slices.Equal(tr.CanonicalLines(), trOff.CanonicalLines()) {
+			t.Errorf("%s: barrier counters on vs off moved the fingerprint or the canonical sequence", app)
+		}
+		if parks := reg.Counter("galois_barrier_parks_total").Value(); parks > r1.Stats.Barriers {
+			t.Errorf("%s: %d parks over %d crossings at 2 threads (one waiter each)", app, parks, r1.Stats.Barriers)
+		}
+		js, err := json.Marshal(r1.Stats)
+		if low := strings.ToLower(string(js)); err != nil || strings.Contains(low, "park") || strings.Contains(low, "wait") {
+			t.Errorf("%s: barrier wait counters leaked into stats JSON (err %v): %s", app, err, js)
 		}
 		if r1.Stats.Barriers == 0 {
 			t.Fatalf("%s: zero barrier crossings recorded", app)

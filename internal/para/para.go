@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // DefaultThreads returns the default worker count: GOMAXPROCS.
@@ -141,31 +142,68 @@ func Run(nthreads int, body func(tid int)) {
 }
 
 // Barrier is a reusable sense-reversing barrier for a fixed number of
-// parties. It underlies the `barrier` statements in Figure 2.
+// parties. It underlies the `barrier` statements in Figure 2. The word every
+// arrival writes, the word every waiter polls and the slow-path state each
+// have a cache line of their own.
 type Barrier struct {
 	parties int32
+	oversub atomic.Bool // fewer processors than parties: see Resample
+	_       [128 - 8]byte
 	count   atomic.Int32
-	sense   atomic.Uint32
+	_       [128 - 4]byte
+	sense   atomic.Uint64 // phases completed: also the crossing count
+	_       [128 - 8]byte
 	mu      sync.Mutex
 	cond    sync.Cond // by value: no allocation beyond the Barrier itself
+	parks   atomic.Uint64
+	waitNS  atomic.Int64
 }
+
+// spinBudget is how long a waiter polls before it parks; every spinCheck
+// polls it reads the clock and yields, so work queued on its P runs. Longer
+// than a phase plus a wake-up (a fine-grained DIG phase is ~50 µs per worker;
+// waking a parked peer costs tens of µs, over 100 on a cold vCPU, and a
+// budget below that sum makes each park cause the next), far shorter than an
+// OS timeslice, so a callback of milliseconds costs each waiter one budget.
+// Wall time is flat from 100 to 500 µs (EXPERIMENTS.md H15): not a knob.
+const (
+	spinBudget = int64(200 * time.Microsecond)
+	spinCheck  = 256
+)
+
+//detlint:ignore wallclock the anchor of monotime
+var clockBase = time.Now()
+
+// monotime is the barrier's clock: it bounds and measures waiting.
+//
+//detlint:ignore wallclock pure synchronisation: timing decides only how a waiter waits, never which callback runs, what it computes, or any committed byte
+func monotime() int64 { return int64(time.Since(clockBase)) }
 
 // NewBarrier returns a barrier for parties participants.
 func NewBarrier(parties int) *Barrier {
 	b := &Barrier{parties: int32(parties)}
 	b.cond.L = &b.mu
+	b.Resample()
 	return b
 }
 
+// Resample re-reads whether parties outnumber processors; if so waiters park
+// at once, because a spinner would hold the P its straggler needs.
+// GOMAXPROCS(0) takes the scheduler lock, so this runs at construction, at
+// each checkout of a retained barrier and on the park path, not per crossing.
+func (b *Barrier) Resample() {
+	p := int(b.parties)
+	b.oversub.Store(runtime.GOMAXPROCS(0) < p || runtime.NumCPU() < p)
+}
+
+// Stats returns lifetime counters: phases completed, waits that took the
+// park path, and nanoseconds waited by waits slow enough to read the clock.
+func (b *Barrier) Stats() (crossings, parks uint64, waitNS int64) {
+	return b.sense.Load(), b.parks.Load(), b.waitNS.Load()
+}
+
 // Wait blocks until all parties have called Wait for the current phase.
-// The last arriving party releases the others. Waiting escalates:
-// spin (cheap when all parties have a processor), then yield, then park
-// on a condition variable. The parked fallback matters whenever parties
-// outnumber available processors — a spinning waiter with its own idle P
-// makes Gosched a no-op, so it burns a full OS timeslice before the
-// straggler it is waiting on gets scheduled. Under job-server
-// oversubscription that turns microsecond rounds into millisecond rounds;
-// parking instead frees the processor for whoever has real work.
+// The last arriving party releases the others.
 func (b *Barrier) Wait() { b.WaitDo(nil) }
 
 // WaitDo is Wait with a fused serial section: the last party to arrive runs
@@ -176,7 +214,8 @@ func (b *Barrier) Wait() { b.WaitDo(nil) }
 // pays. All parties of one phase must pass equivalent callbacks (only the
 // last arriver's runs, and which party arrives last is not deterministic);
 // state written by fn is visible to every party after release via the
-// release store of the barrier sense.
+// release store of the barrier sense. A waiter polls the sense for at most
+// spinBudget, then parks on the condition variable.
 func (b *Barrier) WaitDo(fn func()) {
 	if b.parties <= 1 {
 		if fn != nil {
@@ -200,24 +239,34 @@ func (b *Barrier) WaitDo(fn func()) {
 		b.cond.Broadcast()
 		return
 	}
-	spinLimit := 64
-	if runtime.GOMAXPROCS(0) < int(b.parties) || runtime.NumCPU() < int(b.parties) {
-		spinLimit = 0
-	}
-	for spins := 0; spins < spinLimit; spins++ {
+	var start int64 // first clock read; 0 until the wait proves slow
+	for polls := 1; !b.oversub.Load(); polls++ {
 		if b.sense.Load() != sense {
+			if start != 0 {
+				b.waitNS.Add(monotime() - start)
+			}
 			return
 		}
-	}
-	for yields := 0; yields < 4; yields++ {
-		if b.sense.Load() != sense {
-			return
+		if polls%spinCheck == 0 {
+			now := monotime()
+			if start == 0 {
+				start = now
+			}
+			if now-start >= spinBudget {
+				break
+			}
+			runtime.Gosched()
 		}
-		runtime.Gosched()
 	}
+	if start == 0 {
+		start = monotime()
+	}
+	b.parks.Add(1)
+	b.Resample()
 	b.mu.Lock()
 	for b.sense.Load() == sense {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
+	b.waitNS.Add(monotime() - start)
 }
