@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-effects test race trace-smoke serve-smoke cluster-smoke bench bench-smoke bench-compare bench-scaling profile-finegrain
+.PHONY: check build vet lint lint-effects test race trace-smoke serve-smoke cluster-smoke bench bench-smoke microbench-smoke bench-compare bench-scaling profile-finegrain profile-mesh
 
 # Everything CI runs, in CI's order.
-check: vet lint build test race trace-smoke serve-smoke cluster-smoke bench-smoke bench-compare
+check: vet lint build test race trace-smoke serve-smoke cluster-smoke bench-smoke microbench-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,12 @@ bench:
 bench-smoke:
 	cd benchmark && $(GO) test .
 
+# Every in-tree microbenchmark of the packages EXPERIMENTS.md H14–H16 cite
+# rows from, one iteration each: they keep compiling and running, nothing
+# is timed.
+microbench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/marks ./internal/para ./internal/core
+
 # Compare the two most recent committed benchmark trajectories
 # (BENCH_<n>.json). Wall-clock movement is report-only (different machines
 # measured different PRs); any allocs_per_op increase or deterministic
@@ -109,3 +115,14 @@ profile-finegrain:
 	$(GO) build -o $(PROFILE_DIR)/repro ./cmd/repro
 	GOGC=off $(PROFILE_DIR)/repro -loop bfs/g-d,mis/g-d -reps 10 -threads 2 -scale default -cpuprofile $(PROFILE_DIR)/finegrain.cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/finegrain.cpu.pprof
+
+# The same for the mesh kernel: dt and dmr, g-d, with the collector ON —
+# what dt/dmr leave for it to mark is the finding (EXPERIMENTS.md H16).
+# `repro -loop` fingerprints every run, so the table is printed twice: whole,
+# and without the frames under mesh.Fingerprint.
+profile-mesh:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/repro ./cmd/repro
+	$(PROFILE_DIR)/repro -loop dt/g-d,dmr/g-d -reps 10 -threads 2 -scale default -cpuprofile $(PROFILE_DIR)/mesh.cpu.pprof
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.cpu.pprof
+	$(GO) tool pprof -top -nodecount=25 -ignore 'mesh\.Fingerprint' $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.cpu.pprof

@@ -102,9 +102,12 @@ func refineOnce(el *mesh.Element, q Quality, acq mesh.Acquirer) *mesh.Cavity {
 
 // applyCavity retriangulates and returns the follow-up work: new bad
 // triangles, plus the original triangle if a segment split left it alive
-// and still bad.
-func applyCavity(el *mesh.Element, cav *mesh.Cavity, q Quality) (followUp []*mesh.Element) {
+// and still bad. The result reuses the slice Retriangulate returned, which
+// always has room for el: a cavity creates fewer triangles than the slice's
+// capacity.
+func applyCavity(el *mesh.Element, cav *mesh.Cavity, q Quality) []*mesh.Element {
 	created := cav.Retriangulate(nil)
+	followUp := created[:0]
 	for _, t := range created {
 		if !t.IsSegment() && t.IsBad(q.CosBound, q.MinEdge2) {
 			followUp = append(followUp, t)

@@ -7,7 +7,10 @@ import (
 	"testing"
 
 	"galois"
+	"galois/internal/apps/dmr"
+	"galois/internal/apps/dt"
 	"galois/internal/obs"
+	"galois/internal/stats"
 )
 
 func smallInputs() *Inputs { return MakeInputs(SmallScale()) }
@@ -391,6 +394,19 @@ func TestEngineReuseFingerprints(t *testing.T) {
 // The engine column did not move; fresh runs fell because the per-task
 // acquired buffers are gone. That is why the old "engine ≤ fresh/2" form of
 // this test no longer describes reuse and was restated, not dropped.
+//
+// dt and dmr allocate in the operator — a cavity and a commit closure per
+// inspect, the created slice and the new elements per commit (dt also its
+// association lists) — so their ceiling is objects per inspect, set just
+// above what the mesh kernel reads (small inputs, 2 threads; dt 5723
+// inspects, dmr 18073):
+//
+//	                          dt engine  per inspect  dmr engine  per inspect
+//	map star, regrown slices     123737        21.62      219191        12.13
+//	endpoint star, inline         60668        10.60       79500         4.40
+//
+// One more object per commit — a map header, a regrown Members or created
+// slice — reads 11.30 for dt and 5.27 for dmr, over both ceilings.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const slack = 128
 	in := smallInputs()
@@ -416,6 +432,32 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 				app, engineAllocs, freshAllocs, st.Pushes)
 		}
 		t.Logf("%s: allocs/run fresh=%d engine=%d inspects=%d pushes=%d", app, freshAllocs, engineAllocs, st.Inspects, st.Pushes)
+	}
+
+	eng := galois.NewEngine(galois.WithThreads(2))
+	defer eng.Close()
+	opts := []galois.Option{galois.WithSched(galois.Deterministic), galois.WithThreads(2), galois.WithEngine(eng)}
+	for _, c := range []struct {
+		app        string
+		perInspect float64
+	}{{"dt", 11.0}, {"dmr", 4.75}} {
+		run := func() (allocs uint64, st stats.Stats) {
+			job := func() { st = dt.Galois(in.dtPoints, in.sc.Seed+3, opts...).Stats }
+			if c.app == "dmr" {
+				root := dmr.MakeInput(in.dmrPts, in.sc.Seed+4) // refined in place: one per run, not measured
+				job = func() { st = dmr.Galois(root, dmr.DefaultQuality(), opts...).Stats }
+			}
+			allocs, _ = MeasureAllocs(1, job)
+			return allocs, st
+		}
+		run() // warm the engine
+		engineAllocs, st := run()
+		got := float64(engineAllocs) / float64(st.Inspects)
+		if got > c.perInspect {
+			t.Errorf("%s: engine run allocates %d objects, %.2f per inspect, over %.2f — the mesh kernel allocates more than a cavity, a closure and what it creates",
+				c.app, engineAllocs, got, c.perInspect)
+		}
+		t.Logf("%s: allocs/run engine=%d inspects=%d commits=%d (%.2f per inspect)", c.app, engineAllocs, st.Inspects, st.Commits, got)
 	}
 }
 

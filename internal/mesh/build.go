@@ -2,34 +2,29 @@ package mesh
 
 import "galois/internal/geom"
 
+// superK places the super vertices far outside the unit square.
+const superK = 1e4
+
+// superVertices are the corners of the super-triangle, counterclockwise.
+var superVertices = [3]geom.Point{{X: -superK, Y: -superK}, {X: 3 * superK, Y: -superK}, {X: -superK, Y: 3 * superK}}
+
 // NewSuperTriangle returns a one-triangle mesh whose triangle comfortably
 // contains the unit square (and any point set scaled into it). Incremental
 // Delaunay insertion into it yields the Delaunay triangulation of the
 // points plus the three far-away super vertices; interior triangles (those
 // not touching a super vertex) are reported as the result.
 func NewSuperTriangle() *Element {
-	const k = 1e4
-	return NewTriangle(
-		geom.Point{X: -k, Y: -k},
-		geom.Point{X: 3 * k, Y: -k},
-		geom.Point{X: -k, Y: 3 * k},
-	)
-}
-
-// SuperVertices returns the vertices of NewSuperTriangle, for filtering.
-func SuperVertices() [3]geom.Point {
-	t := NewSuperTriangle()
-	return t.Pts
+	return NewTriangle(superVertices[0], superVertices[1], superVertices[2])
 }
 
 // IsSuperVertex reports whether p is a vertex of the super-triangle.
 func IsSuperVertex(p geom.Point) bool {
-	for _, s := range SuperVertices() {
-		if p == s {
-			return true
-		}
-	}
-	return false
+	return p == superVertices[0] || p == superVertices[1] || p == superVertices[2]
+}
+
+// touchesSuper reports whether triangle e has a super vertex for a corner.
+func touchesSuper(e *Element) bool {
+	return IsSuperVertex(e.Pts[0]) || IsSuperVertex(e.Pts[1]) || IsSuperVertex(e.Pts[2])
 }
 
 // NewUnitSquare returns a unit-square domain triangulated with two

@@ -23,11 +23,33 @@ type frontEdge struct {
 // This split is what lets the same code run speculatively (reads acquire
 // locks as they happen) and deterministically (reads mark the interference
 // graph in the inspect phase, writes run in the commit phase).
+//
+// Members and frontier start out backed by memberBuf and frontBuf, so a
+// cavity of ordinary size is one heap object; larger ones regrow through
+// append like any slice. A Cavity must not be copied.
 type Cavity struct {
 	Center   geom.Point
 	SplitSeg *Element
 	Members  []*Element
 	frontier []frontEdge
+
+	memberBuf [inlineMembers]*Element
+	frontBuf  [inlineFrontier]frontEdge
+}
+
+// Inline capacities, from the cavity sizes galoisbench's own inputs produce
+// (EXPERIMENTS.md H16: 6 000-point dt and eight 3 000-point dmr meshes):
+// 99.2% of dt and 99.8% of dmr cavities have at most 8 members, and a
+// cavity of m triangles has m+2 frontier edges.
+const (
+	inlineMembers  = 8
+	inlineFrontier = inlineMembers + 2
+)
+
+func newCavity(center geom.Point, splitSeg *Element) *Cavity {
+	c := &Cavity{Center: center, SplitSeg: splitSeg}
+	c.Members, c.frontier = c.memberBuf[:0], c.frontBuf[:0]
+	return c
 }
 
 func (c *Cavity) hasMember(e *Element) bool {
@@ -87,7 +109,7 @@ func (c *Cavity) expand(seed *Element, acq Acquirer, stopOnEncroach bool) (encro
 // triangulation, where points lie strictly inside the (super-)triangulated
 // domain.
 func BuildInsertion(t *Element, p geom.Point, acq Acquirer) *Cavity {
-	c := &Cavity{Center: p}
+	c := newCavity(p, nil)
 	c.expand(t, acq, false)
 	return c
 }
@@ -96,8 +118,7 @@ func BuildInsertion(t *Element, p geom.Point, acq Acquirer) *Cavity {
 // two half-segments and inserts its midpoint. The caller must have acquired
 // s (it arrives through cavity expansion or a refinement walk, which do).
 func BuildSegmentSplit(s *Element, acq Acquirer) *Cavity {
-	mid := geom.Midpoint(s.Pts[0], s.Pts[1])
-	c := &Cavity{Center: mid, SplitSeg: s}
+	c := newCavity(geom.Midpoint(s.Pts[0], s.Pts[1]), s)
 	c.Members = append(c.Members, s)
 	inner := s.adj[0]
 	acq(inner)
@@ -117,11 +138,54 @@ func BuildRefinement(bad *Element, acq Acquirer) *Cavity {
 		// The center lies beyond this boundary segment; split it.
 		return BuildSegmentSplit(blocked, acq)
 	}
-	c := &Cavity{Center: center}
+	c := newCavity(center, nil)
 	if encroached := c.expand(tri, acq, true); encroached != nil {
 		return BuildSegmentSplit(encroached, acq)
 	}
 	return c
+}
+
+// spoke is a star edge {x, Center} seen on one new triangle, t, and waiting
+// for the other new triangle that shares it.
+type spoke struct {
+	x geom.Point
+	t *Element
+}
+
+// The new triangles are wired to each other through their spokes. Every
+// edge between two of them is {x, Center} for a frontier vertex x, so x
+// alone names the edge, and the spokes still waiting for their second
+// triangle are few: the open list is scanned linearly (as hasMember scans
+// Members) and starts out in Retriangulate's frame; a star with more than
+// starInline spokes open at once moves to the heap through append.
+//
+// A frontier of f edges has f spokes, so starInline holds a frontier of up
+// to starInline edges whatever their order: the widest dt cavity and all but
+// a few in 100 000 dmr cavities of H16's histogram.
+const starInline = 16
+
+// takeSpoke removes the spoke at x from open and returns the triangle that
+// was waiting on it, or nil if there is none.
+func takeSpoke(open []spoke, x geom.Point) ([]spoke, *Element) {
+	for i, sp := range open {
+		if sp.x == x {
+			last := len(open) - 1
+			open[i] = open[last]
+			return open[:last], sp.t
+		}
+	}
+	return open, nil
+}
+
+// joinSpoke wires t to the triangle waiting at spoke x, or leaves t waiting
+// there.
+func joinSpoke(open []spoke, center geom.Point, t *Element, x geom.Point) []spoke {
+	open, other := takeSpoke(open, x)
+	if other == nil {
+		return append(open, spoke{x, t})
+	}
+	Wire(t, other, x, center)
+	return open
 }
 
 // Retriangulate applies the cavity to the mesh: kills the members, creates
@@ -129,32 +193,16 @@ func BuildRefinement(bad *Element, acq Acquirer) *Cavity {
 // adjacency on both sides, and — when pts is non-nil — redistributes the
 // members' associated point indices into the new triangles (skipping any
 // index whose point equals the inserted center). It returns the created
-// elements, triangles first.
+// elements, triangles first, in a slice the caller owns.
 //
 // The caller must hold every member and frontier element; under the
 // deterministic scheduler that is guaranteed by having built the cavity
 // through the inspect phase's Acquirer.
-func (c *Cavity) Retriangulate(pts []geom.Point) (created []*Element) {
-	// Map star edges (shared between consecutive new triangles) for
-	// internal wiring: key is the undirected pair, value the first new
-	// triangle seen with that edge.
-	type pair struct{ a, b geom.Point }
-	norm := func(a, b geom.Point) pair {
-		if a.X > b.X || (a.X == b.X && a.Y > b.Y) {
-			a, b = b, a
-		}
-		return pair{a, b}
-	}
-	half := make(map[pair]*Element, 2*len(c.frontier))
-	wireStar := func(t *Element, a, b geom.Point) {
-		k := norm(a, b)
-		if other, ok := half[k]; ok {
-			Wire(t, other, a, b)
-			delete(half, k)
-		} else {
-			half[k] = t
-		}
-	}
+func (c *Cavity) Retriangulate(pts []geom.Point) []*Element {
+	var buf [starInline]spoke
+	open := buf[:0]
+	// One triangle per frontier edge, or one fewer and two segments.
+	created := make([]*Element, 0, len(c.frontier)+2)
 
 	var splitU, splitV geom.Point
 	sawSplitEdge := false
@@ -178,8 +226,8 @@ func (c *Cavity) Retriangulate(pts []geom.Point) (created []*Element) {
 			Wire(t, fe.outside, fe.u, fe.v)
 		}
 		// Inner (star) sides.
-		wireStar(t, fe.v, c.Center)
-		wireStar(t, c.Center, fe.u)
+		open = joinSpoke(open, c.Center, t, fe.v)
+		open = joinSpoke(open, c.Center, t, fe.u)
 	}
 	if c.SplitSeg != nil {
 		if !sawSplitEdge {
@@ -188,15 +236,13 @@ func (c *Cavity) Retriangulate(pts []geom.Point) (created []*Element) {
 		s1 := NewSegment(splitU, c.Center)
 		s2 := NewSegment(c.Center, splitV)
 		// Wire each half-segment to the unique star triangle sharing
-		// its edge (left unpaired in the half map).
-		for _, s := range []*Element{s1, s2} {
-			k := norm(s.Pts[0], s.Pts[1])
-			t, ok := half[k]
-			if !ok {
+		// its edge: the one still waiting at the half's frontier end.
+		for _, h := range [2]spoke{{splitU, s1}, {splitV, s2}} {
+			var t *Element
+			if open, t = takeSpoke(open, h.x); t == nil {
 				panic("mesh: no star triangle for split segment half")
 			}
-			Wire(t, s, s.Pts[0], s.Pts[1])
-			delete(half, k)
+			Wire(t, h.t, h.x, c.Center)
 		}
 		created = append(created, s1, s2)
 	}

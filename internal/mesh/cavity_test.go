@@ -1,0 +1,395 @@
+package mesh
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"galois/internal/geom"
+	"galois/internal/rng"
+)
+
+// retriangulateRef is Retriangulate as it was before the star was paired by
+// endpoint: shared star edges are matched through a map keyed by the
+// undirected point pair. Kept as the reference the differential tests and
+// the fuzz target compare the kernel against.
+func retriangulateRef(c *Cavity, pts []geom.Point) (created []*Element) {
+	type pair struct{ a, b geom.Point }
+	norm := func(a, b geom.Point) pair {
+		if a.X > b.X || (a.X == b.X && a.Y > b.Y) {
+			a, b = b, a
+		}
+		return pair{a, b}
+	}
+	half := make(map[pair]*Element, 2*len(c.frontier))
+	wireStar := func(t *Element, a, b geom.Point) {
+		k := norm(a, b)
+		if other, ok := half[k]; ok {
+			Wire(t, other, a, b)
+			delete(half, k)
+		} else {
+			half[k] = t
+		}
+	}
+
+	var splitU, splitV geom.Point
+	sawSplitEdge := false
+	for _, fe := range c.frontier {
+		u, v, outside := fe.u, fe.v, fe.outside
+		if geom.Orient(u, v, c.Center) <= 0 {
+			if c.SplitSeg == nil || outside != c.SplitSeg {
+				panic(fmt.Sprintf("mesh: center %v collinear with frontier edge (%v,%v)", c.Center, u, v))
+			}
+			splitU, splitV = u, v
+			sawSplitEdge = true
+			continue
+		}
+		t := NewTriangle(u, v, c.Center)
+		created = append(created, t)
+		if outside != nil {
+			Wire(t, outside, u, v)
+		}
+		wireStar(t, v, c.Center)
+		wireStar(t, c.Center, u)
+	}
+	if c.SplitSeg != nil {
+		if !sawSplitEdge {
+			panic("mesh: segment split cavity lost its segment edge")
+		}
+		s1 := NewSegment(splitU, c.Center)
+		s2 := NewSegment(c.Center, splitV)
+		for _, s := range []*Element{s1, s2} {
+			k := norm(s.Pts[0], s.Pts[1])
+			t, ok := half[k]
+			if !ok {
+				panic("mesh: no star triangle for split segment half")
+			}
+			Wire(t, s, s.Pts[0], s.Pts[1])
+			delete(half, k)
+		}
+		created = append(created, s1, s2)
+	}
+	if len(created) == 0 {
+		panic("mesh: retriangulation created no elements")
+	}
+	repl := created[0]
+	for _, m := range c.Members {
+		m.Dead = true
+		m.Repl = repl
+	}
+	if pts != nil {
+		for _, m := range c.Members {
+			for _, idx := range m.Assoc {
+				p := pts[idx]
+				if p == c.Center {
+					continue
+				}
+				placed := false
+				for _, t := range created {
+					if !t.IsSegment() && t.Contains(p) {
+						t.Assoc = append(t.Assoc, idx)
+						placed = true
+						break
+					}
+				}
+				if !placed {
+					panic("mesh: associated point fell outside its cavity")
+				}
+			}
+			m.Assoc = nil
+		}
+	}
+	return created
+}
+
+// name identifies e across two copies of one mesh: by position for a
+// created element, by corners (and liveness) for any other.
+func name(e *Element, created []*Element) string {
+	if e == nil {
+		return "nil"
+	}
+	if i := slices.Index(created, e); i >= 0 {
+		return fmt.Sprintf("new#%d", i)
+	}
+	return e.String()
+}
+
+// applyBoth applies ref (a cavity in one copy of a mesh) through the map
+// reference and got (the same cavity in the other copy) through
+// Retriangulate, and fails unless both created the same elements in the
+// same order, wired the same way on both sides, with the same forwarding
+// pointers and association lists.
+func applyBoth(tb testing.TB, ref, got *Cavity, pts []geom.Point) (refNew, gotNew []*Element) {
+	tb.Helper()
+	if len(ref.Members) != len(got.Members) || len(ref.frontier) != len(got.frontier) || ref.Center != got.Center {
+		tb.Fatalf("cavities differ before applying: %d/%d members, %d/%d frontier edges",
+			len(ref.Members), len(got.Members), len(ref.frontier), len(got.frontier))
+	}
+	refNew, gotNew = retriangulateRef(ref, pts), got.Retriangulate(pts)
+	if len(refNew) != len(gotNew) {
+		tb.Fatalf("created %d elements, reference %d", len(gotNew), len(refNew))
+	}
+	for i, g := range gotNew {
+		r := refNew[i]
+		if g.Pts != r.Pts || g.dim != r.dim || g.Dead || g.Repl != nil {
+			tb.Fatalf("created[%d] = %v, reference %v", i, g, r)
+		}
+		for j := 0; j < g.NEdges(); j++ {
+			if gn, rn := name(g.adj[j], gotNew), name(r.adj[j], refNew); gn != rn {
+				tb.Fatalf("created[%d] %v edge %d wired to %s, reference %s", i, g, j, gn, rn)
+			}
+		}
+		if !slices.Equal(g.Assoc, r.Assoc) {
+			tb.Fatalf("created[%d] %v holds points %v, reference %v", i, g, g.Assoc, r.Assoc)
+		}
+	}
+	// The far side: every surviving neighbour points back at the same new
+	// triangle.
+	for k, gf := range got.frontier {
+		gOut, rOut := gf.outside, ref.frontier[k].outside
+		if gOut == nil || gOut == got.SplitSeg {
+			continue
+		}
+		u, v := gf.u, gf.v
+		if gn, rn := name(gOut.adj[gOut.EdgeIndex(u, v)], gotNew), name(rOut.adj[rOut.EdgeIndex(u, v)], refNew); gn != rn {
+			tb.Fatalf("%v across (%v,%v) wired to %s, reference %s", gOut, u, v, gn, rn)
+		}
+	}
+	for k, m := range got.Members {
+		if !m.Dead || m.Repl != gotNew[0] || m.Assoc != nil || !ref.Members[k].Dead || ref.Members[k].Repl != refNew[0] {
+			tb.Fatalf("member %v not killed and forwarded to created[0]", m)
+		}
+	}
+	return refNew, gotNew
+}
+
+func checkMesh(tb testing.TB, root *Element) {
+	tb.Helper()
+	if err := CheckConforming(root); err != nil {
+		tb.Fatal(err)
+	}
+	if err := CheckDelaunay(root); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// insertBoth inserts pts, in order, into two copies of the mesh rooted at
+// mk(), one through the reference and one through the kernel, with dt's
+// association lists riding along when assoc is set (mk must then return a
+// single triangle holding every point). It returns live roots of both.
+func insertBoth(tb testing.TB, mk func() *Element, pts []geom.Point, assoc bool) (refRoot, gotRoot *Element) {
+	tb.Helper()
+	refRoot, gotRoot = mk(), mk()
+	var assocPts []geom.Point
+	if assoc {
+		assocPts = pts
+		for i := range pts {
+			refRoot.Assoc = append(refRoot.Assoc, int32(i))
+			gotRoot.Assoc = append(gotRoot.Assoc, int32(i))
+		}
+	}
+	for _, p := range pts {
+		rt, rv := Locate(refRoot, p, NoAcquire)
+		gt, gv := Locate(gotRoot, p, NoAcquire)
+		if rv != gv || rt.Pts != gt.Pts {
+			tb.Fatalf("locate of %v diverged: %v vs %v", p, rt, gt)
+		}
+		refRoot, gotRoot = rt, gt
+		if gv {
+			continue
+		}
+		refNew, gotNew := applyBoth(tb, BuildInsertion(rt, p, NoAcquire), BuildInsertion(gt, p, NoAcquire), assocPts)
+		refRoot, gotRoot = refNew[0], gotNew[0]
+	}
+	checkMesh(tb, gotRoot)
+	checkMesh(tb, refRoot)
+	return refRoot, gotRoot
+}
+
+func TestStarWiringMatchesMapReferenceOnInsertion(t *testing.T) {
+	pts := geom.BRIO(geom.UniformPoints(1500, 61), 62)
+	insertBoth(t, NewSuperTriangle, pts, false)
+	insertBoth(t, NewSuperTriangle, pts, true)
+	// Unsorted order: long walks and bigger cavities, next to segments.
+	insertBoth(t, NewUnitSquare, shrink(geom.UniformPoints(400, 63)), false)
+}
+
+// TestStarWiringMatchesMapReferenceOnRefinement runs dmr's sequential loop
+// on two copies of one mesh in lockstep, so every refinement cavity and
+// every segment split it meets is applied both ways.
+func TestStarWiringMatchesMapReferenceOnRefinement(t *testing.T) {
+	refRoot, gotRoot := insertBoth(t, NewUnitSquare, geom.BRIO(shrink(geom.UniformPoints(600, 71)), 72), false)
+	refWork, gotWork := badTriangles(refRoot), badTriangles(gotRoot)
+	cavities, splits := 0, 0
+	for len(gotWork) > 0 {
+		if len(refWork) != len(gotWork) {
+			t.Fatalf("worklists diverged: %d vs %d", len(refWork), len(gotWork))
+		}
+		rel, gel := refWork[len(refWork)-1], gotWork[len(gotWork)-1]
+		refWork, gotWork = refWork[:len(refWork)-1], gotWork[:len(gotWork)-1]
+		if rel.Pts != gel.Pts || rel.Dead != gel.Dead {
+			t.Fatalf("worklists diverged: %v vs %v", rel, gel)
+		}
+		if gel.Dead || !gel.IsBad(geom.Cos30, benchMinEdge2) {
+			continue
+		}
+		ref, got := BuildRefinement(rel, NoAcquire), BuildRefinement(gel, NoAcquire)
+		if (ref.SplitSeg == nil) != (got.SplitSeg == nil) {
+			t.Fatal("one copy split a segment, the other did not")
+		}
+		cavities++
+		if got.SplitSeg != nil {
+			splits++
+		}
+		refNew, gotNew := applyBoth(t, ref, got, nil)
+		for i, e := range gotNew {
+			if !e.IsSegment() && e.IsBad(geom.Cos30, benchMinEdge2) {
+				refWork, gotWork = append(refWork, refNew[i]), append(gotWork, e)
+			}
+		}
+		if !gel.Dead && gel.IsBad(geom.Cos30, benchMinEdge2) {
+			refWork, gotWork = append(refWork, rel), append(gotWork, gel)
+		}
+		refRoot, gotRoot = refNew[0], gotNew[0]
+	}
+	if cavities < 500 || splits < 20 {
+		t.Fatalf("only %d cavities, %d of them segment splits: the test lost its subject", cavities, splits)
+	}
+	checkMesh(t, gotRoot)
+	if err := CheckNoBad(gotRoot, geom.Cos30, benchMinEdge2); err != nil {
+		t.Fatal(err)
+	}
+	if Fingerprint(gotRoot, false) != Fingerprint(refRoot, false) {
+		t.Fatal("refined meshes differ")
+	}
+}
+
+// maxOpenSpokes replays the star pairing of c's frontier on throwaway
+// triangles and returns the most spokes that were open at once — what
+// Retriangulate's open list must hold for this cavity.
+func maxOpenSpokes(c *Cavity) int {
+	var open []spoke
+	most := 0
+	for _, fe := range c.frontier {
+		u, v := fe.u, fe.v
+		if geom.Orient(u, v, c.Center) <= 0 {
+			continue
+		}
+		t := NewTriangle(u, v, c.Center)
+		open = joinSpoke(open, c.Center, t, v)
+		open = joinSpoke(open, c.Center, t, u)
+		most = max(most, len(open))
+	}
+	return most
+}
+
+// TestCavityLargerThanInlineStorage applies a cavity that outgrows all
+// three inline buffers — Members, frontier and the open-spoke list — and
+// checks the spill paths against the reference.
+func TestCavityLargerThanInlineStorage(t *testing.T) {
+	const n = 64
+	ref, got := circleCavity(t, n), circleCavity(t, n)
+	if &got.Members[0] == &got.memberBuf[0] || &got.frontier[0] == &got.frontBuf[0] {
+		t.Fatalf("a %d-member cavity still sits in its inline buffers (%d members, %d edges)", n, inlineMembers, inlineFrontier)
+	}
+	// Breadth-first frontier order keeps few spokes open. Shuffle it (the
+	// same way on both copies) until the open list must spill too.
+	r := rng.New(81)
+	for tries := 0; maxOpenSpokes(got) <= starInline; tries++ {
+		if tries == 10 {
+			t.Fatalf("no frontier order of %d edges opened more than %d spokes", len(got.frontier), starInline)
+		}
+		r.Shuffle(len(got.frontier), func(i, j int) {
+			got.frontier[i], got.frontier[j] = got.frontier[j], got.frontier[i]
+			ref.frontier[i], ref.frontier[j] = ref.frontier[j], ref.frontier[i]
+		})
+	}
+	_, gotNew := applyBoth(t, ref, got, nil)
+	if len(gotNew) != n+2 {
+		t.Fatalf("created %d triangles, want %d", len(gotNew), n+2)
+	}
+	checkMesh(t, gotNew[0])
+}
+
+func TestSmallCavityIsOneObject(t *testing.T) {
+	cav := circleCavity(t, inlineMembers)
+	if &cav.Members[0] != &cav.memberBuf[0] || &cav.frontier[0] != &cav.frontBuf[0] {
+		t.Fatalf("a cavity of %d members and %d edges left its inline buffers", len(cav.Members), len(cav.frontier))
+	}
+	// A frontier of starInline edges never opens more spokes than that.
+	cav = circleCavity(t, starInline-2)
+	r := rng.New(82)
+	for tries := 0; tries < 20; tries++ {
+		if most := maxOpenSpokes(cav); most > starInline {
+			t.Fatalf("a frontier of %d edges opened %d spokes", len(cav.frontier), most)
+		}
+		r.Shuffle(len(cav.frontier), func(i, j int) { cav.frontier[i], cav.frontier[j] = cav.frontier[j], cav.frontier[i] })
+	}
+}
+
+// TestCavityAllocationCeilings pins the kernel's allocation contract: one
+// insertion or one refinement step costs the elements it creates plus two
+// objects, the Cavity and the created slice, whenever the cavity fits its
+// inline storage (and nearly all do). A map, a regrown slice or a stray
+// temporary puts every cavity over and trips it.
+//
+// geom's predicates fall back to big-number arithmetic, which allocates,
+// when a determinant is too close to zero to call. A segment split always
+// does (its centre lies on the segment's edge of the frontier), so splits
+// are left out, and a few cavities in a hundred elsewhere may.
+func TestCavityAllocationCeilings(t *testing.T) {
+	var fitting, total, over int
+	// measure runs step, which applies the cavity that preview predicts.
+	measure := func(preview *Cavity, step func()) {
+		if preview.SplitSeg != nil {
+			step()
+			return
+		}
+		total++
+		if len(preview.Members) > inlineMembers || len(preview.frontier) > inlineFrontier || maxOpenSpokes(preview) > starInline {
+			step()
+			return
+		}
+		fitting++
+		warm := true
+		got := testing.AllocsPerRun(1, func() {
+			if warm { // AllocsPerRun's warm-up call: the mesh must not move yet
+				warm = false
+				return
+			}
+			step()
+		})
+		if created := len(preview.frontier); int(got) > created+2 {
+			over++
+		}
+	}
+	verdict := func(what string) {
+		t.Helper()
+		t.Logf("%s: %d cavities, %d fit inline storage, %d of those over created+2 objects", what, total, fitting, over)
+		if fitting*100 < total*95 || over*100 > fitting*3 {
+			t.Errorf("%s: allocation ceiling broken", what)
+		}
+		fitting, total, over = 0, 0, 0
+	}
+
+	hint := NewSuperTriangle()
+	for _, p := range geom.BRIO(geom.UniformPoints(600, 91), 92) {
+		tri, _ := Locate(hint, p, NoAcquire)
+		measure(BuildInsertion(tri, p, NoAcquire), func() { hint, _ = InsertPointSeq(hint, p) })
+	}
+	verdict("InsertPointSeq")
+
+	work := badTriangles(benchDMRInput(400, 93))
+	for len(work) > 0 && total < 500 {
+		el := work[len(work)-1]
+		if el.Dead || !el.IsBad(geom.Cos30, benchMinEdge2) {
+			work = work[:len(work)-1]
+			continue
+		}
+		preview := BuildRefinement(el, NoAcquire)
+		// refineStep's own appends must stay inside work's capacity.
+		work = slices.Grow(work, len(preview.frontier)+2)
+		measure(preview, func() { refineStep(&work) })
+	}
+	verdict("refinement")
+}

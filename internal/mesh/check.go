@@ -1,8 +1,10 @@
 package mesh
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"galois/internal/geom"
 )
@@ -10,25 +12,22 @@ import (
 // Live enumerates all live elements reachable from root (following
 // forwarding pointers first if root is dead): the full mesh, since
 // triangulations are edge-connected. Triangles and segments are both
-// included.
+// included, in breadth-first order: the result is its own queue.
 func Live(root *Element) []*Element {
 	for root.Dead {
 		root = root.Repl
 	}
 	seen := map[*Element]bool{root: true}
-	queue := []*Element{root}
-	var out []*Element
-	for len(queue) > 0 {
-		e := queue[0]
-		queue = queue[1:]
-		out = append(out, e)
+	out := []*Element{root}
+	for head := 0; head < len(out); head++ {
+		e := out[head]
 		for i := 0; i < e.NEdges(); i++ {
 			nb := e.adj[i]
 			if nb == nil || seen[nb] {
 				continue
 			}
 			seen[nb] = true
-			queue = append(queue, nb)
+			out = append(out, nb)
 		}
 	}
 	return out
@@ -36,8 +35,9 @@ func Live(root *Element) []*Element {
 
 // Triangles filters Live down to triangles.
 func Triangles(root *Element) []*Element {
-	var out []*Element
-	for _, e := range Live(root) {
+	live := Live(root)
+	out := live[:0]
+	for _, e := range live {
 		if !e.IsSegment() {
 			out = append(out, e)
 		}
@@ -131,19 +131,29 @@ func CheckNoBad(root *Element, cosBound, minEdge2 float64) error {
 // sorted multiset of triangle vertex triples (optionally excluding
 // triangles touching super vertices). Identical meshes — regardless of
 // construction order or element identity — hash identically.
+//
+// A triangle's key is its corners in (X, Y) order, each coordinate in
+// hexadecimal floating point ("%x,%x;%x,%x;%x,%x"); keys are hashed in
+// byte order. The keys are written into one arena and sorted by index.
 func Fingerprint(root *Element, excludeSuper bool) uint64 {
-	var keys []string
-	for _, e := range Triangles(root) {
-		if excludeSuper && (IsSuperVertex(e.Pts[0]) || IsSuperVertex(e.Pts[1]) || IsSuperVertex(e.Pts[2])) {
+	tris := Triangles(root)
+	arena := make([]byte, 0, len(tris)*fingerprintKeyLen)
+	keys := make([][2]int, 0, len(tris)) // [start, end) of each key in arena
+	for _, e := range tris {
+		if excludeSuper && touchesSuper(e) {
 			continue
 		}
-		keys = append(keys, canonicalTriangle(e))
+		start := len(arena)
+		arena = appendCanonicalTriangle(arena, e)
+		keys = append(keys, [2]int{start, len(arena)})
 	}
-	sort.Strings(keys)
+	slices.SortFunc(keys, func(a, b [2]int) int {
+		return bytes.Compare(arena[a[0]:a[1]], arena[b[0]:b[1]])
+	})
 	var h uint64 = 14695981039346656037
 	for _, k := range keys {
-		for i := 0; i < len(k); i++ {
-			h ^= uint64(k[i])
+		for _, c := range arena[k[0]:k[1]] {
+			h ^= uint64(c)
 			h *= 1099511628211
 		}
 		h ^= 0xff
@@ -152,16 +162,36 @@ func Fingerprint(root *Element, excludeSuper bool) uint64 {
 	return h
 }
 
-func canonicalTriangle(e *Element) string {
-	pts := []geom.Point{e.Pts[0], e.Pts[1], e.Pts[2]}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].X != pts[j].X {
-			return pts[i].X < pts[j].X
+// fingerprintKeyLen is the usual length of a key: six coordinates of a
+// sign-less 13-digit mantissa and two-digit exponent, five separators.
+const fingerprintKeyLen = 6*21 + 5
+
+func appendCanonicalTriangle(buf []byte, e *Element) []byte {
+	less := func(p, q geom.Point) bool {
+		if p.X != q.X {
+			return p.X < q.X
 		}
-		return pts[i].Y < pts[j].Y
-	})
-	return fmt.Sprintf("%x,%x;%x,%x;%x,%x",
-		pts[0].X, pts[0].Y, pts[1].X, pts[1].Y, pts[2].X, pts[2].Y)
+		return p.Y < q.Y
+	}
+	a, b, c := e.Pts[0], e.Pts[1], e.Pts[2]
+	if less(b, a) {
+		a, b = b, a
+	}
+	if less(c, b) {
+		b, c = c, b
+		if less(b, a) {
+			a, b = b, a
+		}
+	}
+	for i, p := range [3]geom.Point{a, b, c} {
+		if i > 0 {
+			buf = append(buf, ';')
+		}
+		buf = strconv.AppendFloat(buf, p.X, 'x', -1, 64)
+		buf = append(buf, ',')
+		buf = strconv.AppendFloat(buf, p.Y, 'x', -1, 64)
+	}
+	return buf
 }
 
 // CountTriangles returns the number of live triangles (excluding super
@@ -169,7 +199,7 @@ func canonicalTriangle(e *Element) string {
 func CountTriangles(root *Element, excludeSuper bool) int {
 	n := 0
 	for _, e := range Triangles(root) {
-		if excludeSuper && (IsSuperVertex(e.Pts[0]) || IsSuperVertex(e.Pts[1]) || IsSuperVertex(e.Pts[2])) {
+		if excludeSuper && touchesSuper(e) {
 			continue
 		}
 		n++

@@ -51,7 +51,7 @@ func Quality(root *Element, excludeSuper bool) QualityReport {
 	rep.MinAngle = 180
 	var sum float64
 	for _, e := range Triangles(root) {
-		if excludeSuper && (IsSuperVertex(e.Pts[0]) || IsSuperVertex(e.Pts[1]) || IsSuperVertex(e.Pts[2])) {
+		if excludeSuper && touchesSuper(e) {
 			continue
 		}
 		m := minAngleDeg(e)
