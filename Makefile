@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-effects test race trace-smoke serve-smoke cluster-smoke bench bench-smoke microbench-smoke bench-compare bench-scaling profile-finegrain profile-mesh
+.PHONY: check build vet lint lint-effects test race soak-smoke trace-smoke serve-smoke cluster-smoke bench bench-smoke microbench-smoke bench-compare bench-scaling profile-finegrain profile-mesh profile-serve
 
 # Everything CI runs, in CI's order.
-check: vet lint build test race trace-smoke serve-smoke cluster-smoke bench-smoke microbench-smoke bench-compare
+check: vet lint build test race soak-smoke trace-smoke serve-smoke cluster-smoke bench-smoke microbench-smoke bench-compare
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,15 @@ test:
 # linter cannot see.
 race:
 	$(GO) test -race ./internal/marks/... ./internal/detres/... ./internal/core/... ./internal/apps/... ./internal/serve/... ./internal/session/... ./internal/router/... ./internal/para/... ./internal/psort/... ./internal/scan/...
+
+# What a finished job leaves behind is bounded: a kept engine, once
+# scrubbed, holds nothing of its runs (weak pointers die), and a server's
+# live heap after a collection is as large after 84 never-repeated jobs as
+# after 42. Both under the race detector, half a minute; `make soak` — minutes
+# of mixed load — is still owed (ROADMAP).
+soak-smoke:
+	$(GO) test -race -count=1 -run 'TestScrubReleasesRunData|TestFailedRunLeavesNoClosures' ./internal/core
+	$(GO) test -race -count=1 -run 'TestServerMemoryIsBounded' ./internal/serve
 
 # End-to-end trace check: run one traced figure at small scale, then prove
 # the emitted Chrome trace-event JSON parses and is structurally sound
@@ -126,3 +135,16 @@ profile-mesh:
 	$(PROFILE_DIR)/repro -loop dt/g-d,dmr/g-d -reps 10 -threads 2 -scale default -cpuprofile $(PROFILE_DIR)/mesh.cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 -ignore 'mesh\.Fingerprint' $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.cpu.pprof
+
+# And for the serving miss path, where the question is what finished jobs
+# leave behind (EXPERIMENTS.md H17): an in-process galoisd under two
+# closed-loop clients submitting never-repeated specs of every kind for 15 s.
+# The CPU table shows what the collector costs (scanobject, gcAssistAlloc,
+# gcBgMarkWorker); the inuse_space table is the heap when the window ends,
+# after a collection, before shutdown — who still holds what.
+profile-serve:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) build -o $(PROFILE_DIR)/repro ./cmd/repro
+	$(PROFILE_DIR)/repro -serve 15s -cpuprofile $(PROFILE_DIR)/serve.cpu.pprof -memprofile $(PROFILE_DIR)/serve.heap.pprof
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/serve.cpu.pprof
+	$(GO) tool pprof -sample_index=inuse_space -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/serve.heap.pprof

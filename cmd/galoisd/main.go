@@ -11,6 +11,9 @@
 // engine execution — the response carries the same fingerprint with
 // "cached": true. -cache-spotcheck re-executes a seeded deterministic
 // fraction of hits through the verify path and evicts on any mismatch.
+// The same flag sizes the input cache: built graphs, point sets and
+// networks are shared between jobs in a second LRU with the same byte
+// budget, so never-repeated seeds cannot grow the process.
 //
 // Stateful sessions make mutation a first-class API: POST /sessions pins
 // a long-lived mutable input (a dmr mesh, an sssp graph) server-side,
@@ -57,7 +60,7 @@ func main() {
 	maxThreads := flag.Int("max-threads", 8, "clamp on per-job thread requests")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-job deadline when the spec omits one")
 	drain := flag.Duration("drain", 2*time.Minute, "shutdown grace period for draining admitted jobs")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget; repeat det specs are served from cache at lookup speed (0 disables)")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "byte budget of the result cache and, again, of the input cache; repeat det specs are served from the result cache at lookup speed (0 disables it and leaves the input cache at 64 MiB)")
 	spotCheck := flag.Float64("cache-spotcheck", 0, "fraction of cache hits re-executed through the verify path as an honesty check (deterministic seeded selection; 0 disables, 1 checks every hit)")
 	sessionIdle := flag.Duration("session-idle", 10*time.Minute, "evict sessions with no batch for this long, sealing a tombstone link (0 disables)")
 	maxSessions := flag.Int("max-sessions", 64, "cap on live (un-evicted) sessions; creation beyond it gets 429")

@@ -76,7 +76,7 @@ func main() {
 	repeatFlag := flag.String("repeat-rate", "", "comma-separated repeat rates in [0,1]: each rate runs a zipf hot-set workload mix sweeping the result-cache hit rate (empty = legacy fixed-spec workload)")
 	zipfS := flag.Float64("zipf-s", 1.1, "zipf exponent of the hot-spec popularity distribution (with -repeat-rate)")
 	hotSpecs := flag.Int("hot-specs", 8, "hot seeds per cell for the repeat mix (with -repeat-rate)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache byte budget of the -inprocess server (0 disables caching)")
+	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache and input-cache byte budget of the -inprocess server (0 disables result caching)")
 	sessionsN := flag.Int("sessions", 0, "run a stateful-session phase with N concurrent session clients (0 disables)")
 	batchesN := flag.Int("batches", 3, "chained mutation batches per session (with -sessions)")
 	sessionKinds := flag.String("session-kinds", "", "comma-separated session kinds (default: every kind the server registers)")

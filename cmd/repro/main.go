@@ -12,6 +12,8 @@
 //	repro -bench-json BENCH.json      # emit the benchmark trajectory file
 //	repro -loop bfs/g-d,mis/g-d -reps 10 -threads 2 -cpuprofile cpu.pprof
 //	                                  # profile a hot loop (make profile-finegrain)
+//	repro -serve 15s -cpuprofile cpu.pprof -memprofile heap.pprof
+//	                                  # profile the serving miss path (make profile-serve)
 //
 // Figure tables go to stdout; progress diagnostics go to stderr, so
 // `repro -fig 7 > fig7.txt` captures a clean table.
@@ -52,11 +54,19 @@ func run() int {
 	loop := flag.String("loop", "", "comma-separated app/variant cells (e.g. bfs/g-d,mis/g-d) to run -reps times each on the shared engine at the largest thread count, printing the median wall per cell; the workload to put under -cpuprofile")
 	reps := flag.Int("reps", 10, "with -loop: runs per cell")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of everything after input generation to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile (all allocations since start) to this file on exit")
+	memProfile := flag.String("memprofile", "", "write an allocation profile (all allocations since start) to this file on exit; with -serve, the heap as it stands when the window ends")
+	serveFor := flag.Duration("serve", 0, "instead of a figure: run an in-process galoisd (its flag defaults) for this long under two closed-loop clients submitting never-repeated small-scale specs of every kind — the workload to put under -cpuprofile and -memprofile when the question is what serving leaves behind")
 	flag.Parse()
 
+	if *serveFor > 0 {
+		if err := runServe(*serveFor, *cpuProfile, *memProfile); err != nil {
+			fmt.Fprintln(os.Stderr, "repro:", err)
+			return 1
+		}
+		return 0
+	}
 	if *fig == "" && *benchPath == "" && *loop == "" {
-		fmt.Fprintln(os.Stderr, "repro: -fig is required (4..12, 'all', 'window', 'ext') unless -bench-json or -loop is given")
+		fmt.Fprintln(os.Stderr, "repro: -fig is required (4..12, 'all', 'window', 'ext') unless -bench-json, -loop or -serve is given")
 		flag.Usage()
 		return 2
 	}
@@ -98,17 +108,12 @@ func run() int {
 	in.Engine = eng
 
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+		stop, err := startCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			return 1
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+		defer stop()
 	}
 	if *memProfile != "" {
 		defer func() {
@@ -240,6 +245,23 @@ func run() int {
 		fmt.Fprint(os.Stderr, tr.Summary())
 	}
 	return 0
+}
+
+// startCPUProfile starts a CPU profile into path; stop ends it and closes
+// the file.
+func startCPUProfile(path string) (stop func(), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}, nil
 }
 
 // runLoop runs each app/variant cell of spec reps times (after one untimed

@@ -16,6 +16,7 @@ package pfp
 
 import (
 	"fmt"
+	"unsafe"
 
 	"galois/internal/graph"
 	"galois/internal/marks"
@@ -121,6 +122,14 @@ func (nw *Network) Reset() {
 		nw.nodes[i].height = 0
 		nw.nodes[i].excess = 0
 	}
+}
+
+// Bytes returns the heap footprint of the network's arrays, by capacity:
+// what a byte-budgeted cache holding the network should charge for it.
+func (nw *Network) Bytes() int64 {
+	return int64(cap(nw.off)+cap(nw.cap)+cap(nw.rev)+cap(nw.orig))*8 +
+		int64(cap(nw.head))*4 +
+		int64(cap(nw.nodes))*int64(unsafe.Sizeof(node{}))
 }
 
 // Arcs returns u's arc index range.

@@ -56,6 +56,16 @@ func (cc *commitCollector[T]) reset() {
 	}
 }
 
+// scrub zeroes the buffers over their whole capacity (see Engine.Scrub).
+func (cc *commitCollector[T]) scrub() {
+	clear(cc.produced[:cap(cc.produced)])
+	for i := range cc.lanes {
+		lane := &cc.lanes[i]
+		clear(lane.failed[:cap(lane.failed)])
+		clear(lane.children[:cap(lane.children)])
+	}
+}
+
 // mergeFailed closes a parallel round's gather (a barrier callback, so all
 // execute-phase lane writes are visible and no worker runs): concatenate
 // the per-worker failed lanes, in tid order, into the failed-first prefix

@@ -44,6 +44,7 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 	}
 	met := e.metricsFor(opt.Metrics)
 
+	st.dirty = true
 	st.ensure(nthreads)
 	for _, ctx := range st.ctxs[:nthreads] {
 		ctx.prepare(nthreads, true, col, opt, met)
@@ -89,12 +90,18 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 	// run, and the nondeterministic scheduler treats a leftover ctx.children
 	// as private scratch; a surviving alias lets two workers grow one
 	// backing array. Sever the aliases; the capacity stays with the tasks.
+	// The last commit closure goes too: it captures the operator's state
+	// (the graph, the mesh), whatever the item type.
 	for _, ctx := range st.ctxs[:nthreads] {
 		ctx.children, ctx.tasks = nil, nil
+		ctx.commitFn = nil
 	}
 	if failure != nil {
 		// Every worker has left the region and the engine's state is back in
-		// its pools; the run's marks are stale to every later epoch.
+		// its pools; the run's marks are stale to every later epoch. Tasks
+		// that never reached execute still hold their closures, which a
+		// later Scrub would not look for under a pointer-free item type.
+		st.scrubItems()
 		panic(*failure)
 	}
 }

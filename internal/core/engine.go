@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 
 	"galois/internal/marks"
@@ -31,7 +32,7 @@ type Engine struct {
 	col     *stats.Collector
 	// states holds one *engState[T] per item type T, keyed by the typed
 	// nil any((*T)(nil)) — a comparable, allocation-free type token.
-	states map[any]any
+	states map[any]scrubber
 	// mets caches the coreMetrics bundle per registry so reuse does not
 	// re-register (or re-allocate) instruments every run.
 	mets map[*obs.Registry]*coreMetrics
@@ -53,7 +54,7 @@ func NewEngine(threads int) *Engine {
 		threads: threads,
 		pool:    para.NewPool(),
 		bars:    make(map[int]*para.Barrier),
-		states:  make(map[any]any),
+		states:  make(map[any]scrubber),
 		mets:    make(map[*obs.Registry]*coreMetrics),
 		clock:   &marks.Epochs,
 	}
@@ -71,6 +72,28 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.pool.Close()
 }
+
+// Scrub zeroes every slot of the engine's retained scratch that can still
+// point into the data of the runs since the last Scrub — task items, commit
+// closures, children, gather lanes, sort scratch, each context's buffers —
+// and keeps all capacity, so the next run finds the engine as warm as before
+// and allocates nothing more. Until then one stale item in a slot the next
+// run does not reach keeps everything reachable from it alive for as long as
+// the engine is. For item types that hold no pointer it costs a few stores
+// per worker. It is for whoever parks an engine (a pool's Put); RunOn never
+// calls it. Scrubbing while a run is in flight panics.
+func (e *Engine) Scrub() {
+	if !e.running.CompareAndSwap(false, true) {
+		panic("galois: Scrub on an Engine that is running a loop")
+	}
+	defer e.running.Store(false)
+	for _, st := range e.states { //detlint:ordered zeroing scratch; order has no observable effect
+		st.scrub()
+	}
+}
+
+// scrubber is what Scrub needs of an engState, whatever its item type.
+type scrubber interface{ scrub() }
 
 // barrier returns the engine's reusable barrier for the given party count,
 // its oversubscription verdict re-sampled for the run checking it out.
@@ -113,6 +136,11 @@ func (e *Engine) collector(threads int) *stats.Collector {
 // cannot introduce type parameters, so the engine stores these behind `any`
 // and the generic free function stateFor recovers the typed view.
 type engState[T any] struct {
+	// dirty: a run has used this state since the last scrub. ptrItems: T
+	// can hold a pointer, so the retained copies of items can pin what a
+	// finished run worked on.
+	dirty    bool
+	ptrItems bool
 	// ctxs are the per-worker execution contexts; their scratch capacity
 	// persists across runs.
 	ctxs []*Ctx[T]
@@ -148,9 +176,67 @@ func stateFor[T any](e *Engine) *engState[T] {
 	if s, ok := e.states[key]; ok {
 		return s.(*engState[T])
 	}
-	s := &engState[T]{}
+	s := &engState[T]{ptrItems: hasPointers(reflect.TypeFor[T]())}
 	e.states[key] = s
 	return s
+}
+
+// hasPointers reports whether a value of type t can hold a pointer.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
+	}
+}
+
+// scrub is Engine.Scrub for one item type. The contexts' closures and
+// acquired lists point into user data whatever T is; everything else holds
+// copies of items and is left alone when T has no pointers.
+func (st *engState[T]) scrub() {
+	if !st.dirty {
+		return
+	}
+	st.dirty = false
+	for _, ctx := range st.ctxs {
+		ctx.commitFn = nil
+		clear(ctx.acquired[:cap(ctx.acquired)])
+	}
+	if st.ptrItems {
+		st.scrubItems()
+	}
+}
+
+// scrubItems zeroes every retained copy of an item, and the commit closures
+// stored beside them: arenas up to their dirty mark, the collector's lanes
+// and produced buffer, the sort scratch and the contexts' children buffers.
+// The speculative worklists need nothing — a pop zeroes its slot or drops
+// the drained chunk.
+func (st *engState[T]) scrubItems() {
+	for _, a := range st.free.byClass {
+		if a != nil {
+			a.scrub()
+		}
+	}
+	st.commit.scrub()
+	clear(st.sortScratch[:cap(st.sortScratch)])
+	for _, ctx := range st.ctxs {
+		clear(ctx.children[:cap(ctx.children)])
+		clear(ctx.scratch[:cap(ctx.scratch)])
+	}
 }
 
 // RunOn executes the unordered-algorithm loop of Figure 1a over the initial

@@ -21,6 +21,26 @@ type genArena[T any] struct {
 	// touched[id-1] is task id's neighborhood as inspected this round, for
 	// the locality model's commit-time replay (§5.4). Profiled runs only.
 	touched [][]*marks.Lockable
+	// dirty is the scrub high-water mark: no generation formed since the
+	// last scrub was larger, so tasks[dirty:] hold nothing of a run.
+	dirty int
+}
+
+// scrub zeroes what tasks[:dirty] still hold of finished runs — the item,
+// the commit closure a failed run can leave, the children and touched
+// buffers over their whole capacity — and keeps the buffers.
+func (a *genArena[T]) scrub() {
+	for i := range a.tasks[:a.dirty] {
+		t := &a.tasks[i]
+		var zero T
+		t.item = zero
+		t.commitFn = nil
+		clear(t.children[:cap(t.children)])
+	}
+	for i := range a.touched[:min(a.dirty, len(a.touched))] {
+		clear(a.touched[i][:cap(a.touched[i])])
+	}
+	a.dirty = 0
 }
 
 // arenaClass returns the free-list class for a generation of n tasks: the
@@ -51,15 +71,17 @@ func (fl *genFreeList[T]) take(n int) *genArena[T] {
 			n, marks.IDBits, marks.MaxID))
 	}
 	c := arenaClass(n)
-	if a := fl.byClass[c]; a != nil {
+	a := fl.byClass[c]
+	if a != nil {
 		fl.byClass[c] = nil
-		return a
+	} else {
+		capacity := 1 << c
+		a = &genArena[T]{
+			tasks: make([]detTask[T], capacity),
+			order: make([]*detTask[T], capacity),
+		}
 	}
-	capacity := 1 << c
-	a := &genArena[T]{
-		tasks: make([]detTask[T], capacity),
-		order: make([]*detTask[T], capacity),
-	}
+	a.dirty = max(a.dirty, n)
 	return a
 }
 

@@ -67,6 +67,7 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 	nthreads := opt.Threads
 	met := e.metricsFor(opt.Metrics)
 
+	st.dirty = true
 	st.ensure(nthreads)
 	for _, ctx := range st.ctxs[:nthreads] {
 		ctx.prepare(nthreads, false, col, opt, met)
@@ -153,4 +154,8 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 			pending.Add(-1)
 		}
 	})
+	// As after a deterministic run: the last closure pins operator state.
+	for _, ctx := range st.ctxs[:nthreads] {
+		ctx.commitFn = nil
+	}
 }

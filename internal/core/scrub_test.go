@@ -1,0 +1,182 @@
+package core
+
+import (
+	"runtime"
+	"testing"
+	"weak"
+
+	"galois/internal/marks"
+)
+
+// scrubNode is a pointer item: a location, and a payload big enough that the
+// allocator never packs two of them into one block.
+type scrubNode struct {
+	marks.Lockable
+	depth   int
+	payload [64]uint64
+}
+
+// scrubWitness holds weak pointers to what a run worked on: its items, the
+// children its commits pushed, and the state its commit closures captured.
+type scrubWitness struct {
+	items    []weak.Pointer[scrubNode]
+	children []weak.Pointer[scrubNode]
+	captured weak.Pointer[[512]uint64]
+}
+
+func (w *scrubWitness) alive() (items, children int, captured bool) {
+	for _, p := range w.items {
+		if p.Value() != nil {
+			items++
+		}
+	}
+	for _, p := range w.children {
+		if p.Value() != nil {
+			children++
+		}
+	}
+	return items, children, w.captured.Value() != nil
+}
+
+// scrubRun runs n pointer items on opt's engine; every one pushes a child
+// from its commit closure, which also touches state the closure captured.
+// All of it is garbage once scrubRun returns, but for what the engine keeps.
+//
+//go:noinline
+func scrubRun(n int, opt Options) *scrubWitness {
+	w := &scrubWitness{
+		items:    make([]weak.Pointer[scrubNode], n),
+		children: make([]weak.Pointer[scrubNode], n),
+	}
+	captured := new([512]uint64)
+	w.captured = weak.Make(captured)
+	items := make([]*scrubNode, n)
+	index := make(map[*scrubNode]int, n)
+	for i := range items {
+		items[i] = &scrubNode{}
+		w.items[i] = weak.Make(items[i])
+		index[items[i]] = i
+	}
+	ForEach(items, func(ctx *Ctx[*scrubNode], nd *scrubNode) {
+		ctx.Acquire(&nd.Lockable)
+		if nd.depth > 0 {
+			return
+		}
+		ctx.OnCommit(func(c *Ctx[*scrubNode]) {
+			i := index[nd] // read-only after set-up; each item writes its own slot
+			captured[i%len(captured)]++
+			ch := &scrubNode{depth: 1}
+			w.children[i] = weak.Make(ch)
+			c.Push(ch)
+		})
+	}, opt)
+	return w
+}
+
+// mallocsOf counts the heap objects one call of f allocates.
+func mallocsOf(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestScrubReleasesRunData: an engine that is kept alive must not keep its
+// finished runs' data alive once scrubbed. A large run and then a small one
+// leave items in arena slots, children buffers, lanes and sort scratch that
+// the small run never reached; after Scrub and two collections every item,
+// every child and the closures' captured state are gone, and the engine is
+// still as warm as it was: the next run allocates no more than the
+// steady-state ceiling of TestEngineSteadyStateAllocs.
+func TestScrubReleasesRunData(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mod  func(*Options)
+	}{
+		{"det", func(o *Options) { o.Sched = Deterministic }},
+		{"det-nocontinuation", func(o *Options) { o.Sched, o.Continuation = Deterministic, false }},
+		{"nondet", func(o *Options) { o.Sched = NonDeterministic }},
+		{"nondet-fifo", func(o *Options) { o.Sched, o.FIFO = NonDeterministic, true }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := NewEngine(2)
+			defer eng.Close()
+			opt := optsFor(Deterministic, 2, c.mod, func(o *Options) { o.Engine = eng })
+
+			big := scrubRun(700, opt)
+			small := scrubRun(20, opt)
+			eng.Scrub()
+			runtime.GC()
+			runtime.GC()
+			for name, w := range map[string]*scrubWitness{"large run": big, "small run": small} {
+				if items, children, captured := w.alive(); items+children > 0 || captured {
+					t.Errorf("%s: the scrubbed engine still holds %d of %d items, %d of %d children, captured state %v",
+						name, items, len(w.items), children, len(w.children), captured)
+				}
+			}
+
+			// The steady state survives: pointer items again, read-only, on
+			// the first run after the scrub. (The speculative scheduler has no
+			// ceiling to keep — it drops drained worklist chunks every run.)
+			if opt.Sched != Deterministic {
+				return
+			}
+			items := make([]*scrubNode, 700)
+			for i := range items {
+				items[i] = &scrubNode{depth: 1}
+			}
+			got := mallocsOf(func() {
+				ForEach(items, func(ctx *Ctx[*scrubNode], nd *scrubNode) { ctx.Acquire(&nd.Lockable) }, opt)
+			})
+			if got > 8 {
+				t.Errorf("first run after Scrub allocated %d objects, want <= 8: the scrub gave capacity away", got)
+			}
+		})
+	}
+}
+
+// TestFailedRunLeavesNoClosures: a run that panics leaves the commit
+// closures of tasks that were inspected and never executed. The item type
+// has no pointers, so a later Scrub does not walk the arenas; the failing
+// run must have dropped the closures itself.
+func TestFailedRunLeavesNoClosures(t *testing.T) {
+	eng := NewEngine(2)
+	defer eng.Close()
+	opt := optsFor(Deterministic, 2, func(o *Options) { o.Engine = eng })
+
+	wp := failingRun(t, opt)
+	eng.Scrub()
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Error("the engine still holds a failed run's commit closures")
+	}
+}
+
+// failingRun runs 256 tasks whose commit closures capture one state object;
+// task 200 panics in the operator. It returns a weak pointer to the state.
+//
+//go:noinline
+func failingRun(t *testing.T, opt Options) (wp weak.Pointer[[512]uint64]) {
+	state := new([512]uint64)
+	wp = weak.Make(state)
+	cells := make([]cell, 256)
+	items := make([]int, len(cells))
+	for i := range items {
+		items[i] = i
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("operator panic did not propagate")
+		}
+	}()
+	ForEach(items, func(ctx *Ctx[int], i int) {
+		ctx.Acquire(&cells[i].Lockable)
+		if i == 200 {
+			panic("operator failure")
+		}
+		ctx.OnCommit(func(*Ctx[int]) { state[i]++ })
+	}, opt)
+	return wp
+}

@@ -113,6 +113,10 @@ type Weighted struct {
 	W []uint32
 }
 
+// Bytes returns the heap footprint of the topology and the weights, by
+// capacity.
+func (g *Weighted) Bytes() int64 { return g.CSR.Bytes() + int64(cap(g.W))*4 }
+
 // RandomWeighted generates a symmetrized random k-out graph with uniform
 // edge weights in [1, maxW]; the two directions of an undirected edge get
 // the same weight. Deterministic in the seed.

@@ -36,6 +36,10 @@ func (g *CSR) Neighbors(u int) []uint32 { return g.edges[g.offsets[u]:g.offsets[
 // with per-edge payload arrays maintained by applications.
 func (g *CSR) EdgeRange(u int) (lo, hi int64) { return g.offsets[u], g.offsets[u+1] }
 
+// Bytes returns the heap footprint of the graph's arrays, by capacity: what
+// a byte-budgeted cache holding the graph should charge for it.
+func (g *CSR) Bytes() int64 { return int64(cap(g.offsets))*8 + int64(cap(g.edges))*4 }
+
 // String summarizes the graph.
 func (g *CSR) String() string { return fmt.Sprintf("graph(n=%d, m=%d)", g.N(), g.M()) }
 

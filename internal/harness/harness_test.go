@@ -343,7 +343,8 @@ func TestRunDetTunedVariants(t *testing.T) {
 // every app, deterministic runs that reuse one engine (three in a row, so
 // the second and third hit fully warm state) commit fingerprints
 // byte-identical to a fresh ForEach at every thread count, with and
-// without the continuation optimization.
+// without the continuation optimization. The third run is on a scrubbed
+// engine: what Scrub zeroes, no later run may need.
 func TestEngineReuseFingerprints(t *testing.T) {
 	in := smallInputs()
 	for _, app := range Apps {
@@ -354,6 +355,9 @@ func TestEngineReuseFingerprints(t *testing.T) {
 				eng := galois.NewEngine(galois.WithThreads(th))
 				in.Engine = eng
 				for run := 0; run < 3; run++ {
+					if run == 2 {
+						eng.Scrub()
+					}
 					got := in.RunOnce(app, variant, th, nil).Fingerprint
 					if got != want {
 						t.Errorf("%s/%s t%d run %d: engine fingerprint %#x != fresh %#x",

@@ -13,6 +13,8 @@
 //     semantic spec fields hashed to a fixed-size address. Non-semantic
 //     fields (timeout, trace) are excluded; non-deterministic (g-n) specs
 //     are rejected — their output is not a function of the spec.
+//     KeyOfLink and KeyOfInput are the other two key domains (session
+//     links, built inputs), each under its own version byte.
 //   - Cache: a byte-budget LRU over opaque result values, safe for
 //     concurrent use, with counters and optional trace-sink events.
 //   - Flight: singleflight collapse of concurrent identical submissions
@@ -38,6 +40,10 @@ const keyVersion = 1
 // a link key can never alias a one-shot job key even if their payloads
 // coincide byte-for-byte.
 const linkKeyVersion = 2
+
+// inputKeyVersion leads input key preimages (KeyOfInput): a third domain,
+// so an input cell can never alias a job or link key either.
+const inputKeyVersion = 3
 
 // ErrNondeterministic is returned by KeyOf for g-n specs: a speculative
 // run's output depends on scheduling, so it has no content address.
@@ -121,4 +127,21 @@ func KeyOfLink(prev []byte, canon []byte) (Key, error) {
 	var k Key
 	h.Sum(k[:0])
 	return k, nil
+}
+
+// KeyOfInput addresses one built input cell: the input family (kinds that
+// run on the same input share one), the scale name and the seed — what the
+// canonical derivations in internal/inputs are a pure function of. Same
+// encoding discipline as KeyOf: version byte, strings length-prefixed,
+// fixed-width seed. The arguments come from a normalized spec and the
+// registry, so there is nothing to reject.
+func KeyOfInput(family, scale string, seed uint64) Key {
+	var backing [96]byte // keeps the preimage of any registered family on the stack
+	b := append(backing[:0], inputKeyVersion)
+	b = binary.AppendUvarint(b, uint64(len(family)))
+	b = append(b, family...)
+	b = binary.AppendUvarint(b, uint64(len(scale)))
+	b = append(b, scale...)
+	b = binary.BigEndian.AppendUint64(b, seed)
+	return sha256.Sum256(b)
 }

@@ -1,7 +1,10 @@
 package rescache
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -115,6 +118,66 @@ func TestKeyOfRejectsUnnormalized(t *testing.T) {
 	for _, c := range cases {
 		if _, err := KeyOf(c.kind, c.variant, c.scale, 0, c.threads); err == nil {
 			t.Errorf("KeyOf(%q,%q,%q,th=%d): expected error", c.kind, c.variant, c.scale, c.threads)
+		}
+	}
+}
+
+func TestKeyOfInputFieldSeparation(t *testing.T) {
+	base := KeyOfInput("kout-graph", "small", 42)
+	if base != KeyOfInput("kout-graph", "small", 42) {
+		t.Fatal("identical input cells hashed apart")
+	}
+	seen := map[Key]bool{base: true}
+	for _, k := range []Key{
+		KeyOfInput("sssp", "small", 42),
+		KeyOfInput("kout-graph", "default", 42),
+		KeyOfInput("kout-graph", "small", 43),
+		KeyOfInput("kout-graph", "small", 42<<32),
+		// Re-segmentation of the two strings.
+		KeyOfInput("ab", "c", 42),
+		KeyOfInput("a", "bc", 42),
+		// A family longer than the stack preimage buffer.
+		KeyOfInput(strings.Repeat("f", 200), "small", 42),
+		KeyOfInput(strings.Repeat("f", 201), "small", 42),
+	} {
+		if seen[k] {
+			t.Fatalf("distinct input cells collided on %s", k)
+		}
+		seen[k] = true
+	}
+}
+
+// TestKeyDomainsCannotAlias: a job key, a link key and an input key are
+// SHA-256 over (version byte ‖ payload) with three different version bytes,
+// so even byte-identical payloads hash apart. Each function's preimage is
+// rebuilt here by hand, which pins both the version bytes and the encodings.
+func TestKeyDomainsCannotAlias(t *testing.T) {
+	sum := func(version byte, payload []byte) Key {
+		return sha256.Sum256(append([]byte{version}, payload...))
+	}
+	seed := []byte{0, 0, 0, 0, 0, 0, 0, 42}
+
+	job := append([]byte{3, 'b', 'f', 's', 3, 'g', '-', 'd', 5, 's', 'm', 'a', 'l', 'l'}, seed...)
+	job = append(job, 2)
+	if got := mustKey(t, "bfs", "g-d", "small", 42, 2); got != sum(1, job) {
+		t.Errorf("KeyOf is not sha256(1 ‖ payload): %s", got)
+	}
+
+	prev := bytes.Repeat([]byte{0xab}, sha256.Size)
+	canon := []byte("canonical batch")
+	link := append(append(append([]byte{}, prev...), byte(len(canon))), canon...)
+	if got, err := KeyOfLink(prev, canon); err != nil || got != sum(2, link) {
+		t.Errorf("KeyOfLink is not sha256(2 ‖ payload): %s, %v", got, err)
+	}
+
+	input := append([]byte{3, 'b', 'f', 's', 5, 's', 'm', 'a', 'l', 'l'}, seed...)
+	if got := KeyOfInput("bfs", "small", 42); got != sum(3, input) {
+		t.Errorf("KeyOfInput is not sha256(3 ‖ payload): %s", got)
+	}
+
+	for _, payload := range [][]byte{job, link, input} {
+		if a, b, c := sum(1, payload), sum(2, payload), sum(3, payload); a == b || a == c || b == c {
+			t.Errorf("one payload, three domains, colliding keys: %s %s %s", a, b, c)
 		}
 	}
 }

@@ -10,7 +10,8 @@
 //     (scale, variant, seed, threads) onto a runnable closure over the
 //     existing app entry points. Inputs are derived through
 //     internal/inputs — the same derivations the experiment harness uses —
-//     and cached per (input family, scale, seed).
+//     and cached per (input family, scale, seed) in a byte-budgeted LRU
+//     (input.go), so client-chosen seeds cannot grow the process.
 //   - Engine pool (EnginePool): checks reusable galois.Engine instances in
 //     and out, keyed by thread count and lazily grown to a cap, so
 //     steady-state request handling rides the engine's allocation-free

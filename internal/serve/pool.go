@@ -15,6 +15,11 @@ import (
 // worker count at or below the cap, the steady state of a warmed server
 // is all hits.
 //
+// A returned engine is scrubbed before it goes idle (galois.Engine.Scrub):
+// its scratch keeps its capacity and forgets the items, children and commit
+// closures of the job it ran, so an idle engine pins no finished mesh or
+// graph, whatever the next job on it turns out to be.
+//
 // An Engine is single-run-at-a-time (a second concurrent run panics — see
 // galois.Engine), which is exactly why the pool exists: checkout grants
 // the holder exclusive use, and the pool never hands one engine to two
@@ -26,7 +31,7 @@ type EnginePool struct {
 	live      map[int]int // created-and-retained engines per key
 	closed    bool
 
-	hits, misses, transients uint64
+	hits, misses, transients, scrubs uint64
 }
 
 // PoolCounters is a snapshot of the pool's checkout statistics.
@@ -35,6 +40,8 @@ type PoolCounters struct {
 	// construction). Misses grew the pool by one engine. Transients were
 	// handed a throwaway engine because the key was at capacity.
 	Hits, Misses, Transients uint64
+	// Scrubs counts engines scrubbed on their way back to the idle set.
+	Scrubs uint64
 }
 
 // NewEnginePool returns a pool retaining up to capPerKey engines per
@@ -74,8 +81,12 @@ func (p *EnginePool) Get(threads int) (eng *galois.Engine, transient bool) {
 }
 
 // Put returns a checked-out engine. Transient engines, and any engine
-// returned after Drain, are closed instead of retained.
+// returned after Drain, are closed instead of retained; a retained engine
+// is scrubbed first, outside the lock.
 func (p *EnginePool) Put(threads int, eng *galois.Engine, transient bool) {
+	if !transient {
+		eng.Scrub()
+	}
 	p.mu.Lock()
 	if transient || p.closed {
 		if !transient {
@@ -85,6 +96,7 @@ func (p *EnginePool) Put(threads int, eng *galois.Engine, transient bool) {
 		eng.Close()
 		return
 	}
+	p.scrubs++
 	p.idle[threads] = append(p.idle[threads], eng)
 	p.mu.Unlock()
 }
@@ -121,5 +133,5 @@ func (p *EnginePool) Drain() {
 func (p *EnginePool) Counters() PoolCounters {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return PoolCounters{Hits: p.hits, Misses: p.misses, Transients: p.transients}
+	return PoolCounters{Hits: p.hits, Misses: p.misses, Transients: p.transients, Scrubs: p.scrubs}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"unsafe"
 
 	"galois"
 	"galois/internal/apps/bfs"
@@ -37,6 +38,11 @@ type Kind struct {
 	// Build constructs the input for one (scale sizes, seed) cell through
 	// the canonical derivations in internal/inputs.
 	Build func(sc inputs.Scale, seed uint64) any
+	// Size reports the heap bytes a built input keeps alive while it sits
+	// in the input cache — the capacity of its arrays, not what a run
+	// allocates beside them. It is what the cache charges against its byte
+	// budget; nil charges the fixed per-entry overhead only.
+	Size func(data any) int64
 	// Reset restores an Exclusive input to its initial state. Nil for
 	// shared read-only inputs.
 	Reset func(data any)
@@ -109,8 +115,9 @@ type dtInput struct {
 
 // dmrInput carries the (size, seed) cell and the current mesh root.
 // Refinement consumes the mesh, so rebuilding it IS the reset: Build
-// leaves root nil and Reset — which the server calls before every run of
-// an Exclusive kind — derives a pristine mesh through inputs.DMRMesh.
+// leaves root nil, Reset — which the server calls before every run of
+// an Exclusive kind — derives a pristine mesh through inputs.DMRMesh, and
+// Run drops the refined mesh again: at rest the cell is these few words.
 type dmrInput struct {
 	n    int
 	seed uint64
@@ -126,12 +133,14 @@ type dmrInput struct {
 // session (internal/session) instead.
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
+	csrSize := func(data any) int64 { return data.(*graph.CSR).Bytes() }
 	r.Register(&Kind{
 		Name:   "bfs",
 		Family: "kout-graph",
 		Build: func(sc inputs.Scale, seed uint64) any {
 			return inputs.BFSGraph(sc.BFSNodes, sc.BFSDegree, seed)
 		},
+		Size: csrSize,
 		Run: func(data any, opts []galois.Option) (uint64, stats.Stats) {
 			res := bfs.Galois(data.(*graph.CSR), 0, opts...)
 			return res.Fingerprint(), res.Stats
@@ -143,6 +152,7 @@ func DefaultRegistry() *Registry {
 		Build: func(sc inputs.Scale, seed uint64) any {
 			return inputs.BFSGraph(sc.BFSNodes, sc.BFSDegree, seed)
 		},
+		Size: csrSize,
 		Run: func(data any, opts []galois.Option) (uint64, stats.Stats) {
 			res := mis.Galois(data.(*graph.CSR), opts...)
 			return res.Fingerprint(), res.Stats
@@ -156,6 +166,7 @@ func DefaultRegistry() *Registry {
 				o: sssp.DefaultOptions(sc.SSSPMaxW),
 			}
 		},
+		Size: func(data any) int64 { return data.(*ssspData).g.Bytes() },
 		Run: func(data any, opts []galois.Option) (uint64, stats.Stats) {
 			d := data.(*ssspData)
 			res := sssp.Galois(d.g, 0, d.o, opts...)
@@ -167,6 +178,9 @@ func DefaultRegistry() *Registry {
 		Build: func(sc inputs.Scale, seed uint64) any {
 			n, edges := inputs.MSFEdges(sc.MSFNodes, sc.MSFDegree, sc.MSFMaxW, seed)
 			return &msfInput{n: n, edges: edges}
+		},
+		Size: func(data any) int64 {
+			return int64(cap(data.(*msfInput).edges)) * int64(unsafe.Sizeof(msf.WEdge{}))
 		},
 		Run: func(data any, opts []galois.Option) (uint64, stats.Stats) {
 			d := data.(*msfInput)
@@ -180,6 +194,7 @@ func DefaultRegistry() *Registry {
 		Build: func(sc inputs.Scale, seed uint64) any {
 			return inputs.PFPNetwork(sc.PFPNodes, sc.PFPDegree, seed)
 		},
+		Size:  func(data any) int64 { return data.(*pfp.Network).Bytes() },
 		Reset: func(data any) { data.(*pfp.Network).Reset() },
 		Run: func(data any, opts []galois.Option) (uint64, stats.Stats) {
 			val, st := pfp.Galois(data.(*pfp.Network), opts...)
@@ -190,6 +205,9 @@ func DefaultRegistry() *Registry {
 		Name: "dt",
 		Build: func(sc inputs.Scale, seed uint64) any {
 			return &dtInput{pts: inputs.DTPoints(sc.DTPoints, seed), seed: seed}
+		},
+		Size: func(data any) int64 {
+			return int64(cap(data.(*dtInput).pts)) * int64(unsafe.Sizeof(geom.Point{}))
 		},
 		Run: func(data any, opts []galois.Option) (uint64, stats.Stats) {
 			d := data.(*dtInput)
@@ -205,6 +223,7 @@ func DefaultRegistry() *Registry {
 		Build: func(sc inputs.Scale, seed uint64) any {
 			return &dmrInput{n: sc.DMRPoints, seed: seed}
 		},
+		Size: func(any) int64 { return int64(unsafe.Sizeof(dmrInput{})) },
 		Reset: func(data any) {
 			d := data.(*dmrInput)
 			d.root = inputs.DMRMesh(d.n, d.seed)
@@ -212,6 +231,9 @@ func DefaultRegistry() *Registry {
 		Run: func(data any, opts []galois.Option) (uint64, stats.Stats) {
 			d := data.(*dmrInput)
 			res := dmr.Galois(d.root, dmr.DefaultQuality(), opts...)
+			// Reset rebuilds the mesh before the next run; nobody reads
+			// the refined one after its fingerprint.
+			d.root = nil
 			return res.Fingerprint(), res.Stats
 		},
 	})

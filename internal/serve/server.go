@@ -52,10 +52,13 @@ type Config struct {
 	// batch for this long loses its pinned state and gains a tombstone
 	// link. 0 disables time-based eviction (explicit DELETE still works).
 	SessionIdle time.Duration
-	// CacheBytes > 0 enables the content-addressed result cache with that
-	// byte budget; 0 (the default) disables caching entirely. cmd/galoisd
-	// defaults the flag to 64 MiB — the zero default here keeps embedded
-	// and test servers cache-free unless they opt in.
+	// CacheBytes sizes both caches. > 0 enables the content-addressed
+	// result cache with that byte budget and gives the input cache the
+	// same budget again; 0 (the default) disables result caching entirely
+	// and leaves the input cache — which a server cannot run without — at
+	// 64 MiB. cmd/galoisd defaults the flag to 64 MiB — the zero default
+	// here keeps embedded and test servers result-cache-free unless they
+	// opt in.
 	CacheBytes int64
 	// CacheSpotCheck is the fraction of cache hits re-executed through
 	// the verify path as an honesty check (0 disables, 1 re-executes every
@@ -163,10 +166,14 @@ type Server struct {
 // NewServer builds a server from cfg and starts its workers.
 func NewServer(cfg Config) *Server {
 	cfg.fillDefaults()
+	inputBytes := cfg.CacheBytes
+	if inputBytes <= 0 {
+		inputBytes = defaultInputCacheBytes
+	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Registry,
-		inputs:   newInputCache(),
+		inputs:   newInputCache(inputBytes),
 		exec:     newExecutor(cfg.Workers, cfg.QueueDepth, cfg.EngineCap),
 		sessions: session.NewManager(cfg.SessionKinds, cfg.MaxSessions),
 	}
@@ -250,6 +257,9 @@ func (s *Server) CacheCounters() rescache.Counters {
 	}
 	return s.cache.Counters()
 }
+
+// InputCacheCounters snapshots the input cache's statistics.
+func (s *Server) InputCacheCounters() rescache.Counters { return s.inputs.cache.Counters() }
 
 // count bumps a handler-side counter (metric cell 0, mutex-guarded).
 func (s *Server) count(name string) { s.exec.count(name) }
@@ -603,22 +613,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&buf, "serve.pool.hits %d\n", pc.Hits)
 	fmt.Fprintf(&buf, "serve.pool.misses %d\n", pc.Misses)
 	fmt.Fprintf(&buf, "serve.pool.transients %d\n", pc.Transients)
+	fmt.Fprintf(&buf, "serve.pool.scrubs %d\n", pc.Scrubs)
 	fmt.Fprintf(&buf, "serve.queue.depth %d\n", len(s.exec.queue))
 	fmt.Fprintf(&buf, "serve.queue.cap %d\n", s.cfg.QueueDepth)
 	fmt.Fprintf(&buf, "serve.inflight %d\n", s.exec.InFlight())
 	fmt.Fprintf(&buf, "serve.sessions.live %d\n", s.sessions.Live())
 	if s.cache != nil {
-		cc := s.cache.Counters()
-		fmt.Fprintf(&buf, "serve.rescache.hits %d\n", cc.Hits)
-		fmt.Fprintf(&buf, "serve.rescache.misses %d\n", cc.Misses)
-		fmt.Fprintf(&buf, "serve.rescache.stores %d\n", cc.Stores)
-		fmt.Fprintf(&buf, "serve.rescache.evictions %d\n", cc.Evictions)
-		fmt.Fprintf(&buf, "serve.rescache.rejects %d\n", cc.Rejects)
-		fmt.Fprintf(&buf, "serve.rescache.entries %d\n", cc.Entries)
-		fmt.Fprintf(&buf, "serve.rescache.bytes_resident %d\n", cc.Bytes)
-		fmt.Fprintf(&buf, "serve.rescache.bytes_budget %d\n", cc.Budget)
+		writeCacheCounters(&buf, "serve.rescache", s.cache.Counters())
 	}
+	// misses counts lookups, not builds: a cold cell is looked up twice,
+	// before and inside its build flight. stores counts builds.
+	writeCacheCounters(&buf, "serve.inputcache", s.inputs.cache.Counters())
 	_, _ = w.Write(buf.Bytes())
+}
+
+func writeCacheCounters(buf *bytes.Buffer, prefix string, cc rescache.Counters) {
+	fmt.Fprintf(buf, "%s.hits %d\n", prefix, cc.Hits)
+	fmt.Fprintf(buf, "%s.misses %d\n", prefix, cc.Misses)
+	fmt.Fprintf(buf, "%s.stores %d\n", prefix, cc.Stores)
+	fmt.Fprintf(buf, "%s.evictions %d\n", prefix, cc.Evictions)
+	fmt.Fprintf(buf, "%s.rejects %d\n", prefix, cc.Rejects)
+	fmt.Fprintf(buf, "%s.entries %d\n", prefix, cc.Entries)
+	fmt.Fprintf(buf, "%s.bytes_resident %d\n", prefix, cc.Bytes)
+	fmt.Fprintf(buf, "%s.bytes_budget %d\n", prefix, cc.Budget)
 }
 
 func (s *Server) handleKinds(w http.ResponseWriter, r *http.Request) {

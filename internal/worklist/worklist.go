@@ -109,8 +109,10 @@ func (w *ChunkedLIFO[T]) takeChunk(victim int) *chunk[T] {
 	if len(q.chunks) == 0 {
 		return nil
 	}
-	c := q.chunks[len(q.chunks)-1]
-	q.chunks = q.chunks[:len(q.chunks)-1]
+	top := len(q.chunks) - 1
+	c := q.chunks[top]
+	q.chunks[top] = nil // a retained worklist must not pin drained chunks
+	q.chunks = q.chunks[:top]
 	return c
 }
 
