@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-effects test race soak-smoke trace-smoke serve-smoke cluster-smoke bench bench-smoke microbench-smoke bench-compare bench-scaling profile-finegrain profile-mesh profile-serve
+.PHONY: check build vet lint lint-effects test race soak-smoke trace-smoke serve-smoke cluster-smoke bench bench-smoke microbench-smoke profile-finegrain profile-mesh profile-serve
 
 # Everything CI runs, in CI's order.
-check: vet lint build test race soak-smoke trace-smoke serve-smoke cluster-smoke bench-smoke microbench-smoke bench-compare
+check: vet lint build test race soak-smoke trace-smoke serve-smoke cluster-smoke bench-smoke microbench-smoke
 
 build:
 	$(GO) build ./...
@@ -91,27 +91,6 @@ bench-smoke:
 # is timed.
 microbench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/marks ./internal/para ./internal/core
-
-# Compare the two most recent committed benchmark trajectories
-# (BENCH_<n>.json). Wall-clock movement is report-only (different machines
-# measured different PRs); any allocs_per_op increase or deterministic
-# fingerprint change fails. No-op until two trajectory files exist.
-bench-compare:
-	@files=$$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -2); \
-	set -- $$files; \
-	if [ $$# -lt 2 ]; then echo "bench-compare: fewer than two BENCH_*.json files, skipping"; exit 0; fi; \
-	$(GO) run ./cmd/benchdiff -wall-report-only $$1 $$2
-
-# Measure a fresh deterministic thread sweep (t1/2/4/8, small scale — CI
-# machines are slow and the scaling_efficiency column is a same-run wall
-# RATIO, so scale only changes noise, not meaning) and emit it as
-# bench-scaling.json. The emitter derives scaling_efficiency from the t1
-# siblings; benchdiff gates >10% drops on matched keys when trajectories
-# carry the column (see DESIGN.md §14.5). Wall times from a 1-CPU CI
-# runner land near 1/threads — the deterministic columns (fingerprints,
-# barriers/round) are the load-bearing part of the artifact.
-bench-scaling:
-	$(GO) run ./cmd/repro -bench-json bench-scaling.json -bench-sweep 1,2,4,8 -threads 1 -scale small
 
 # Where a per-task cost claim starts: a CPU profile of the fine-grained hot
 # loop — bfs and mis, g-d, repeated on one reused engine at two threads,

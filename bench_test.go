@@ -13,7 +13,6 @@ package galois_test
 import (
 	"flag"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -29,52 +28,10 @@ import (
 	"galois/internal/coredet"
 	"galois/internal/graph"
 	"galois/internal/harness"
-	"galois/internal/obs"
 	"galois/internal/para"
 )
 
-var (
-	benchScale = flag.String("benchscale", "small", "benchmark input scale: small|default|full")
-	benchJSON  = flag.String("benchjson", "", "write a benchmark-trajectory JSON (galois-bench/v2, with alloc columns) of every measured run to this file")
-)
-
-// benchDoc accumulates one trajectory entry per benchRun measurement when
-// -benchjson is set; TestMain flushes it after the run.
-var (
-	benchDocMu sync.Mutex
-	benchDoc   = obs.NewBench()
-)
-
-// recordBench appends the measured cell to the trajectory document, with
-// allocation columns from one extra (untimed) run in the same mode.
-func recordBench(in *harness.Inputs, app, variant string, threads int, r harness.Run) {
-	if *benchJSON == "" {
-		return
-	}
-	e := harness.BenchEntry(r, *benchScale)
-	if in.Engine != nil {
-		e.Mode = "engine"
-	}
-	e.AllocsPerOp, e.BytesPerOp = harness.MeasureAllocs(1, func() {
-		in.RunOnce(app, variant, threads, nil)
-	})
-	benchDocMu.Lock()
-	benchDoc.Add(e)
-	benchDocMu.Unlock()
-}
-
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if *benchJSON != "" && len(benchDoc.Entries) > 0 {
-		if err := benchDoc.WriteFile(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-	}
-	os.Exit(code)
-}
+var benchScale = flag.String("benchscale", "small", "benchmark input scale: small|default|full")
 
 var (
 	inputsOnce sync.Once
@@ -112,7 +69,6 @@ func benchRun(b *testing.B, app, variant string, threads int) {
 		last = in.RunOnce(app, variant, threads, nil)
 	}
 	b.StopTimer()
-	recordBench(in, app, variant, threads, last)
 	b.ReportMetric(last.Stats.CommitsPerMicro(), "tasks/us")
 	b.ReportMetric(last.Stats.AbortRatio(), "abort-ratio")
 	b.ReportMetric(last.Stats.AtomicsPerMicro(), "atomics/us")

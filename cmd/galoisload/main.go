@@ -5,7 +5,7 @@
 // must re-verify through POST /verify.
 //
 //	galoisload -addr localhost:8090 -clients 1,8 -n 3 -verify 3
-//	galoisload -inprocess -scale small -bench-json BENCH.json
+//	galoisload -inprocess -scale small -report serve-load.json
 //	galoisload -inprocess -repeat-rate 0,0.5,0.9 -n 30
 //	galoisload -inprocess -sessions 4 -batches 3
 //	galoisload -targets localhost:8091,localhost:8092 -policy least-loaded
@@ -18,22 +18,18 @@
 // cross-backend determinism check — requests for one seed land on
 // whichever backends the policy picks, and their fingerprints must still
 // agree — and -verify replays receipts through the router's round-robin
-// verify path, i.e. on nodes that did not produce them. Bench entries
-// carry Mode "serve-cluster" keyed by backend count and policy.
+// verify path, i.e. on nodes that did not produce them.
 //
 // -sessions adds a stateful-session phase: N concurrent clients each
 // create a session, drive -batches chained mutation batches from a
 // per-client partitioned seeded stream, and audit the resulting receipt
-// chain through POST /sessions/{id}/verify. Bench entries carry Mode
-// "serve-session" with the chain length as a key column and the final
-// chain hash as the fingerprint.
+// chain through POST /sessions/{id}/verify.
 //
 // -repeat-rate switches to a workload mix that sweeps galoisd's result
 // cache: each request draws (from a partitioned seeded stream) either a
 // hot spec from a zipf-distributed hot set (-zipf-s, -hot-specs) with the
-// given probability, or a never-repeated cold spec. Bench entries then
-// carry Mode "serve-mix" plus the observed cache_hit_permille, tracing the
-// hit-rate → latency curve.
+// given probability, or a never-repeated cold spec; the printed cache-hit
+// counts beside the latencies trace the hit-rate → latency curve.
 //
 // Exit status is 1 if any cell observed more than one fingerprint, any
 // receipt failed verification, or any request errored.
@@ -51,7 +47,6 @@ import (
 	"strings"
 	"time"
 
-	"galois/internal/obs"
 	"galois/internal/router"
 	"galois/internal/serve"
 )
@@ -59,9 +54,9 @@ import (
 func main() {
 	addr := flag.String("addr", "", "galoisd address (host:port or URL); empty requires -inprocess, -targets or -router")
 	inprocess := flag.Bool("inprocess", false, "spin up an in-process server instead of targeting -addr")
-	targets := flag.String("targets", "", "comma-separated galoisd backends; spins up an in-process galoisrouter over them and drives the load through it (bench entries get Mode serve-cluster)")
+	targets := flag.String("targets", "", "comma-separated galoisd backends; spins up an in-process galoisrouter over them and drives the load through it")
 	policyFlag := flag.String("policy", "round-robin", "routing policy of the in-process router (with -targets): round-robin|least-loaded|consistent-hash|weighted")
-	routerAddr := flag.String("router", "", "address of a running galoisrouter; its /healthz supplies the backend count and policy for serve-cluster bench keys")
+	routerAddr := flag.String("router", "", "address of a running galoisrouter; its /healthz supplies the backend count and policy the report lines name")
 	kindsFlag := flag.String("kinds", "", "comma-separated job kinds (default: every kind the server registers)")
 	variantsFlag := flag.String("variants", "g-d,g-dnc", "comma-separated variants")
 	clientsFlag := flag.String("clients", "1,8", "comma-separated client concurrency levels")
@@ -71,7 +66,6 @@ func main() {
 	threads := flag.Int("threads", 1, "per-job thread count")
 	timeoutMS := flag.Int64("timeout-ms", 0, "per-job deadline in ms (0 = server default)")
 	verifyN := flag.Int("verify", 0, "re-verify up to N receipts per level through POST /verify")
-	benchPath := flag.String("bench-json", "", "append mode-\"serve\" entries to this benchmark-trajectory JSON")
 	reportPath := flag.String("report", "", "write the full load reports as JSON to this file")
 	repeatFlag := flag.String("repeat-rate", "", "comma-separated repeat rates in [0,1]: each rate runs a zipf hot-set workload mix sweeping the result-cache hit rate (empty = legacy fixed-spec workload)")
 	zipfS := flag.Float64("zipf-s", 1.1, "zipf exponent of the hot-spec popularity distribution (with -repeat-rate)")
@@ -98,8 +92,8 @@ func main() {
 	}
 
 	ctx := context.Background()
-	// clusterBackends/clusterPolicy label runs driven through a router:
-	// their bench entries get Mode "serve-cluster" keyed by both.
+	// clusterBackends/clusterPolicy label the report lines of runs driven
+	// through a router.
 	clusterBackends := 0
 	clusterPolicy := ""
 	var c *serve.Client
@@ -133,8 +127,7 @@ func main() {
 			base = "http://" + base
 		}
 		c = serve.NewClient(base, loadHTTPClient())
-		// The router's own healthz names its policy and backend set —
-		// that is what keys the serve-cluster bench entries.
+		// The router's own healthz names its policy and backend set.
 		h, err := routerHealthz(ctx, base)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "galoisload: router healthz: %v\n", err)
@@ -171,16 +164,6 @@ func main() {
 		levels = append(levels, n)
 	}
 
-	bench := obs.NewBench()
-	if *benchPath != "" {
-		if prev, err := obs.ReadBenchFile(*benchPath); err == nil {
-			bench = prev
-		} else if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "galoisload: %v\n", err)
-			os.Exit(1)
-		}
-	}
-
 	failed := false
 	var reports []*serve.Report
 	for _, clients := range levels {
@@ -190,7 +173,6 @@ func main() {
 				Clients: clients, PerClient: *perClient,
 				Scale: *scale, Seed: *seed, Threads: *threads, TimeoutMS: *timeoutMS,
 				Mix: mix, RepeatRate: rate, ZipfS: *zipfS, HotSpecs: *hotSpecs,
-				ClusterBackends: clusterBackends, ClusterPolicy: clusterPolicy,
 			}
 			start := time.Now()
 			rep, err := serve.RunLoad(ctx, c, cfg)
@@ -258,10 +240,6 @@ func main() {
 			if *verifyN > 0 && mismatches > 0 {
 				fmt.Printf("  %d receipt(s) FAILED verification\n", mismatches)
 			}
-			//detlint:ignore taintfp bench entries report measured latency beside receipt fingerprints, which the runtime computed deterministically
-			for _, e := range rep.BenchEntries(cfg) {
-				bench.Add(e)
-			}
 		}
 	}
 
@@ -296,19 +274,8 @@ func main() {
 				time.Duration(cs.MedianNS).Round(time.Microsecond),
 				time.Duration(cs.MaxNS).Round(time.Microsecond), cs.FinalChain)
 		}
-		//detlint:ignore taintfp bench entries report measured latency beside chain hashes, which the runtime computed deterministically
-		for _, e := range rep.BenchEntries(cfg) {
-			bench.Add(e)
-		}
 	}
 
-	if *benchPath != "" {
-		if err := bench.WriteFile(*benchPath); err != nil {
-			fmt.Fprintf(os.Stderr, "galoisload: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "galoisload: wrote %s (%d entries)\n", *benchPath, len(bench.Entries))
-	}
 	if *reportPath != "" {
 		data, err := json.MarshalIndent(reports, "", "  ")
 		if err == nil {

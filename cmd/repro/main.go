@@ -9,7 +9,6 @@
 //	repro -fig 6 -threads 1,2,4,8     # explicit thread sweep
 //	repro -fig 7 -scale full          # the paper's input sizes (slow)
 //	repro -fig 7 -trace trace.json    # also dump a Chrome/Perfetto trace
-//	repro -bench-json BENCH.json      # emit the benchmark trajectory file
 //	repro -loop bfs/g-d,mis/g-d -reps 10 -threads 2 -cpuprofile cpu.pprof
 //	                                  # profile a hot loop (make profile-finegrain)
 //	repro -serve 15s -cpuprofile cpu.pprof -memprofile heap.pprof
@@ -36,7 +35,6 @@ import (
 
 	"galois"
 	"galois/internal/harness"
-	"galois/internal/obs"
 )
 
 func main() { os.Exit(run()) }
@@ -48,9 +46,6 @@ func run() int {
 	scale := flag.String("scale", "default", "input scale: small|default|full")
 	threadsFlag := flag.String("threads", "", "comma-separated thread counts (default: 1,2,4,...,GOMAXPROCS)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the traced runs to this file")
-	benchPath := flag.String("bench-json", "", "measure every app x scheduler once and write a benchmark-trajectory JSON to this file")
-	benchAllocs := flag.Bool("bench-allocs", false, "with -bench-json: also measure allocs/bytes per run, in both fresh and engine-reused modes")
-	benchSweep := flag.String("bench-sweep", "", "with -bench-json: comma-separated thread counts; additionally measure the deterministic variants at each count (the scaling axis of the trajectory)")
 	loop := flag.String("loop", "", "comma-separated app/variant cells (e.g. bfs/g-d,mis/g-d) to run -reps times each on the shared engine at the largest thread count, printing the median wall per cell; the workload to put under -cpuprofile")
 	reps := flag.Int("reps", 10, "with -loop: runs per cell")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of everything after input generation to this file")
@@ -65,8 +60,8 @@ func run() int {
 		}
 		return 0
 	}
-	if *fig == "" && *benchPath == "" && *loop == "" {
-		fmt.Fprintln(os.Stderr, "repro: -fig is required (4..12, 'all', 'window', 'ext') unless -bench-json, -loop or -serve is given")
+	if *fig == "" && *loop == "" {
+		fmt.Fprintln(os.Stderr, "repro: -fig is required (4..12, 'all', 'window', 'ext') unless -loop or -serve is given")
 		flag.Usage()
 		return 2
 	}
@@ -149,7 +144,7 @@ func run() int {
 
 	switch *fig {
 	case "":
-		// -bench-json only.
+		// -loop only.
 	case "ext":
 		if err := harness.Extensions(in, sweep[len(sweep)-1], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
@@ -185,47 +180,6 @@ func run() int {
 		}
 	}
 
-	if *benchPath != "" {
-		fmt.Fprintf(os.Stderr, "measuring benchmark trajectory (threads=%d, scale=%s)...\n", maxT, sc.Name)
-		var b *obs.Bench
-		if *benchAllocs {
-			// CollectBenchAllocs manages fresh/engine modes itself.
-			//detlint:ignore taintfp inputs carry harness timing state; bench fingerprints come from det receipts, not timings
-			b = harness.CollectBenchAllocs(in, maxT, sc.Name)
-		} else {
-			//detlint:ignore taintfp inputs carry harness timing state; bench fingerprints come from det receipts, not timings
-			b = harness.CollectBench(in, maxT, sc.Name)
-		}
-		if *benchSweep != "" {
-			var sweep []int
-			for _, part := range strings.Split(*benchSweep, ",") {
-				v, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil || v < 1 {
-					fmt.Fprintf(os.Stderr, "repro: bad -bench-sweep thread count %q\n", part)
-					return 2
-				}
-				sweep = append(sweep, v)
-			}
-			fmt.Fprintf(os.Stderr, "measuring deterministic thread sweep (threads=%v)...\n", sweep)
-			// Keys already measured above (the t1 deterministic cells when
-			// the sweep includes 1) keep their first measurement.
-			have := make(map[string]bool, len(b.Entries))
-			for _, e := range b.Entries {
-				have[e.Key()] = true
-			}
-			//detlint:ignore taintfp inputs carry harness timing state; bench fingerprints come from det receipts, not timings
-			for _, e := range harness.CollectBenchSweep(in, sweep, sc.Name).Entries {
-				if !have[e.Key()] {
-					b.Add(e)
-				}
-			}
-		}
-		if err := b.WriteFile(*benchPath); err != nil {
-			fmt.Fprintln(os.Stderr, "repro:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d entries to %s\n", len(b.Entries), *benchPath)
-	}
 	if tr != nil {
 		f, err := os.Create(*tracePath)
 		if err != nil {

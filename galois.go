@@ -107,13 +107,6 @@ func WithLocalityInterleave(on bool) Option {
 // sort of §3.2 — the third optimization of §3.3.
 func WithPreassignedIDs() Option { return func(o *core.Options) { o.PreassignedIDs = true } }
 
-// WithSerialCoordinator forces the deterministic scheduler's serial round
-// coordinator: gather, compaction and generation formation run on worker 0
-// between dedicated barriers instead of through the parallel scan-based
-// pipelines. Output is byte-identical either way; the flag exists as the
-// differential-testing oracle for that claim, not as a tuning knob.
-func WithSerialCoordinator() Option { return func(o *core.Options) { o.SerialCoordinator = true } }
-
 // WithWindow overrides the adaptive window policy's constants: the initial
 // window (0 = default n/64), the floor, and the commit-ratio target. These
 // affect performance only; for any fixed values the deterministic schedule

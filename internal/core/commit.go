@@ -16,8 +16,8 @@ type gatherLane[T any] struct {
 // in front of the untried remainder (failed tasks keep their priority).
 // Two pipelines produce the identical result:
 //
-//   - gather: the serial walk (the differential-testing oracle, and the
-//     pipeline of batched sub-parallel rounds);
+//   - gather: the serial walk (every round of a one-thread run, and the
+//     batched sub-parallel rounds of any run);
 //   - per-worker lanes: during the execute phase each worker appends its
 //     static range's failed tasks and children to its own lane, so the
 //     gather costs no extra phase and no extra barrier. Concatenating the
@@ -106,10 +106,9 @@ func (cc *commitCollector[T]) mergeProduced(nthreads int) []child[T] {
 	return cc.produced
 }
 
-// gather is the serial pipeline (a barrier callback: the oracle's round
-// close, or one batched sub-parallel round): harvest children, compact
-// failed tasks, and finish the round. It is the differential-testing
-// oracle the lane pipeline is compared against.
+// gather is the serial pipeline (inside a barrier callback: every round at
+// one thread, one batched sub-parallel round otherwise): harvest children,
+// compact failed tasks, and finish the round.
 //
 // The failed compaction is in place: cur and rest are adjacent views of
 // r.next, so moving the nf failed task pointers into next[w-nf:w] makes

@@ -10,9 +10,9 @@ import "galois/internal/psort"
 // ceil(n/w0) buckets (w0 = the initial window) and concatenates the
 // buckets. The permutation is a pure function of (n, w0): deterministic and
 // thread-independent. interleaveBuckets and interleaveSrc are its single
-// definition — the generation formation and the spec tests derive each
-// output slot from them, so there is exactly one copy of the permutation to
-// get right.
+// definition in the engine — generation formation derives each output slot
+// from them — and spec_test.go's interpreter deals the buckets out the
+// naive way to check it.
 
 // interleaveBuckets returns the bucket count of the interleave for n tasks
 // and initial window w0, or <= 1 when the interleave is the identity (the

@@ -4,9 +4,10 @@ import "galois/internal/obs"
 
 // emit forwards ev to the run's trace sink, if any. Structural scheduler
 // events (run, generation, round, window) are emitted only from serial
-// sections — before workers fork, after they join, or inside worker 0's
-// coordinator block between barriers — so the event sequence is a pure
-// function of the schedule and never perturbs it.
+// sections — before workers fork, after they join, or inside a barrier
+// callback, which the last worker to arrive runs while the others wait — so
+// the event sequence is a pure function of the schedule and never perturbs
+// it.
 func emit(sink obs.Sink, tid int, ev obs.Event) {
 	if sink != nil {
 		sink.Emit(tid, ev)
@@ -38,8 +39,7 @@ type coreMetrics struct {
 	// barrierParks/barrierWaitNS are para.Barrier's own counters for the
 	// run's waiters: waits that parked, and nanoseconds spent in waits slow
 	// enough to be timed. They depend on the machine and the moment, so
-	// they live here only — never in stats.Stats, a receipt or a BENCH
-	// column.
+	// they live here only — never in stats.Stats or a receipt.
 	barrierParks  *obs.Counter
 	barrierWaitNS *obs.Counter
 }

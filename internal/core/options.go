@@ -81,15 +81,6 @@ type Options struct {
 	// priorities clamp into [0, PriorityLevels).
 	PriorityLevels int
 
-	// SerialCoordinator forces the deterministic scheduler's
-	// pre-parallel-coordination round pipeline: serial gather and
-	// compaction on worker 0 between dedicated barriers, and serial
-	// generation formation (fill, interleave, id assignment). Output is
-	// byte-identical to the default parallel coordinator — the flag exists
-	// as the differential-testing oracle for that claim, not as a tuning
-	// knob.
-	SerialCoordinator bool
-
 	// Trace enables per-round statistics samples.
 	Trace bool
 

@@ -50,9 +50,9 @@ const serialSpan = 2
 //     return to the workers: the coordination callback drains the whole
 //     consecutive stretch of them inline (advance), so a batch of k serial
 //     rounds costs ONE crossing instead of k or 2k. The batch boundary —
-//     like every pipeline choice — is a pure function of (w, nthreads,
-//     opt), so batching cannot reach committed output; the window-policy
-//     sequence itself, which IS schedule-bearing, is untouched.
+//     like every pipeline choice — is a pure function of (w, nthreads), so
+//     batching cannot reach committed output; the window-policy sequence
+//     itself, which IS schedule-bearing, is untouched.
 //
 // All non-atomic fields are written only in serial sections: before the
 // workers fork or inside a WaitDo callback. The callbacks are pure
@@ -102,8 +102,8 @@ type roundExecutor[T any] struct {
 	cur  []*detTask[T]
 
 	// serialRound: this round runs entirely inside the coordination
-	// callback (w <= serialSpan*nthreads). A pure function of (w, nthreads,
-	// opt), never of the machine, so the pipeline choice is reproducible.
+	// callback (w <= serialSpan*nthreads). A pure function of (w, nthreads),
+	// never of the machine, so the pipeline choice is reproducible.
 	serialRound bool
 
 	win windowPolicy
@@ -195,17 +195,10 @@ func (r *roundExecutor[T]) contain(serial bool) {
 // function of p — its source index comes from interleaveSrc, its id is p+1
 // (0 means "unowned" in the marks protocol) — so the partition cannot
 // perturb the deterministic order (§3.2), and id assignment never enters a
-// serial section (the paper's Opt 3). Under the serial-coordinator oracle,
-// worker 0 runs the whole pass alone.
+// serial section (the paper's Opt 3).
 func (r *roundExecutor[T]) formGeneration(tid int) {
 	n := r.formN
 	lo, hi := para.BlockRange(n, r.nthreads, tid)
-	if r.opt.SerialCoordinator {
-		if tid != 0 {
-			return
-		}
-		lo, hi = 0, n
-	}
 	backing := r.arena.tasks[:n]
 	order := r.arena.order[:n]
 	items, children := r.formItems, r.formChildren
@@ -276,8 +269,7 @@ func (r *roundExecutor[T]) setupRound() {
 	r.round++
 	emit(r.sink, 0, obs.Event{Kind: obs.KindRoundStart, Gen: r.genIdx, Round: r.round,
 		Args: [4]int64{int64(w), int64(len(r.next) - w)}})
-	r.serialRound = !r.opt.SerialCoordinator &&
-		(r.nthreads == 1 || w <= serialSpan*r.nthreads)
+	r.serialRound = r.nthreads == 1 || w <= serialSpan*r.nthreads
 	r.epoch = r.clock.Next()
 	r.ts0 = obs.Nanotime()
 }
@@ -339,9 +331,6 @@ func (r *roundExecutor[T]) execRange(ctx *Ctx[T], tid, lo, hi int) {
 	children := lane.children
 	for _, t := range r.cur[lo:hi] {
 		r.execTask(ctx, t, tid)
-		if r.opt.SerialCoordinator {
-			continue // the oracle's serial gather walk harvests instead
-		}
 		if t.failed {
 			failed = append(failed, t)
 			continue
@@ -369,12 +358,8 @@ func (r *roundExecutor[T]) coordinate() {
 	}
 	r.barCrossings++
 	r.ts2 = obs.Nanotime()
-	if r.opt.SerialCoordinator {
-		r.cc.gather(r)
-	} else {
-		nf := r.cc.mergeFailed(r)
-		r.finishRound(r.w-nf, nf)
-	}
+	nf := r.cc.mergeFailed(r)
+	r.finishRound(r.w-nf, nf)
 	r.advance()
 }
 

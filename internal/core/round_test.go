@@ -53,43 +53,49 @@ func tracedOrderSensitive(t *testing.T, ntasks int, opt Options) (uint64, []stri
 	return fingerprintCells(cells), tr.CanonicalLines()
 }
 
+// sameRun fails the test unless a run's fingerprint and canonical event
+// sequence equal the reference's (the one-thread run, or a pinned list).
+func sameRun(t *testing.T, fp uint64, events []string, refFP uint64, refEvents []string) {
+	t.Helper()
+	if fp != refFP {
+		t.Fatalf("fingerprint %#x, reference %#x", fp, refFP)
+	}
+	if len(events) != len(refEvents) {
+		t.Fatalf("%d events %q, reference %d %q", len(events), events, len(refEvents), refEvents)
+	}
+	for i := range events {
+		if events[i] != refEvents[i] {
+			t.Fatalf("event %d = %q, reference %q", i, events[i], refEvents[i])
+		}
+	}
+}
+
 // TestParallelCoordinatorMatchesSerialOracle is the differential claim of
 // the fused round pipeline: for every pipeline mix — parallel rounds on
 // static owner-computes ranges with gather fused into execute, and batched
-// serial rounds drained inside one barrier callback — the default pipeline
-// commits a byte-identical fingerprint AND an identical canonical event
-// sequence to the serial worker-0 oracle, across thread counts and with
-// and without the continuation optimization.
+// serial rounds drained inside one barrier callback — the run commits a
+// byte-identical fingerprint AND an identical canonical event sequence to
+// the one-thread run, across thread counts and with and without the
+// continuation optimization. At one thread every round is a serialRound
+// (setupRound): serial formation, serial inspect and execute, the gather
+// walk — no lane, no merge, no second worker — so that run is the serial
+// pipeline, and spec_test.go checks it against Figure 2 written down
+// independently of the engine.
 func TestParallelCoordinatorMatchesSerialOracle(t *testing.T) {
 	const ntasks = 3000
 	for _, winInit := range []int{0, 4096} {
 		for _, cont := range []bool{true, false} {
-			// The oracle's output is thread-invariant (portability), so one
-			// serial-coordinator reference per configuration suffices.
-			refOpt := optsFor(Deterministic, 2, func(o *Options) {
-				o.Continuation = cont
-				o.WindowInit = winInit
-				o.SerialCoordinator = true
-			})
-			refFP, refEvents := tracedOrderSensitive(t, ntasks, refOpt)
+			optFor := func(threads int) Options {
+				return optsFor(Deterministic, threads, func(o *Options) {
+					o.Continuation = cont
+					o.WindowInit = winInit
+				})
+			}
+			refFP, refEvents := tracedOrderSensitive(t, ntasks, optFor(1))
 			for _, threads := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("win=%d/cont=%v/t%d", winInit, cont, threads), func(t *testing.T) {
-					opt := optsFor(Deterministic, threads, func(o *Options) {
-						o.Continuation = cont
-						o.WindowInit = winInit
-					})
-					fp, events := tracedOrderSensitive(t, ntasks, opt)
-					if fp != refFP {
-						t.Fatalf("fingerprint %#x, serial oracle %#x", fp, refFP)
-					}
-					if len(events) != len(refEvents) {
-						t.Fatalf("%d events, serial oracle %d", len(events), len(refEvents))
-					}
-					for i := range events {
-						if events[i] != refEvents[i] {
-							t.Fatalf("event %d = %q, serial oracle %q", i, events[i], refEvents[i])
-						}
-					}
+					fp, events := tracedOrderSensitive(t, ntasks, optFor(threads))
+					sameRun(t, fp, events, refFP, refEvents)
 				})
 			}
 		}
@@ -98,9 +104,9 @@ func TestParallelCoordinatorMatchesSerialOracle(t *testing.T) {
 
 // TestSerialFastPathPinnedEvents pins the exact canonical event sequence of
 // a run whose only round is sub-parallel (w <= nthreads, the serial fast
-// path), and checks the sequence is identical across thread counts and
-// under the serial-coordinator oracle — the fast path may skip the claim
-// counters and the scan, but not a single structural event.
+// path), and checks the sequence is identical across thread counts — the
+// fast path may skip the lanes and the merge, but not a single structural
+// event.
 func TestSerialFastPathPinnedEvents(t *testing.T) {
 	want := []string{
 		"run-start sched=1 items=2",
@@ -116,31 +122,18 @@ func TestSerialFastPathPinnedEvents(t *testing.T) {
 	}
 	var c1, c2 cell
 	for _, threads := range []int{1, 2, 4, 8} {
-		for _, serialCoord := range []bool{false, true} {
-			t.Run(fmt.Sprintf("t%d/oracle=%v", threads, serialCoord), func(t *testing.T) {
-				tr := obs.NewTrace(threads)
-				ForEach([]int{0, 1}, func(ctx *Ctx[int], i int) {
-					c := &c1
-					if i == 1 {
-						c = &c2
-					}
-					ctx.Acquire(&c.Lockable)
-					ctx.OnCommit(func(*Ctx[int]) { c.value++ })
-				}, optsFor(Deterministic, threads, func(o *Options) {
-					o.Sink = tr
-					o.SerialCoordinator = serialCoord
-				}))
-				got := tr.CanonicalLines()
-				if len(got) != len(want) {
-					t.Fatalf("event lines = %q, want %q", got, want)
+		t.Run(fmt.Sprintf("t%d", threads), func(t *testing.T) {
+			tr := obs.NewTrace(threads)
+			ForEach([]int{0, 1}, func(ctx *Ctx[int], i int) {
+				c := &c1
+				if i == 1 {
+					c = &c2
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("event %d = %q, want %q", i, got[i], want[i])
-					}
-				}
-			})
-		}
+				ctx.Acquire(&c.Lockable)
+				ctx.OnCommit(func(*Ctx[int]) { c.value++ })
+			}, optsFor(Deterministic, threads, func(o *Options) { o.Sink = tr }))
+			sameRun(t, 0, tr.CanonicalLines(), 0, want)
+		})
 	}
 }
 
@@ -150,16 +143,16 @@ func TestSerialFastPathPinnedEvents(t *testing.T) {
 // fall below serialSpan×nthreads, forcing the batched serial path to carry
 // essentially the whole run at every thread count — the deterministic
 // fallback when contention defeats parallelism. The run must commit the
-// same fingerprint and canonical event sequence as the unbatched serial
-// oracle, and the order-sensitive cell value pins that the one-commit
-// rounds happened in deterministic id order.
+// same fingerprint and canonical event sequence as the one-thread run; the
+// cell value is order-sensitive, so it pins the order of the one-commit
+// rounds.
 func TestForcedConflictSerialFallback(t *testing.T) {
 	const ntasks = 60
 	items := make([]int, ntasks)
 	for i := range items {
 		items[i] = i
 	}
-	run := func(threads int, serialCoord bool, cont bool) (uint64, []string) {
+	run := func(threads int, cont bool) (uint64, []string) {
 		var c cell
 		tr := obs.NewTrace(threads)
 		st := ForEach(items, func(ctx *Ctx[int], i int) {
@@ -168,7 +161,6 @@ func TestForcedConflictSerialFallback(t *testing.T) {
 		}, optsFor(Deterministic, threads, func(o *Options) {
 			o.Continuation = cont
 			o.Sink = tr
-			o.SerialCoordinator = serialCoord
 		}))
 		if st.Commits != ntasks {
 			t.Fatalf("commits = %d, want %d", st.Commits, ntasks)
@@ -179,21 +171,11 @@ func TestForcedConflictSerialFallback(t *testing.T) {
 		return c.value, tr.CanonicalLines()
 	}
 	for _, cont := range []bool{true, false} {
-		refFP, refEvents := run(2, true, cont)
+		refFP, refEvents := run(1, cont)
 		for _, threads := range []int{1, 2, 4, 8} {
 			t.Run(fmt.Sprintf("cont=%v/t%d", cont, threads), func(t *testing.T) {
-				fp, events := run(threads, false, cont)
-				if fp != refFP {
-					t.Fatalf("fingerprint %#x, serial oracle %#x", fp, refFP)
-				}
-				if len(events) != len(refEvents) {
-					t.Fatalf("%d events, serial oracle %d", len(events), len(refEvents))
-				}
-				for i := range events {
-					if events[i] != refEvents[i] {
-						t.Fatalf("event %d = %q, serial oracle %q", i, events[i], refEvents[i])
-					}
-				}
+				fp, events := run(threads, cont)
+				sameRun(t, fp, events, refFP, refEvents)
 			})
 		}
 	}

@@ -1,153 +1,232 @@
 package core
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
-	"galois/internal/marks"
 	"galois/internal/rng"
 )
 
-// specWorkload is a randomly generated fixed task set: task i touches
-// locs[i] (its whole neighborhood, read+write) and folds its id into every
-// location it owns when it commits.
-type specWorkload struct {
-	nlocs int
-	locs  [][]int
+// specTask is one task of a generated program: it reads and writes locs
+// (its whole neighborhood), folds tag into each of them when it commits,
+// and, while depth > 0, creates children that are a pure function of the
+// task. pre is the id its parent pre-assigned to it (read only under
+// PreassignedIDs; roots have none).
+type specTask struct {
+	tag   uint64
+	locs  []int
+	depth int
+	pre   uint64
 }
 
-func genWorkload(seed uint64) specWorkload {
+// specProgram is a randomly generated task set over nlocs locations; a
+// fixed task set is the depth == 0 case.
+type specProgram struct {
+	nlocs int
+	roots []specTask
+}
+
+func genProgram(seed uint64, depth int) specProgram {
 	r := rng.New(seed)
-	w := specWorkload{nlocs: 4 + r.Intn(40)}
-	ntasks := 1 + r.Intn(400)
-	w.locs = make([][]int, ntasks)
-	for i := range w.locs {
+	p := specProgram{nlocs: 4 + r.Intn(40)}
+	p.roots = make([]specTask, 1+r.Intn(400))
+	for i := range p.roots {
 		n := 1 + r.Intn(4)
 		seen := map[int]bool{}
-		for len(w.locs[i]) < n {
-			l := r.Intn(w.nlocs)
+		var locs []int
+		for len(locs) < n {
+			l := r.Intn(p.nlocs)
 			if !seen[l] {
 				seen[l] = true
-				w.locs[i] = append(w.locs[i], l)
+				locs = append(locs, l)
 			}
 		}
+		p.roots[i] = specTask{tag: uint64(i) + 1, locs: locs, depth: depth}
 	}
-	return w
+	return p
+}
+
+// childrenOf derives a task's children from the task alone: zero to two of
+// them, one to three locations each. Pre-assigned ids are drawn from four
+// values, so they tie between siblings and across parents all the time and
+// the (parent, k) tie-break decides most of the order.
+func childrenOf(nlocs int, t specTask) []specTask {
+	if t.depth == 0 {
+		return nil
+	}
+	var out []specTask
+	for k := 0; k < int(t.tag%3); k++ {
+		tag := t.tag*1000003 + uint64(k) + 1
+		var locs []int
+		for j := 0; j < 1+int(tag%3); j++ {
+			l := int((tag >> (8 * j)) % uint64(nlocs))
+			dup := false
+			for _, e := range locs {
+				dup = dup || e == l
+			}
+			if !dup {
+				locs = append(locs, l)
+			}
+		}
+		out = append(out, specTask{tag: tag, locs: locs, depth: t.depth - 1, pre: (tag >> 1) % 4})
+	}
+	return out
 }
 
 // interpret executes the DIG specification of Figure 2 directly and
-// sequentially: deterministic ids by position, windowed rounds, owner =
-// maximum id per location, commit iff the task owns its entire
-// neighborhood, failed tasks precede the untried remainder. It returns the
-// per-location fold values and the number of rounds.
-// Tasks may be pre-permuted (the locality interleave); `order` gives each
-// scheduling slot its original task index, whose value is folded, while the
-// scheduling id is the slot position — exactly the scheduler's labeling.
-func interpret(w specWorkload, order []int, opt Options) ([]uint64, int) {
-	values := make([]uint64, w.nlocs)
-	type task struct {
-		id   uint64 // scheduling priority (slot position)
-		tag  uint64 // folded value (original index + 1)
-		locs []int
+// sequentially, sharing nothing with the engine but the window policy:
+// each generation is dealt into windows (the §3.3 locality interleave, when
+// enabled), labelled with deterministic ids by position, and run in
+// windowed rounds — owner = maximum id per location, commit iff the task
+// owns its entire neighborhood, failed tasks precede the untried remainder.
+// The children of committed tasks, ordered by (parent id, creation index)
+// — led by the pre-assigned id under PreassignedIDs — form the next
+// generation. It returns the per-location fold values and the number of
+// rounds.
+func interpret(p specProgram, opt Options) ([]uint64, int) {
+	type sched struct {
+		id uint64 // scheduling priority: slot position in the generation
+		t  specTask
 	}
-	next := make([]*task, len(order))
-	for slot, orig := range order {
-		next[slot] = &task{id: uint64(slot) + 1, tag: uint64(orig) + 1, locs: w.locs[orig]}
+	type born struct {
+		pre, parent, k uint64
+		t              specTask
 	}
-	win := newWindowPolicy(len(next), opt)
+	values := make([]uint64, p.nlocs)
 	rounds := 0
-	for len(next) > 0 {
-		rounds++
-		p := win.next(len(next))
-		cur, rest := next[:p], next[p:]
-		// Interference resolution: max id per location.
-		owner := make([]uint64, w.nlocs)
-		for _, t := range cur {
-			for _, l := range t.locs {
-				if t.id > owner[l] {
-					owner[l] = t.id
+	gen := p.roots
+	for len(gen) > 0 {
+		win := newWindowPolicy(len(gen), opt)
+		if n, w0 := len(gen), win.size; opt.LocalityInterleave && n > 2 && w0 < n {
+			// Deal round-robin into ceil(n/w0) buckets and concatenate.
+			buckets := (n + w0 - 1) / w0
+			dealt := make([]specTask, 0, n)
+			for b := 0; b < buckets; b++ {
+				for src := b; src < n; src += buckets {
+					dealt = append(dealt, gen[src])
 				}
 			}
+			gen = dealt
 		}
-		var failed []*task
-		committed := 0
-		for _, t := range cur {
-			ownsAll := true
-			for _, l := range t.locs {
-				if owner[l] != t.id {
-					ownsAll = false
-					break
+		next := make([]*sched, len(gen))
+		for i := range gen {
+			next[i] = &sched{id: uint64(i) + 1, t: gen[i]}
+		}
+		var produced []born
+		for len(next) > 0 {
+			rounds++
+			w := win.next(len(next))
+			cur, rest := next[:w], next[w:]
+			// Interference resolution: max id per location.
+			owner := make([]uint64, p.nlocs)
+			for _, s := range cur {
+				for _, l := range s.t.locs {
+					if s.id > owner[l] {
+						owner[l] = s.id
+					}
 				}
 			}
-			if !ownsAll {
-				failed = append(failed, t)
-				continue
+			var failed []*sched
+			committed := 0
+			for _, s := range cur {
+				ownsAll := true
+				for _, l := range s.t.locs {
+					ownsAll = ownsAll && owner[l] == s.id
+				}
+				if !ownsAll {
+					failed = append(failed, s)
+					continue
+				}
+				committed++
+				for _, l := range s.t.locs {
+					values[l] = values[l]*31 + s.t.tag
+				}
+				for k, c := range childrenOf(p.nlocs, s.t) {
+					b := born{parent: s.id, k: uint64(k) + 1, t: c}
+					if opt.PreassignedIDs {
+						b.pre = c.pre
+					}
+					produced = append(produced, b)
+				}
 			}
-			committed++
-			for _, l := range t.locs {
-				values[l] = values[l]*31 + t.tag
-			}
+			win.update(w, committed)
+			next = append(failed, rest...)
 		}
-		win.update(p, committed)
-		next = append(failed, rest...)
+		sort.Slice(produced, func(i, j int) bool {
+			a, b := produced[i], produced[j]
+			if a.pre != b.pre {
+				return a.pre < b.pre
+			}
+			if a.parent != b.parent {
+				return a.parent < b.parent
+			}
+			return a.k < b.k
+		})
+		gen = make([]specTask, len(produced))
+		for i, b := range produced {
+			gen[i] = b.t
+		}
 	}
 	return values, rounds
 }
 
-// runScheduler executes the same workload on the real DIG scheduler.
-func runScheduler(w specWorkload, opt Options) ([]uint64, int) {
-	type cell struct {
-		marks.Lockable
-		value uint64
+// runScheduler executes the same program on the real DIG scheduler. A
+// task's first child is created before the failsafe point and the rest from
+// the commit closure, so creation indices continue across the two.
+func runScheduler(p specProgram, opt Options) ([]uint64, int) {
+	cells := make([]cell, p.nlocs)
+	push := func(ctx *Ctx[specTask], c specTask) {
+		if opt.PreassignedIDs {
+			ctx.PushWithID(c, c.pre)
+		} else {
+			ctx.Push(c)
+		}
 	}
-	cells := make([]*cell, w.nlocs)
-	for i := range cells {
-		cells[i] = &cell{}
-	}
-	items := make([]int, len(w.locs))
-	for i := range items {
-		items[i] = i
-	}
-	st := ForEach(items, func(ctx *Ctx[int], i int) {
-		id := uint64(i) + 1
-		for _, l := range w.locs[i] {
+	st := ForEach(p.roots, func(ctx *Ctx[specTask], tk specTask) {
+		for _, l := range tk.locs {
 			ctx.Acquire(&cells[l].Lockable)
 		}
-		ctx.OnCommit(func(*Ctx[int]) {
-			for _, l := range w.locs[i] {
-				cells[l].value = cells[l].value*31 + id
+		kids := childrenOf(p.nlocs, tk)
+		if len(kids) > 0 {
+			push(ctx, kids[0])
+			kids = kids[1:]
+		}
+		ctx.OnCommit(func(ctx *Ctx[specTask]) {
+			for _, l := range tk.locs {
+				cells[l].value = cells[l].value*31 + tk.tag
+			}
+			for _, c := range kids {
+				push(ctx, c)
 			}
 		})
 	}, opt)
-	values := make([]uint64, w.nlocs)
-	for i, c := range cells {
-		values[i] = c.value
+	values := make([]uint64, p.nlocs)
+	for i := range cells {
+		values[i] = cells[i].value
 	}
 	return values, int(st.Rounds)
 }
 
-// TestSchedulerMatchesSpecification checks, over random workloads, that the
-// parallel DIG implementation executes exactly the schedule the paper's
-// pseudocode defines — same commits per round, same per-location commit
-// orders, same round count — for both the continuation and baseline
-// schedulers at several thread counts.
-func TestSchedulerMatchesSpecification(t *testing.T) {
+// checkAgainstSpec checks, over random programs of the given depth, that
+// the parallel DIG implementation executes exactly the schedule the paper's
+// pseudocode defines — same commits per round, hence the same per-location
+// commit orders and the same round count — for both the continuation and
+// baseline schedulers at several thread counts. At one thread every round
+// takes the serial pipeline; WindowInit 4096 opens every generation with
+// one window over all of it, which at more threads is a parallel round
+// whose many failures come back through the per-worker lanes.
+func checkAgainstSpec(t *testing.T, depth, count int, configure func(*Options)) {
+	t.Helper()
 	property := func(seed uint64) bool {
-		w := genWorkload(seed)
-		opt := Defaults()
-		opt.Sched = Deterministic
-		opt.LocalityInterleave = false // spec interprets raw input order
-		order := make([]int, len(w.locs))
-		for i := range order {
-			order[i] = i
-		}
-		specVals, specRounds := interpret(w, order, opt)
-		for _, threads := range []int{1, 3, 8} {
+		p := genProgram(seed, depth)
+		opt := optsFor(Deterministic, 1, configure)
+		specVals, specRounds := interpret(p, opt)
+		for _, threads := range []int{1, 2, 3, 8} {
 			for _, cont := range []bool{true, false} {
-				o := opt
-				o.Threads = threads
-				o.Continuation = cont
-				got, rounds := runScheduler(w, o)
+				opt.Threads = threads
+				opt.Continuation = cont
+				got, rounds := runScheduler(p, opt)
 				if rounds != specRounds {
 					t.Logf("seed %d threads %d cont %v: rounds %d != spec %d",
 						seed, threads, cont, rounds, specRounds)
@@ -164,223 +243,36 @@ func TestSchedulerMatchesSpecification(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(property, &quick.Config{MaxCount: count}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSpecInterleaveStillDeterministic repeats the comparison with the
-// locality interleave enabled on both sides, using the same permutation the
-// scheduler applies.
+func TestSchedulerMatchesSpecification(t *testing.T) {
+	checkAgainstSpec(t, 0, 60, func(o *Options) { o.LocalityInterleave = false })
+}
+
+// TestSchedulerMatchesSpecificationWithInterleave repeats the comparison
+// with the locality interleave enabled on both sides.
 func TestSchedulerMatchesSpecificationWithInterleave(t *testing.T) {
-	property := func(seed uint64) bool {
-		w := genWorkload(seed)
-		opt := Defaults()
-		opt.Sched = Deterministic
-		opt.Threads = 4
-		// Apply the scheduler's interleave permutation to the spec's
-		// scheduling order; folded tags stay the original indices.
-		win := newWindowPolicy(len(w.locs), opt)
-		order := make([]int, len(w.locs))
-		for i := range order {
-			order[i] = i
-		}
-		order = interleavePermute(order, win.size)
-		specVals, specRounds := interpret(w, order, opt)
-		got, rounds := runScheduler(w, opt)
-		if rounds != specRounds {
-			return false
-		}
-		for l := range got {
-			if got[l] != specVals[l] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
+	checkAgainstSpec(t, 0, 40, func(*Options) {})
 }
 
 // TestSchedulerMatchesSpecificationWithChildren extends the conformance
-// check to dynamic task creation: committed tasks spawn children (a
-// deterministic function of the task), children are ordered by
-// (parent id, creation index) and form the next generation. The spec
-// interpreter and the scheduler must agree on every per-location fold.
+// check to dynamic task creation, two levels deep: with and without
+// pre-assigned ids, child generations interleaved or not, and from the
+// default window or one that starts wider than the generation.
 func TestSchedulerMatchesSpecificationWithChildren(t *testing.T) {
-	type specTask struct {
-		tag   uint64 // folded identity
-		locs  []int
-		depth int
-	}
-	// childrenOf derives children deterministically from a task.
-	childrenOf := func(w specWorkload, t specTask) []specTask {
-		if t.depth == 0 {
-			return nil
-		}
-		n := int(t.tag % 3)
-		var out []specTask
-		for k := 0; k < n; k++ {
-			tag := t.tag*1000003 + uint64(k) + 1
-			nl := 1 + int(tag%3)
-			var locs []int
-			for j := 0; j < nl; j++ {
-				l := int((tag >> (8 * j)) % uint64(w.nlocs))
-				dup := false
-				for _, e := range locs {
-					if e == l {
-						dup = true
-					}
-				}
-				if !dup {
-					locs = append(locs, l)
-				}
-			}
-			out = append(out, specTask{tag: tag, locs: locs, depth: t.depth - 1})
-		}
-		return out
-	}
-
-	interpretGen := func(w specWorkload, roots []specTask, opt Options) []uint64 {
-		values := make([]uint64, w.nlocs)
-		type st struct {
-			id uint64
-			t  specTask
-		}
-		gen := roots
-		for len(gen) > 0 {
-			next := make([]*st, len(gen))
-			for i := range gen {
-				next[i] = &st{id: uint64(i) + 1, t: gen[i]}
-			}
-			win := newWindowPolicy(len(next), opt)
-			type key struct {
-				parent, k uint64
-			}
-			var produced []specTask
-			var producedKeys []key
-			for len(next) > 0 {
-				p := win.next(len(next))
-				cur, rest := next[:p], next[p:]
-				owner := make([]uint64, w.nlocs)
-				for _, s := range cur {
-					for _, l := range s.t.locs {
-						if s.id > owner[l] {
-							owner[l] = s.id
-						}
-					}
-				}
-				var failed []*st
-				committed := 0
-				for _, s := range cur {
-					owns := true
-					for _, l := range s.t.locs {
-						if owner[l] != s.id {
-							owns = false
-							break
-						}
-					}
-					if !owns {
-						failed = append(failed, s)
-						continue
-					}
-					committed++
-					for _, l := range s.t.locs {
-						values[l] = values[l]*31 + s.t.tag
-					}
-					for k, c := range childrenOf(w, s.t) {
-						produced = append(produced, c)
-						producedKeys = append(producedKeys, key{parent: s.id, k: uint64(k) + 1})
-					}
-				}
-				win.update(p, committed)
-				next = append(failed, rest...)
-			}
-			// Sort children by (parent, k) — stable indices preserve
-			// the lexicographic order since keys are unique.
-			idx := make([]int, len(produced))
-			for i := range idx {
-				idx[i] = i
-			}
-			for i := 1; i < len(idx); i++ {
-				v := idx[i]
-				j := i - 1
-				for j >= 0 && (producedKeys[idx[j]].parent > producedKeys[v].parent ||
-					(producedKeys[idx[j]].parent == producedKeys[v].parent &&
-						producedKeys[idx[j]].k > producedKeys[v].k)) {
-					idx[j+1] = idx[j]
-					j--
-				}
-				idx[j+1] = v
-			}
-			// Fresh slice: gen aliases the caller's roots on the
-			// first generation and must not be overwritten.
-			gen = make([]specTask, 0, len(produced))
-			for _, i := range idx {
-				gen = append(gen, produced[i])
-			}
-		}
-		return values
-	}
-
-	runSched := func(w specWorkload, roots []specTask, opt Options) []uint64 {
-		type cell struct {
-			marks.Lockable
-			value uint64
-		}
-		cells := make([]*cell, w.nlocs)
-		for i := range cells {
-			cells[i] = &cell{}
-		}
-		ForEach(roots, func(ctx *Ctx[specTask], tk specTask) {
-			for _, l := range tk.locs {
-				ctx.Acquire(&cells[l].Lockable)
-			}
-			ctx.OnCommit(func(c *Ctx[specTask]) {
-				for _, l := range tk.locs {
-					cells[l].value = cells[l].value*31 + tk.tag
-				}
-				for _, ch := range childrenOf(w, tk) {
-					c.Push(ch)
-				}
-			})
-		}, opt)
-		values := make([]uint64, w.nlocs)
-		for i, c := range cells {
-			values[i] = c.value
-		}
-		return values
-	}
-
-	property := func(seed uint64) bool {
-		w := genWorkload(seed)
-		roots := make([]specTask, len(w.locs))
-		for i := range roots {
-			roots[i] = specTask{tag: uint64(i) + 1, locs: w.locs[i], depth: 2}
-		}
-		opt := Defaults()
-		opt.Sched = Deterministic
-		opt.LocalityInterleave = false
-		want := interpretGen(w, roots, opt)
-		for _, threads := range []int{1, 4} {
-			for _, cont := range []bool{true, false} {
-				o := opt
-				o.Threads = threads
-				o.Continuation = cont
-				got := runSched(w, roots, o)
-				for l := range got {
-					if got[l] != want[l] {
-						t.Logf("seed %d threads %d cont %v loc %d: %x != %x",
-							seed, threads, cont, l, got[l], want[l])
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name      string
+		configure func(*Options)
+	}{
+		{"push", func(o *Options) { o.LocalityInterleave = false }},
+		{"push/interleave", func(*Options) {}},
+		{"push/window4096", func(o *Options) { o.WindowInit = 4096 }},
+		{"preassigned", func(o *Options) { o.PreassignedIDs = true }},
+		{"preassigned/window4096", func(o *Options) { o.PreassignedIDs = true; o.WindowInit = 4096 }},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkAgainstSpec(t, 2, 20, c.configure) })
 	}
 }

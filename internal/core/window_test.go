@@ -125,8 +125,8 @@ func TestInterleavePermuteIsPermutation(t *testing.T) {
 // TestInterleaveSrcMatchesAppendReference checks the analytic inverse
 // against the obvious bucket construction: deal sources round-robin into
 // ceil(n/w0) buckets and concatenate. interleaveSrc must reproduce that
-// concatenation slot for slot — it is the single definition both the
-// parallel generation formation and the serial oracle derive from.
+// concatenation slot for slot — it is the single definition generation
+// formation derives from.
 func TestInterleaveSrcMatchesAppendReference(t *testing.T) {
 	for _, n := range []int{3, 4, 5, 17, 64, 100, 1000, 1023} {
 		for _, w0 := range []int{1, 2, 3, 4, 16, 63, 99, 999} {
@@ -150,14 +150,13 @@ func TestInterleaveSrcMatchesAppendReference(t *testing.T) {
 }
 
 // TestFormGenerationMatchesNaiveReference is the formation half of the
-// differential oracle. The serial-coordinator oracle forms generations with
-// the same fused pass as the parallel path (worker 0 runs it alone), so
-// comparing the two no longer cross-checks fill, interleave or id
+// differential claim. Every thread count forms generations with the same
+// fused pass, so comparing runs cannot cross-check fill, interleave or id
 // assignment; this test does, against a reference that shares no code with
 // formGeneration or interleaveSrc: deal the sources round-robin into
 // ceil(n/w0) buckets, concatenate, number the slots from 1. Every worker
-// count, both source kinds, with the oracle flag and without, over a
-// recycled arena that still holds the previous generation.
+// count, both source kinds, over a recycled arena that still holds the
+// previous generation.
 func TestFormGenerationMatchesNaiveReference(t *testing.T) {
 	st := &engState[int]{}
 	r := newRoundExecutor(st)
@@ -181,33 +180,30 @@ func TestFormGenerationMatchesNaiveReference(t *testing.T) {
 					children[i] = child[int]{item: 1000 + i, parent: 1, k: uint64(i + 1)}
 				}
 				for _, threads := range []int{1, 2, 3, 8} {
-					for _, serial := range []bool{false, true} {
-						for _, fromChildren := range []bool{false, true} {
-							r.opt = Defaults()
-							r.opt.WindowInit = w0
-							r.opt.WindowMin = 1
-							r.opt.LocalityInterleave = interleave
-							r.opt.SerialCoordinator = serial
-							r.nthreads = threads
-							r.formItems, r.formChildren, r.formN = items, nil, n
-							if fromChildren {
-								r.formItems, r.formChildren = nil, children
-							}
-							r.beginGeneration()
-							r.arena = st.free.take(n)
-							for tid := threads - 1; tid >= 0; tid-- {
-								r.formGeneration(tid)
-							}
-							for p := 0; p < n; p++ {
-								task := &r.arena.tasks[p]
-								if task.rec.ID() != uint64(p)+1 || r.arena.order[p] != task || task.item != ref[p] {
-									t.Fatalf("n=%d w0=%d interleave=%v threads=%d serial=%v children=%v slot %d: id %d item %d in order %v, want id %d item %d",
-										n, w0, interleave, threads, serial, fromChildren, p,
-										task.rec.ID(), task.item, r.arena.order[p] == task, p+1, ref[p])
-								}
-							}
-							st.free.put(r.arena)
+					for _, fromChildren := range []bool{false, true} {
+						r.opt = Defaults()
+						r.opt.WindowInit = w0
+						r.opt.WindowMin = 1
+						r.opt.LocalityInterleave = interleave
+						r.nthreads = threads
+						r.formItems, r.formChildren, r.formN = items, nil, n
+						if fromChildren {
+							r.formItems, r.formChildren = nil, children
 						}
+						r.beginGeneration()
+						r.arena = st.free.take(n)
+						for tid := threads - 1; tid >= 0; tid-- {
+							r.formGeneration(tid)
+						}
+						for p := 0; p < n; p++ {
+							task := &r.arena.tasks[p]
+							if task.rec.ID() != uint64(p)+1 || r.arena.order[p] != task || task.item != ref[p] {
+								t.Fatalf("n=%d w0=%d interleave=%v threads=%d children=%v slot %d: id %d item %d in order %v, want id %d item %d",
+									n, w0, interleave, threads, fromChildren, p,
+									task.rec.ID(), task.item, r.arena.order[p] == task, p+1, ref[p])
+							}
+						}
+						st.free.put(r.arena)
 					}
 				}
 			}
@@ -267,9 +263,9 @@ func TestSortChildrenPreassigned(t *testing.T) {
 	}
 }
 
-// interleavePermute applies the locality interleave out of place: the
-// reference form the spec and window tests use. The scheduler itself reads
-// interleaveSrc per output slot.
+// interleavePermute applies the locality interleave out of place, the form
+// the window tests use. The scheduler itself reads interleaveSrc per output
+// slot.
 func interleavePermute[S ~[]E, E any](tasks S, w0 int) S {
 	n := len(tasks)
 	buckets := interleaveBuckets(n, w0)

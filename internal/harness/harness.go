@@ -69,11 +69,6 @@ type Inputs struct {
 	// behavior; fingerprints are engine-invariant by construction (and
 	// tested to be).
 	Engine *galois.Engine
-	// SerialCoordinator, if set, runs every deterministic-variant run
-	// through the serial round-coordinator oracle
-	// (galois.WithSerialCoordinator). Differential tests compare its
-	// byte-identical output against the default parallel coordination.
-	SerialCoordinator bool
 }
 
 // MakeInputs generates all inputs for sc once, through the canonical
@@ -112,9 +107,6 @@ func (in *Inputs) galoisOpts(variant string, threads int, profile *cachesim.Trac
 		opts = append(opts, galois.WithSched(galois.Deterministic), galois.WithoutContinuation())
 	default:
 		panic("harness: not a galois variant: " + variant)
-	}
-	if in.SerialCoordinator && variant != "g-n" {
-		opts = append(opts, galois.WithSerialCoordinator())
 	}
 	if profile != nil {
 		opts = append(opts, galois.WithProfile(profile))

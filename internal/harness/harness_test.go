@@ -2,7 +2,13 @@ package harness
 
 import (
 	"encoding/json"
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
 	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -60,41 +66,105 @@ func TestDeterministicVariantsAgreeAcrossThreads(t *testing.T) {
 	}
 }
 
+// scheduleGolden holds one line per app × deterministic variant at small
+// scale: the output fingerprint and every schedule-bearing count of the
+// run. All but the last column are the same at every thread count; barrier
+// crossings depend on which rounds run in parallel, so there is one per
+// count. A change that moves a line has changed the schedule (or the
+// fingerprint), which is deliberate or a bug, never noise; -update rewrites
+// the file, and its diff is then the before/after schedule dump.
+const (
+	scheduleGolden = "testdata/schedule_small.golden"
+	scheduleHeader = "# app variant fingerprint commits aborts pushes inspects rounds window_sum barriers@t1,t2,t4,t8"
+)
+
+var update = flag.Bool("update", false, "rewrite "+scheduleGolden+" from this run")
+
+// scheduleCounts renders the thread-independent counts of a run.
+func scheduleCounts(st stats.Stats) string {
+	return fmt.Sprintf("%d %d %d %d %d %d", st.Commits, st.Aborts, st.Pushes, st.Inspects, st.Rounds, st.WindowSum)
+}
+
 // TestPortabilityThreadSweep is the paper's portability claim (§1, §5.1)
 // as an executable regression: under the DIG scheduler — with and without
 // the continuation optimization — every registered app commits a
-// byte-identical output fingerprint at 1, 2, 4 and 8 threads, and
-// attaching a trace sink (plus a metrics registry) leaves every one of
-// those fingerprints unchanged — observability is non-perturbing.
+// byte-identical output fingerprint and identical schedule counts at 1, 2,
+// 4 and 8 threads, attaching a trace sink (plus a metrics registry) leaves
+// every one of them unchanged — observability is non-perturbing — and the
+// whole line equals the committed one, so a schedule cannot move between
+// commits unnoticed either.
 func TestPortabilityThreadSweep(t *testing.T) {
+	// A run's workers are capped at GOMAXPROCS (core.RunOn); raise it so the
+	// 4- and 8-thread rows run 4 and 8 workers on any host and the barrier
+	// column does not depend on the machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	in := smallInputs()
 	threads := []int{1, 2, 4, 8}
+	// sweep runs one cell at every thread count and returns its golden line.
+	sweep := func(app, variant string) string {
+		var first Run
+		barriers := make([]string, len(threads))
+		for i, th := range threads {
+			r := in.RunOnce(app, variant, th, nil)
+			barriers[i] = strconv.FormatUint(r.Stats.Barriers, 10)
+			if i == 0 {
+				first = r
+				continue
+			}
+			if r.Fingerprint != first.Fingerprint {
+				t.Errorf("%s/%s: fingerprint %#x at %d threads, want %#x (as at %d threads)",
+					app, variant, r.Fingerprint, th, first.Fingerprint, threads[0])
+			}
+			if got, want := scheduleCounts(r.Stats), scheduleCounts(first.Stats); got != want {
+				t.Errorf("%s/%s: counts %q at %d threads, want %q (as at %d threads)",
+					app, variant, got, th, want, threads[0])
+			}
+		}
+		return fmt.Sprintf("%s %s %016x %s %s", app, variant,
+			first.Fingerprint, scheduleCounts(first.Stats), strings.Join(barriers, ","))
+	}
+
+	golden := map[string]string{} // "app variant" -> line
+	if data, err := os.ReadFile(scheduleGolden); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if f := strings.Fields(line); len(f) > 2 && f[0] != "#" {
+				golden[f[0]+" "+f[1]] = line
+			}
+		}
+	} else if !*update {
+		t.Fatal(err)
+	}
+
+	var lines []string
 	for _, app := range Apps {
 		for _, variant := range []string{"g-d", "g-dnc"} {
-			var want uint64
-			for i, th := range threads {
-				r := in.RunOnce(app, variant, th, nil)
-				if i == 0 {
-					want = r.Fingerprint
-					continue
-				}
-				if r.Fingerprint != want {
-					t.Errorf("%s/%s: fingerprint %#x at %d threads, want %#x (as at %d threads)",
-						app, variant, r.Fingerprint, th, want, threads[0])
-				}
-			}
-			// Traced runs must commit the identical fingerprint.
+			line := sweep(app, variant)
+			lines = append(lines, line)
+			// Traced runs must commit the identical line.
 			in.TraceSink = galois.NewTrace(8)
 			in.Metrics = galois.NewMetrics(8)
-			for _, th := range threads {
-				r := in.RunOnce(app, variant, th, nil)
-				if r.Fingerprint != want {
-					t.Errorf("%s/%s: traced fingerprint %#x at %d threads != untraced %#x — tracing perturbed the run",
-						app, variant, r.Fingerprint, th, want)
-				}
+			if traced := sweep(app, variant); traced != line {
+				t.Errorf("%s/%s: tracing perturbed the run:\n%s\ntraced   %s\nuntraced %s",
+					app, variant, scheduleHeader, traced, line)
 			}
 			in.TraceSink, in.Metrics = nil, nil
+			if want := golden[app+" "+variant]; want != line && !*update {
+				t.Errorf("%s/%s: schedule moved (go test ./internal/harness -run TestPortabilityThreadSweep -update, if meant):\n%s\ngot  %s\nwant %s",
+					app, variant, scheduleHeader, line, want)
+			}
+			delete(golden, app+" "+variant)
 		}
+	}
+	if *update {
+		sort.Strings(lines)
+		out := scheduleHeader + "\n" + strings.Join(lines, "\n") + "\n"
+		if err := os.WriteFile(scheduleGolden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for cell := range golden {
+		t.Errorf("%s names %q, which the sweep does not run", scheduleGolden, cell)
 	}
 }
 
@@ -142,56 +212,6 @@ func TestTraceEventSequenceThreadInvariant(t *testing.T) {
 					if got[i] != want[i] {
 						t.Errorf("%s/%s: event %d at %d threads = %q, want %q",
 							app, variant, i, th, got[i], want[i])
-						break
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParallelCoordinationMatchesSerialOracle is the differential claim of
-// the fused round pipeline at application level: for every app,
-// deterministic variant and thread count, the default pipeline (parallel
-// generation formation, static owner-computes ranges, gather fused into
-// the execute phase, and serial round batching — small rounds drained
-// inside one barrier callback) commits a byte-identical fingerprint AND an
-// identical canonical event sequence to the serial worker-0 oracle, which
-// runs every round unbatched through the plain inspect/execute/gather
-// sequence. Because the oracle never batches, this is also the
-// round-batching determinism suite: batched and unbatched execution must
-// be observationally identical at every thread count.
-func TestParallelCoordinationMatchesSerialOracle(t *testing.T) {
-	in := smallInputs()
-	oracle := smallInputs()
-	oracle.SerialCoordinator = true
-	for _, app := range Apps {
-		for _, variant := range []string{"g-d", "g-dnc"} {
-			for _, th := range []int{1, 2, 4, 8} {
-				tr := galois.NewTrace(th)
-				in.TraceSink = tr
-				got := in.RunOnce(app, variant, th, nil)
-				in.TraceSink = nil
-
-				otr := galois.NewTrace(th)
-				oracle.TraceSink = otr
-				want := oracle.RunOnce(app, variant, th, nil)
-				oracle.TraceSink = nil
-
-				if got.Fingerprint != want.Fingerprint {
-					t.Errorf("%s/%s t%d: fingerprint %#x, serial oracle %#x",
-						app, variant, th, got.Fingerprint, want.Fingerprint)
-					continue
-				}
-				gl, wl := tr.CanonicalLines(), otr.CanonicalLines()
-				if len(gl) != len(wl) {
-					t.Errorf("%s/%s t%d: %d events, serial oracle %d", app, variant, th, len(gl), len(wl))
-					continue
-				}
-				for i := range gl {
-					if gl[i] != wl[i] {
-						t.Errorf("%s/%s t%d: event %d = %q, serial oracle %q",
-							app, variant, th, i, gl[i], wl[i])
 						break
 					}
 				}
@@ -292,27 +312,6 @@ func TestWindowTraceRenders(t *testing.T) {
 	}
 }
 
-func TestBenchEntryFromRun(t *testing.T) {
-	in := smallInputs()
-	r := in.RunOnce("mis", "g-d", 2, nil)
-	e := BenchEntry(r, "small")
-	if e.App != "mis" || e.Sched != "det" || e.Threads != 2 || e.Scale != "small" {
-		t.Fatalf("entry = %+v", e)
-	}
-	if e.Commits == 0 || e.Rounds == 0 || e.WallNS <= 0 {
-		t.Fatalf("entry missing measurements: %+v", e)
-	}
-	if e.CommitRatio <= 0 || e.CommitRatio > 1 {
-		t.Fatalf("commit ratio out of range: %v", e.CommitRatio)
-	}
-	if len(e.Fingerprint) != 16 {
-		t.Fatalf("fingerprint not 16 hex chars: %q", e.Fingerprint)
-	}
-	if variantSched("g-n") != "nondet" || variantSched("seq") != "seq" || variantSched("pbbs") != "pbbs" {
-		t.Fatal("variant→sched mapping changed")
-	}
-}
-
 func TestExtensionsRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extensions comparison is slow")
@@ -371,6 +370,20 @@ func TestEngineReuseFingerprints(t *testing.T) {
 	}
 }
 
+// measureAllocs runs fn reps times and returns its mean heap objects
+// allocated per run, from runtime.ReadMemStats deltas. Mallocs is cumulative
+// and GC-independent, so the measurement needs no GC coordination; it does
+// assume no unrelated goroutines are allocating.
+func measureAllocs(reps int, fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(reps)
+}
+
 // TestEngineSteadyStateAllocs checks the allocation payoff end-to-end, on a
 // warm engine-reused deterministic run of a real app, with two bounds taken
 // from the run's own counters.
@@ -417,13 +430,13 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	for _, app := range []string{"bfs", "mis"} {
 		in.Engine = nil
 		in.RunOnce(app, "g-d", 2, nil) // warm app-side caches
-		freshAllocs, _ := MeasureAllocs(3, func() { in.RunOnce(app, "g-d", 2, nil) })
+		freshAllocs := measureAllocs(3, func() { in.RunOnce(app, "g-d", 2, nil) })
 
 		eng := galois.NewEngine(galois.WithThreads(2))
 		in.Engine = eng
 		in.RunOnce(app, "g-d", 2, nil) // warm the engine
 		st := in.RunOnce(app, "g-d", 2, nil).Stats
-		engineAllocs, _ := MeasureAllocs(3, func() { in.RunOnce(app, "g-d", 2, nil) })
+		engineAllocs := measureAllocs(3, func() { in.RunOnce(app, "g-d", 2, nil) })
 		eng.Close()
 		in.Engine = nil
 
@@ -451,7 +464,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 				root := dmr.MakeInput(in.dmrPts, in.sc.Seed+4) // refined in place: one per run, not measured
 				job = func() { st = dmr.Galois(root, dmr.DefaultQuality(), opts...).Stats }
 			}
-			allocs, _ = MeasureAllocs(1, job)
+			allocs = measureAllocs(1, job)
 			return allocs, st
 		}
 		run() // warm the engine
@@ -477,7 +490,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // publishing para.Barrier's wait counters (metrics attached or not) may not
 // move the canonical event sequence either. Those counters depend on the
 // machine and the moment, so they are bounded here, not pinned, and must
-// never surface in the Stats JSON a receipt or a BENCH entry is built from.
+// never surface in the Stats JSON a receipt is built from.
 func TestBarrierAndPhaseCountersConsistent(t *testing.T) {
 	in := smallInputs()
 	for _, app := range []string{"bfs", "mis"} {

@@ -11,8 +11,8 @@ import (
 
 // fingerprintRef is Fingerprint as first written — a Sprintf'd string per
 // triangle, string-sorted — kept verbatim as the definition of the value:
-// galoisbench's goldens, every BENCH file and every cached receipt pin it,
-// so the bytes hashed may never move.
+// galoisbench's goldens, the harness's schedule golden and every cached
+// receipt pin it, so the bytes hashed may never move.
 func fingerprintRef(root *Element, excludeSuper bool) uint64 {
 	var keys []string
 	for _, e := range Triangles(root) {

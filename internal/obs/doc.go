@@ -1,7 +1,6 @@
 // Package obs is the observability layer for the schedulers: a trace sink
-// fed at round and generation boundaries, a metrics registry of counters
-// and fixed-bucket histograms, and a benchmark emitter that serializes
-// harness runs into a diffable JSON trajectory.
+// fed at round and generation boundaries, and a metrics registry of
+// counters and fixed-bucket histograms.
 //
 // The load-bearing invariant is that observation never perturbs the
 // schedule. Determinism is what makes deep tracing trustworthy — a
@@ -13,7 +12,7 @@
 //     excluded from the canonical event encoding that tests compare.
 //   - Under the DIG scheduler every structural event (round start/end,
 //     window decision, generation sort, suspend/resume aggregates) is
-//     emitted from the serial coordinator section between barriers, so the
+//     emitted from a serial section inside a barrier callback, so the
 //     event sequence is a pure function of the schedule — identical for
 //     every thread count, which TestTraceEventSequenceThreadInvariant
 //     checks as a golden property.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -195,82 +194,5 @@ func TestPublishStats(t *testing.T) {
 	PublishStats(r, stats.Stats{Commits: 1})
 	if r.Counter("run.commits").Value() != 11 {
 		t.Fatal("counters did not accumulate across runs")
-	}
-}
-
-func TestBenchRoundTrip(t *testing.T) {
-	b := NewBench()
-	b.Add(BenchEntry{App: "mis", Variant: "g-d", Sched: "det", Threads: 4, Scale: "small",
-		WallNS: 12345, Commits: 100, Rounds: 7, CommitRatio: 0.9, Fingerprint: "00deadbeef"})
-	b.Add(BenchEntry{App: "bfs", Variant: "g-n", Sched: "nondet", Threads: 4, Scale: "small",
-		WallNS: 999, Commits: 50, CommitRatio: 1, Fingerprint: "01"})
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := b.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Entries) != 2 {
-		t.Fatalf("entries = %d", len(got.Entries))
-	}
-	// WriteFile sorts: bfs before mis.
-	if got.Entries[0].App != "bfs" || got.Entries[1].App != "mis" {
-		t.Fatalf("not sorted: %+v", got.Entries)
-	}
-	if got.Entries[1].Rounds != 7 || got.Entries[1].Fingerprint != "00deadbeef" {
-		t.Fatalf("fields lost: %+v", got.Entries[1])
-	}
-
-	if _, err := ReadBenchFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestFillScalingEfficiency(t *testing.T) {
-	det := func(threads int, wall int64) BenchEntry {
-		return BenchEntry{App: "bfs", Variant: "g-d", Sched: "det",
-			Threads: threads, Scale: "small", WallNS: wall}
-	}
-	b := NewBench()
-	b.Add(det(1, 800))
-	b.Add(det(2, 400)) // perfect: 800/(2*400) = 1.0
-	b.Add(det(4, 400)) // half:    800/(4*400) = 0.5
-	serve := det(4, 100)
-	serve.Mode = "serve"
-	b.Add(serve) // different mode -> different family, no t1 sibling
-	other := BenchEntry{App: "mis", Variant: "g-d", Sched: "det",
-		Threads: 8, Scale: "small", WallNS: 100}
-	b.Add(other) // no t1 sibling at all
-	b.FillScalingEfficiency()
-	if got := b.Entries[0].ScalingEfficiency; got != 0 {
-		t.Fatalf("t1 entry got efficiency %v", got)
-	}
-	if got := b.Entries[1].ScalingEfficiency; got != 1.0 {
-		t.Fatalf("t2 efficiency = %v, want 1.0", got)
-	}
-	if got := b.Entries[2].ScalingEfficiency; got != 0.5 {
-		t.Fatalf("t4 efficiency = %v, want 0.5", got)
-	}
-	if got := b.Entries[3].ScalingEfficiency; got != 0 {
-		t.Fatalf("serve-mode entry matched an in-process sibling: %v", got)
-	}
-	if got := b.Entries[4].ScalingEfficiency; got != 0 {
-		t.Fatalf("siblingless entry got efficiency %v", got)
-	}
-	// WriteFile derives the column itself, so emitters cannot forget it.
-	path := filepath.Join(t.TempDir(), "BENCH_eff.json")
-	if err := b.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range got.Entries {
-		if e.App == "bfs" && e.Mode == "" && e.Threads == 4 && e.ScalingEfficiency != 0.5 {
-			t.Fatalf("round-tripped efficiency = %v", e.ScalingEfficiency)
-		}
 	}
 }

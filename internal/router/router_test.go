@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -429,17 +428,16 @@ func TestRouterObservability(t *testing.T) {
 	}
 }
 
-// TestClusterLoadBenchEntries drives serve.RunLoad through a 2-backend
-// cluster: the per-seed fingerprint policing inside RunLoad becomes a
-// cross-backend determinism check (requests for one seed land on whichever
-// backends round-robin picks), and the resulting bench entries carry Mode
-// "serve-cluster" keyed by backend count and policy.
-func TestClusterLoadBenchEntries(t *testing.T) {
+// TestClusterLoadAgreesAcrossBackends drives serve.RunLoad through a
+// 2-backend cluster: the per-seed fingerprint policing inside RunLoad
+// becomes a cross-backend determinism check (requests for one seed land on
+// whichever backends round-robin picks), every cell ends with exactly one
+// fingerprint, and both backends served work.
+func TestClusterLoadAgreesAcrossBackends(t *testing.T) {
 	cl := newCluster(t, 2, "round-robin", Config{})
 	cfg := serve.LoadConfig{
 		Kinds: []string{"bfs", "sssp"}, Variants: []string{"g-d"},
 		Clients: 4, PerClient: 4, Scale: "small", Seed: 42, Threads: 1,
-		ClusterBackends: 2, ClusterPolicy: "round-robin",
 	}
 	rep, err := serve.RunLoad(context.Background(), cl.client, cfg)
 	if err != nil {
@@ -451,19 +449,12 @@ func TestClusterLoadBenchEntries(t *testing.T) {
 	if len(rep.Mismatches) > 0 {
 		t.Fatalf("cross-backend determinism violations: %v", rep.Mismatches)
 	}
-	entries := rep.BenchEntries(cfg)
-	if len(entries) != 2 {
-		t.Fatalf("bench entries = %d, want 2 cells", len(entries))
+	if len(rep.Cells) != 2 {
+		t.Fatalf("cells = %d, want 2", len(rep.Cells))
 	}
-	for _, e := range entries {
-		if e.Mode != "serve-cluster" || e.Backends != 2 || e.Policy != "round-robin" {
-			t.Fatalf("entry not labeled serve-cluster/b2/round-robin: %+v", e)
-		}
-		if e.Fingerprint == "" {
-			t.Fatalf("cluster entry lost its fingerprint: %+v", e)
-		}
-		if key := e.Key(); !strings.Contains(key, "/b2/round-robin") {
-			t.Fatalf("key %q does not carry backends+policy", key)
+	for _, cs := range rep.Cells {
+		if len(cs.Fingerprints) != 1 || cs.Fingerprints[0] == "" {
+			t.Fatalf("cluster cell lost its fingerprint: %+v", cs)
 		}
 	}
 	// Both backends actually served work — the cluster was exercised, not

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"galois/internal/obs"
 	"galois/internal/rng"
 )
 
@@ -45,17 +44,6 @@ type LoadConfig struct {
 	// (default 8).
 	ZipfS    float64
 	HotSpecs int
-
-	// ClusterBackends and ClusterPolicy label a run whose Client points at
-	// a galoisrouter instead of a single galoisd: the backend count and
-	// routing policy of the cluster behind it. They only affect reporting
-	// (bench entries become Mode "serve-cluster", keyed by both) — the
-	// load loop itself is identical, which is the point: the cluster is
-	// API-compatible with one backend, and the per-seed fingerprint
-	// policing in RunLoad then checks determinism *across backends*, since
-	// requests for one seed land on whichever backends the policy picks.
-	ClusterBackends int
-	ClusterPolicy   string
 }
 
 // CellStat aggregates one (kind, variant) cell of a load run.
@@ -362,68 +350,4 @@ func RunLoad(ctx context.Context, c *Client, cfg LoadConfig) (*Report, error) {
 		rep.Cells = append(rep.Cells, cs)
 	}
 	return rep, nil
-}
-
-// BenchEntries converts a load report into benchmark-trajectory entries
-// with Mode "serve" (or "serve-mix" under the repeat-rate knob,
-// "serve-cluster" when driven through a galoisrouter): wall_ns
-// is the median end-to-end request latency of the cell under this report's
-// client concurrency, cache_hit_permille records how much of that latency
-// was lookup-speed cache service, and the fingerprint column carries the
-// same determinism contract as every other mode — a det-cell fingerprint
-// must match the in-process trajectory entries for the same (app, variant,
-// threads, scale).
-func (rep *Report) BenchEntries(cfg LoadConfig) []obs.BenchEntry {
-	mode := "serve"
-	repeatPermille := 0
-	if cfg.Mix {
-		mode = "serve-mix"
-		repeatPermille = int(cfg.RepeatRate*1000 + 0.5)
-	}
-	if cfg.ClusterBackends > 0 {
-		// Routed through a galoisrouter: latency is a property of the
-		// (backend count, policy) pair, so both join the key. Fingerprints
-		// stay in the cross-mode pool — routing is behavior-free, and
-		// benchdiff checking serve-cluster fingerprints against serve and
-		// in-process entries is exactly the portability claim.
-		mode = "serve-cluster"
-	}
-	var out []obs.BenchEntry
-	for _, cs := range rep.Cells {
-		if cs.Requests == 0 {
-			continue
-		}
-		sched := "det"
-		if cs.Variant == "g-n" {
-			sched = "nondet"
-		}
-		fp := ""
-		if len(cs.Fingerprints) == 1 {
-			fp = cs.Fingerprints[0]
-		}
-		commits, aborts := cs.Commits, cs.Aborts
-		ratio := 0.0
-		if commits+aborts > 0 {
-			ratio = float64(commits) / float64(commits+aborts)
-		}
-		threads := cfg.Threads
-		if threads <= 0 {
-			threads = 1
-		}
-		out = append(out, obs.BenchEntry{
-			App: cs.Kind, Variant: cs.Variant, Sched: sched,
-			Threads: threads, Scale: cfg.Scale,
-			WallNS:  cs.MedianNS,
-			Commits: commits, Aborts: aborts, Rounds: cs.Rounds,
-			CommitRatio:      ratio,
-			Fingerprint:      fp,
-			Mode:             mode,
-			Clients:          rep.Clients,
-			CacheHitPermille: cs.CacheHits * 1000 / cs.Requests,
-			RepeatPermille:   repeatPermille,
-			Backends:         cfg.ClusterBackends,
-			Policy:           cfg.ClusterPolicy,
-		})
-	}
-	return out
 }

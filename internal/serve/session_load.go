@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"galois/internal/obs"
 	"galois/internal/rng"
 	"galois/internal/session"
 )
@@ -22,7 +21,7 @@ import (
 // workload is deterministic: the lowest-indexed client of each kind
 // produces a canonical batch sequence whose final chain hash is
 // comparable across runs, machines and thread counts, and is reported as
-// the kind's bench fingerprint.
+// the kind's FinalChain.
 type SessionLoadConfig struct {
 	Kinds   []string // session kinds (default: dmr, sssp registration order)
 	Variant string   // g-d (default) or g-dnc
@@ -259,43 +258,4 @@ func createSessionRetry(ctx context.Context, c *Client, is session.InitSpec, acc
 		}
 		return si, nil
 	}
-}
-
-// BenchEntries converts a session load report into Mode "serve-session"
-// trajectory entries: wall_ns is median end-to-end batch latency, the
-// fingerprint column carries the canonical client's final chain hash, and
-// chain_len joins the key — chains are only comparable at equal length.
-// benchdiff treats fingerprint drift on a matched key as a hard failure,
-// exactly like det receipts.
-func (rep *SessionReport) BenchEntries(cfg SessionLoadConfig) []obs.BenchEntry {
-	variant := cfg.Variant
-	if variant == "" {
-		variant = "g-d"
-	}
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = 1
-	}
-	var out []obs.BenchEntry
-	for _, cs := range rep.Cells {
-		if cs.Sessions == 0 || cs.FinalChain == "" {
-			continue
-		}
-		ratio := 0.0
-		if cs.Commits+cs.Aborts > 0 {
-			ratio = float64(cs.Commits) / float64(cs.Commits+cs.Aborts)
-		}
-		out = append(out, obs.BenchEntry{
-			App: cs.Kind, Variant: variant, Sched: "det",
-			Threads: threads, Scale: cfg.Scale,
-			WallNS:  cs.MedianNS,
-			Commits: cs.Commits, Aborts: cs.Aborts, Rounds: cs.Rounds,
-			CommitRatio: ratio,
-			Fingerprint: cs.FinalChain,
-			Mode:        "serve-session",
-			Clients:     rep.Sessions,
-			ChainLen:    cs.ChainLen,
-		})
-	}
-	return out
 }
