@@ -13,19 +13,16 @@
 //	-run list      comma-separated rule subset to run (e.g. failsafe,taintfp)
 //	-json          write findings to stdout as a JSON array instead of text
 //	-json-out f    write the JSON array to f and keep text on stdout
-//	-nocache       disable the per-package findings cache (.cache/detlint)
 //
 // Patterns follow the go tool ("./...", "internal/core"); the default is
 // "./..." from the enclosing module root. Findings print one per line as
 //
 //	file:line: [rule] message
 //
-// and any finding makes the exit status 1. Results are cached per package
-// under <modroot>/.cache/detlint, keyed by the content of every source
-// file in the package's module-internal import closure, so repeat runs
-// re-analyze only what changed. See DESIGN.md, "Determinism hazards and
-// how we check them" and "Effect analysis and the failsafe theorem", for
-// the rule catalogue and the //detlint:ignore suppression syntax.
+// and any finding makes the exit status 1. See DESIGN.md, "Determinism
+// hazards and how we check them" and "Effect analysis and the failsafe
+// theorem", for the rule catalogue and the //detlint:ignore suppression
+// syntax.
 package main
 
 import (
@@ -45,7 +42,6 @@ func main() {
 	runRules := flag.String("run", "", "comma-separated subset of rules to run (default: all)")
 	jsonOut := flag.Bool("json", false, "write findings to stdout as JSON instead of text")
 	jsonPath := flag.String("json-out", "", "also write findings as JSON to this file")
-	noCache := flag.Bool("nocache", false, "disable the per-package findings cache")
 	flag.Parse()
 
 	if *showRules {
@@ -60,7 +56,6 @@ func main() {
 		runRules:   *runRules,
 		jsonStdout: *jsonOut,
 		jsonPath:   *jsonPath,
-		noCache:    *noCache,
 		patterns:   flag.Args(),
 	})
 	if err != nil {
@@ -78,7 +73,6 @@ type options struct {
 	runRules   string
 	jsonStdout bool
 	jsonPath   string
-	noCache    bool
 	patterns   []string
 }
 
@@ -134,16 +128,13 @@ func run(opts options) (int, error) {
 		return 0, err
 	}
 
-	var cache *lint.Cache
-	if !opts.noCache {
-		// A cache that cannot be opened (read-only checkout, say) is not
-		// worth failing the run over; analysis just goes uncached.
-		cache, _ = lint.OpenCache(filepath.Join(modRoot, ".cache", "detlint"), cfg)
-	}
-	findings, _, err := lint.RunCached(cfg, loader, cache, patterns...)
+	pkgs, err := loader.Match(patterns...)
 	if err != nil {
 		return 0, err
 	}
+	// The world is everything the loader pulled in, so cross-package
+	// summaries resolve.
+	findings := lint.RunProgram(cfg, pkgs, loader.Loaded())
 
 	records := make([]jsonFinding, 0, len(findings))
 	for _, f := range findings {
@@ -177,8 +168,6 @@ func run(opts options) (int, error) {
 		}
 	}
 
-	// Cache hits skip loading entirely, so type errors only surface for
-	// freshly analyzed packages.
 	for _, p := range loader.Loaded() {
 		for _, terr := range p.TypeErrors {
 			fmt.Fprintf(os.Stderr, "detlint: note: %s: %v\n", p.Path, terr)

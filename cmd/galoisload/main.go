@@ -6,7 +6,6 @@
 //
 //	galoisload -addr localhost:8090 -clients 1,8 -n 3 -verify 3
 //	galoisload -inprocess -scale small -report serve-load.json
-//	galoisload -inprocess -repeat-rate 0,0.5,0.9 -n 30
 //	galoisload -inprocess -sessions 4 -batches 3
 //	galoisload -targets localhost:8091,localhost:8092 -policy least-loaded
 //	galoisload -router localhost:8090 -clients 8 -verify 5
@@ -24,12 +23,6 @@
 // create a session, drive -batches chained mutation batches from a
 // per-client partitioned seeded stream, and audit the resulting receipt
 // chain through POST /sessions/{id}/verify.
-//
-// -repeat-rate switches to a workload mix that sweeps galoisd's result
-// cache: each request draws (from a partitioned seeded stream) either a
-// hot spec from a zipf-distributed hot set (-zipf-s, -hot-specs) with the
-// given probability, or a never-repeated cold spec; the printed cache-hit
-// counts beside the latencies trace the hit-rate → latency curve.
 //
 // Exit status is 1 if any cell observed more than one fingerprint, any
 // receipt failed verification, or any request errored.
@@ -67,29 +60,12 @@ func main() {
 	timeoutMS := flag.Int64("timeout-ms", 0, "per-job deadline in ms (0 = server default)")
 	verifyN := flag.Int("verify", 0, "re-verify up to N receipts per level through POST /verify")
 	reportPath := flag.String("report", "", "write the full load reports as JSON to this file")
-	repeatFlag := flag.String("repeat-rate", "", "comma-separated repeat rates in [0,1]: each rate runs a zipf hot-set workload mix sweeping the result-cache hit rate (empty = legacy fixed-spec workload)")
-	zipfS := flag.Float64("zipf-s", 1.1, "zipf exponent of the hot-spec popularity distribution (with -repeat-rate)")
-	hotSpecs := flag.Int("hot-specs", 8, "hot seeds per cell for the repeat mix (with -repeat-rate)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result-cache and input-cache byte budget of the -inprocess server (0 disables result caching)")
 	sessionsN := flag.Int("sessions", 0, "run a stateful-session phase with N concurrent session clients (0 disables)")
 	batchesN := flag.Int("batches", 3, "chained mutation batches per session (with -sessions)")
 	sessionKinds := flag.String("session-kinds", "", "comma-separated session kinds (default: every kind the server registers)")
 	sessionVariant := flag.String("session-variant", "g-d", "session scheduler variant: g-d|g-dnc")
 	flag.Parse()
-
-	var repeatRates []float64
-	mix := *repeatFlag != ""
-	for _, s := range splitCSV(*repeatFlag) {
-		r, err := strconv.ParseFloat(s, 64)
-		if err != nil || r < 0 || r > 1 {
-			fmt.Fprintf(os.Stderr, "galoisload: bad -repeat-rate entry %q\n", s)
-			os.Exit(2)
-		}
-		repeatRates = append(repeatRates, r)
-	}
-	if !mix {
-		repeatRates = []float64{0} // one legacy pass per level
-	}
 
 	ctx := context.Background()
 	// clusterBackends/clusterPolicy label the report lines of runs driven
@@ -167,79 +143,73 @@ func main() {
 	failed := false
 	var reports []*serve.Report
 	for _, clients := range levels {
-		for _, rate := range repeatRates {
-			cfg := serve.LoadConfig{
-				Kinds: kinds, Variants: variants,
-				Clients: clients, PerClient: *perClient,
-				Scale: *scale, Seed: *seed, Threads: *threads, TimeoutMS: *timeoutMS,
-				Mix: mix, RepeatRate: rate, ZipfS: *zipfS, HotSpecs: *hotSpecs,
+		cfg := serve.LoadConfig{
+			Kinds: kinds, Variants: variants,
+			Clients: clients, PerClient: *perClient,
+			Scale: *scale, Seed: *seed, Threads: *threads, TimeoutMS: *timeoutMS,
+		}
+		start := time.Now()
+		rep, err := serve.RunLoad(ctx, c, cfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "galoisload: %v\n", err)
+			os.Exit(1)
+		}
+		reports = append(reports, rep)
+		label := ""
+		if clusterBackends > 0 {
+			label = fmt.Sprintf(" backends=%d policy=%s", clusterBackends, clusterPolicy)
+		}
+		fmt.Printf("clients=%-3d%s requests=%-4d ok=%-4d rejected=%-3d errors=%-3d cachehits=%-4d wall=%v\n",
+			clients, label, rep.Requests, rep.OK, rep.Rejected, rep.Errors, rep.CacheHits,
+			time.Since(start).Round(time.Millisecond))
+		for _, m := range rep.Mismatches {
+			fmt.Printf("  DETERMINISM VIOLATION %s\n", m)
+			failed = true
+		}
+		if rep.Errors > 0 {
+			for _, e := range rep.ErrorSamples {
+				fmt.Printf("  error: %s\n", e)
 			}
-			start := time.Now()
-			rep, err := serve.RunLoad(ctx, c, cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "galoisload: %v\n", err)
-				os.Exit(1)
+			failed = true
+		}
+		for _, cs := range rep.Cells {
+			fp := "-"
+			if len(cs.Fingerprints) == 1 {
+				fp = cs.Fingerprints[0]
+			} else if len(cs.Fingerprints) > 1 {
+				fp = fmt.Sprintf("%d distinct!", len(cs.Fingerprints))
 			}
-			reports = append(reports, rep)
-			label := ""
-			if mix {
-				label = fmt.Sprintf(" repeat=%.2f", rate)
-			}
-			if clusterBackends > 0 {
-				label += fmt.Sprintf(" backends=%d policy=%s", clusterBackends, clusterPolicy)
-			}
-			fmt.Printf("clients=%-3d%s requests=%-4d ok=%-4d rejected=%-3d errors=%-3d cachehits=%-4d wall=%v\n",
-				clients, label, rep.Requests, rep.OK, rep.Rejected, rep.Errors, rep.CacheHits,
-				time.Since(start).Round(time.Millisecond))
-			for _, m := range rep.Mismatches {
-				fmt.Printf("  DETERMINISM VIOLATION %s\n", m)
-				failed = true
-			}
-			if rep.Errors > 0 {
-				for _, e := range rep.ErrorSamples {
-					fmt.Printf("  error: %s\n", e)
-				}
-				failed = true
-			}
-			for _, cs := range rep.Cells {
-				fp := "-"
-				if len(cs.Fingerprints) == 1 {
-					fp = cs.Fingerprints[0]
-				} else if len(cs.Fingerprints) > 1 {
-					fp = fmt.Sprintf("%d distinct!", len(cs.Fingerprints))
-				}
-				fmt.Printf("  %-6s %-5s n=%-3d hits=%-3d median=%-10v max=%-10v fp=%s\n",
-					cs.Kind, cs.Variant, cs.Requests, cs.CacheHits,
-					time.Duration(cs.MedianNS).Round(time.Microsecond),
-					time.Duration(cs.MaxNS).Round(time.Microsecond), fp)
-			}
+			fmt.Printf("  %-6s %-5s n=%-3d hits=%-3d median=%-10v max=%-10v fp=%s\n",
+				cs.Kind, cs.Variant, cs.Requests, cs.CacheHits,
+				time.Duration(cs.MedianNS).Round(time.Microsecond),
+				time.Duration(cs.MaxNS).Round(time.Microsecond), fp)
+		}
 
-			mismatches, verified := 0, 0
-			for _, r := range rep.Receipts {
-				if verified >= *verifyN {
-					break
-				}
-				if !r.Deterministic {
-					continue
-				}
-				verified++
-				vr, err := c.Verify(ctx, r)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "galoisload: verify %s: %v\n", r.Spec, err)
-					failed = true
-					continue
-				}
-				status := "match"
-				if !vr.Match {
-					status = "MISMATCH"
-					mismatches++
-					failed = true
-				}
-				fmt.Printf("  verify %-28s %s\n", r.Spec, status)
+		mismatches, verified := 0, 0
+		for _, r := range rep.Receipts {
+			if verified >= *verifyN {
+				break
 			}
-			if *verifyN > 0 && mismatches > 0 {
-				fmt.Printf("  %d receipt(s) FAILED verification\n", mismatches)
+			if !r.Deterministic {
+				continue
 			}
+			verified++
+			vr, err := c.Verify(ctx, r)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "galoisload: verify %s: %v\n", r.Spec, err)
+				failed = true
+				continue
+			}
+			status := "match"
+			if !vr.Match {
+				status = "MISMATCH"
+				mismatches++
+				failed = true
+			}
+			fmt.Printf("  verify %-28s %s\n", r.Spec, status)
+		}
+		if *verifyN > 0 && mismatches > 0 {
+			fmt.Printf("  %d receipt(s) FAILED verification\n", mismatches)
 		}
 	}
 

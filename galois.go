@@ -180,10 +180,6 @@ func WithTrace(sink TraceSink) Option { return func(o *core.Options) { o.Sink = 
 // across runs sharing the registry.
 func WithMetrics(m *Metrics) Option { return func(o *core.Options) { o.Metrics = m } }
 
-// WithRoundSamples records per-round (window, committed) samples in
-// Stats.Trace.
-func WithRoundSamples() Option { return func(o *core.Options) { o.Trace = true } }
-
 // WithProfile attaches a locality tracer that records every Acquire for the
 // reuse-distance analysis of §5.4.
 func WithProfile(t *Tracer) Option { return func(o *core.Options) { o.Profile = t } }

@@ -43,7 +43,6 @@ func TestOptionPlumbing(t *testing.T) {
 		galois.WithoutContinuation(),
 		galois.WithLocalityInterleave(false),
 		galois.WithWindow(8, 4, 0.9),
-		galois.WithRoundSamples(),
 		galois.WithTrace(sink),
 		galois.WithMetrics(met),
 		galois.WithProfile(tr),
@@ -51,9 +50,6 @@ func TestOptionPlumbing(t *testing.T) {
 	)
 	if st.Commits != 3 {
 		t.Fatalf("commits = %d", st.Commits)
-	}
-	if len(st.Trace) == 0 {
-		t.Fatal("WithRoundSamples produced no samples")
 	}
 	if sink.Len() == 0 {
 		t.Fatal("WithTrace buffered no events")

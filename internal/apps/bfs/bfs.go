@@ -161,7 +161,7 @@ func PBBS(g *graph.CSR, src, nthreads int) *Result {
 		// Deterministic parallel frontier packing (block order).
 		frontier = scan.Pack(nextBufs, nthreads)
 		level++
-		col.Round(len(frontier), len(frontier))
+		col.Round(stats.Round{Window: len(frontier), Committed: len(frontier)})
 	}
 	col.Stop()
 	return &Result{Dist: dist, Parent: parent, Stats: col.Snapshot()}

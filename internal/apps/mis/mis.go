@@ -183,7 +183,7 @@ func PBBS(g *graph.CSR, nthreads int) *Result {
 				break
 			}
 		}
-		col.Round(p, p)
+		col.Round(stats.Round{Window: p, Committed: p})
 		remaining = remaining[p:]
 	}
 	col.Stop()

@@ -354,7 +354,7 @@ func PBBS(n int, edges []WEdge, nthreads int) *Result {
 				next = append(next, e)
 			}
 		}
-		col.Round(len(live), len(live)-len(next))
+		col.Round(stats.Round{Window: len(live), Committed: len(live) - len(next)})
 		live = next
 	}
 	col.Stop()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"galois/internal/marks"
+	"galois/internal/obs"
 	"galois/internal/rng"
 )
 
@@ -284,10 +285,11 @@ func TestFullySerializedProgress(t *testing.T) {
 			for i := range items {
 				items[i] = i + 1
 			}
+			tr := obs.NewTrace(8)
 			st := ForEach(items, func(ctx *Ctx[int], i int) {
 				ctx.Acquire(&c.Lockable)
 				ctx.OnCommit(func(*Ctx[int]) { c.value += uint64(i) })
-			}, optsFor(sched, 8, func(o *Options) { o.Trace = true }))
+			}, optsFor(sched, 8, func(o *Options) { o.Sink = tr }))
 			if st.Commits != ntasks {
 				t.Fatalf("commits = %d, want %d", st.Commits, ntasks)
 			}
@@ -296,7 +298,7 @@ func TestFullySerializedProgress(t *testing.T) {
 				t.Fatalf("sum = %d, want %d", c.value, want)
 			}
 			if sched == Deterministic {
-				for i, s := range st.Trace {
+				for i, s := range tr.Rounds() {
 					if s.Committed < 1 {
 						t.Fatalf("round %d committed %d tasks", i, s.Committed)
 					}
@@ -439,10 +441,11 @@ func TestStatsAccounting(t *testing.T) {
 		cells[i] = &cell{}
 		items[i] = i
 	}
+	tr := obs.NewTrace(2)
 	st := ForEach(items, func(ctx *Ctx[int], i int) {
 		ctx.Acquire(&cells[i].Lockable)
 		ctx.OnCommit(func(*Ctx[int]) { cells[i].value++ })
-	}, optsFor(Deterministic, 2, func(o *Options) { o.Trace = true }))
+	}, optsFor(Deterministic, 2, func(o *Options) { o.Sink = tr }))
 	if st.Inspects < st.Commits {
 		t.Fatalf("inspects (%d) < commits (%d)", st.Inspects, st.Commits)
 	}
@@ -453,7 +456,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal("rounds not counted")
 	}
 	var committed int
-	for _, s := range st.Trace {
+	for _, s := range tr.Rounds() {
 		committed += s.Committed
 	}
 	if committed != 100 {

@@ -33,9 +33,11 @@ type Engine struct {
 	// states holds one *engState[T] per item type T, keyed by the typed
 	// nil any((*T)(nil)) — a comparable, allocation-free type token.
 	states map[any]scrubber
-	// mets caches the coreMetrics bundle per registry so reuse does not
-	// re-register (or re-allocate) instruments every run.
-	mets map[*obs.Registry]*coreMetrics
+	// met is the instrument bundle of metReg, the registry of the last
+	// metered run, so runs on one registry do not re-register every time.
+	// One entry, dropped by Scrub: a parked engine pins no registry.
+	metReg *obs.Registry
+	met    *coreMetrics
 	// clock hands out mark epochs. Always the process-wide marks.Epochs; a
 	// field only so tests can exhaust a private one.
 	clock   *marks.Clock
@@ -55,7 +57,6 @@ func NewEngine(threads int) *Engine {
 		pool:    para.NewPool(),
 		bars:    make(map[int]*para.Barrier),
 		states:  make(map[any]scrubber),
-		mets:    make(map[*obs.Registry]*coreMetrics),
 		clock:   &marks.Epochs,
 	}
 }
@@ -90,6 +91,7 @@ func (e *Engine) Scrub() {
 	for _, st := range e.states { //detlint:ordered zeroing scratch; order has no observable effect
 		st.scrub()
 	}
+	e.metReg, e.met = nil, nil
 }
 
 // scrubber is what Scrub needs of an engState, whatever its item type.
@@ -108,17 +110,12 @@ func (e *Engine) barrier(parties int) *para.Barrier {
 	return b
 }
 
-// metricsFor returns the (cached) scheduler instrument bundle for reg.
+// metricsFor returns the scheduler instrument bundle for reg (nil for nil).
 func (e *Engine) metricsFor(reg *obs.Registry) *coreMetrics {
-	if reg == nil {
-		return nil
+	if reg != e.metReg {
+		e.metReg, e.met = reg, newCoreMetrics(reg)
 	}
-	if m := e.mets[reg]; m != nil {
-		return m
-	}
-	m := newCoreMetrics(reg)
-	e.mets[reg] = m
-	return m
+	return e.met
 }
 
 // collector returns the engine's statistics collector, reset for a run of
@@ -213,6 +210,7 @@ func (st *engState[T]) scrub() {
 	st.dirty = false
 	for _, ctx := range st.ctxs {
 		ctx.commitFn = nil
+		ctx.met = nil
 		clear(ctx.acquired[:cap(ctx.acquired)])
 	}
 	if st.ptrItems {
@@ -283,9 +281,6 @@ func RunOn[T any](e *Engine, items []T, body func(*Ctx[T], T), opt Options) stat
 		opt.Threads = w
 	}
 	col := e.collector(opt.Threads)
-	if opt.Trace {
-		col.EnableTrace()
-	}
 	sched := int64(0)
 	if opt.Sched == Deterministic {
 		sched = 1
@@ -295,8 +290,7 @@ func RunOn[T any](e *Engine, items []T, body func(*Ctx[T], T), opt Options) stat
 	col.Start()
 	// An empty loop runs no scheduler at all: the event sequence is exactly
 	// run-start/run-end with zero rounds and no worker events, under both
-	// schedulers (previously the non-deterministic path forked workers that
-	// each emitted a worker summary for an empty run).
+	// schedulers.
 	if len(items) > 0 {
 		st := stateFor[T](e)
 		switch opt.Sched {

@@ -1,6 +1,9 @@
 package core
 
-import "galois/internal/obs"
+import (
+	"galois/internal/obs"
+	"galois/internal/stats"
+)
 
 // emit forwards ev to the run's trace sink, if any. Structural scheduler
 // events (run, generation, round, window) are emitted only from serial
@@ -61,4 +64,14 @@ func newCoreMetrics(reg *obs.Registry) *coreMetrics {
 		barrierParks:   reg.Counter("galois_barrier_parks_total"),
 		barrierWaitNS:  reg.Counter("galois_barrier_wait_ns_total"),
 	}
+}
+
+// round feeds one round record into the per-round instruments.
+func (m *coreMetrics) round(r stats.Round) {
+	m.phaseInspect.Observe(0, r.InspectNS)
+	m.phaseExec.Observe(0, r.ExecuteNS)
+	m.phaseCoord.Observe(0, r.CoordinateNS)
+	m.barriers.Add(0, r.Barriers)
+	m.tasksPerRound.Observe(0, int64(r.Committed))
+	m.abortsPerRound.Observe(0, int64(r.Failed))
 }

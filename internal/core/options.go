@@ -81,9 +81,6 @@ type Options struct {
 	// priorities clamp into [0, PriorityLevels).
 	PriorityLevels int
 
-	// Trace enables per-round statistics samples.
-	Trace bool
-
 	// Sink, if non-nil, receives scheduler trace events (internal/obs).
 	// Tracing is non-perturbing: structural events are emitted only from
 	// serial sections of the schedulers, so the committed output and the

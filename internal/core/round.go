@@ -18,8 +18,7 @@ import (
 const serialSpan = 2
 
 // roundExecutor runs the DIG generation/round loop of Figure 2 inside one
-// persistent worker region: generation formation, the static-partition
-// inspect and execute phases, and the end-of-round coordination. It is
+// persistent worker region; DESIGN.md §10 describes the pipeline. It is
 // retained by the engine per item type and reset per run, so driving it
 // allocates nothing in the steady state.
 //
@@ -29,30 +28,7 @@ const serialSpan = 2
 // inspect that touches any of its locations, so no execute may start before
 // every inspect finishes; the execute→next-inspect rendezvous is required
 // because committed tasks mutate shared state the next round's inspects
-// read. Everything else is fused into those two crossings:
-//
-//   - each worker owns a static range of the window (para.BlockRange), the
-//     same range in inspect and execute, so there are no claim-counter
-//     atomics and a worker re-touches cache-warm task records across phases
-//     (the paper's Opt 2, applied to the round pipeline);
-//   - the gather is fused into the execute phase: each worker appends its
-//     range's failed tasks and produced children to a per-worker lane
-//     (commitCollector.lanes), so no separate count/scan/place phases — and
-//     no third barrier — are needed. Lane order is window order by
-//     construction, and children need no round-level order at all because
-//     every generation is sorted by globally-unique keys before forming the
-//     next (see endGeneration);
-//   - the serial end-of-round step (failed-lane merge, window adaptation,
-//     next-round setup) runs as a para.Barrier.WaitDo callback, executed by
-//     the last worker to arrive while the others are parked in the same
-//     barrier;
-//   - rounds too small to parallelize (w <= serialSpan × nthreads) never
-//     return to the workers: the coordination callback drains the whole
-//     consecutive stretch of them inline (advance), so a batch of k serial
-//     rounds costs ONE crossing instead of k or 2k. The batch boundary —
-//     like every pipeline choice — is a pure function of (w, nthreads), so
-//     batching cannot reach committed output; the window-policy sequence
-//     itself, which IS schedule-bearing, is untouched.
+// read.
 //
 // All non-atomic fields are written only in serial sections: before the
 // workers fork or inside a WaitDo callback. The callbacks are pure
@@ -363,50 +339,28 @@ func (r *roundExecutor[T]) coordinate() {
 	r.advance()
 }
 
-// finishRound records the completed round: phase durations, statistics,
-// trace events, the window decision, and the pending-list trim. Shared by
-// every round pipeline so their event sequences cannot diverge.
+// finishRound closes the completed round: it fills the round's one record,
+// hands it to the collector, the trace and the registry, and trims the
+// pending list. Shared by every round pipeline so their event sequences
+// cannot diverge.
 func (r *roundExecutor[T]) finishRound(committed, nf int) {
 	ts3 := obs.Nanotime()
-	insNS, exeNS, coNS := r.ts1-r.ts0, r.ts2-r.ts1, ts3-r.ts2
-	crossed := r.barCrossings - r.barMark
+	rec := stats.Round{
+		Gen: r.genIdx, Round: r.round,
+		Window: len(r.cur), Committed: committed, Failed: nf,
+		InspectNS: r.ts1 - r.ts0, ExecuteNS: r.ts2 - r.ts1, CoordinateNS: ts3 - r.ts2,
+		Barriers:     r.barCrossings - r.barMark,
+		WindowBefore: r.win.size,
+	}
 	r.barMark = r.barCrossings
-	// The crossings arg rides in KindPhases because, like the durations, it
-	// depends on the thread count (pipeline choice) — KindPhases args are
-	// excluded from the canonical sequence, which must be thread-invariant.
-	emit(r.sink, 0, obs.Event{Kind: obs.KindPhases, Gen: r.genIdx, Round: r.round,
-		Args: [4]int64{insNS, exeNS, coNS, int64(crossed)}})
-	if r.met != nil {
-		r.met.phaseInspect.Observe(0, insNS)
-		r.met.phaseExec.Observe(0, exeNS)
-		r.met.phaseCoord.Observe(0, coNS)
-		r.met.barriers.Add(0, crossed)
-	}
-	r.col.Round(len(r.cur), committed)
-	r.col.Phase(insNS, exeNS, coNS)
-	r.col.Barriers(crossed)
-	emit(r.sink, 0, obs.Event{Kind: obs.KindRoundEnd, Gen: r.genIdx, Round: r.round,
-		Args: [4]int64{int64(len(r.cur)), int64(committed), int64(nf)}})
-	if r.opt.Continuation {
-		// §3.3 continuation aggregates: every task in the round
-		// suspended at its failsafe point during inspect; the committed
-		// ones resumed.
-		emit(r.sink, 0, obs.Event{Kind: obs.KindSuspend, Gen: r.genIdx,
-			Round: r.round, Args: [4]int64{int64(len(r.cur))}})
-		emit(r.sink, 0, obs.Event{Kind: obs.KindResume, Gen: r.genIdx,
-			Round: r.round, Args: [4]int64{int64(committed)}})
+	rec.WindowAfter = r.win.update(rec.Window, committed)
+	r.col.Round(rec)
+	if r.sink != nil {
+		obs.EmitRound(r.sink, rec, r.opt.Continuation)
 	}
 	if r.met != nil {
-		r.met.tasksPerRound.Observe(0, int64(committed))
-		r.met.abortsPerRound.Observe(0, int64(nf))
+		r.met.round(rec)
 	}
-	dec := r.win.update(len(r.cur), committed)
-	grew := int64(0)
-	if dec.Grew {
-		grew = 1
-	}
-	emit(r.sink, 0, obs.Event{Kind: obs.KindWindow, Gen: r.genIdx, Round: r.round,
-		Args: [4]int64{int64(dec.Before), int64(dec.After), dec.RatioPermille, grew}})
 	r.next = r.next[r.w-nf:]
 }
 

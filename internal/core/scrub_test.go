@@ -6,6 +6,7 @@ import (
 	"weak"
 
 	"galois/internal/marks"
+	"galois/internal/obs"
 )
 
 // scrubNode is a pointer item: a location, and a payload big enough that the
@@ -17,11 +18,15 @@ type scrubNode struct {
 }
 
 // scrubWitness holds weak pointers to what a run worked on: its items, the
-// children its commits pushed, and the state its commit closures captured.
+// children its commits pushed, the state its commit closures captured, and
+// the metrics registry attached for that run alone with one of its
+// instruments.
 type scrubWitness struct {
 	items    []weak.Pointer[scrubNode]
 	children []weak.Pointer[scrubNode]
 	captured weak.Pointer[[512]uint64]
+	registry weak.Pointer[obs.Registry]
+	failHist weak.Pointer[obs.Histogram]
 }
 
 func (w *scrubWitness) alive() (items, children int, captured bool) {
@@ -57,6 +62,9 @@ func scrubRun(n int, opt Options) *scrubWitness {
 		w.items[i] = weak.Make(items[i])
 		index[items[i]] = i
 	}
+	opt.Metrics = obs.NewRegistry(opt.Threads)
+	w.registry = weak.Make(opt.Metrics)
+	w.failHist = weak.Make(opt.Metrics.Histogram("acquire.fail_depth", obs.Pow2Bounds(1<<12)))
 	ForEach(items, func(ctx *Ctx[*scrubNode], nd *scrubNode) {
 		ctx.Acquire(&nd.Lockable)
 		if nd.depth > 0 {
@@ -86,9 +94,10 @@ func mallocsOf(f func()) uint64 {
 // finished runs' data alive once scrubbed. A large run and then a small one
 // leave items in arena slots, children buffers, lanes and sort scratch that
 // the small run never reached; after Scrub and two collections every item,
-// every child and the closures' captured state are gone, and the engine is
-// still as warm as it was: the next run allocates no more than the
-// steady-state ceiling of TestEngineSteadyStateAllocs.
+// every child, the closures' captured state and each run's own metrics
+// registry are gone, and the engine is still as warm as it was: the next
+// run allocates no more than the steady-state ceiling of
+// TestEngineSteadyStateAllocs.
 func TestScrubReleasesRunData(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -113,6 +122,10 @@ func TestScrubReleasesRunData(t *testing.T) {
 				if items, children, captured := w.alive(); items+children > 0 || captured {
 					t.Errorf("%s: the scrubbed engine still holds %d of %d items, %d of %d children, captured state %v",
 						name, items, len(w.items), children, len(w.children), captured)
+				}
+				if w.registry.Value() != nil || w.failHist.Value() != nil {
+					t.Errorf("%s: the scrubbed engine still holds the run's metrics registry (%v) or its instruments (%v)",
+						name, w.registry.Value() != nil, w.failHist.Value() != nil)
 				}
 			}
 

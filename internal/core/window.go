@@ -56,43 +56,21 @@ func (w *windowPolicy) next(remaining int) int {
 	return w.size
 }
 
-// windowDecision records one update step for observability: the window
-// before and after, the commit ratio that drove the step (in permille, so
-// it stays integral for trace encoding), and the direction taken.
-type windowDecision struct {
-	Before, After int
-	RatioPermille int64
-	Grew          bool
-}
-
 // update adjusts the window after a round that attempted `attempted` tasks
-// and committed `committed` of them, and returns the decision taken.
-func (w *windowPolicy) update(attempted, committed int) windowDecision {
+// and committed `committed` of them, and returns the new size.
+func (w *windowPolicy) update(attempted, committed int) int {
 	if attempted == 0 {
-		return windowDecision{Before: w.size, After: w.size}
+		return w.size
 	}
-	before := w.size
 	ratio := float64(committed) / float64(attempted)
-	permille := int64(committed) * 1000 / int64(attempted)
 	if ratio < w.target {
 		// Shrink proportionally toward the target commit ratio.
-		w.size = int(float64(attempted)*ratio/w.target) + 1
-		if w.size < w.min {
-			w.size = w.min
-		}
-		return windowDecision{Before: before, After: w.size, RatioPermille: permille}
+		w.size = max(int(float64(attempted)*ratio/w.target)+1, w.min)
+		return w.size
 	}
 	// At or above target: double, from the larger of the policy size and
 	// what was actually attempted (the attempt may have been clamped by
 	// the number of remaining tasks).
-	base := w.size
-	if attempted > base {
-		base = attempted
-	}
-	w.size = base * 2
-	if w.size > windowMax {
-		w.size = windowMax
-	}
-	return windowDecision{Before: before, After: w.size, RatioPermille: permille,
-		Grew: w.size > before}
+	w.size = min(max(w.size, attempted)*2, windowMax)
+	return w.size
 }

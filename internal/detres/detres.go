@@ -191,7 +191,7 @@ func For(n int, step Step, opt Options) stats.Stats {
 				committed++
 			}
 		}
-		col.Round(p, committed)
+		col.Round(stats.Round{Window: p, Committed: committed})
 		committedTotal += committed
 		if committed == 0 {
 			// The minimum-index item always holds all its

@@ -478,14 +478,17 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBarrierAndPhaseCountersConsistent pins the new per-round coordination
-// observability: for a deterministic run, Stats.Barriers (a) is nonzero,
-// (b) is deterministic — two identical runs report the same count, (c)
-// equals the sum of the per-round crossing counts the trace records
-// (KindPhases Args[3]), and (d) is mirrored by the round.barriers metrics
-// counter. Phase wall-time columns must be populated (the round loop
-// always stamps them) and must sum to no more than the run's wall time.
-// None of this instrumentation may perturb the committed fingerprint —
+// TestBarrierAndPhaseCountersConsistent: a round is reported once, as one
+// stats.Round, and its three consumers — stats.Collector, the trace and the
+// metrics registry — must agree on it, round by round. For every app ×
+// {g-d, g-dnc} × one and two threads, folding Trace.Rounds() reproduces the
+// run's Stats (rounds, window sum, commits, aborts, barriers) and the
+// registry's per-round instruments; every record partitions its window into
+// committed and failed, and within a generation each round starts from the
+// window size the previous one's update left. Stats.Barriers is nonzero and
+// the same on a second run. Phase wall-time columns must be populated (the
+// round loop always stamps them) and must sum to no more than the run's wall
+// time. None of this instrumentation may perturb the committed fingerprint —
 // the runs here are compared against an uninstrumented baseline — and
 // publishing para.Barrier's wait counters (metrics attached or not) may not
 // move the canonical event sequence either. Those counters depend on the
@@ -493,15 +496,26 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // never surface in the Stats JSON a receipt is built from.
 func TestBarrierAndPhaseCountersConsistent(t *testing.T) {
 	in := smallInputs()
-	for _, app := range []string{"bfs", "mis"} {
-		base := in.RunOnce(app, "g-d", 2, nil)
+	type cell struct {
+		app, variant string
+		threads      int
+	}
+	var cells []cell
+	for _, app := range Apps {
+		for _, variant := range []string{"g-d", "g-dnc"} {
+			cells = append(cells, cell{app, variant, 1}, cell{app, variant, 2})
+		}
+	}
+	for _, c := range cells {
+		app := fmt.Sprintf("%s/%s/t%d", c.app, c.variant, c.threads)
+		base := in.RunOnce(c.app, c.variant, c.threads, nil)
 		reg := galois.NewMetrics(2)
 		tr := galois.NewTrace(2)
 		in.Metrics, in.TraceSink = reg, tr
-		r1 := in.RunOnce(app, "g-d", 2, nil)
+		r1 := in.RunOnce(c.app, c.variant, c.threads, nil)
 		trOff := galois.NewTrace(2)
 		in.Metrics, in.TraceSink = nil, trOff
-		r2 := in.RunOnce(app, "g-d", 2, nil)
+		r2 := in.RunOnce(c.app, c.variant, c.threads, nil)
 		in.TraceSink = nil
 
 		if r1.Fingerprint != base.Fingerprint {
@@ -523,17 +537,42 @@ func TestBarrierAndPhaseCountersConsistent(t *testing.T) {
 		if r1.Stats.Barriers != r2.Stats.Barriers {
 			t.Errorf("%s: barrier count not deterministic: %d vs %d", app, r1.Stats.Barriers, r2.Stats.Barriers)
 		}
-		var fromTrace uint64
-		for _, ev := range tr.Events() {
-			if ev.Kind == obs.KindPhases {
-				fromTrace += uint64(ev.Args[3])
+
+		// The trace's records, folded the way each other consumer folds them.
+		type totals struct{ rounds, windowSum, commits, aborts, barriers uint64 }
+		var fold totals
+		committed := reg.Histogram("round.committed", nil)
+		failed := reg.Histogram("round.failed", nil)
+		want := galois.NewMetrics(1)
+		wantCommitted := want.Histogram("committed", committed.Bounds())
+		wantFailed := want.Histogram("failed", failed.Bounds())
+		var prev stats.Round
+		for i, rec := range tr.Rounds() {
+			if rec.Window != rec.Committed+rec.Failed {
+				t.Errorf("%s: round %d attempted %d, committed %d + failed %d", app, i, rec.Window, rec.Committed, rec.Failed)
 			}
+			if i > 0 && rec.Gen == prev.Gen && rec.Round == prev.Round+1 && rec.WindowBefore != prev.WindowAfter {
+				t.Errorf("%s: round %d starts from window %d, the previous update left %d", app, i, rec.WindowBefore, prev.WindowAfter)
+			}
+			prev = rec
+			fold.rounds++
+			fold.windowSum += uint64(rec.Window)
+			fold.commits += uint64(rec.Committed)
+			fold.aborts += uint64(rec.Failed)
+			fold.barriers += rec.Barriers
+			wantCommitted.Observe(0, int64(rec.Committed))
+			wantFailed.Observe(0, int64(rec.Failed))
 		}
-		if fromTrace != r1.Stats.Barriers {
-			t.Errorf("%s: trace records %d crossings, stats %d", app, fromTrace, r1.Stats.Barriers)
+		st := r1.Stats
+		if got := (totals{st.Rounds, st.WindowSum, st.Commits, st.Aborts, st.Barriers}); fold != got {
+			t.Errorf("%s: trace folds to %+v, stats say %+v", app, fold, got)
 		}
-		if got := reg.Counter("round.barriers").Value(); got != r1.Stats.Barriers {
-			t.Errorf("%s: round.barriers counter %d, stats %d", app, got, r1.Stats.Barriers)
+		if n := reg.Counter("round.barriers").Value(); n != fold.barriers {
+			t.Errorf("%s: round.barriers counter %d, trace %d", app, n, fold.barriers)
+		}
+		if !slices.Equal(committed.Counts(), wantCommitted.Counts()) || !slices.Equal(failed.Counts(), wantFailed.Counts()) {
+			t.Errorf("%s: round.committed %v / round.failed %v, trace folds to %v / %v", app,
+				committed.Counts(), failed.Counts(), wantCommitted.Counts(), wantFailed.Counts())
 		}
 		phases := r1.Stats.PhaseInspectNS + r1.Stats.PhaseExecuteNS + r1.Stats.PhaseCoordinateNS
 		if r1.Stats.PhaseInspectNS <= 0 || r1.Stats.PhaseExecuteNS <= 0 || r1.Stats.PhaseCoordinateNS <= 0 {

@@ -287,7 +287,7 @@ func majorityPackage(files []*ast.File) []*ast.File {
 // forms: "./...", "dir/...", "dir", "./dir". The "testdata" directory and
 // hidden/underscore directories are always skipped, as the go tool does.
 func (l *Loader) Match(patterns ...string) ([]*Package, error) {
-	dirs, err := l.MatchDirs(patterns...)
+	dirs, err := l.matchDirs(patterns...)
 	if err != nil {
 		return nil, err
 	}
@@ -302,10 +302,9 @@ func (l *Loader) Match(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// MatchDirs expands go-tool patterns to package directories without
-// parsing or type-checking anything — the cheap half of Match, used by the
-// analysis cache to decide what even needs loading.
-func (l *Loader) MatchDirs(patterns ...string) ([]string, error) {
+// matchDirs expands go-tool patterns to package directories without
+// parsing or type-checking anything.
+func (l *Loader) matchDirs(patterns ...string) ([]string, error) {
 	var dirs []string
 	seen := make(map[string]bool)
 	add := func(d string) {

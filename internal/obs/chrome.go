@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"galois/internal/stats"
 )
 
 // chromeEvent is one record of the Chrome trace-event format, the JSON
@@ -44,7 +46,9 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	pid := 0
 	var runStart, genStart, roundStart span
 	var roundWindow int64
+	var rec stats.Round // the current round, as far as its events have been seen
 	for _, ev := range t.bufs[0].evs {
+		ev.decodeRound(&rec)
 		switch ev.Kind {
 		case KindRunStart:
 			pid++
@@ -77,36 +81,42 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 			roundStart = span{ev.TS}
 			roundWindow = ev.Args[0]
 		case KindRoundEnd:
-			out = append(out, chromeEvent{Name: fmt.Sprintf("round %d", ev.Round), Ph: "X",
+			out = append(out, chromeEvent{Name: fmt.Sprintf("round %d", rec.Round), Ph: "X",
 				TS: us(roundStart.ts), Dur: us(ev.TS - roundStart.ts), PID: pid, TID: 0,
-				Args: map[string]any{"window": roundWindow, "selected": ev.Args[0],
-					"committed": ev.Args[1], "failed": ev.Args[2]}})
+				Args: map[string]any{"window": roundWindow, "selected": rec.Window,
+					"committed": rec.Committed, "failed": rec.Failed}})
 		case KindPhases:
 			// Three phase slices nested under the round slice, laid out
 			// end to end from the round start using the measured
 			// durations.
 			ts := roundStart.ts
-			for i, name := range [...]string{"inspect", "execute", "coordinate"} {
-				args := map[string]any{"ns": ev.Args[i]}
-				if name == "coordinate" {
+			for _, ph := range [...]struct {
+				name string
+				ns   int64
+			}{{"inspect", rec.InspectNS}, {"execute", rec.ExecuteNS}, {"coordinate", rec.CoordinateNS}} {
+				args := map[string]any{"ns": ph.ns}
+				if ph.name == "coordinate" {
 					// The round's barrier-crossing count rides with the
 					// phase that pays for it.
-					args["barriers"] = ev.Args[3]
+					args["barriers"] = rec.Barriers
 				}
-				out = append(out, chromeEvent{Name: name, Ph: "X",
-					TS: us(ts), Dur: us(ev.Args[i]), PID: pid, TID: 0,
+				out = append(out, chromeEvent{Name: ph.name, Ph: "X",
+					TS: us(ts), Dur: us(ph.ns), PID: pid, TID: 0,
 					Args: args})
-				ts += ev.Args[i]
+				ts += ph.ns
 			}
 		case KindWindow:
 			out = append(out,
 				chromeEvent{Name: "window", Ph: "C", TS: us(ev.TS), PID: pid,
-					Args: map[string]any{"size": ev.Args[1]}},
+					Args: map[string]any{"size": rec.WindowAfter}},
 				chromeEvent{Name: "commit ratio (permille)", Ph: "C", TS: us(ev.TS), PID: pid,
-					Args: map[string]any{"ratio": ev.Args[2]}})
-		case KindSuspend, KindResume:
+					Args: map[string]any{"ratio": rec.CommitPermille()}})
+		case KindSuspend:
 			out = append(out, chromeEvent{Name: ev.Kind.String(), Ph: "C", TS: us(ev.TS), PID: pid,
-				Args: map[string]any{"tasks": ev.Args[0]}})
+				Args: map[string]any{"tasks": rec.Window}})
+		case KindResume:
+			out = append(out, chromeEvent{Name: ev.Kind.String(), Ph: "C", TS: us(ev.TS), PID: pid,
+				Args: map[string]any{"tasks": rec.Committed}})
 		case KindWorker:
 			out = append(out, workerInstant(ev, 0, pidAt(runs, pid, ev.TS)))
 		}

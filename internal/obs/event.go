@@ -1,6 +1,10 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+
+	"galois/internal/stats"
+)
 
 // Kind enumerates the event types the schedulers emit.
 type Kind uint8
@@ -99,7 +103,8 @@ type Event struct {
 	Kind Kind
 	// Gen is the DIG generation index (0 for non-generation events).
 	Gen int32
-	// Round is the global DIG round index (0 for non-round events).
+	// Round is the DIG round index within its generation (0 for non-round
+	// events).
 	Round int32
 	// Args is the kind-specific payload.
 	Args [4]int64
@@ -126,4 +131,49 @@ func (e Event) Canonical() string {
 		return fmt.Sprintf("%s gen=%d round=%d args=%d,%d,%d,%d",
 			e.Kind, e.Gen, e.Round, e.Args[0], e.Args[1], e.Args[2], e.Args[3])
 	}
+}
+
+// EmitRound renders one round record as the round's closing events, on tid
+// 0: phases, round-end, the §3.3 suspend/resume aggregates when the
+// continuation optimization is on (every attempted task suspended at its
+// failsafe point, the committed ones resumed), and the window decision.
+// This function and decodeRound are the only code that knows where a field
+// sits in Args.
+func EmitRound(sink Sink, r stats.Round, continuation bool) {
+	ev := Event{Gen: r.Gen, Round: r.Round}
+	emit := func(k Kind, args ...int64) {
+		ev.Kind, ev.Args = k, [4]int64{}
+		copy(ev.Args[:], args)
+		sink.Emit(0, ev)
+	}
+	emit(KindPhases, r.InspectNS, r.ExecuteNS, r.CoordinateNS, int64(r.Barriers))
+	emit(KindRoundEnd, int64(r.Window), int64(r.Committed), int64(r.Failed))
+	if continuation {
+		emit(KindSuspend, int64(r.Window))
+		emit(KindResume, int64(r.Committed))
+	}
+	grew := int64(0)
+	if r.Grew() {
+		grew = 1
+	}
+	emit(KindWindow, int64(r.WindowBefore), int64(r.WindowAfter), r.CommitPermille(), grew)
+}
+
+// decodeRound is EmitRound's inverse, one event at a time: it copies what e
+// carries into r and reports whether e closes its round (the window
+// decision is a round's last event). Events of other kinds leave r alone.
+func (e Event) decodeRound(r *stats.Round) (closes bool) {
+	switch e.Kind {
+	case KindPhases:
+		r.Gen, r.Round = e.Gen, e.Round
+		r.InspectNS, r.ExecuteNS, r.CoordinateNS = e.Args[0], e.Args[1], e.Args[2]
+		r.Barriers = uint64(e.Args[3])
+	case KindRoundEnd:
+		r.Gen, r.Round = e.Gen, e.Round
+		r.Window, r.Committed, r.Failed = int(e.Args[0]), int(e.Args[1]), int(e.Args[2])
+	case KindWindow:
+		r.WindowBefore, r.WindowAfter = int(e.Args[0]), int(e.Args[1])
+		return true
+	}
+	return false
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,30 +16,72 @@ func emitDetRun(tr *Trace) {
 	tr.Emit(0, Event{Kind: KindRunStart, Args: [4]int64{1, 2, 10, 0}})
 	tr.Emit(0, Event{Kind: KindGenStart, Gen: 0, Args: [4]int64{10, 0, 0, 0}})
 	tr.Emit(0, Event{Kind: KindRoundStart, Gen: 0, Round: 0, Args: [4]int64{8, 2, 0, 0}})
-	tr.Emit(0, Event{Kind: KindRoundEnd, Gen: 0, Round: 0, Args: [4]int64{8, 6, 2, 0}})
-	tr.Emit(0, Event{Kind: KindSuspend, Gen: 0, Round: 0, Args: [4]int64{8, 0, 0, 0}})
-	tr.Emit(0, Event{Kind: KindResume, Gen: 0, Round: 0, Args: [4]int64{6, 0, 0, 0}})
-	tr.Emit(0, Event{Kind: KindWindow, Gen: 0, Round: 0, Args: [4]int64{8, 7, 750, 0}})
+	EmitRound(tr, detRounds[0], true)
 	tr.Emit(0, Event{Kind: KindRoundStart, Gen: 0, Round: 1, Args: [4]int64{4, 0, 0, 0}})
-	tr.Emit(0, Event{Kind: KindRoundEnd, Gen: 0, Round: 1, Args: [4]int64{4, 4, 0, 0}})
-	tr.Emit(0, Event{Kind: KindWindow, Gen: 0, Round: 1, Args: [4]int64{7, 14, 1000, 1}})
+	EmitRound(tr, detRounds[1], false)
 	tr.Emit(0, Event{Kind: KindGenEnd, Gen: 0, Round: 2, Args: [4]int64{0, 0, 0, 0}})
 	tr.Emit(0, Event{Kind: KindRunEnd, Args: [4]int64{10, 2, 2, 0}})
+}
+
+// detRounds are emitDetRun's two rounds: one with failures and a shrinking
+// window, one clean and growing.
+var detRounds = []stats.Round{
+	{Gen: 0, Round: 0, Window: 8, Committed: 6, Failed: 2,
+		InspectNS: 300, ExecuteNS: 200, CoordinateNS: 100, Barriers: 2, WindowBefore: 8, WindowAfter: 7},
+	{Gen: 0, Round: 1, Window: 4, Committed: 4, Failed: 0,
+		InspectNS: 30, ExecuteNS: 20, CoordinateNS: 10, Barriers: 0, WindowBefore: 7, WindowAfter: 14},
+}
+
+// TestRoundRenderDecodeIdentity: EmitRound and Trace.Rounds are inverses,
+// with the continuation aggregates (which carry nothing the record does not
+// already say) and without, and the rendered lines are the canonical form
+// the schedule goldens pin.
+func TestRoundRenderDecodeIdentity(t *testing.T) {
+	for _, continuation := range []bool{true, false} {
+		tr := NewTrace(1)
+		for _, r := range detRounds {
+			EmitRound(tr, r, continuation)
+		}
+		if got := tr.Rounds(); !slices.Equal(got, detRounds) {
+			t.Errorf("continuation=%v: decoded %+v, rendered %+v", continuation, got, detRounds)
+		}
+		want := []string{
+			"phases gen=0 round=0",
+			"round-end gen=0 round=0 args=8,6,2,0",
+			"suspend gen=0 round=0 args=8,0,0,0",
+			"resume gen=0 round=0 args=6,0,0,0",
+			"window gen=0 round=0 args=8,7,750,0",
+			"phases gen=0 round=1",
+			"round-end gen=0 round=1 args=4,4,0,0",
+			"suspend gen=0 round=1 args=4,0,0,0",
+			"resume gen=0 round=1 args=4,0,0,0",
+			"window gen=0 round=1 args=7,14,1000,1",
+		}
+		if !continuation {
+			want = slices.DeleteFunc(want, func(l string) bool {
+				return strings.HasPrefix(l, "suspend") || strings.HasPrefix(l, "resume")
+			})
+		}
+		if got := tr.CanonicalLines(); !slices.Equal(got, want) {
+			t.Errorf("continuation=%v: canonical lines\n%s\nwant\n%s", continuation,
+				strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
 }
 
 func TestTraceBuffersAndCanonical(t *testing.T) {
 	tr := NewTrace(2)
 	emitDetRun(tr)
 	tr.Emit(1, Event{Kind: KindWorker, Args: [4]int64{5, 1, 0, 0}})
-	if tr.Len() != 13 {
-		t.Fatalf("Len = %d, want 13", tr.Len())
+	if tr.Len() != 15 {
+		t.Fatalf("Len = %d, want 15", tr.Len())
 	}
 	evs := tr.Events()
-	if len(evs) != 13 {
+	if len(evs) != 15 {
 		t.Fatalf("Events len = %d", len(evs))
 	}
 	// Timestamps are stamped and non-decreasing per buffer.
-	for i := 1; i < 12; i++ {
+	for i := 1; i < 14; i++ {
 		if evs[i].TS < evs[i-1].TS {
 			t.Fatalf("timestamps not monotonic: %d < %d", evs[i].TS, evs[i-1].TS)
 		}
@@ -51,7 +94,7 @@ func TestTraceBuffersAndCanonical(t *testing.T) {
 			t.Fatalf("canonical encoding depends on timestamp: %q", ev.Canonical())
 		}
 	}
-	if n := len(tr.CanonicalLines()); n != 13 {
+	if n := len(tr.CanonicalLines()); n != 15 {
 		t.Fatalf("CanonicalLines len = %d", n)
 	}
 	// The canonical encoding of run-start excludes the thread count: the
@@ -62,8 +105,7 @@ func TestTraceBuffersAndCanonical(t *testing.T) {
 		t.Fatalf("run-start canonical depends on thread count: %q vs %q", a.Canonical(), b.Canonical())
 	}
 
-	rounds := tr.Rounds()
-	if len(rounds) != 2 || rounds[0].Window != 8 || rounds[0].Committed != 6 || rounds[1].Failed != 0 {
+	if rounds := tr.Rounds(); !slices.Equal(rounds, detRounds) {
 		t.Fatalf("rounds = %+v", rounds)
 	}
 

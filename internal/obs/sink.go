@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"time"
+
+	"galois/internal/stats"
 )
 
 // Sink receives trace events from a scheduler. Emit is called with the
@@ -92,29 +94,15 @@ func (t *Trace) CanonicalLines() []string {
 	return out
 }
 
-// RoundInfo is the per-round view extracted from a trace: the quantities
-// of the paper's adaptive-window discussion (§3.2).
-type RoundInfo struct {
-	Gen, Round int
-	// Window is the number of tasks attempted (the round's window,
-	// clamped to the tasks remaining).
-	Window int64
-	// Committed and Failed partition the attempted tasks.
-	Committed, Failed int64
-}
-
-// Rounds extracts one RoundInfo per KindRoundEnd event, in round order.
-func (t *Trace) Rounds() []RoundInfo {
-	var out []RoundInfo
-	for i := range t.bufs {
-		for _, ev := range t.bufs[i].evs {
-			if ev.Kind != KindRoundEnd {
-				continue
-			}
-			out = append(out, RoundInfo{
-				Gen: int(ev.Gen), Round: int(ev.Round),
-				Window: ev.Args[0], Committed: ev.Args[1], Failed: ev.Args[2],
-			})
+// Rounds decodes one stats.Round per DIG round from the buffered events,
+// in round order.
+func (t *Trace) Rounds() []stats.Round {
+	var out []stats.Round
+	var rec stats.Round
+	for _, ev := range t.bufs[0].evs { // structural events all live on tid 0
+		if ev.decodeRound(&rec) {
+			out = append(out, rec)
+			rec = stats.Round{}
 		}
 	}
 	return out
@@ -124,8 +112,8 @@ func (t *Trace) Rounds() []RoundInfo {
 func (t *Trace) Summary() string {
 	var out string
 	run := 0
-	var rounds, gens int
-	var minW, maxW int64
+	var rounds, gens, minW, maxW int
+	var rec stats.Round
 	for i := range t.bufs {
 		for _, ev := range t.bufs[i].evs {
 			switch ev.Kind {
@@ -141,13 +129,12 @@ func (t *Trace) Summary() string {
 			case KindGenStart:
 				gens++
 			case KindRoundEnd:
+				ev.decodeRound(&rec)
 				rounds++
-				if minW == 0 || ev.Args[0] < minW {
-					minW = ev.Args[0]
+				if minW == 0 || rec.Window < minW {
+					minW = rec.Window
 				}
-				if ev.Args[0] > maxW {
-					maxW = ev.Args[0]
-				}
+				maxW = max(maxW, rec.Window)
 			case KindRunEnd:
 				out += fmt.Sprintf("  commits=%d aborts=%d generations=%d rounds=%d window=[%d..%d]\n",
 					ev.Args[0], ev.Args[1], gens, rounds, minW, maxW)

@@ -8,7 +8,6 @@ package stats
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -37,26 +36,47 @@ type threadCounters struct {
 // for a fixed number of threads at construction.
 type Collector struct {
 	threads []threadCounters
-	rounds  atomic.Uint64
-	// windowSum accumulates window sizes to report the mean window.
-	windowSum atomic.Uint64
-	// barriers counts barrier crossings of the deterministic round loop;
-	// phaseNS accumulates per-phase wall time (inspect, execute,
-	// coordinate). Both are written from serial coordination sections only.
-	barriers atomic.Uint64
-	phaseNS  [3]atomic.Int64
-	// roundTrace, if enabled, records (window, committed) per round.
-	traceEnabled bool
-	trace        []RoundSample
-	start        time.Time
-	elapsed      time.Duration
+	// The per-round totals are written by Round only, from the scheduler's
+	// serial sections, so they are plain fields.
+	rounds    uint64
+	windowSum uint64
+	barriers  uint64
+	phaseNS   [3]int64 // inspect, execute, coordinate
+	start     time.Time
+	elapsed   time.Duration
 }
 
-// RoundSample records one deterministic-scheduler round.
-type RoundSample struct {
-	Window    int
-	Committed int
+// Round is the record of one deterministic-scheduler round: what the
+// scheduler reports, once, to the collector, the trace and the metrics
+// registry (DESIGN.md §7.3 maps each field to all three).
+type Round struct {
+	// Gen is the generation index, Round the round's index within it.
+	Gen, Round int32
+	// Window is the number of tasks attempted (the policy size clamped to
+	// the tasks pending); Committed and Failed partition it.
+	Window, Committed, Failed int
+	// InspectNS, ExecuteNS and CoordinateNS are the wall durations of the
+	// round's three phases; Barriers is the barrier crossings it cost.
+	// These four depend on the machine and the thread count; every other
+	// field is a pure function of the input.
+	InspectNS, ExecuteNS, CoordinateNS int64
+	Barriers                           uint64
+	// WindowBefore and WindowAfter are the adaptive policy's size going
+	// into the round and after its update (§3.2 calculateWindow).
+	WindowBefore, WindowAfter int
 }
+
+// CommitPermille is the commit ratio that drove the window update, in
+// permille so it stays integral in a trace.
+func (r Round) CommitPermille() int64 {
+	if r.Window == 0 {
+		return 0
+	}
+	return int64(r.Committed) * 1000 / int64(r.Window)
+}
+
+// Grew reports whether the window policy grew after the round.
+func (r Round) Grew() bool { return r.WindowAfter > r.WindowBefore }
 
 // NewCollector returns a collector for nthreads threads.
 func NewCollector(nthreads int) *Collector {
@@ -66,32 +86,16 @@ func NewCollector(nthreads int) *Collector {
 // Reset prepares a retained collector for another run of nthreads threads,
 // zeroing every counter. The per-thread slots are reused (grown only when
 // nthreads exceeds the previous high-water mark), so a reused collector
-// allocates nothing in steady state. The round-trace slice is dropped rather
-// than truncated: a prior Snapshot's Stats.Trace aliases it, and reusing the
-// backing array would corrupt that snapshot retroactively.
+// allocates nothing in steady state.
 func (c *Collector) Reset(nthreads int) {
-	if nthreads > len(c.threads) {
-		c.threads = make([]threadCounters, nthreads)
+	threads := c.threads
+	if nthreads > len(threads) {
+		threads = make([]threadCounters, nthreads)
 	} else {
-		for i := range c.threads {
-			c.threads[i] = threadCounters{}
-		}
+		clear(threads)
 	}
-	c.rounds.Store(0)
-	c.windowSum.Store(0)
-	c.barriers.Store(0)
-	for i := range c.phaseNS {
-		c.phaseNS[i].Store(0)
-	}
-	c.traceEnabled = false
-	c.trace = nil
-	c.start = time.Time{}
-	c.elapsed = 0
+	*c = Collector{threads: threads}
 }
-
-// EnableTrace turns on per-round tracing (single-threaded append from the
-// scheduler's coordinator, so no locking is needed).
-func (c *Collector) EnableTrace() { c.traceEnabled = true }
 
 // Start records the beginning of the measured region.
 func (c *Collector) Start() { c.start = time.Now() }
@@ -129,28 +133,15 @@ func (c *Collector) Add(tid int, t Tally) {
 	s.Inspects += t.Inspects
 }
 
-// Round records one deterministic round with the given window size and
-// committed count. Called by the scheduler coordinator between barriers.
-func (c *Collector) Round(window, committed int) {
-	c.rounds.Add(1)
-	c.windowSum.Add(uint64(window))
-	if c.traceEnabled {
-		c.trace = append(c.trace, RoundSample{Window: window, Committed: committed})
-	}
-}
-
-// Barriers records n barrier crossings of the round loop. Called by the
-// scheduler coordinator between barriers; the count is a pure function of
-// the deterministic schedule, the thread count and the pipeline choice, so
-// it is reproducible run to run (unlike the phase durations).
-func (c *Collector) Barriers(n uint64) { c.barriers.Add(n) }
-
-// Phase records one round's phase wall times in nanoseconds (inspect,
-// execute, coordinate). Called by the scheduler coordinator.
-func (c *Collector) Phase(insNS, exeNS, coNS int64) {
-	c.phaseNS[0].Add(insNS)
-	c.phaseNS[1].Add(exeNS)
-	c.phaseNS[2].Add(coNS)
+// Round folds one deterministic round into the run's totals. Called by the
+// scheduler from a serial section (between barriers).
+func (c *Collector) Round(r Round) {
+	c.rounds++
+	c.windowSum += uint64(r.Window)
+	c.barriers += r.Barriers
+	c.phaseNS[0] += r.InspectNS
+	c.phaseNS[1] += r.ExecuteNS
+	c.phaseNS[2] += r.CoordinateNS
 }
 
 // Snapshot merges all per-thread counters into a Stats value.
@@ -164,14 +155,13 @@ func (c *Collector) Snapshot() Stats {
 		s.AtomicOps += t.AtomicOps
 		s.Inspects += t.Inspects
 	}
-	s.Rounds = c.rounds.Load()
-	s.WindowSum = c.windowSum.Load()
-	s.Barriers = c.barriers.Load()
-	s.PhaseInspectNS = c.phaseNS[0].Load()
-	s.PhaseExecuteNS = c.phaseNS[1].Load()
-	s.PhaseCoordinateNS = c.phaseNS[2].Load()
+	s.Rounds = c.rounds
+	s.WindowSum = c.windowSum
+	s.Barriers = c.barriers
+	s.PhaseInspectNS = c.phaseNS[0]
+	s.PhaseExecuteNS = c.phaseNS[1]
+	s.PhaseCoordinateNS = c.phaseNS[2]
 	s.Elapsed = c.elapsed
-	s.Trace = c.trace
 	return s
 }
 
@@ -205,8 +195,6 @@ type Stats struct {
 	PhaseCoordinateNS int64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// Trace holds per-round samples if tracing was enabled.
-	Trace []RoundSample
 }
 
 // AbortRatio returns aborts / (commits + aborts), the paper's abort ratio.
@@ -256,8 +244,8 @@ func (s Stats) BarriersPerRound() float64 {
 	return float64(s.Barriers) / float64(s.Rounds)
 }
 
-// Add returns the element-wise sum of s and o (durations add; traces are
-// dropped). Useful for aggregating phases of one logical run.
+// Add returns the element-wise sum of s and o (durations add). Useful for
+// aggregating phases of one logical run.
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Commits:           s.Commits + o.Commits,

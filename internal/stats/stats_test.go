@@ -17,8 +17,8 @@ func TestCollectorMerge(t *testing.T) {
 		c.AtomicOp(tid, 10)
 		c.Inspect(tid)
 	}
-	c.Round(100, 90)
-	c.Round(50, 50)
+	c.Round(Round{Window: 100, Committed: 90, Failed: 10, Barriers: 2, InspectNS: 5, ExecuteNS: 6, CoordinateNS: 7})
+	c.Round(Round{Window: 50, Committed: 50, Barriers: 1, InspectNS: 1, ExecuteNS: 1, CoordinateNS: 1})
 	s := c.Snapshot()
 	if s.Commits != 1+2+3+4 {
 		t.Fatalf("commits = %d", s.Commits)
@@ -34,6 +34,13 @@ func TestCollectorMerge(t *testing.T) {
 	}
 	if s.MeanWindow() != 75 {
 		t.Fatalf("mean window = %v", s.MeanWindow())
+	}
+	if s.Barriers != 3 || s.PhaseInspectNS != 6 || s.PhaseExecuteNS != 7 || s.PhaseCoordinateNS != 8 {
+		t.Fatalf("barriers = %d phases = %d/%d/%d", s.Barriers, s.PhaseInspectNS, s.PhaseExecuteNS, s.PhaseCoordinateNS)
+	}
+	c.Reset(2)
+	if s := c.Snapshot(); s != (Stats{}) {
+		t.Fatalf("after Reset: %+v", s)
 	}
 }
 
@@ -59,17 +66,6 @@ func TestRates(t *testing.T) {
 	var zero Stats
 	if zero.CommitsPerMicro() != 0 || zero.AtomicsPerMicro() != 0 {
 		t.Fatal("zero elapsed should give zero rates")
-	}
-}
-
-func TestTrace(t *testing.T) {
-	c := NewCollector(1)
-	c.EnableTrace()
-	c.Round(10, 8)
-	c.Round(20, 20)
-	s := c.Snapshot()
-	if len(s.Trace) != 2 || s.Trace[0] != (RoundSample{10, 8}) || s.Trace[1] != (RoundSample{20, 20}) {
-		t.Fatalf("trace = %v", s.Trace)
 	}
 }
 
