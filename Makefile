@@ -39,12 +39,13 @@ race:
 	$(GO) test -race ./internal/marks/... ./internal/detres/... ./internal/core/... ./internal/apps/... ./internal/serve/... ./internal/session/... ./internal/router/... ./internal/para/... ./internal/psort/... ./internal/scan/...
 
 # What a finished job leaves behind is bounded: a kept engine, once
-# scrubbed, holds nothing of its runs (weak pointers die), and a server's
-# live heap after a collection is as large after 84 never-repeated jobs as
-# after 42. Both under the race detector, half a minute; `make soak` — minutes
-# of mixed load — is still owed (ROADMAP).
+# scrubbed, holds nothing of its runs (weak pointers die), a speculative run
+# whose operator panics leaves no worker busy and the engine reusable, and a
+# server's live heap after a collection is as large after 84 never-repeated
+# jobs as after 42. All under the race detector, half a minute; `make soak` —
+# minutes of mixed load — is still owed (ROADMAP).
 soak-smoke:
-	$(GO) test -race -count=1 -run 'TestScrubReleasesRunData|TestFailedRunLeavesNoClosures' ./internal/core
+	$(GO) test -race -count=1 -run 'TestScrubReleasesRunData|TestFailedRunLeavesNoClosures|TestNonDetPanicIsContained' ./internal/core
 	$(GO) test -race -count=1 -run 'TestServerMemoryIsBounded' ./internal/serve
 
 # End-to-end trace check: run one traced figure at small scale, then prove

@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation (§5), one family per
-// figure/table, plus ablations for the §3.3 optimizations. Run with:
+// figure/table, with Figure 10 as the §3.3 continuation ablation. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -190,44 +190,6 @@ func BenchmarkFig11Locality(b *testing.B) {
 				}
 				if rep.Accesses > 0 {
 					b.ReportMetric(1e6*float64(rep.DRAMRequests())/float64(rep.Accesses), "dram/Maccess")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationWindow sweeps the deterministic window policy constants
-// (performance-only knobs; determinism tests prove output is unaffected by
-// thread count for any fixed policy).
-func BenchmarkAblationWindow(b *testing.B) {
-	maxT := para.DefaultThreads()
-	in := inputs(b)
-	for _, target := range []float64{0.5, 0.8, 0.95, 0.99} {
-		b.Run(fmt.Sprintf("dmr/target=%v", target), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				in.RunDetTuned(b, "dmr", maxT, 0, target, false)
-			}
-		})
-	}
-	for _, init := range []int{64, 1024, 16384} {
-		b.Run(fmt.Sprintf("dmr/init=%d", init), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				in.RunDetTuned(b, "dmr", maxT, init, 0, false)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationInterleave toggles the §3.3 locality-aware round
-// placement.
-func BenchmarkAblationInterleave(b *testing.B) {
-	maxT := para.DefaultThreads()
-	in := inputs(b)
-	for _, app := range []string{"dmr", "dt"} {
-		for _, interleave := range []bool{true, false} {
-			b.Run(fmt.Sprintf("%s/interleave=%v", app, interleave), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					in.RunDetTuned(b, app, maxT, 0, 0, !interleave)
 				}
 			})
 		}

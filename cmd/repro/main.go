@@ -9,6 +9,8 @@
 //	repro -fig 6 -threads 1,2,4,8     # explicit thread sweep
 //	repro -fig 7 -scale full          # the paper's input sizes (slow)
 //	repro -fig 7 -trace trace.json    # also dump a Chrome/Perfetto trace
+//	repro -loop bfs/g-d -threads 2 -scale small
+//	                                  # run one app/variant cell, print its fingerprint
 //	repro -loop bfs/g-d,mis/g-d -reps 10 -threads 2 -cpuprofile cpu.pprof
 //	                                  # profile a hot loop (make profile-finegrain)
 //	repro -serve 15s -cpuprofile cpu.pprof -memprofile heap.pprof
@@ -24,6 +26,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -127,7 +130,7 @@ func run() int {
 
 	if *loop != "" {
 		//detlint:ignore taintfp inputs carry harness timing state; the fingerprints printed come from det receipts, not timings
-		if err := runLoop(in, *loop, *reps, maxT); err != nil {
+		if err := runLoop(os.Stdout, in, *loop, *reps, maxT); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			return 2
 		}
@@ -219,10 +222,11 @@ func startCPUProfile(path string) (stop func(), err error) {
 }
 
 // runLoop runs each app/variant cell of spec reps times (after one untimed
-// warm-up) and prints the cell's median wall and fingerprint, and — from the
-// metrics registry, the only place they are published — how often a barrier
-// waiter parked and how long waiters waited, per run.
-func runLoop(in *harness.Inputs, spec string, reps, threads int) error {
+// warm-up) and prints to w the cell's median wall and fingerprint, and — from
+// the metrics registry, the only place they are published — how often a
+// barrier waiter parked and how long waiters waited, per run. It is the
+// command line's one way to run a single harness cell.
+func runLoop(w io.Writer, in *harness.Inputs, spec string, reps, threads int) error {
 	if reps < 1 {
 		return fmt.Errorf("-reps must be at least 1")
 	}
@@ -249,7 +253,7 @@ func runLoop(in *harness.Inputs, spec string, reps, threads int) error {
 			walls[i], fp = r.Elapsed, r.Fingerprint
 		}
 		sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-		fmt.Printf("%s/%s threads=%d reps=%d median=%.2fms min=%.2fms parks/run=%.1f barrier-wait=%.2fms/run fingerprint=%#x\n",
+		fmt.Fprintf(w, "%s/%s threads=%d reps=%d median=%.2fms min=%.2fms parks/run=%.1f barrier-wait=%.2fms/run fingerprint=%#x\n",
 			c.app, c.variant, threads, reps,
 			float64(walls[reps/2].Microseconds())/1e3, float64(walls[0].Microseconds())/1e3,
 			float64(parks.Value()-parks0)/float64(reps), float64(waitNS.Value()-wait0)/float64(reps)/1e6, fp)

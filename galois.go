@@ -96,32 +96,10 @@ func WithThreads(n int) Option { return func(o *core.Options) { o.Threads = n } 
 // exists for the Figure 10 ablation.
 func WithoutContinuation() Option { return func(o *core.Options) { o.Continuation = false } }
 
-// WithLocalityInterleave enables or disables the locality-aware round
-// placement of §3.3 (default on).
-func WithLocalityInterleave(on bool) Option {
-	return func(o *core.Options) { o.LocalityInterleave = on }
-}
-
 // WithPreassignedIDs declares that every task created via PushWithID
 // carries an explicit deterministic priority, skipping the (parent, k)
 // sort of §3.2 — the third optimization of §3.3.
 func WithPreassignedIDs() Option { return func(o *core.Options) { o.PreassignedIDs = true } }
-
-// WithWindow overrides the adaptive window policy's constants: the initial
-// window (0 = default n/64), the floor, and the commit-ratio target. These
-// affect performance only; for any fixed values the deterministic schedule
-// remains thread- and machine-independent.
-func WithWindow(initial, floor int, target float64) Option {
-	return func(o *core.Options) {
-		o.WindowInit = initial
-		if floor > 0 {
-			o.WindowMin = floor
-		}
-		if target > 0 {
-			o.WindowTarget = target
-		}
-	}
-}
 
 // WithFIFO selects an approximately-FIFO worklist for the non-deterministic
 // scheduler (default: chunked LIFO with stealing). A scheduling hint in the

@@ -41,8 +41,6 @@ func TestOptionPlumbing(t *testing.T) {
 		galois.WithSched(galois.Deterministic),
 		galois.WithThreads(2),
 		galois.WithoutContinuation(),
-		galois.WithLocalityInterleave(false),
-		galois.WithWindow(8, 4, 0.9),
 		galois.WithTrace(sink),
 		galois.WithMetrics(met),
 		galois.WithProfile(tr),

@@ -154,14 +154,14 @@ func PBBS(g *graph.CSR, src, nthreads int) *Result {
 					parent[v] = u
 					buf = append(buf, v)
 				}
-				col.Commit(b)
 			}
 			nextBufs[b] = buf
 		})
+		// Every frontier node commits: the level is one round.
+		col.Round(stats.Round{Window: len(frontier), Committed: len(frontier)})
 		// Deterministic parallel frontier packing (block order).
 		frontier = scan.Pack(nextBufs, nthreads)
 		level++
-		col.Round(stats.Round{Window: len(frontier), Committed: len(frontier)})
 	}
 	col.Stop()
 	return &Result{Dist: dist, Parent: parent, Stats: col.Snapshot()}

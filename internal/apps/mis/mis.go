@@ -159,7 +159,6 @@ func PBBS(g *graph.CSR, nthreads int) *Result {
 						state[u].Store(uint32(Out))
 						decided[i].Store(true)
 						col.AtomicOp(tid, 1)
-						col.Commit(tid)
 						return
 					case Unknown:
 						allLowerOut = false
@@ -170,7 +169,6 @@ func PBBS(g *graph.CSR, nthreads int) *Result {
 					state[u].Store(uint32(In))
 					decided[i].Store(true)
 					col.AtomicOp(tid, 1)
-					col.Commit(tid)
 				}
 			})
 			for i := range decided {
@@ -183,7 +181,7 @@ func PBBS(g *graph.CSR, nthreads int) *Result {
 				break
 			}
 		}
-		col.Round(stats.Round{Window: p, Committed: p})
+		col.Round(stats.Round{Window: p, Committed: p}) // every prefix node is decided
 		remaining = remaining[p:]
 	}
 	col.Stop()

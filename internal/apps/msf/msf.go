@@ -304,6 +304,7 @@ func PBBS(n int, edges []WEdge, nthreads int) *Result {
 		for i := range parent {
 			parent[i] = uint32(i)
 		}
+		chosenBefore := len(res.Chosen)
 		for c := 0; c < n; c++ {
 			e := minEdge[c]
 			if e.Key == noEdge || uint32(c) != label[e.U] && uint32(c) != label[e.V] {
@@ -323,13 +324,11 @@ func PBBS(n int, edges []WEdge, nthreads int) *Result {
 				// This side is the root; the partner hooks here.
 				res.Chosen = append(res.Chosen, e.Key)
 				res.TotalWeight += uint64(e.Weight())
-				col.Commit(0)
 				continue
 			}
 			parent[c] = other
 			res.Chosen = append(res.Chosen, e.Key)
 			res.TotalWeight += uint64(e.Weight())
-			col.Commit(0)
 		}
 		// Pointer jumping to full compression.
 		for {
@@ -354,7 +353,8 @@ func PBBS(n int, edges []WEdge, nthreads int) *Result {
 				next = append(next, e)
 			}
 		}
-		col.Round(stats.Round{Window: len(live), Committed: len(live) - len(next)})
+		// The round attempts every live edge and commits the ones it hooks.
+		col.Round(stats.Round{Window: len(live), Committed: len(res.Chosen) - chosenBefore})
 		live = next
 	}
 	col.Stop()

@@ -134,14 +134,13 @@ func (r *roundExecutor[T]) inspectTask(ctx *Ctx[T], t *detTask[T], tid int) {
 
 // execTask decides whether t is in the round's independent set and, if so,
 // commits it. Marks are left as they are: the next round's epoch retires
-// them.
+// them. The outcome is counted once, by finishRound's record, not here.
 func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid int) {
 	if r.opt.Continuation {
 		// §3.3: the prevented flag subsumes mark re-validation — it
 		// is set iff some location of t ended up owned by a higher id.
 		if t.rec.Prevented() {
 			t.failed = true
-			ctx.tally.Aborts++
 			return
 		}
 		t.failed = false
@@ -173,13 +172,11 @@ func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid int) {
 		ctx.scratch = ctx.children
 		if conflicted {
 			t.failed = true
-			ctx.tally.Aborts++
 			return
 		}
 		t.failed = false
 		t.children = append(t.children[:0], ctx.children...)
 	}
-	ctx.tally.Commits++
 	ctx.tally.Pushes += uint64(len(t.children))
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,6 +196,94 @@ func TestOperatorPanicLeavesEngineAndMarksReusable(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestNonDetPanicIsContained: under the speculative scheduler a panic in an
+// operator or a commit closure, on the caller's worker (tid 0) or on a pool
+// worker, reaches the caller once with its own value. No worker is left
+// waiting for the task that will never commit, no goroutine is added, and
+// the engine's next runs — on the same slots, the dead run's marks still in
+// them — are a deterministic run byte-identical to a fresh one and a
+// speculative run that commits every task exactly once.
+func TestNonDetPanicIsContained(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // four real workers
+	for _, threads := range []int{1, 2, 4} {
+		want, _ := runSlots(make([]slot, epochSlots), optsFor(Deterministic, threads), nil)
+		victims := []int{0} // the caller
+		if threads > 1 {
+			victims = append(victims, threads-1) // a pool worker
+		}
+		for _, victim := range victims {
+			for _, inCommit := range []bool{false, true} {
+				t.Run(fmt.Sprintf("t%d/tid%d/commit=%v", threads, victim, inCommit), func(t *testing.T) {
+					before := runtime.NumGoroutine()
+					eng := NewEngine(threads)
+					det := optsFor(Deterministic, threads, func(o *Options) { o.Engine = eng })
+					non := optsFor(NonDeterministic, threads, func(o *Options) { o.Engine = eng })
+					slots := make([]slot, epochSlots)
+					runSlots(slots, non, nil) // the pool's workers now exist
+					warm := runtime.NumGoroutine()
+
+					var fired atomic.Bool
+					boom := func(ctx *Ctx[slotJob], here bool) {
+						if here && ctx.TID() == victim && fired.CompareAndSwap(false, true) {
+							panic("operator bug")
+						}
+					}
+					msg := panicText(func() {
+						RunOn(eng, epochJobsFor(5), func(ctx *Ctx[slotJob], j slotJob) {
+							// Hold every other worker in its first task until the
+							// victim has failed, so the victim surely runs one.
+							for ctx.TID() != victim && !fired.Load() {
+								runtime.Gosched()
+							}
+							s := &slots[j.a]
+							ctx.Acquire(&s.Lockable)
+							boom(ctx, !inCommit)
+							ctx.OnCommit(func(ctx *Ctx[slotJob]) {
+								boom(ctx, inCommit)
+								s.value++
+							})
+						}, non)
+					})
+					if msg != "operator bug" {
+						t.Fatalf("panic reached the caller as %q", msg)
+					}
+					if n := runtime.NumGoroutine(); n != warm {
+						t.Fatalf("%d goroutines after the failed run, %d before it", n, warm)
+					}
+
+					// A worker still waiting for the dead run's task would never
+					// take the next run's start signal, and a worklist still
+					// holding the dead run's tasks would never drain.
+					next := make(chan [2]uint64, 1)
+					go func() {
+						fp, _ := runSlots(slots, det, nil)
+						_, commits := runSlots(slots, non, nil)
+						next <- [2]uint64{fp, commits}
+					}()
+					select {
+					case got := <-next:
+						if got[0] != want || got[1] != epochCommits {
+							t.Fatalf("after the panic: det fingerprint %#x (fresh %#x), nondet %d commits (want %d)",
+								got[0], want, got[1], epochCommits)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatal("the engine's next runs did not finish in 10s")
+					}
+					eng.Close()
+					deadline := time.Now().Add(5 * time.Second)
+					for runtime.NumGoroutine() > before {
+						if time.Now().After(deadline) {
+							t.Fatalf("%d goroutines after Close, %d before the engine existed — a worker leaked",
+								runtime.NumGoroutine(), before)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				})
+			}
+		}
 	}
 }
 

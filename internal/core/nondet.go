@@ -86,8 +86,19 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 	// task, pending stays positive, so termination detection is exact.
 	var pending atomic.Int64
 	pending.Store(int64(len(items)))
+	// failure holds the first value an operator or commit closure panicked
+	// with. The panicking worker never decrements pending for its task, so
+	// every other worker stops at its next pop instead of waiting for zero;
+	// the value is re-raised once all of them have left.
+	var failure atomic.Pointer[any]
 
 	e.pool.Run(nthreads, func(tid int) {
+		defer func() {
+			if p := recover(); p != nil {
+				first := p // a copy, so only a panic allocates
+				failure.CompareAndSwap(nil, &first)
+			}
+		}()
 		ctx := st.ctxs[tid]
 		// The worker's counts stay in its context for the whole run and
 		// reach the collector once, when the worker leaves.
@@ -99,7 +110,7 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 		rec.Enter(epoch)
 
 		backoff := 0
-		for {
+		for failure.Load() == nil {
 			item, ok := wl.Pop(tid)
 			if !ok {
 				if pending.Load() == 0 {
@@ -157,5 +168,13 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 	// As after a deterministic run: the last closure pins operator state.
 	for _, ctx := range st.ctxs[:nthreads] {
 		ctx.commitFn = nil
+	}
+	if p := failure.Load(); p != nil {
+		// The marks the failed tasks still hold are stale to the next run's
+		// epoch. The worklist is not drained: drop it, so no later run pops
+		// this one's items, and zero what else holds them.
+		st.lifo, st.fifo = nil, nil
+		st.scrubItems()
+		panic(*p)
 	}
 }

@@ -54,14 +54,10 @@ type Options struct {
 	PreassignedIDs bool
 
 	// WindowInit is the initial window size for a generation of n tasks;
-	// 0 means the default policy max(WindowMin, n/windowInitDivisor).
+	// 0 means the default policy max(defaultWindowMin, n/windowInitDivisor).
+	// Only tests set it, as they set LocalityInterleave: the public API
+	// has no window knob, because §3.2's policy needs none.
 	WindowInit int
-	// WindowMin is the window floor. It is a constant of the policy, not
-	// a machine parameter: the window sequence is a pure function of
-	// commit counts, so it is identical on every machine (portability).
-	WindowMin int
-	// WindowTarget is the commit-ratio target of the adaptive policy.
-	WindowTarget float64
 
 	// FIFO selects an approximately-FIFO worklist for the
 	// non-deterministic scheduler instead of the default chunked-LIFO
@@ -111,7 +107,5 @@ func Defaults() Options {
 		Threads:            para.DefaultThreads(),
 		Continuation:       true,
 		LocalityInterleave: true,
-		WindowMin:          defaultWindowMin,
-		WindowTarget:       defaultWindowTarget,
 	}
 }

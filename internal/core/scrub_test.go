@@ -24,7 +24,7 @@ type scrubNode struct {
 type scrubWitness struct {
 	items    []weak.Pointer[scrubNode]
 	children []weak.Pointer[scrubNode]
-	captured weak.Pointer[[512]uint64]
+	captured weak.Pointer[[1024]uint64]
 	registry weak.Pointer[obs.Registry]
 	failHist weak.Pointer[obs.Histogram]
 }
@@ -53,7 +53,7 @@ func scrubRun(n int, opt Options) *scrubWitness {
 		items:    make([]weak.Pointer[scrubNode], n),
 		children: make([]weak.Pointer[scrubNode], n),
 	}
-	captured := new([512]uint64)
+	captured := new([1024]uint64)
 	w.captured = weak.Make(captured)
 	items := make([]*scrubNode, n)
 	index := make(map[*scrubNode]int, n)

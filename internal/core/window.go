@@ -20,32 +20,16 @@ const (
 // independent of the number of executing threads — this is the paper's
 // portability argument for the adaptive scheme.
 type windowPolicy struct {
-	size   int
-	min    int
-	target float64
+	size int
 }
 
 // newWindowPolicy returns the policy for a generation of n tasks.
 func newWindowPolicy(n int, opt Options) windowPolicy {
-	minW := opt.WindowMin
-	if minW <= 0 {
-		minW = defaultWindowMin
-	}
-	target := opt.WindowTarget
-	if target <= 0 || target > 1 {
-		target = defaultWindowTarget
-	}
 	size := opt.WindowInit
 	if size <= 0 {
 		size = n / windowInitDivisor
 	}
-	if size < minW {
-		size = minW
-	}
-	if size > windowMax {
-		size = windowMax
-	}
-	return windowPolicy{size: size, min: minW, target: target}
+	return windowPolicy{size: min(max(size, defaultWindowMin), windowMax)}
 }
 
 // next returns the window for a round with `remaining` tasks pending.
@@ -63,9 +47,9 @@ func (w *windowPolicy) update(attempted, committed int) int {
 		return w.size
 	}
 	ratio := float64(committed) / float64(attempted)
-	if ratio < w.target {
+	if ratio < defaultWindowTarget {
 		// Shrink proportionally toward the target commit ratio.
-		w.size = max(int(float64(attempted)*ratio/w.target)+1, w.min)
+		w.size = max(int(float64(attempted)*ratio/defaultWindowTarget)+1, defaultWindowMin)
 		return w.size
 	}
 	// At or above target: double, from the larger of the policy size and

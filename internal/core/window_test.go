@@ -52,8 +52,8 @@ func TestWindowFloorHolds(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		w.update(w.size, 0+1) // nearly everything fails
 	}
-	if w.size < w.min {
-		t.Fatalf("size %d below floor %d", w.size, w.min)
+	if w.size < defaultWindowMin {
+		t.Fatalf("size %d below floor %d", w.size, defaultWindowMin)
 	}
 }
 
@@ -156,7 +156,9 @@ func TestInterleaveSrcMatchesAppendReference(t *testing.T) {
 // formGeneration or interleaveSrc: deal the sources round-robin into
 // ceil(n/w0) buckets, concatenate, number the slots from 1. Every worker
 // count, both source kinds, over a recycled arena that still holds the
-// previous generation.
+// previous generation. The bucket count is set from w0 directly rather than
+// through beginGeneration, whose window floor would lift w0 = 1 and 3 to
+// defaultWindowMin.
 func TestFormGenerationMatchesNaiveReference(t *testing.T) {
 	st := &engState[int]{}
 	r := newRoundExecutor(st)
@@ -181,16 +183,15 @@ func TestFormGenerationMatchesNaiveReference(t *testing.T) {
 				}
 				for _, threads := range []int{1, 2, 3, 8} {
 					for _, fromChildren := range []bool{false, true} {
-						r.opt = Defaults()
-						r.opt.WindowInit = w0
-						r.opt.WindowMin = 1
-						r.opt.LocalityInterleave = interleave
 						r.nthreads = threads
 						r.formItems, r.formChildren, r.formN = items, nil, n
 						if fromChildren {
 							r.formItems, r.formChildren = nil, children
 						}
-						r.beginGeneration()
+						r.buckets = 1
+						if interleave {
+							r.buckets = interleaveBuckets(n, w0)
+						}
 						r.arena = st.free.take(n)
 						for tid := threads - 1; tid >= 0; tid-- {
 							r.formGeneration(tid)

@@ -150,7 +150,6 @@ func For(n int, step Step, opt Options) stats.Stats {
 			s := cur[k]
 			if s.done {
 				s.failed = false
-				col.Commit(tid)
 			} else {
 				held := !s.res.lost
 				if held {
@@ -171,10 +170,8 @@ func For(n int, step Step, opt Options) stats.Stats {
 						}
 					}
 					s.failed = false
-					col.Commit(tid)
 				} else {
 					s.failed = true
-					col.Abort(tid)
 				}
 			}
 			s.res.acquired = nil
@@ -191,7 +188,7 @@ func For(n int, step Step, opt Options) stats.Stats {
 				committed++
 			}
 		}
-		col.Round(stats.Round{Window: p, Committed: committed})
+		col.Round(stats.Round{Window: p, Committed: committed, Failed: len(next)})
 		committedTotal += committed
 		if committed == 0 {
 			// The minimum-index item always holds all its

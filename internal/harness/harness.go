@@ -6,7 +6,6 @@ package harness
 
 import (
 	"fmt"
-	"testing"
 	"time"
 
 	"galois"
@@ -204,35 +203,6 @@ func (in *Inputs) RunOnce(app, variant string, threads int, profile *cachesim.Tr
 	}
 	r.Elapsed = time.Since(start)
 	return r
-}
-
-// RunDetTuned runs the deterministic variant of app with explicit window
-// policy constants and/or the locality interleave disabled — the §3.3
-// ablation hooks for the benchmark suite. tb is only used to fail fast on
-// unknown apps.
-func (in *Inputs) RunDetTuned(tb testing.TB, app string, threads, winInit int, winTarget float64, noInterleave bool) {
-	opts := []galois.Option{galois.WithThreads(threads), galois.WithSched(galois.Deterministic)}
-	if winInit > 0 || winTarget > 0 {
-		opts = append(opts, galois.WithWindow(winInit, 0, winTarget))
-	}
-	if noInterleave {
-		opts = append(opts, galois.WithLocalityInterleave(false))
-	}
-	switch app {
-	case "bfs":
-		bfs.Galois(in.bfsGraph, 0, opts...)
-	case "mis":
-		mis.Galois(in.bfsGraph, opts...)
-	case "dt":
-		dt.Galois(in.dtPoints, in.sc.Seed+3, opts...)
-	case "dmr":
-		dmr.Galois(dmr.MakeInput(in.dmrPts, in.sc.Seed+4), dmr.DefaultQuality(), opts...)
-	case "pfp":
-		in.pfpNet.Reset()
-		pfp.Galois(in.pfpNet, opts...)
-	default:
-		tb.Fatalf("harness: unknown app %q", app)
-	}
 }
 
 // RunMedian repeats RunOnce sc.Reps times and returns the run with the

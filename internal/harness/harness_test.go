@@ -328,16 +328,6 @@ func TestExtensionsRenders(t *testing.T) {
 	}
 }
 
-func TestRunDetTunedVariants(t *testing.T) {
-	in := smallInputs()
-	for _, app := range Apps {
-		in.RunDetTuned(t, "bfs", 2, 64, 0.9, true)
-		_ = app
-		break // one app suffices; the dispatch switch is the target
-	}
-	in.RunDetTuned(t, "pfp", 2, 0, 0, false)
-}
-
 // TestEngineReuseFingerprints is the harness-level engine invariant: for
 // every app, deterministic runs that reuse one engine (three in a row, so
 // the second and third hit fully warm state) commit fingerprints

@@ -19,8 +19,8 @@ const cacheLine = 64
 // loop touches the collector once per stretch instead of several times per
 // task.
 type Tally struct {
-	Commits   uint64 // tasks that executed to completion
-	Aborts    uint64 // failed task attempts (conflicts)
+	Commits   uint64 // tasks that executed to completion (speculative runs; DIG counts rounds)
+	Aborts    uint64 // failed task attempts (conflicts; likewise)
 	Pushes    uint64 // dynamically created tasks
 	AtomicOps uint64 // atomic updates to shared mark state (Figure 5)
 	Inspects  uint64 // inspect-phase executions
@@ -37,8 +37,11 @@ type threadCounters struct {
 type Collector struct {
 	threads []threadCounters
 	// The per-round totals are written by Round only, from the scheduler's
-	// serial sections, so they are plain fields.
+	// serial sections, so they are plain fields. commits and aborts are a
+	// deterministic run's; a speculative run counts its own in threads.
 	rounds    uint64
+	commits   uint64
+	aborts    uint64
 	windowSum uint64
 	barriers  uint64
 	phaseNS   [3]int64 // inspect, execute, coordinate
@@ -48,12 +51,13 @@ type Collector struct {
 
 // Round is the record of one deterministic-scheduler round: what the
 // scheduler reports, once, to the collector, the trace and the metrics
-// registry (DESIGN.md §7.3 maps each field to all three).
+// registry (DESIGN.md §7.3 maps each field to all three). The round-based
+// PBBS loops report their rounds with it too, and count commits only there.
 type Round struct {
 	// Gen is the generation index, Round the round's index within it.
 	Gen, Round int32
 	// Window is the number of tasks attempted (the policy size clamped to
-	// the tasks pending); Committed and Failed partition it.
+	// the tasks pending); in a DIG round Committed and Failed partition it.
 	Window, Committed, Failed int
 	// InspectNS, ExecuteNS and CoordinateNS are the wall durations of the
 	// round's three phases; Barriers is the barrier crossings it cost.
@@ -103,10 +107,6 @@ func (c *Collector) Start() { c.start = time.Now() }
 // Stop records the end of the measured region.
 func (c *Collector) Stop() { c.elapsed = time.Since(c.start) }
 
-// SetElapsed overrides the measured duration (used when the caller times the
-// region itself).
-func (c *Collector) SetElapsed(d time.Duration) { c.elapsed = d }
-
 // Commit records a committed task on thread tid.
 func (c *Collector) Commit(tid int) { c.threads[tid].Commits++ }
 
@@ -133,10 +133,13 @@ func (c *Collector) Add(tid int, t Tally) {
 	s.Inspects += t.Inspects
 }
 
-// Round folds one deterministic round into the run's totals. Called by the
-// scheduler from a serial section (between barriers).
+// Round folds one deterministic round into the run's totals, its Committed
+// and Failed included: under DIG the record is the only count of either.
+// Called by the scheduler from a serial section (between barriers).
 func (c *Collector) Round(r Round) {
 	c.rounds++
+	c.commits += uint64(r.Committed)
+	c.aborts += uint64(r.Failed)
 	c.windowSum += uint64(r.Window)
 	c.barriers += r.Barriers
 	c.phaseNS[0] += r.InspectNS
@@ -146,7 +149,7 @@ func (c *Collector) Round(r Round) {
 
 // Snapshot merges all per-thread counters into a Stats value.
 func (c *Collector) Snapshot() Stats {
-	var s Stats
+	s := Stats{Commits: c.commits, Aborts: c.aborts}
 	for i := range c.threads {
 		t := &c.threads[i]
 		s.Commits += t.Commits

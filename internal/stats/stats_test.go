@@ -20,10 +20,11 @@ func TestCollectorMerge(t *testing.T) {
 	c.Round(Round{Window: 100, Committed: 90, Failed: 10, Barriers: 2, InspectNS: 5, ExecuteNS: 6, CoordinateNS: 7})
 	c.Round(Round{Window: 50, Committed: 50, Barriers: 1, InspectNS: 1, ExecuteNS: 1, CoordinateNS: 1})
 	s := c.Snapshot()
-	if s.Commits != 1+2+3+4 {
+	// A scheduler uses one source or the other; the collector adds both.
+	if s.Commits != 1+2+3+4+90+50 {
 		t.Fatalf("commits = %d", s.Commits)
 	}
-	if s.Aborts != 4 || s.Pushes != 4 || s.Inspects != 4 {
+	if s.Aborts != 4+10 || s.Pushes != 4 || s.Inspects != 4 {
 		t.Fatalf("aborts/pushes/inspects = %d/%d/%d", s.Aborts, s.Pushes, s.Inspects)
 	}
 	if s.AtomicOps != 40 {
@@ -96,9 +97,5 @@ func TestStartStop(t *testing.T) {
 	c.Stop()
 	if c.Snapshot().Elapsed < time.Millisecond {
 		t.Fatal("elapsed not measured")
-	}
-	c.SetElapsed(5 * time.Second)
-	if c.Snapshot().Elapsed != 5*time.Second {
-		t.Fatal("SetElapsed ignored")
 	}
 }
