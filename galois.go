@@ -23,6 +23,10 @@
 //		})
 //	}, galois.WithSched(galois.Deterministic))
 //
+// A commit handler that needs only the item and the state the task acquired
+// can be built once per loop, outside the body, and read the item from
+// c.Item(): one closure for the loop instead of one per task.
+//
 // # On-demand determinism
 //
 // The same body runs under two schedulers, selected by WithSched:
@@ -60,7 +64,8 @@ const (
 )
 
 // Ctx is the per-task execution context. See the core package for the
-// method set: Acquire, OnCommit, Push, PushWithID, TID, Threads.
+// method set: Acquire, OnCommit, Push, PushWithID, Item, TID, Threads,
+// Deterministic, CountAtomic.
 type Ctx[T any] = core.Ctx[T]
 
 // Lockable is the mark word embedded in every abstract location that tasks

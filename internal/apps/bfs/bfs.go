@@ -180,6 +180,12 @@ type node struct {
 // which tasks to create — derive from acquired state, so under DIG
 // scheduling the entire task DAG is deterministic.
 //
+// The body only decides whether any neighbor improves; the commit handler,
+// built once, re-reads the acquired distances of its node (Ctx.Item) and
+// relaxes them. It relaxes and pushes the same neighbors in the same order
+// as a per-task list would, provided adjacency has no duplicate edges and
+// no self-loops — true of every graph.Symmetrize output.
+//
 // The variant runs with a FIFO worklist hint (see galois.WithFIFO): with
 // LIFO order the speculative scheduler would label nodes with long
 // DFS-path distances first and then spend most of its time correcting them.
@@ -191,28 +197,32 @@ func Galois(g *graph.CSR, src int, opts ...galois.Option) *Result {
 	}
 	nodes[src].dist = 0
 
+	relax := func(c *galois.Ctx[uint32]) {
+		u := c.Item()
+		d := nodes[u].dist
+		for _, v := range g.Neighbors(int(u)) {
+			if nv := &nodes[v]; nv.dist > d+1 {
+				nv.dist = d + 1
+				c.Push(v)
+			}
+		}
+	}
 	opts = append([]galois.Option{galois.WithFIFO()}, opts...)
 	st := galois.ForEach([]uint32{uint32(src)}, func(ctx *galois.Ctx[uint32], u uint32) {
 		nu := &nodes[u]
 		ctx.Acquire(&nu.Lockable)
 		d := nu.dist
-		var improved []uint32
+		improves := false
 		for _, v := range g.Neighbors(int(u)) {
 			nv := &nodes[v]
 			ctx.Acquire(&nv.Lockable)
 			if nv.dist > d+1 {
-				improved = append(improved, v)
+				improves = true
 			}
 		}
-		if len(improved) == 0 {
-			return
+		if improves {
+			ctx.OnCommit(relax)
 		}
-		ctx.OnCommit(func(c *galois.Ctx[uint32]) {
-			for _, v := range improved {
-				nodes[v].dist = d + 1
-				c.Push(v)
-			}
-		})
 	}, opts...)
 
 	dist := make([]uint32, n)

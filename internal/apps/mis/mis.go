@@ -200,7 +200,8 @@ type node struct {
 
 // Galois runs the Lonestar-style MIS under the given scheduler options: one
 // task per node; the task acquires the node and all neighbors, reads their
-// states, and joins the set iff no neighbor has joined.
+// states, and joins the set iff no neighbor has joined. The two commit
+// handlers are built once and find their node through Ctx.Item.
 func Galois(g *graph.CSR, opts ...galois.Option) *Result {
 	n := g.N()
 	nodes := make([]node, n)
@@ -208,9 +209,10 @@ func Galois(g *graph.CSR, opts ...galois.Option) *Result {
 	for i := range items {
 		items[i] = uint32(i)
 	}
+	markIn := func(c *galois.Ctx[uint32]) { nodes[c.Item()].state = In }
+	markOut := func(c *galois.Ctx[uint32]) { nodes[c.Item()].state = Out }
 	st := galois.ForEach(items, func(ctx *galois.Ctx[uint32], u uint32) {
-		nd := &nodes[u]
-		ctx.Acquire(&nd.Lockable)
+		ctx.Acquire(&nodes[u].Lockable)
 		anyIn := false
 		for _, v := range g.Neighbors(int(u)) {
 			m := &nodes[v]
@@ -220,10 +222,10 @@ func Galois(g *graph.CSR, opts ...galois.Option) *Result {
 			}
 		}
 		if anyIn {
-			ctx.OnCommit(func(*galois.Ctx[uint32]) { nd.state = Out })
+			ctx.OnCommit(markOut)
 			return
 		}
-		ctx.OnCommit(func(*galois.Ctx[uint32]) { nd.state = In })
+		ctx.OnCommit(markIn)
 	}, opts...)
 	in := make([]bool, n)
 	for i := range nodes {

@@ -182,12 +182,18 @@ func PBBS(g *graph.CSR, nthreads int) *Result {
 	return &Result{Mate: mate, Stats: st}
 }
 
-// Galois runs the edge-task matching under the given scheduler options.
+// Galois runs the edge-task matching under the given scheduler options. The
+// commit handler is built once and finds its edge through Ctx.Item.
 func Galois(g *graph.CSR, opts ...galois.Option) *Result {
 	edges := EdgesOf(g)
 	nodes := make([]node, g.N())
 	for i := range nodes {
 		nodes[i].mate = NoMatch
+	}
+	match := func(c *galois.Ctx[Edge]) {
+		e := c.Item()
+		nodes[e.U].mate = e.V
+		nodes[e.V].mate = e.U
 	}
 	st := galois.ForEach(edges, func(ctx *galois.Ctx[Edge], e Edge) {
 		nu, nv := &nodes[e.U], &nodes[e.V]
@@ -196,10 +202,7 @@ func Galois(g *graph.CSR, opts ...galois.Option) *Result {
 		if nu.mate != NoMatch || nv.mate != NoMatch {
 			return // covered; no-op commit
 		}
-		ctx.OnCommit(func(*galois.Ctx[Edge]) {
-			nu.mate = e.V
-			nv.mate = e.U
-		})
+		ctx.OnCommit(match)
 	}, opts...)
 	mate := make([]uint32, g.N())
 	for i := range nodes {

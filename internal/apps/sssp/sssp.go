@@ -151,6 +151,21 @@ func Galois(g *graph.Weighted, src int, o Options, opts ...galois.Option) *Resul
 		opts = append([]galois.Option{galois.WithFIFO()}, opts...)
 	}
 
+	// The commit handler is built once: it re-reads its node's acquired
+	// distance and relaxes every improvable edge. Those are the edges the
+	// body saw improve, in the same order, as long as no edge is duplicated
+	// and none is a self-loop — true of every graph.Symmetrize output.
+	relax := func(c *galois.Ctx[uint32]) {
+		u := c.Item()
+		d := nodes[u].dist.Load()
+		lo, _ := g.EdgeRange(int(u))
+		for i, v := range g.Neighbors(int(u)) {
+			if nd, nv := d+uint64(g.W[lo+int64(i)]), &nodes[v]; nd < nv.dist.Load() {
+				nv.dist.Store(nd)
+				c.Push(v)
+			}
+		}
+	}
 	st := galois.ForEach([]uint32{uint32(src)}, func(ctx *galois.Ctx[uint32], u uint32) {
 		nu := &nodes[u]
 		ctx.Acquire(&nu.Lockable)
@@ -159,28 +174,17 @@ func Galois(g *graph.Weighted, src int, o Options, opts ...galois.Option) *Resul
 			return // defensive: tasks are only created for reached nodes
 		}
 		lo, _ := g.EdgeRange(int(u))
-		type relax struct {
-			v  uint32
-			nd uint64
-		}
-		var improved []relax
+		improves := false
 		for i, v := range g.Neighbors(int(u)) {
 			nv := &nodes[v]
 			ctx.Acquire(&nv.Lockable)
-			nd := d + uint64(g.W[lo+int64(i)])
-			if nd < nv.dist.Load() {
-				improved = append(improved, relax{v: v, nd: nd})
+			if d+uint64(g.W[lo+int64(i)]) < nv.dist.Load() {
+				improves = true
 			}
 		}
-		if len(improved) == 0 {
-			return
+		if improves {
+			ctx.OnCommit(relax)
 		}
-		ctx.OnCommit(func(c *galois.Ctx[uint32]) {
-			for _, r := range improved {
-				nodes[r.v].dist.Store(r.nd)
-				c.Push(r.v)
-			}
-		})
 	}, opts...)
 
 	dist := make([]uint64, n)

@@ -42,14 +42,15 @@ type child[T any] struct {
 }
 
 // Ctx is the per-task execution context handed to task bodies. It carries
-// the task's mark record, the deferred commit closure and any created
-// children. A Ctx is owned by one worker goroutine at a time and must not
-// escape the task body.
+// the task's item and mark record, the deferred commit closure and any
+// created children. A Ctx is owned by one worker goroutine at a time and
+// must not escape the task body.
 type Ctx[T any] struct {
 	tid     int
 	threads int
 	det     bool
 	mode    mode
+	item    T
 	rec     *marks.Rec
 	own     marks.Rec // the worker's record under the speculative scheduler
 	// tasks is the live generation's task array under the DIG scheduler:
@@ -99,9 +100,12 @@ func (c *Ctx[T]) prepare(threads int, det bool, col *stats.Collector, opt Option
 	c.tally = stats.Tally{} // a run that panicked may have left counts behind
 }
 
-func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec) {
+// reset binds the context to one task: every path that runs a body or a
+// commit handler calls it with that task's item and record.
+func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec, item T) {
 	c.tid = tid
 	c.mode = m
+	c.item = item
 	c.rec = rec
 	c.acquired = c.acquired[:0]
 	c.depth = 0
@@ -111,6 +115,21 @@ func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec) {
 	c.children = c.children[:0]
 	c.nchild = 0
 }
+
+// forgetTask drops what the context still holds of the last task it ran —
+// its commit closure and its item, either of which can pin operator state —
+// once a run is over.
+func (c *Ctx[T]) forgetTask() {
+	var zero T
+	c.commitFn = nil
+	c.item = zero
+}
+
+// Item returns the item of the task being executed, in its body and in its
+// commit handler alike. A handler that needs nothing but the item and the
+// state the task acquired can therefore be built once per loop, outside the
+// body, and read the item here: no closure per task.
+func (c *Ctx[T]) Item() T { return c.item }
 
 // TID returns the executing worker's id in [0, Threads()). It is stable for
 // the duration of one body or commit-closure execution only.
@@ -192,7 +211,8 @@ func (c *Ctx[T]) Acquire(l *marks.Lockable) {
 // Under the continuation optimization (§3.3) fn may run on a different
 // worker, long after the task body returned; it therefore receives the
 // executing context as its argument and MUST NOT capture the context that
-// was passed to the task body.
+// was passed to the task body. That argument's Item is the committing
+// task's item, so one fn may serve every task of the loop.
 //
 // A task without shared writes may omit OnCommit entirely.
 func (c *Ctx[T]) OnCommit(fn func(*Ctx[T])) {

@@ -90,11 +90,12 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 	// run, and the nondeterministic scheduler treats a leftover ctx.children
 	// as private scratch; a surviving alias lets two workers grow one
 	// backing array. Sever the aliases; the capacity stays with the tasks.
-	// The last commit closure goes too: it captures the operator's state
-	// (the graph, the mesh), whatever the item type.
+	// The last commit closure and item go too: the closure captures the
+	// operator's state (the graph, the mesh) whatever the item type, and a
+	// pointer item is such state itself.
 	for _, ctx := range st.ctxs[:nthreads] {
 		ctx.children, ctx.tasks = nil, nil
-		ctx.commitFn = nil
+		ctx.forgetTask()
 	}
 	if failure != nil {
 		// Every worker has left the region and the engine's state is back in
@@ -115,7 +116,7 @@ func (r *roundExecutor[T]) inspectTask(ctx *Ctx[T], t *detTask[T], tid int) {
 	// Enter this round's epoch before writing any marks: stealers only touch
 	// the rec after seeing one, and last round's Prevented flag goes stale.
 	t.rec.Enter(r.epoch)
-	ctx.reset(tid, modeInspect, &t.rec)
+	ctx.reset(tid, modeInspect, &t.rec, t.item)
 	ctx.children = t.children[:0]
 	ctx.runBody(r.body, t.item)
 	if r.opt.Continuation {
@@ -145,7 +146,8 @@ func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid int) {
 		}
 		t.failed = false
 		if t.commitFn != nil {
-			ctx.reset(tid, modeInspect, &t.rec)
+			// The ctx has inspected other tasks since this one: rebind it.
+			ctx.reset(tid, modeInspect, &t.rec, t.item)
 			ctx.children = t.children
 			ctx.nchild = childMax(t.children)
 			ctx.inCommit = true
@@ -161,7 +163,7 @@ func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid int) {
 		// validates that each mark still holds this task's id and
 		// unwinds on the first mismatch. Pushes go to the ctx-owned
 		// scratch buffer (see Ctx.scratch), reclaimed below.
-		ctx.reset(tid, modeValidate, &t.rec)
+		ctx.reset(tid, modeValidate, &t.rec, t.item)
 		ctx.children = ctx.scratch[:0]
 		conflicted := ctx.runBody(r.body, t.item)
 		if !conflicted && ctx.commitFn != nil {

@@ -209,7 +209,7 @@ func (st *engState[T]) scrub() {
 	}
 	st.dirty = false
 	for _, ctx := range st.ctxs {
-		ctx.commitFn = nil
+		ctx.forgetTask()
 		ctx.met = nil
 		clear(ctx.acquired[:cap(ctx.acquired)])
 	}

@@ -20,9 +20,11 @@ func (a *obimAdapter[T]) Pop(tid int) (T, bool) { return a.obim.Pop(tid) }
 
 // pickWorklist selects the run's worklist, reusing the engine-retained one
 // when its kind and size fit. A drained worklist is structurally empty, so
-// reuse is invisible to the run; the chunks it accumulated stay allocated,
-// which is the reuse win. OBIM worklists are rebuilt per run — they embed
-// the run's priority function and bucket count, which may change.
+// reuse is invisible to the run. Reuse keeps the per-thread queues, not the
+// chunks: a drained chunk is dropped (ChunkedLIFO.takeChunk, ChunkedFIFO.Pop),
+// so every run allocates one chunk per 64 pushes afresh. OBIM worklists are
+// rebuilt per run — they embed the run's priority function and bucket
+// count, which may change.
 func pickWorklist[T any](st *engState[T], opt Options, nthreads int) interface {
 	Push(tid int, item T)
 	Pop(tid int) (T, bool)
@@ -123,7 +125,7 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 				continue
 			}
 
-			ctx.reset(tid, modeDirect, rec)
+			ctx.reset(tid, modeDirect, rec, item)
 			conflicted := ctx.runBody(body, item)
 			if !conflicted {
 				// Commit: run the deferred write phase while still
@@ -165,9 +167,10 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 			pending.Add(-1)
 		}
 	})
-	// As after a deterministic run: the last closure pins operator state.
+	// As after a deterministic run: the last closure and item pin operator
+	// state.
 	for _, ctx := range st.ctxs[:nthreads] {
-		ctx.commitFn = nil
+		ctx.forgetTask()
 	}
 	if p := failure.Load(); p != nil {
 		// The marks the failed tasks still hold are stale to the next run's

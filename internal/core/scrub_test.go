@@ -95,9 +95,10 @@ func mallocsOf(f func()) uint64 {
 // leave items in arena slots, children buffers, lanes and sort scratch that
 // the small run never reached; after Scrub and two collections every item,
 // every child, the closures' captured state and each run's own metrics
-// registry are gone, and the engine is still as warm as it was: the next
-// run allocates no more than the steady-state ceiling of
-// TestEngineSteadyStateAllocs.
+// registry are gone — and before the scrub, each scheduler's tail has
+// already dropped the contexts' last items and closures. The engine is
+// still as warm as it was: the next run allocates no more than the
+// steady-state ceiling of TestEngineSteadyStateAllocs.
 func TestScrubReleasesRunData(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -115,6 +116,16 @@ func TestScrubReleasesRunData(t *testing.T) {
 
 			big := scrubRun(700, opt)
 			small := scrubRun(20, opt)
+			// RunOn never scrubs, and an engine nobody parks is never
+			// scrubbed: a run's own tail must leave no task in the contexts,
+			// or each worker's last item and closure live as long as the
+			// engine.
+			for tid, ctx := range stateFor[*scrubNode](eng).ctxs {
+				if ctx.item != nil || ctx.commitFn != nil {
+					t.Errorf("worker %d's context still holds its last task after the run (item %v, closure %v)",
+						tid, ctx.item != nil, ctx.commitFn != nil)
+				}
+			}
 			eng.Scrub()
 			runtime.GC()
 			runtime.GC()

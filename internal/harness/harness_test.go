@@ -13,8 +13,13 @@ import (
 	"testing"
 
 	"galois"
+	"galois/internal/apps/bfs"
 	"galois/internal/apps/dmr"
 	"galois/internal/apps/dt"
+	"galois/internal/apps/mis"
+	"galois/internal/apps/mm"
+	"galois/internal/apps/sssp"
+	"galois/internal/inputs"
 	"galois/internal/obs"
 	"galois/internal/stats"
 )
@@ -375,32 +380,29 @@ func measureAllocs(reps int, fn func()) uint64 {
 }
 
 // TestEngineSteadyStateAllocs checks the allocation payoff end-to-end, on a
-// warm engine-reused deterministic run of a real app, with two bounds taken
-// from the run's own counters.
+// warm engine-reused deterministic run of a real app.
 //
-// Ceiling: the engine run allocates at most one object per operator
-// invocation (Stats.Inspects) plus a constant. That object is app-side — the
-// commit closure mis makes on every attempt, the closure and improved list
-// bfs makes on attempts that find work — which reuse cannot and should not
-// remove; the scheduler itself must add nothing per task. mis sits 12
-// objects over its inspect count, so for it one allocation per round (493
-// rounds) trips the bound too.
+// Ceiling: bfs, mis, sssp and mm build their commit handlers once per loop
+// and find the task through Ctx.Item, so neither the scheduler nor the
+// operator allocates per task, and the scheduler allocates nothing per
+// round: a warm run allocates a constant — the app's node and result
+// arrays, its handler and body closures, the engine's few run objects —
+// whatever the task count. The ceiling is that constant measured on small
+// inputs, with slack; one object per commit (10k+) or per round (115 to
+// 1449) trips it.
 //
 // Payoff: a fresh run allocates at least Pushes/2 objects more than the
-// engine run — the children buffers a cold arena hands to pushing tasks
-// (14.7k for bfs). mis pushes nothing, so for it this only says reuse is no
-// worse.
+// engine run — the children buffers a cold arena hands to pushing tasks.
+// mis and mm push nothing, so for them this only says reuse is no worse.
 //
-// Measured allocs/run (small inputs, 2 threads, 20000 tasks; bfs 23457
-// inspects, mis 23260):
+// Measured engine allocs/run (small inputs, 2 threads; the mode of 25
+// processes, the first run of a process reads up to 20 more):
 //
-//	              bfs fresh  bfs engine  mis fresh  mis engine
-//	pointer marks    132450       20007     121073       23272
-//	epoch words       34677       20007      23319       23272
-//
-// The engine column did not move; fresh runs fell because the per-task
-// acquired buffers are gone. That is why the old "engine ≤ fresh/2" form of
-// this test no longer describes reuse and was restated, not dropped.
+//	                         bfs    mis   sssp     mm
+//	inspects               23457  23260  40128 112743
+//	rounds                   575    493   1449    115
+//	closure per commit     20001  23266  49142  10292
+//	handler built once        25      8     50     34
 //
 // dt and dmr allocate in the operator — a cavity and a commit closure per
 // inspect, the created slice and the new elements per commit (dt also its
@@ -415,30 +417,40 @@ func measureAllocs(reps int, fn func()) uint64 {
 // One more object per commit — a map header, a regrown Members or created
 // slice — reads 11.30 for dt and 5.27 for dmr, over both ceilings.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	const slack = 128
+	const ceiling = 96
 	in := smallInputs()
-	for _, app := range []string{"bfs", "mis"} {
-		in.Engine = nil
-		in.RunOnce(app, "g-d", 2, nil) // warm app-side caches
-		freshAllocs := measureAllocs(3, func() { in.RunOnce(app, "g-d", 2, nil) })
+	sg := inputs.SSSPGraph(in.sc.SSSPNodes, in.sc.SSSPDegree, in.sc.SSSPMaxW, in.sc.Seed)
+	for _, c := range []struct {
+		app string
+		run func(opts ...galois.Option) stats.Stats
+	}{
+		{"bfs", func(opts ...galois.Option) stats.Stats { return bfs.Galois(in.bfsGraph, 0, opts...).Stats }},
+		{"mis", func(opts ...galois.Option) stats.Stats { return mis.Galois(in.bfsGraph, opts...).Stats }},
+		{"sssp", func(opts ...galois.Option) stats.Stats {
+			return sssp.Galois(sg, 0, sssp.DefaultOptions(in.sc.SSSPMaxW), opts...).Stats
+		}},
+		{"mm", func(opts ...galois.Option) stats.Stats { return mm.Galois(in.bfsGraph, opts...).Stats }},
+	} {
+		det := []galois.Option{galois.WithSched(galois.Deterministic), galois.WithThreads(2)}
+		c.run(det...) // warm app-side caches
+		freshAllocs := measureAllocs(3, func() { c.run(det...) })
 
 		eng := galois.NewEngine(galois.WithThreads(2))
-		in.Engine = eng
-		in.RunOnce(app, "g-d", 2, nil) // warm the engine
-		st := in.RunOnce(app, "g-d", 2, nil).Stats
-		engineAllocs := measureAllocs(3, func() { in.RunOnce(app, "g-d", 2, nil) })
+		det = append(det, galois.WithEngine(eng))
+		c.run(det...) // warm the engine
+		st := c.run(det...)
+		engineAllocs := measureAllocs(3, func() { c.run(det...) })
 		eng.Close()
-		in.Engine = nil
 
-		if ceiling := st.Inspects + slack; engineAllocs > ceiling {
-			t.Errorf("%s: engine run allocates %d objects, over %d inspects + %d — the scheduler allocates per task or per round",
-				app, engineAllocs, st.Inspects, slack)
+		if engineAllocs > ceiling {
+			t.Errorf("%s: engine run allocates %d objects, over %d — something allocates per task or per round (%d inspects, %d rounds)",
+				c.app, engineAllocs, ceiling, st.Inspects, st.Rounds)
 		}
 		if engineAllocs+st.Pushes/2 > freshAllocs {
 			t.Errorf("%s: engine run allocates %d objects vs %d fresh — reuse saves less than half of %d pushes",
-				app, engineAllocs, freshAllocs, st.Pushes)
+				c.app, engineAllocs, freshAllocs, st.Pushes)
 		}
-		t.Logf("%s: allocs/run fresh=%d engine=%d inspects=%d pushes=%d", app, freshAllocs, engineAllocs, st.Inspects, st.Pushes)
+		t.Logf("%s: allocs/run fresh=%d engine=%d inspects=%d rounds=%d pushes=%d", c.app, freshAllocs, engineAllocs, st.Inspects, st.Rounds, st.Pushes)
 	}
 
 	eng := galois.NewEngine(galois.WithThreads(2))

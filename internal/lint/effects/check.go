@@ -27,11 +27,11 @@ type Operator struct {
 func (w *World) Operators(pkg *Pkg) []*Operator {
 	handlers := w.commitHandlers(pkg)
 	var ops []*Operator
-	consider := func(node ast.Node, ftyp *ast.FuncType, name string, pos token.Pos) {
+	consider := func(node ast.Node, ftyp *ast.FuncType, name string, pos token.Pos, encl *ast.FuncDecl) {
 		if !hasCtxParam(pkg.Info, ftyp) {
 			return
 		}
-		fr := newFrame(w, pkg, node)
+		fr := newFrameIn(w, pkg, node, encl)
 		fr.analyze()
 		if !fr.acquires && !fr.registersCommit {
 			// Takes a Ctx but never establishes a neighborhood or a
@@ -42,21 +42,37 @@ func (w *World) Operators(pkg *Pkg) []*Operator {
 		ops = append(ops, &Operator{Name: name, Pos: pos, fr: fr})
 	}
 	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.FuncDecl:
-				if x.Body != nil {
-					consider(x, x.Type, x.Name.Name, x.Pos())
+		for _, d := range f.Decls {
+			encl, _ := d.(*ast.FuncDecl)
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.FuncDecl:
+					if x.Body != nil {
+						consider(x, x.Type, x.Name.Name, x.Pos(), nil)
+					}
+				case *ast.FuncLit:
+					if !handlers[x] {
+						consider(x, x.Type, "function literal", x.Pos(), encl)
+					}
 				}
-			case *ast.FuncLit:
-				if !handlers[x] {
-					consider(x, x.Type, "function literal", x.Pos())
-				}
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 	return ops
+}
+
+// newFrameIn prepares a frame for node, a function written inside the
+// declaration encl (nil: none). Local bindings resolve against all of encl,
+// so a literal bound anywhere in it — a helper, or a commit handler built
+// once before the loop — resolves as if written in place. Both effect
+// passes resolve handlers by this one rule.
+func newFrameIn(w *World, pkg *Pkg, node ast.Node, encl *ast.FuncDecl) *frame {
+	fr := newFrame(w, pkg, node)
+	if encl != nil && encl.Body != nil {
+		fr.collectBindings(encl.Body)
+	}
+	return fr
 }
 
 // hasCtxParam reports whether the function type has a *core.Ctx parameter.
@@ -88,8 +104,8 @@ func (w *World) commitHandlers(pkg *Pkg) map[*ast.FuncLit]bool {
 // commitSite is one ctx.OnCommit registration.
 type commitSite struct {
 	call    *ast.CallExpr
-	handler *ast.FuncLit // nil when the argument does not resolve
-	root    ast.Node     // enclosing top-level declaration
+	handler *ast.FuncLit  // nil when the argument does not resolve
+	root    *ast.FuncDecl // enclosing top-level declaration
 }
 
 // commitSites finds every OnCommit registration in pkg.
@@ -103,8 +119,7 @@ func (w *World) commitSites(pkg *Pkg) []*commitSite {
 			}
 			// One throwaway frame per declaration supplies the binding
 			// map used to resolve `h := func(...){...}; ctx.OnCommit(h)`.
-			fr := newFrame(w, pkg, fd)
-			fr.collectBindings(fd.Body)
+			fr := newFrameIn(w, pkg, fd, fd)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -167,14 +182,10 @@ func (w *World) CheckCommits(pkg *Pkg) []Violation {
 				Msg: "commit handler " + desc + " does not resolve to a function literal; its writes cannot be verified"})
 			continue
 		}
-		fr := newFrame(w, pkg, site.handler)
 		// A handler may call helpers bound in the enclosing operator
 		// body (`compress := func(...){...}` defined before the commit,
-		// executed inside it), so bindings resolve against the whole
-		// enclosing declaration, not just the handler.
-		if fd, ok := site.root.(*ast.FuncDecl); ok && fd.Body != nil {
-			fr.collectBindings(fd.Body)
-		}
+		// executed inside it).
+		fr := newFrameIn(w, pkg, site.handler, site.root)
 		fr.analyze()
 		if fr.acquires {
 			out = append(out, Violation{Pos: site.handler.Pos(),

@@ -31,11 +31,26 @@ func handlerAcquires(ctx *core.Ctx[*node], n *node) {
 	})
 }
 
-// An OnCommit argument that is not a resolvable literal blinds both the
-// purity check and the operator's own failsafe proof.
+// An OnCommit argument that is not a resolvable literal — here a handler
+// that arrives as a parameter — blinds both the purity check and the
+// operator's own failsafe proof.
 func handlerUnresolvable(ctx *core.Ctx[*node], n *node, h func(*core.Ctx[*node])) {
 	ctx.Acquire(&n.lock)
 	ctx.OnCommit(h) // want commitpure // want failsafe
+}
+
+// A handler built once before the loop and finding its task through
+// c.Item() resolves like one written in place, so hoisting it does not hide
+// a package-state write.
+func hoistedHandlerWritesPackageState(nodes []node, items []int) {
+	count := func(c *core.Ctx[int]) {
+		committed++ // want commitpure
+		nodes[c.Item()].val = 1
+	}
+	core.ForEach(items, func(ctx *core.Ctx[int], i int) {
+		ctx.Acquire(&nodes[i].lock)
+		ctx.OnCommit(count)
+	}, core.Options{})
 }
 
 // boundHelperIsResolved is the msf pattern: a helper bound in the operator

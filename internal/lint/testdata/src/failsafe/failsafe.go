@@ -112,6 +112,18 @@ func suppressedHelperWrite(ctx *core.Ctx[*node], n *node) {
 	ctx.Acquire(&n.lock)
 }
 
+// The bfs/mis pattern: one commit handler built before the loop, writing the
+// node its task acquired through c.Item(). The operator's failsafe proof
+// resolves the binding against the whole declaration, as the purity check
+// does, so neither pass finds anything.
+func hoistedHandler(nodes []node, items []int) {
+	mark := func(c *core.Ctx[int]) { nodes[c.Item()].val = 1 }
+	core.ForEach(items, func(ctx *core.Ctx[int], i int) {
+		ctx.Acquire(&nodes[i].lock)
+		ctx.OnCommit(mark)
+	}, core.Options{})
+}
+
 func freshWritesAreFine(ctx *core.Ctx[*node], n *node) {
 	plan := make([]int, 0, 4)
 	for i := 0; i < 3; i++ {
