@@ -58,20 +58,19 @@ trace-smoke:
 	$(GO) run ./cmd/repro -fig window -scale small -threads 2 -trace trace.json > /dev/null
 	$(GO) run ./cmd/tracecheck trace.json
 
-# End-to-end serving check: galoisd on an ephemeral port, a mixed
-# det/nondet workload at two client concurrency levels through galoisload,
-# three receipts replayed through POST /verify, then a graceful SIGTERM
-# drain. Fails on any determinism mismatch, verification failure or
-# request error; the load report lands in serve-load.json.
+# End-to-end serving check: galoisd on an ephemeral port, one concurrent
+# curl burst (every kind × g-n/g-d/g-dnc at threads 1 and 2, each det
+# receipt re-verified through POST /verify), a warm-cache check, a session
+# chain, then a graceful SIGTERM drain. Fails on any determinism mismatch,
+# verification failure or request error.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
 # End-to-end cluster check: two galoisd backends behind a galoisrouter on
-# ephemeral ports, a mixed det/nondet workload routed across them (per-seed
-# fingerprints policed cross-backend), the cross-node verify demo (a
+# ephemeral ports, the same curl burst routed across them (a det cell's two
+# fingerprints agree across backends), the cross-node verify demo (a
 # receipt produced on backend A verified on backend B), one sticky session,
-# then a SIGTERM drain of the whole stack. The load report lands in
-# cluster-load.json.
+# then a SIGTERM drain of the whole stack.
 cluster-smoke:
 	sh scripts/cluster_smoke.sh
 

@@ -34,7 +34,7 @@ type Config struct {
 	// RuleExemptions maps a path prefix to the pass names disabled there.
 	RuleExemptions map[string][]string
 	// Rules, when non-empty, restricts the run to the named passes (the
-	// CLI's -run flag). It participates in the analysis cache key.
+	// CLI's -run flag).
 	Rules []string
 }
 

@@ -1,8 +1,10 @@
 package lint
 
-// failsafePass is the interprocedural successor of the cautious pass: it
-// proves, rather than approximates, that every operator is cautious. The
-// effect analyzer (internal/lint/effects) summarizes per-function shared
+// failsafePass checks the paper's cautiousness contract (§2.1): every
+// operator performs all shared reads (via Ctx.Acquire) before its failsafe
+// point and defers all shared writes into Ctx.OnCommit, so unwinding an
+// aborted attempt needs no rollback. It proves this rather than
+// approximating it: the effect analyzer (internal/lint/effects) summarizes per-function shared
 // writes by provenance and composes them across static calls — including
 // closures threaded through function-typed parameters — so a write hidden
 // two helpers deep behind the operator body is flagged at the call that
@@ -10,8 +12,8 @@ package lint
 // the inferred summary, so the escape hatch for dynamic calls cannot
 // silently understate a function's behavior.
 //
-// Like cautious, it keys off the *core.Ctx parameter and therefore runs
-// everywhere, not only on the critical set.
+// It keys off the *core.Ctx parameter and therefore runs everywhere, not
+// only on the critical set.
 func failsafePass() *Pass {
 	p := &Pass{
 		Name:       "failsafe",

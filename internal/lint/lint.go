@@ -54,7 +54,6 @@ func Passes() []*Pass {
 		mapRangePass(),
 		wallClockPass(),
 		globalRandPass(),
-		cautiousPass(),
 		failsafePass(),
 		commitPurePass(),
 		taintFPPass(),

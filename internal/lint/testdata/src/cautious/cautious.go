@@ -1,4 +1,5 @@
-// Package cautious is a detlint test fixture. It imports the real runtime
+// Package cautious is a detlint test fixture for the cautiousness
+// contract, which the failsafe pass checks. It imports the real runtime
 // context type so the pass resolves core.Ctx exactly as it does on
 // production code.
 package cautious
@@ -17,9 +18,9 @@ type node struct {
 var generation int
 
 func eagerWrites(ctx *core.Ctx[*node], n *node) {
-	n.val = 1      // want cautious // want failsafe
-	generation = 2 // want cautious // want failsafe
-	n.hits++       // want cautious // want failsafe
+	n.val = 1      // want failsafe
+	generation = 2 // want failsafe
+	n.hits++       // want failsafe
 	ctx.Acquire(&n.lock)
 	v := n.val + 1
 	ctx.OnCommit(func(c *core.Ctx[*node]) {
@@ -30,14 +31,14 @@ func eagerWrites(ctx *core.Ctx[*node], n *node) {
 
 func capturedWrite(shared []int) func(*core.Ctx[int], int) {
 	return func(ctx *core.Ctx[int], i int) {
-		shared[i] = i // want cautious // want failsafe
+		shared[i] = i // want failsafe
 		var l marks.Lockable
 		ctx.Acquire(&l)
 	}
 }
 
 func suppressedWrite(ctx *core.Ctx[*node], n *node) {
-	//detlint:ignore cautious,failsafe scratch field is task-private by construction
+	//detlint:ignore failsafe scratch field is task-private by construction
 	n.hits = 0
 	ctx.Acquire(&n.lock)
 }
@@ -54,19 +55,17 @@ func localWritesAreFine(ctx *core.Ctx[*node], n *node, byValue node) {
 	})
 }
 
-func writesAfterAcquireAreAccepted(ctx *core.Ctx[*node], n *node) {
+func writesAfterAcquireAreFlagged(ctx *core.Ctx[*node], n *node) {
 	ctx.Acquire(&n.lock)
-	// The textual cautious pass checks the failsafe prefix only, so this
-	// post-acquire write is its accepted blind spot. The interprocedural
-	// failsafe pass enforces the stronger contract — task bodies re-run
-	// under inspect/validate modes, so every direct shared write must sit
-	// inside the OnCommit closure — and closes it.
+	// Task bodies re-run under inspect/validate modes, so every direct
+	// shared write must sit inside the OnCommit closure, after the first
+	// Acquire as much as before it.
 	n.val = 7 // want failsafe
 }
 
 func helperWithoutAcquireIsSkipped(ctx *core.Ctx[*node], n *node) {
 	// Helpers that never establish a neighborhood (only Push, say) are
-	// out of scope for the approximation.
+	// not operators, so they are out of scope.
 	n.val = 3
 	ctx.Push(n)
 }

@@ -21,75 +21,3 @@ func (u *Unit) callee(call *ast.CallExpr) *types.Func {
 	fn, _ := u.Pkg.Info.Uses[id].(*types.Func)
 	return fn
 }
-
-// isFuncFrom reports whether fn is the named package-level function of the
-// package with import path pkgPath.
-func isFuncFrom(fn *types.Func, pkgPath, name string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
-// baseIdent peels selector/index/star/paren chains off an expression and
-// returns the identifier at its base: `(*p.f)[i].g` yields `p`. It returns
-// nil when the base is not a plain identifier (a call result, a literal).
-func baseIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// namedCtx reports whether t (possibly behind a pointer) is the runtime's
-// task context type: core.Ctx[T] from the module's internal/core package
-// (the galois root package's Ctx is an alias of it, so both spellings
-// resolve here).
-func (u *Unit) namedCtx(t types.Type) bool {
-	t = types.Unalias(t)
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = types.Unalias(ptr.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Ctx" || obj.Pkg() == nil {
-		return false
-	}
-	return pathHasSuffix(obj.Pkg().Path(), "internal/core")
-}
-
-// pathHasSuffix matches an import-path suffix on segment boundaries.
-func pathHasSuffix(path, suffix string) bool {
-	if path == suffix {
-		return true
-	}
-	n := len(path) - len(suffix)
-	return n > 0 && path[n-1] == '/' && path[n:] == suffix
-}
-
-// declaredWithin reports whether obj's declaration lies inside the node n
-// (used to separate a function's locals from captured or package state).
-func declaredWithin(obj types.Object, n ast.Node) bool {
-	return obj != nil && obj.Pos() != 0 && n.Pos() <= obj.Pos() && obj.Pos() <= n.End()
-}

@@ -60,6 +60,26 @@ func TestBackendDownMidBurst(t *testing.T) {
 	}
 }
 
+// TestZeroRetriesMeansOneAttempt pins Retries: 0 as "no retry": a dial
+// error against a dead backend is one attempt and a 502, even with a
+// healthy backend next in line.
+func TestZeroRetriesMeansOneAttempt(t *testing.T) {
+	cl := newCluster(t, 2, "round-robin", Config{Retries: 0})
+	cl.backs[0].Close() // round-robin's first pick is backend 0
+
+	status, _, body := postRaw(t, cl.front.URL+"/jobs",
+		serve.Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: 1})
+	if status != http.StatusBadGateway {
+		t.Fatalf("dial error with Retries 0: status %d (%s), want 502", status, body)
+	}
+	if got := cl.rt.retries.Load(); got != 0 {
+		t.Fatalf("router.retries = %d with Retries 0, want 0", got)
+	}
+	if got := cl.rt.Backends()[1].requests.Load(); got != 0 {
+		t.Fatalf("healthy backend received %d requests, want 0 (no retry onto it)", got)
+	}
+}
+
 // TestNoRetryAfterAdmission pins the retry-safety boundary: a backend
 // that accepts the connection and then dies mid-request may already have
 // admitted the work, so the router must surface 502 — not replay the job

@@ -48,7 +48,8 @@ type Config struct {
 	RecoverAfter time.Duration
 	// Retries bounds extra attempts after a dial-phase connection error
 	// (the one failure class where the request provably never reached
-	// admission). Default 2.
+	// admission). 0 means one attempt and no retry; negative values count
+	// as 0.
 	Retries int
 	// RetryBackoff is the base delay between retry attempts, doubled per
 	// attempt. Default 25ms.
@@ -73,8 +74,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Retries < 0 {
 		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 2
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond

@@ -104,7 +104,8 @@ func semKey(s serve.Spec) string {
 // round-robin, least-loaded and consistent-hash yields byte-identical det
 // fingerprints per spec — equal to a direct single-server baseline — and
 // every receipt then verifies through the router, i.e. on whichever node
-// the verify round-robin happens to land. Routing is behavior-free.
+// the verify round-robin happens to land; under round-robin every backend
+// serves at least one request. Routing is behavior-free.
 func TestDeterminismUnderCluster(t *testing.T) {
 	ctx := context.Background()
 	mix := clusterMix()
@@ -175,6 +176,16 @@ func TestDeterminismUnderCluster(t *testing.T) {
 					if !vr.Match {
 						t.Errorf("%s: receipt failed cluster verify: expect %s got %s",
 							spec, vr.Expect, vr.Got)
+					}
+				}
+
+				// Under round-robin every backend served work: the cluster
+				// was exercised, not one node behind a label.
+				if policy == "round-robin" {
+					for i, b := range cl.rt.Backends() {
+						if b.requests.Load() == 0 {
+							t.Errorf("backend %d of %d received no requests under round-robin", i, n)
+						}
 					}
 				}
 			})
@@ -425,43 +436,5 @@ func TestRouterObservability(t *testing.T) {
 	kinds, err := cl.client.Kinds(context.Background())
 	if err != nil || len(kinds) == 0 {
 		t.Fatalf("kinds through router: %v (%v)", err, kinds)
-	}
-}
-
-// TestClusterLoadAgreesAcrossBackends drives serve.RunLoad through a
-// 2-backend cluster: the per-seed fingerprint policing inside RunLoad
-// becomes a cross-backend determinism check (requests for one seed land on
-// whichever backends round-robin picks), every cell ends with exactly one
-// fingerprint, and both backends served work.
-func TestClusterLoadAgreesAcrossBackends(t *testing.T) {
-	cl := newCluster(t, 2, "round-robin", Config{})
-	cfg := serve.LoadConfig{
-		Kinds: []string{"bfs", "sssp"}, Variants: []string{"g-d"},
-		Clients: 4, PerClient: 4, Scale: "small", Seed: 42, Threads: 1,
-	}
-	rep, err := serve.RunLoad(context.Background(), cl.client, cfg)
-	if err != nil {
-		t.Fatalf("RunLoad through router: %v", err)
-	}
-	if rep.Errors > 0 {
-		t.Fatalf("load errors: %v", rep.ErrorSamples)
-	}
-	if len(rep.Mismatches) > 0 {
-		t.Fatalf("cross-backend determinism violations: %v", rep.Mismatches)
-	}
-	if len(rep.Cells) != 2 {
-		t.Fatalf("cells = %d, want 2", len(rep.Cells))
-	}
-	for _, cs := range rep.Cells {
-		if len(cs.Fingerprints) != 1 || cs.Fingerprints[0] == "" {
-			t.Fatalf("cluster cell lost its fingerprint: %+v", cs)
-		}
-	}
-	// Both backends actually served work — the cluster was exercised, not
-	// one node behind a label.
-	for i, b := range cl.rt.Backends() {
-		if b.requests.Load() == 0 {
-			t.Fatalf("backend %d received no requests under round-robin load", i)
-		}
 	}
 }

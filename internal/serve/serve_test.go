@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 
 	"galois"
@@ -83,30 +84,41 @@ func testDeterminismUnderLoad(t *testing.T) {
 		}
 	}
 
-	// 16-way mixed concurrent load, g-n jobs interleaved as noise.
-	rep, err := RunLoad(ctx, c, LoadConfig{
-		Kinds:    detKinds(),
-		Variants: []string{"g-n", "g-d", "g-dnc"},
-		Clients:  16, PerClient: 3,
-		Scale: "small", Seed: 42, Threads: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors > 0 {
-		t.Fatalf("load run had %d errors: %v", rep.Errors, rep.ErrorSamples)
-	}
-	if len(rep.Mismatches) > 0 {
-		t.Fatalf("determinism violated under load: %v", rep.Mismatches)
-	}
-	for _, cs := range rep.Cells {
-		if !cs.Deterministic() || cs.Requests == 0 {
-			continue
+	// 16-way mixed concurrent load, g-n jobs interleaved as noise: each
+	// client walks its own stretch of the kinds × variants matrix, so the
+	// 48 requests cover all 21 cells, and every det response must match
+	// the serial pass.
+	var cells []Spec
+	for _, kind := range detKinds() {
+		for _, variant := range []string{"g-n", "g-d", "g-dnc"} {
+			cells = append(cells, Spec{Kind: kind, Variant: variant, Scale: "small", Seed: 42, Threads: 2})
 		}
-		want := serial[cs.Kind+"/"+cs.Variant]
-		if len(cs.Fingerprints) != 1 || cs.Fingerprints[0] != want {
-			t.Errorf("%s/%s under load: fingerprints %v, want exactly [%s] (serial run)",
-				cs.Kind, cs.Variant, cs.Fingerprints, want)
+	}
+	const clients, perClient = 16, 3
+	errs := make([][]string, clients)
+	var wg sync.WaitGroup
+	for ci := 0; ci < clients; ci++ {
+		wg.Add(1)
+		go func(ci int) {
+			defer wg.Done()
+			for r := 0; r < perClient; r++ {
+				spec := cells[(ci*perClient+r)%len(cells)]
+				res, err := c.Submit(ctx, spec)
+				if err != nil {
+					errs[ci] = append(errs[ci], fmt.Sprintf("%s: %v", spec, err))
+					continue
+				}
+				if want := serial[spec.Kind+"/"+spec.Variant]; spec.Deterministic() && res.Receipt.Fingerprint != want {
+					errs[ci] = append(errs[ci], fmt.Sprintf("%s under load: fingerprint %s, want %s (serial run)",
+						spec, res.Receipt.Fingerprint, want))
+				}
+			}
+		}(ci)
+	}
+	wg.Wait()
+	for _, e := range errs {
+		for _, msg := range e {
+			t.Error(msg)
 		}
 	}
 

@@ -299,8 +299,8 @@ func (s *Server) normalize(spec Spec) (Spec, *Kind, *httpError) {
 }
 
 // Execute runs one job through admission: it is the common path of
-// POST /jobs and POST /verify, and is also the in-process API the load
-// generator's -inprocess mode and the tests use directly.
+// POST /jobs and POST /verify, and is also the in-process API the tests
+// use directly.
 func (s *Server) Execute(ctx context.Context, spec Spec) (*JobResult, error) {
 	res, herr := s.execute(ctx, spec)
 	if herr != nil {

@@ -302,6 +302,64 @@ func TestSessionConcurrentBatches(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessionChains drives four sessions at once — two dmr, two
+// sssp, each chaining the same three batches — and audits each chain from
+// its final receipt. Sessions of one kind must end on the same chain:
+// other sessions running beside it are as invisible to a chain as the
+// thread count is.
+func TestConcurrentSessionChains(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 4, QueueDepth: 64})
+	ctx := context.Background()
+	batches := map[string][]session.BatchSpec{
+		"dmr": {{Op: "refine", AngleCentideg: 2400}, {Op: "refine", AngleCentideg: 2600},
+			{Op: "refine", AngleCentideg: 2800}},
+		"sssp": {{Op: "reweight", Edges: 8, Seed: 1}, {Op: "reweight", Edges: 9, Seed: 2},
+			{Op: "reweight", Edges: 10, Seed: 3}},
+	}
+	kinds := []string{"dmr", "sssp", "dmr", "sssp"}
+	finals := make([]string, len(kinds))
+	errs := make([]error, len(kinds))
+	var wg sync.WaitGroup
+	for i, kind := range kinds {
+		wg.Add(1)
+		go func(i int, kind string) {
+			defer wg.Done()
+			si, err := c.CreateSession(ctx, session.InitSpec{Kind: kind, Scale: "small", Seed: 42})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			head := si.Head
+			for _, b := range batches[kind] {
+				b.Prev = head
+				br, err := c.SessionBatch(ctx, si.ID, b)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				head = br.Link.Chain
+			}
+			vo, err := c.SessionVerify(ctx, si.ID, head, 0)
+			if err == nil && !vo.Match {
+				err = fmt.Errorf("chain audit failed: %+v", vo)
+			}
+			finals[i], errs[i] = head, err
+		}(i, kind)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("session %d (%s): %v", i, kinds[i], err)
+		}
+	}
+	for i := 2; i < len(kinds); i++ {
+		if finals[i] != finals[i-2] {
+			t.Errorf("%s: concurrent sessions ended on different chains %s and %s",
+				kinds[i], finals[i-2], finals[i])
+		}
+	}
+}
+
 // TestSessionLinkCacheCrossCheck: with the result cache enabled, a second
 // identical session confirms the first's links (serve.session.chain.confirm);
 // a poisoned cache entry raises the mismatch alarm and is evicted.

@@ -11,7 +11,7 @@ import (
 // Receipt carries, so re-executing a receipt needs no access to server
 // defaults.
 type Spec struct {
-	// Kind names a registered job kind (bfs, sssp, mis, msf, pfp).
+	// Kind names a registered job kind (bfs, mis, sssp, msf, pfp, dt, dmr).
 	Kind string `json:"kind"`
 	// Variant selects the scheduler: g-n (speculative, non-deterministic),
 	// g-d (DIG-scheduled deterministic) or g-dnc (deterministic without

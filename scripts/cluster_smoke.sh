@@ -1,11 +1,12 @@
 #!/bin/sh
 # cluster_smoke.sh — end-to-end smoke test of the galoisrouter cluster tier.
 #
-# Starts TWO galoisd backends and one galoisrouter on ephemeral ports,
-# drives a mixed det/nondet workload through the router with galoisload
-# (whose per-seed fingerprint policing becomes a cross-backend determinism
-# check, and whose -verify replays receipts through the router's
-# round-robin verify path), then walks the headline portability demo with
+# Starts TWO galoisd backends and one galoisrouter on ephemeral ports and
+# fires one concurrent burst through the router (scripts/burst.sh: every
+# registered kind × {g-n, g-d, g-dnc} at threads 1 and 2), so each
+# deterministic cell's two fingerprints may come from different backends
+# and must still agree, and each receipt re-verifies through the router's
+# round-robin verify path. Then walks the headline portability demo with
 # curl: submit one job, note which backend produced it (X-Galois-Backend),
 # verify the receipt twice — round-robin guarantees the two verifies land
 # on different backends, so at least one is a cross-node replay — and
@@ -15,10 +16,11 @@
 # fingerprint mismatch, failed verification, broken stickiness, or a
 # verify pair that never left one backend.
 #
-# Usage: scripts/cluster_smoke.sh [report-path]
+# Usage: scripts/cluster_smoke.sh
 set -eu
 
-report=${1:-cluster-load.json}
+. "$(dirname "$0")/burst.sh"
+
 tmp=$(mktemp -d)
 trap 'status=$?
   [ -n "${router_pid:-}" ] && kill "$router_pid" 2>/dev/null
@@ -26,10 +28,9 @@ trap 'status=$?
   [ -n "${b2_pid:-}" ] && kill "$b2_pid" 2>/dev/null
   rm -rf "$tmp"; exit $status' EXIT INT TERM
 
-echo "cluster-smoke: building galoisd, galoisrouter and galoisload"
+echo "cluster-smoke: building galoisd and galoisrouter"
 go build -o "$tmp/galoisd" ./cmd/galoisd
 go build -o "$tmp/galoisrouter" ./cmd/galoisrouter
-go build -o "$tmp/galoisload" ./cmd/galoisload
 
 wait_addr() { # file pid name
     i=0
@@ -67,13 +68,10 @@ case "$hz" in
 *) echo "cluster-smoke: router healthz unexpected: $hz" >&2; exit 1 ;;
 esac
 
-# Mixed workload through the router: det cells must agree on a single
-# fingerprint per seed even though requests spread across both backends,
-# and -verify replays receipts via the router's round-robin verify path —
-# cross-node by construction.
-"$tmp/galoisload" -router "$raddr" \
-    -variants g-n,g-d,g-dnc -clients 1,4 -n 4 \
-    -scale small -threads 2 -verify 4 -report "$report"
+# Concurrent burst through the router: each det cell's t1 and t2
+# submissions spread across both backends and must agree, and its receipt
+# re-verifies via the router's round-robin verify path.
+burst cluster-smoke "$raddr" "$tmp/burst"
 
 # Headline portability demo, by hand: one job, two verifies.
 echo "cluster-smoke: cross-node verify"
@@ -143,4 +141,4 @@ kill -TERM "$b1_pid" "$b2_pid"
 wait "$b1_pid" "$b2_pid"
 b1_pid=
 b2_pid=
-echo "cluster-smoke: ok (report in $report)"
+echo "cluster-smoke: ok"

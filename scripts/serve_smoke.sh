@@ -1,31 +1,31 @@
 #!/bin/sh
 # serve_smoke.sh — end-to-end smoke test of the galoisd serving layer.
 #
-# Starts galoisd on an ephemeral port, drives a mixed workload through
-# galoisload (deterministic and non-deterministic variants, two client
-# concurrency levels), re-verifies receipts through POST /verify, then
-# walks the stateful-session API with curl — create a dmr session, chain
-# three mutation batches, audit the whole chain from the last receipt,
-# watch idle eviction seal a tombstone, and confirm the sealed chain still
-# verifies while new batches get 410 — and shuts the server down
-# gracefully. Fails on any request error, any deterministic cell with more
-# than one fingerprint, any receipt that does not re-verify, or any chain
-# that does not replay. Writes the load report to serve-load.json (CI
-# uploads it as an artifact).
+# Starts galoisd on an ephemeral port and fires one concurrent burst at it
+# (scripts/burst.sh: every registered kind × {g-n, g-d, g-dnc} at threads 1
+# and 2), checking that each deterministic cell agrees across thread counts
+# and that its receipt re-verifies through POST /verify. Then checks a
+# warm-cache resubmission, walks the stateful-session API with curl —
+# create a dmr session, chain three mutation batches, audit the whole chain
+# from the last receipt, watch idle eviction seal a tombstone, and confirm
+# the sealed chain still verifies while new batches get 410 — and shuts the
+# server down gracefully. Fails on any request error, any deterministic
+# cell whose fingerprints differ, any receipt that does not re-verify, or
+# any chain that does not replay.
 #
-# Usage: scripts/serve_smoke.sh [report-path]
+# Usage: scripts/serve_smoke.sh
 set -eu
 
-report=${1:-serve-load.json}
+. "$(dirname "$0")/burst.sh"
+
 tmp=$(mktemp -d)
 trap 'status=$?; [ -n "${server_pid:-}" ] && kill "$server_pid" 2>/dev/null; rm -rf "$tmp"; exit $status' EXIT INT TERM
 
-echo "serve-smoke: building galoisd and galoisload"
+echo "serve-smoke: building galoisd"
 go build -o "$tmp/galoisd" ./cmd/galoisd
-go build -o "$tmp/galoisload" ./cmd/galoisload
 
 # -session-idle is short so the eviction/tombstone path is observable in
-# the session phase below; the load phases never idle that long mid-chain.
+# the session phase below, which never idles that long mid-chain.
 "$tmp/galoisd" -addr 127.0.0.1:0 -addr-file "$tmp/addr" -session-idle 2s &
 server_pid=$!
 
@@ -55,19 +55,15 @@ case "$hz" in
 *) echo "serve-smoke: healthz missing load fields: $hz" >&2; exit 1 ;;
 esac
 
-# Mixed workload: every registered kind, det and nondet variants, serial
-# and concurrent clients; three receipts replayed through /verify; plus a
-# stateful-session phase (two concurrent session clients, three chained
-# batches each, full chain audit through POST /sessions/{id}/verify).
-"$tmp/galoisload" -addr "$addr" \
-    -variants g-n,g-d,g-dnc -clients 1,4 -n 6 \
-    -sessions 2 -batches 3 \
-    -scale small -threads 2 -verify 3 -report "$report"
+# Concurrent burst: every registered kind, det and nondet variants, at
+# threads 1 and 2; each det cell's two fingerprints agree and its receipt
+# re-verifies.
+burst serve-smoke "$addr" "$tmp/burst"
 
 # Warm-cache phase: the same deterministic spec submitted twice must hit
 # the result cache on the resubmission — identical spec and fingerprint,
 # cached:true on the second response only, hit counter advanced. The
-# seed is outside galoisload's range so the first submission is cold.
+# burst above used seed 42, so this seed's first submission is cold.
 echo "serve-smoke: warm-cache check"
 spec='{"kind":"bfs","variant":"g-d","scale":"small","seed":7070,"threads":2}'
 r1=$(curl -sf -X POST "http://$addr/jobs" -d "$spec")
@@ -151,4 +147,4 @@ echo "serve-smoke: draining galoisd"
 kill -TERM "$server_pid"
 wait "$server_pid"
 server_pid=
-echo "serve-smoke: ok (report in $report)"
+echo "serve-smoke: ok"
