@@ -11,8 +11,10 @@ check: vet lint build test race soak-smoke trace-smoke serve-smoke cluster-smoke
 build:
 	$(GO) build ./...
 
+# go vet, and gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 # detlint: the repository's determinism-hazard analyzer (see DESIGN.md,
 # "Determinism hazards and how we check them"). Non-zero exit on any
@@ -108,14 +110,18 @@ profile-finegrain:
 
 # The same for the mesh kernel: dt and dmr, g-d, with the collector ON —
 # what dt/dmr leave for it to mark is the finding (EXPERIMENTS.md H16).
-# `repro -loop` fingerprints every run, so the table is printed twice: whole,
-# and without the frames under mesh.Fingerprint.
+# The same run also writes an allocation profile, printed by objects
+# allocated (EXPERIMENTS.md H23). `repro -loop` fingerprints every run, so
+# each table is printed twice: whole, and without the frames under
+# mesh.Fingerprint.
 profile-mesh:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) build -o $(PROFILE_DIR)/repro ./cmd/repro
-	$(PROFILE_DIR)/repro -loop dt/g-d,dmr/g-d -reps 10 -threads 2 -scale default -cpuprofile $(PROFILE_DIR)/mesh.cpu.pprof
+	$(PROFILE_DIR)/repro -loop dt/g-d,dmr/g-d -reps 10 -threads 2 -scale default -cpuprofile $(PROFILE_DIR)/mesh.cpu.pprof -memprofile $(PROFILE_DIR)/mesh.allocs.pprof
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 -ignore 'mesh\.Fingerprint' $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.cpu.pprof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.allocs.pprof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 -ignore 'mesh\.Fingerprint' $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.allocs.pprof
 
 # And for the serving miss path, where the question is what finished jobs
 # leave behind (EXPERIMENTS.md H17): an in-process galoisd under two

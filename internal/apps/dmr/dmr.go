@@ -102,9 +102,11 @@ func refineOnce(el *mesh.Element, q Quality, acq mesh.Acquirer) *mesh.Cavity {
 
 // applyCavity retriangulates and returns the follow-up work: new bad
 // triangles, plus the original triangle if a segment split left it alive
-// and still bad. The result reuses the slice Retriangulate returned, which
-// always has room for el: a cavity creates fewer triangles than the slice's
-// capacity.
+// and still bad. The result is filtered in place from the slice
+// Retriangulate returned, so like that slice it belongs to cav: a holder
+// must keep cav alive and unapplied while it reads it (PBBS keeps next[i]
+// only while cav[i] lives). It has room for el: el survives only a segment
+// split, whose two created half-segments are never follow-up work.
 func applyCavity(el *mesh.Element, cav *mesh.Cavity, q Quality) []*mesh.Element {
 	created := cav.Retriangulate(nil)
 	followUp := created[:0]

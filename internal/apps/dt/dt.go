@@ -95,7 +95,8 @@ func (a *assoc) insertBody(i int32, acq mesh.Acquirer) *mesh.Cavity {
 }
 
 // commitCavity applies a built cavity and refreshes the association of
-// every point that lived in the killed triangles.
+// every point that lived in the killed triangles. The created slice belongs
+// to cav and is read before commitCavity returns.
 func (a *assoc) commitCavity(cav *mesh.Cavity) {
 	created := cav.Retriangulate(a.pts)
 	for _, e := range created {

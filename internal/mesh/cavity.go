@@ -24,9 +24,10 @@ type frontEdge struct {
 // locks as they happen) and deterministically (reads mark the interference
 // graph in the inspect phase, writes run in the commit phase).
 //
-// Members and frontier start out backed by memberBuf and frontBuf, so a
-// cavity of ordinary size is one heap object; larger ones regrow through
-// append like any slice. A Cavity must not be copied.
+// Members, frontier and the elements Retriangulate creates start out backed
+// by memberBuf, frontBuf and createdBuf, so a cavity of ordinary size is one
+// heap object; larger ones regrow through append like any slice. A Cavity
+// must not be copied.
 type Cavity struct {
 	Center   geom.Point
 	SplitSeg *Element
@@ -35,6 +36,8 @@ type Cavity struct {
 
 	memberBuf [inlineMembers]*Element
 	frontBuf  [inlineFrontier]frontEdge
+	// One triangle per frontier edge, or one fewer and two segments.
+	createdBuf [inlineFrontier + 2]*Element
 }
 
 // Inline capacities, from the cavity sizes galoisbench's own inputs produce
@@ -46,8 +49,8 @@ const (
 	inlineFrontier = inlineMembers + 2
 )
 
-func newCavity(center geom.Point, splitSeg *Element) *Cavity {
-	c := &Cavity{Center: center, SplitSeg: splitSeg}
+func newCavity(center geom.Point) *Cavity {
+	c := &Cavity{Center: center}
 	c.Members, c.frontier = c.memberBuf[:0], c.frontBuf[:0]
 	return c
 }
@@ -109,7 +112,7 @@ func (c *Cavity) expand(seed *Element, acq Acquirer, stopOnEncroach bool) (encro
 // triangulation, where points lie strictly inside the (super-)triangulated
 // domain.
 func BuildInsertion(t *Element, p geom.Point, acq Acquirer) *Cavity {
-	c := newCavity(p, nil)
+	c := newCavity(p)
 	c.expand(t, acq, false)
 	return c
 }
@@ -118,29 +121,36 @@ func BuildInsertion(t *Element, p geom.Point, acq Acquirer) *Cavity {
 // two half-segments and inserts its midpoint. The caller must have acquired
 // s (it arrives through cavity expansion or a refinement walk, which do).
 func BuildSegmentSplit(s *Element, acq Acquirer) *Cavity {
-	c := newCavity(geom.Midpoint(s.Pts[0], s.Pts[1]), s)
-	c.Members = append(c.Members, s)
+	c := newCavity(geom.Point{})
+	c.segmentSplit(s, acq)
+	return c
+}
+
+// segmentSplit empties c and builds the split of s into it, as
+// BuildSegmentSplit does into a new cavity.
+func (c *Cavity) segmentSplit(s *Element, acq Acquirer) {
+	c.Center, c.SplitSeg = geom.Midpoint(s.Pts[0], s.Pts[1]), s
+	c.Members, c.frontier = append(c.Members[:0], s), c.frontier[:0]
 	inner := s.adj[0]
 	acq(inner)
 	c.expand(inner, acq, false)
-	return c
 }
 
 // BuildRefinement builds the cavity for fixing the bad triangle bad: insert
 // its circumcenter, unless the circumcenter lies outside the domain or
 // encroaches a boundary segment, in which case the offending segment is
 // split instead (Ruppert/Chew, as in the Lonestar dmr code). The caller
-// must have acquired bad and verified it is alive.
+// must have acquired bad and verified it is alive. Either way it builds one
+// Cavity: a split found by expansion replaces what expansion had built.
 func BuildRefinement(bad *Element, acq Acquirer) *Cavity {
 	center := bad.Circumcenter()
 	tri, blocked := walkToward(bad, center, acq)
+	c := newCavity(center)
 	if blocked != nil {
 		// The center lies beyond this boundary segment; split it.
-		return BuildSegmentSplit(blocked, acq)
-	}
-	c := newCavity(center, nil)
-	if encroached := c.expand(tri, acq, true); encroached != nil {
-		return BuildSegmentSplit(encroached, acq)
+		c.segmentSplit(blocked, acq)
+	} else if encroached := c.expand(tri, acq, true); encroached != nil {
+		c.segmentSplit(encroached, acq)
 	}
 	return c
 }
@@ -193,7 +203,8 @@ func joinSpoke(open []spoke, center geom.Point, t *Element, x geom.Point) []spok
 // adjacency on both sides, and — when pts is non-nil — redistributes the
 // members' associated point indices into the new triangles (skipping any
 // index whose point equals the inserted center). It returns the created
-// elements, triangles first, in a slice the caller owns.
+// elements, triangles first, in a slice that belongs to c: it is valid while
+// c is, and a second Retriangulate of c overwrites it.
 //
 // The caller must hold every member and frontier element; under the
 // deterministic scheduler that is guaranteed by having built the cavity
@@ -201,8 +212,7 @@ func joinSpoke(open []spoke, center geom.Point, t *Element, x geom.Point) []spok
 func (c *Cavity) Retriangulate(pts []geom.Point) []*Element {
 	var buf [starInline]spoke
 	open := buf[:0]
-	// One triangle per frontier edge, or one fewer and two segments.
-	created := make([]*Element, 0, len(c.frontier)+2)
+	created := c.createdBuf[:0]
 
 	var splitU, splitV geom.Point
 	sawSplitEdge := false
@@ -257,28 +267,74 @@ func (c *Cavity) Retriangulate(pts []geom.Point) []*Element {
 		m.Repl = repl
 	}
 
-	// Redistribute associated points among the new triangles.
 	if pts != nil {
-		for _, m := range c.Members {
-			for _, idx := range m.Assoc {
-				p := pts[idx]
-				if p == c.Center {
-					continue // now inserted
-				}
-				placed := false
-				for _, t := range created {
+		c.redistribute(created, pts)
+	}
+	return created
+}
+
+// inlineScratch is how many int32s redistribute keeps in its frame: a
+// per-triangle count for each created triangle and a destination for each
+// associated point. Only dt's earliest insertions, whose cavities still
+// hold hundreds or thousands of points, need more, in one heap slice.
+const inlineScratch = 256
+
+// redistribute moves the members' associated point indices into the created
+// triangles: each point, unless it is the inserted center, goes to the first
+// created triangle that contains it. The new lists are windows of one array,
+// filled in member and Assoc order, each with its capacity cut to its
+// length, so an append to one list never writes into the next.
+func (c *Cavity) redistribute(created []*Element, pts []geom.Point) {
+	points := 0
+	for _, m := range c.Members {
+		points += len(m.Assoc)
+	}
+	var buf [inlineScratch]int32
+	scratch := buf[:]
+	if len(created)+points > len(buf) {
+		scratch = make([]int32, len(created)+points)
+	}
+	count, dest := scratch[:len(created)], scratch[len(created):len(created)+points]
+
+	// Place every point once and remember where it goes.
+	placed, j := 0, 0
+	for _, m := range c.Members {
+		for _, idx := range m.Assoc {
+			dest[j] = -1
+			if p := pts[idx]; p != c.Center { // else now inserted
+				for k, t := range created {
 					if !t.IsSegment() && t.Contains(p) {
-						t.Assoc = append(t.Assoc, idx)
-						placed = true
+						dest[j] = int32(k)
 						break
 					}
 				}
-				if !placed {
+				if dest[j] < 0 {
 					panic("mesh: associated point fell outside its cavity")
 				}
+				count[dest[j]]++
+				placed++
 			}
-			m.Assoc = nil
+			j++
 		}
 	}
-	return created
+
+	// Carve one array into the lists, then fill them in the same order.
+	arr := make([]int32, placed)
+	off := int32(0)
+	for k, t := range created {
+		if n := count[k]; n > 0 {
+			t.Assoc = arr[off : off : off+n]
+			off += n
+		}
+	}
+	j = 0
+	for _, m := range c.Members {
+		for _, idx := range m.Assoc {
+			if k := dest[j]; k >= 0 {
+				created[k].Assoc = append(created[k].Assoc, idx)
+			}
+			j++
+		}
+		m.Assoc = nil
+	}
 }

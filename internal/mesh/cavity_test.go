@@ -118,7 +118,8 @@ func name(e *Element, created []*Element) string {
 // reference and got (the same cavity in the other copy) through
 // Retriangulate, and fails unless both created the same elements in the
 // same order, wired the same way on both sides, with the same forwarding
-// pointers and association lists.
+// pointers and association lists — and with each of got's lists a window
+// filled to its capacity, so that an append to one leaves its siblings be.
 func applyBoth(tb testing.TB, ref, got *Cavity, pts []geom.Point) (refNew, gotNew []*Element) {
 	tb.Helper()
 	if len(ref.Members) != len(got.Members) || len(ref.frontier) != len(got.frontier) || ref.Center != got.Center {
@@ -141,6 +142,17 @@ func applyBoth(tb testing.TB, ref, got *Cavity, pts []geom.Point) (refNew, gotNe
 		}
 		if !slices.Equal(g.Assoc, r.Assoc) {
 			tb.Fatalf("created[%d] %v holds points %v, reference %v", i, g, g.Assoc, r.Assoc)
+		}
+	}
+	for i, g := range gotNew {
+		if cap(g.Assoc) != len(g.Assoc) {
+			tb.Fatalf("created[%d] %v holds %d points in a list of capacity %d", i, g, len(g.Assoc), cap(g.Assoc))
+		}
+		_ = append(g.Assoc, -1)
+		for k, h := range gotNew {
+			if !slices.Equal(h.Assoc, refNew[k].Assoc) {
+				tb.Fatalf("appending to created[%d]'s list changed created[%d]'s to %v, reference %v", i, k, h.Assoc, refNew[k].Assoc)
+			}
 		}
 	}
 	// The far side: every surviving neighbour points back at the same new
@@ -327,11 +339,22 @@ func TestSmallCavityIsOneObject(t *testing.T) {
 	}
 }
 
+// assocPoints is how many associated points c's members hold.
+func assocPoints(c *Cavity) int {
+	n := 0
+	for _, m := range c.Members {
+		n += len(m.Assoc)
+	}
+	return n
+}
+
 // TestCavityAllocationCeilings pins the kernel's allocation contract: one
-// insertion or one refinement step costs the elements it creates plus two
-// objects, the Cavity and the created slice, whenever the cavity fits its
-// inline storage (and nearly all do). A map, a regrown slice or a stray
-// temporary puts every cavity over and trips it.
+// insertion or one refinement step costs the elements it creates plus one
+// object, the Cavity, which holds the created slice, whenever the cavity
+// fits its inline storage (and nearly all do). A dt insertion that moves
+// association lists costs one object more, the array the new lists are
+// carved from. A map, a regrown slice or a stray temporary puts every
+// cavity over and trips it.
 //
 // geom's predicates fall back to big-number arithmetic, which allocates,
 // when a determinant is too close to zero to call. A segment split always
@@ -339,14 +362,16 @@ func TestSmallCavityIsOneObject(t *testing.T) {
 // are left out, and a few cavities in a hundred elsewhere may.
 func TestCavityAllocationCeilings(t *testing.T) {
 	var fitting, total, over int
-	// measure runs step, which applies the cavity that preview predicts.
-	measure := func(preview *Cavity, step func()) {
+	// measure runs step, which applies the cavity that preview predicts
+	// (moving association lists when assoc is set).
+	measure := func(preview *Cavity, assoc bool, step func()) {
 		if preview.SplitSeg != nil {
 			step()
 			return
 		}
 		total++
-		if len(preview.Members) > inlineMembers || len(preview.frontier) > inlineFrontier || maxOpenSpokes(preview) > starInline {
+		if len(preview.Members) > inlineMembers || len(preview.frontier) > inlineFrontier || maxOpenSpokes(preview) > starInline ||
+			assoc && len(preview.frontier)+assocPoints(preview) > inlineScratch {
 			step()
 			return
 		}
@@ -359,13 +384,17 @@ func TestCavityAllocationCeilings(t *testing.T) {
 			}
 			step()
 		})
-		if created := len(preview.frontier); int(got) > created+2 {
+		ceiling := len(preview.frontier) + 1 // the created elements and the Cavity
+		if assoc {
+			ceiling++ // and the association array
+		}
+		if int(got) > ceiling {
 			over++
 		}
 	}
 	verdict := func(what string) {
 		t.Helper()
-		t.Logf("%s: %d cavities, %d fit inline storage, %d of those over created+2 objects", what, total, fitting, over)
+		t.Logf("%s: %d cavities, %d fit inline storage, %d of those over their ceiling", what, total, fitting, over)
 		if fitting*100 < total*95 || over*100 > fitting*3 {
 			t.Errorf("%s: allocation ceiling broken", what)
 		}
@@ -375,9 +404,25 @@ func TestCavityAllocationCeilings(t *testing.T) {
 	hint := NewSuperTriangle()
 	for _, p := range geom.BRIO(geom.UniformPoints(600, 91), 92) {
 		tri, _ := Locate(hint, p, NoAcquire)
-		measure(BuildInsertion(tri, p, NoAcquire), func() { hint, _ = InsertPointSeq(hint, p) })
+		measure(BuildInsertion(tri, p, NoAcquire), false, func() { hint, _ = InsertPointSeq(hint, p) })
 	}
 	verdict("InsertPointSeq")
+
+	// dt's insertion: every point not yet inserted rides in the
+	// association list of the triangle that contains it.
+	pts := geom.BRIO(geom.UniformPoints(600, 94), 95)
+	hint = NewSuperTriangle()
+	for i := range pts {
+		hint.Assoc = append(hint.Assoc, int32(i))
+	}
+	for _, p := range pts {
+		tri, onVertex := Locate(hint, p, NoAcquire)
+		if onVertex {
+			continue
+		}
+		measure(BuildInsertion(tri, p, NoAcquire), true, func() { hint = BuildInsertion(tri, p, NoAcquire).Retriangulate(pts)[0] })
+	}
+	verdict("insertion with association lists")
 
 	work := badTriangles(benchDMRInput(400, 93))
 	for len(work) > 0 && total < 500 {
@@ -389,7 +434,34 @@ func TestCavityAllocationCeilings(t *testing.T) {
 		preview := BuildRefinement(el, NoAcquire)
 		// refineStep's own appends must stay inside work's capacity.
 		work = slices.Grow(work, len(preview.frontier)+2)
-		measure(preview, func() { refineStep(&work) })
+		measure(preview, false, func() { refineStep(&work) })
 	}
 	verdict("refinement")
+}
+
+// TestEncroachingRefinementBuildsOneCavity: when a refinement's expansion
+// reaches a segment its circumcenter encroaches, BuildRefinement builds the
+// segment split into the cavity it already has, so the whole build is one
+// object.
+func TestEncroachingRefinementBuildsOneCavity(t *testing.T) {
+	encroaching, over := 0, 0
+	work := badTriangles(benchDMRInput(400, 96))
+	for len(work) > 0 && encroaching < 50 {
+		el := work[len(work)-1]
+		if !el.Dead && el.IsBad(geom.Cos30, benchMinEdge2) {
+			_, blocked := walkToward(el, el.Circumcenter(), NoAcquire)
+			if blocked == nil && BuildRefinement(el, NoAcquire).SplitSeg != nil {
+				encroaching++
+				if got := testing.AllocsPerRun(3, func() { BuildRefinement(el, NoAcquire) }); got != 1 {
+					over++
+					t.Logf("%v: BuildRefinement allocates %v objects", el, got)
+				}
+			}
+		}
+		refineStep(&work)
+	}
+	t.Logf("%d encroaching refinements, %d of them not one object", encroaching, over)
+	if encroaching < 10 || over*10 > encroaching {
+		t.Fatalf("%d encroaching refinements, %d of them not one object", encroaching, over)
+	}
 }

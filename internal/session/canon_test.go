@@ -28,14 +28,14 @@ func TestCanonEncodingsInjective(t *testing.T) {
 		"init dmr seed 43": string(canonInit(InitSpec{Kind: "dmr", Variant: "g-d", Scale: "small", Seed: 43})),
 		"init dmr g-dnc":   string(canonInit(InitSpec{Kind: "dmr", Variant: "g-dnc", Scale: "small", Seed: 42})),
 		// Field-boundary probe: ("dm","rg-d") must not collide with ("dmr","g-d").
-		"init boundary":  string(canonInit(InitSpec{Kind: "dm", Variant: "rg-d", Scale: "small", Seed: 42})),
-		"tombstone idle": string(canonTombstone("idle")),
+		"init boundary":    string(canonInit(InitSpec{Kind: "dm", Variant: "rg-d", Scale: "small", Seed: 42})),
+		"tombstone idle":   string(canonTombstone("idle")),
 		"tombstone closed": string(canonTombstone("closed")),
-		"refine 2500":    string(mustRefine(2500)),
-		"refine 2501":    string(mustRefine(2501)),
-		"reweight 16/1":  string(mustReweight(16, 1)),
-		"reweight 16/2":  string(mustReweight(16, 2)),
-		"reweight 17/1":  string(mustReweight(17, 1)),
+		"refine 2500":      string(mustRefine(2500)),
+		"refine 2501":      string(mustRefine(2501)),
+		"reweight 16/1":    string(mustReweight(16, 1)),
+		"reweight 16/2":    string(mustReweight(16, 2)),
+		"reweight 17/1":    string(mustReweight(17, 1)),
 	}
 	seen := map[string]string{}
 	for name, enc := range encs {

@@ -136,10 +136,10 @@ func (m *Manager) Create(is InitSpec, now int64) (*Session, error) {
 	state, stateFP := k.Init(sc, is.Seed)
 	chain := chainHash(genesisPrev, canonInit(is), stateFP, 0)
 	s := &Session{
-		ID:   id,
-		kind: k,
-		init: is,
-		sc:   sc,
+		ID:    id,
+		kind:  k,
+		init:  is,
+		sc:    sc,
 		state: state,
 		links: []Link{{
 			Index:   0,
