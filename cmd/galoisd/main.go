@@ -24,6 +24,11 @@
 // receipt alone. Idle sessions are evicted after -session-idle with a
 // tombstone link sealing the chain.
 //
+// Jobs, session batches and chain verifies share one admission queue
+// (-queue; full => 429) and one set of -workers workers, each keeping up
+// to one pooled engine per thread count; -timeout is the default per-task
+// deadline.
+//
 //	galoisd -addr :8090
 //	curl -s localhost:8090/jobs -d '{"kind":"bfs","variant":"g-d","scale":"small"}'
 //	curl -s localhost:8090/verify -d "$receipt"
@@ -54,9 +59,8 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address (use :0 for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the actual listen address to this file once bound (for scripts using :0)")
-	workers := flag.Int("workers", 0, "job-executing workers (default GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "job-executing workers, and retained engines per thread count (default GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission queue depth (full queue => 429 + Retry-After)")
-	engineCap := flag.Int("engine-cap", 0, "retained engines per thread-count key (default workers)")
 	maxThreads := flag.Int("max-threads", 8, "clamp on per-job thread requests")
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-job deadline when the spec omits one")
 	drain := flag.Duration("drain", 2*time.Minute, "shutdown grace period for draining admitted jobs")
@@ -69,7 +73,6 @@ func main() {
 	s := serve.NewServer(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		EngineCap:      *engineCap,
 		MaxThreads:     *maxThreads,
 		DefaultTimeout: *timeout,
 		CacheBytes:     *cacheBytes,

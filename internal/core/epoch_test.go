@@ -217,13 +217,13 @@ func TestNonDetPanicIsContained(t *testing.T) {
 		for _, victim := range victims {
 			for _, inCommit := range []bool{false, true} {
 				t.Run(fmt.Sprintf("t%d/tid%d/commit=%v", threads, victim, inCommit), func(t *testing.T) {
-					before := runtime.NumGoroutine()
+					before := settledGoroutines()
 					eng := NewEngine(threads)
 					det := optsFor(Deterministic, threads, func(o *Options) { o.Engine = eng })
 					non := optsFor(NonDeterministic, threads, func(o *Options) { o.Engine = eng })
 					slots := make([]slot, epochSlots)
 					runSlots(slots, non, nil) // the pool's workers now exist
-					warm := runtime.NumGoroutine()
+					warm := settledGoroutines()
 
 					var fired atomic.Bool
 					boom := func(ctx *Ctx[slotJob], here bool) {
@@ -285,6 +285,22 @@ func TestNonDetPanicIsContained(t *testing.T) {
 			}
 		}
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has read the same
+// value on five consecutive 1 ms polls (or after 5 s), so a baseline does
+// not count a goroutine of an earlier subtest that is still exiting.
+func settledGoroutines() int {
+	n, same := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(5 * time.Second); same < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }
 
 // TestBudgetsFailLoudlyBeforeAnyMark: a spent epoch clock and a generation

@@ -49,29 +49,6 @@ const (
 	// canonical sequence stays machine- and thread-count-invariant.
 	KindPhases
 
-	// The KindCache* events are emitted by the galoisd result cache
-	// (internal/rescache), never by a scheduler run, and are observational
-	// only: cache state is a function of request *arrival order*, so these
-	// events make no canonical-sequence claim and must never feed a
-	// fingerprint. Attach the cache to its own sink, not a run's.
-
-	// KindCacheHit: a Get found its key.
-	// Args: key prefix (low 64 bits), resident entries, resident bytes.
-	KindCacheHit
-	// KindCacheMiss: a Get found nothing.
-	// Args: key prefix, resident entries, resident bytes.
-	KindCacheMiss
-	// KindCacheStore: a Put stored or replaced an entry.
-	// Args: key prefix, entry size, resident bytes after.
-	KindCacheStore
-	// KindCacheEvict: an entry left the cache — budget pressure or an
-	// explicit Remove (spot-check mismatch).
-	// Args: key prefix, entry size, resident bytes after.
-	KindCacheEvict
-	// KindCacheCollapse: a submission joined an in-flight identical
-	// execution instead of starting its own. Args: key prefix.
-	KindCacheCollapse
-
 	numKinds
 )
 
@@ -80,7 +57,6 @@ var kindNames = [numKinds]string{
 	"gen-start", "gen-end", "gen-sort",
 	"round-start", "round-end", "window",
 	"suspend", "resume", "worker", "phases",
-	"cache-hit", "cache-miss", "cache-store", "cache-evict", "cache-collapse",
 }
 
 // String implements fmt.Stringer.

@@ -1,10 +1,6 @@
 package rescache
 
-import (
-	"sync"
-
-	"galois/internal/obs"
-)
+import "sync"
 
 // entry is one resident cache line. Entries form an intrusive doubly-linked
 // LRU list (head = most recently used); the map is used for lookup and
@@ -34,12 +30,6 @@ type Counters struct {
 // Cache is a byte-budget LRU over opaque result values, safe for concurrent
 // use. Values are treated as immutable once stored: callers must copy
 // before mutating what Get returns.
-//
-// An optional obs.Sink receives one event per state change (hit, miss,
-// store, evict). obs.Trace buffers are single-writer per tid, so the cache
-// serializes every emission under its own mutex and owns tid 0 of its sink;
-// give the cache a dedicated sink rather than sharing one with a scheduler
-// run.
 type Cache struct {
 	mu     sync.Mutex
 	budget int64
@@ -47,7 +37,6 @@ type Cache struct {
 	head   *entry // most recently used
 	tail   *entry // least recently used
 	bytes  int64
-	sink   obs.Sink
 
 	hits, misses, stores, evictions, rejects uint64
 }
@@ -62,27 +51,6 @@ func New(budget int64) *Cache {
 	return &Cache{budget: budget, m: make(map[Key]*entry)}
 }
 
-// SetSink attaches a trace sink for cache events. Call before the cache is
-// shared with concurrent users.
-func (c *Cache) SetSink(s obs.Sink) { c.sink = s }
-
-// emit sends a cache event through the sink. Caller must hold c.mu — that
-// is what serializes writers onto the sink's tid-0 buffer.
-func (c *Cache) emit(kind obs.Kind, args [4]int64) {
-	if c.sink != nil {
-		c.sink.Emit(0, obs.Event{Kind: kind, Args: args})
-	}
-}
-
-// Event emits an arbitrary cache-related event through the cache's sink,
-// serialized with the cache's own emissions. The serving layer uses this
-// for events the cache cannot observe itself (in-flight collapse).
-func (c *Cache) Event(kind obs.Kind, args [4]int64) {
-	c.mu.Lock()
-	c.emit(kind, args)
-	c.mu.Unlock()
-}
-
 // Get returns the value stored under k and marks it most recently used.
 func (c *Cache) Get(k Key) (any, bool) {
 	c.mu.Lock()
@@ -90,12 +58,10 @@ func (c *Cache) Get(k Key) (any, bool) {
 	e, ok := c.m[k]
 	if !ok {
 		c.misses++
-		c.emit(obs.KindCacheMiss, [4]int64{k.Low64(), int64(len(c.m)), c.bytes})
 		return nil, false
 	}
 	c.hits++
 	c.moveFront(e)
-	c.emit(obs.KindCacheHit, [4]int64{k.Low64(), int64(len(c.m)), c.bytes})
 	return e.val, true
 }
 
@@ -124,7 +90,6 @@ func (c *Cache) Put(k Key, v any, size int64) bool {
 		c.bytes += size
 	}
 	c.stores++
-	c.emit(obs.KindCacheStore, [4]int64{k.Low64(), size, c.bytes})
 	// Evict from the cold end until we fit. The just-stored entry is at
 	// the head and fits the budget by the check above, so the loop always
 	// terminates with at least it resident.
@@ -146,7 +111,6 @@ func (c *Cache) Remove(k Key) bool {
 	c.unlink(e)
 	delete(c.m, k)
 	c.bytes -= e.size
-	c.emit(obs.KindCacheEvict, [4]int64{e.key.Low64(), e.size, c.bytes})
 	return true
 }
 
@@ -167,7 +131,6 @@ func (c *Cache) evict(e *entry) {
 	delete(c.m, e.key)
 	c.bytes -= e.size
 	c.evictions++
-	c.emit(obs.KindCacheEvict, [4]int64{e.key.Low64(), e.size, c.bytes})
 }
 
 // --- intrusive LRU list (caller holds c.mu) ---

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"galois/internal/obs"
 )
 
 func testKey(i int) Key {
@@ -143,36 +141,5 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	if cc := c.Counters(); cc.Bytes > cc.Budget {
 		t.Fatalf("resident %d bytes over budget %d", cc.Bytes, cc.Budget)
-	}
-}
-
-func TestCacheSinkEvents(t *testing.T) {
-	c := New(250)
-	sink := obs.NewTrace(1)
-	c.SetSink(sink)
-	k := testKey(1)
-	c.Get(k)           // miss
-	c.Put(k, "v", 100) // store
-	c.Get(k)           // hit
-	c.Put(testKey(2), "w", 100)
-	c.Put(testKey(3), "x", 100) // evicts k (LRU after touch order 1,2,3 → victim 1)
-	c.Remove(testKey(2))        // explicit evict event
-
-	var kinds []obs.Kind
-	for _, ev := range sink.Events() {
-		kinds = append(kinds, ev.Kind)
-	}
-	want := []obs.Kind{
-		obs.KindCacheMiss, obs.KindCacheStore, obs.KindCacheHit,
-		obs.KindCacheStore, obs.KindCacheStore, obs.KindCacheEvict,
-		obs.KindCacheEvict,
-	}
-	if len(kinds) != len(want) {
-		t.Fatalf("event kinds %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v (all: %v)", i, kinds[i], want[i], kinds)
-		}
 	}
 }

@@ -16,7 +16,7 @@
 //     KeyOfLink and KeyOfInput are the other two key domains (session
 //     links, built inputs), each under its own version byte.
 //   - Cache: a byte-budget LRU over opaque result values, safe for
-//     concurrent use, with counters and optional trace-sink events.
+//     concurrent use, with counters.
 //   - Flight: singleflight collapse of concurrent identical submissions
 //     onto one execution.
 //

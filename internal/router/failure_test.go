@@ -80,6 +80,43 @@ func TestZeroRetriesMeansOneAttempt(t *testing.T) {
 	}
 }
 
+// TestSessionCreateRetriesDialError: session creation takes the same
+// retrying path as /jobs. With probing off and round-robin's first pick a
+// dead address, POST /sessions retries onto the live backend — a dial
+// error proves the request never reached admission — and the session's
+// batches stick to that backend.
+func TestSessionCreateRetriesDialError(t *testing.T) {
+	cl := newCluster(t, 2, "round-robin", Config{Retries: 1})
+	cl.backs[0].Close() // round-robin's first pick is backend 0
+	live := cl.backs[1].URL
+
+	status, owner, body := postRaw(t, cl.front.URL+"/sessions",
+		session.InitSpec{Kind: "sssp", Scale: "small", Seed: 1})
+	if status != http.StatusCreated {
+		t.Fatalf("create with a dead first backend: status %d (%s), want 201", status, body)
+	}
+	if owner != live {
+		t.Fatalf("session created on %s, want the live backend %s", owner, live)
+	}
+	if got := cl.rt.retries.Load(); got != 1 {
+		t.Fatalf("router.retries = %d, want 1", got)
+	}
+	var si serve.SessionInfo
+	if err := json.Unmarshal(body, &si); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		status, served, body := postRaw(t, cl.front.URL+"/sessions/"+si.ID+"/batches",
+			session.BatchSpec{Op: "reweight", Edges: 8, Seed: uint64(i + 1)})
+		if status != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %s", i, status, body)
+		}
+		if served != live {
+			t.Fatalf("batch %d served by %s, owner is %s", i, served, live)
+		}
+	}
+}
+
 // TestNoRetryAfterAdmission pins the retry-safety boundary: a backend
 // that accepts the connection and then dies mid-request may already have
 // admitted the work, so the router must surface 502 — not replay the job

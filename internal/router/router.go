@@ -38,8 +38,6 @@ type Config struct {
 	// prober — probes then only happen via ProbeOnce (tests) and passive
 	// dial-error observation.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round-trip. Default 2s.
-	ProbeTimeout time.Duration
 	// EjectAfter is the consecutive-failure count that ejects a backend.
 	// Default 3.
 	EjectAfter int
@@ -55,17 +53,15 @@ type Config struct {
 	// attempt. Default 25ms.
 	RetryBackoff time.Duration
 	// MaxBody bounds request bodies (they are buffered for retry
-	// replay). Default 1 MiB.
+	// replay) and the session-creation responses the router reads.
+	// Default 1 MiB.
 	MaxBody int64
-	// Client is the proxy transport. Default: http.Client with a
-	// transport sized for many concurrent backends connections.
-	Client *http.Client
 }
 
+// probeTimeout bounds one probe round-trip.
+const probeTimeout = 2 * time.Second
+
 func (c *Config) fillDefaults() {
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = 2 * time.Second
-	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
 	}
@@ -81,21 +77,16 @@ func (c *Config) fillDefaults() {
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 20
 	}
-	if c.Client == nil {
-		tr := &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}
-		c.Client = &http.Client{Transport: tr}
-	}
 }
 
 // Router is the reverse-proxy tier over a set of galoisd backends. Create
 // with New, expose via Handler, stop with Close (or Shutdown for a
 // draining stop).
 type Router struct {
-	cfg      Config
+	cfg Config
+	// client is the proxy and probe transport, sized for many concurrent
+	// backend connections.
+	client   *http.Client
 	backends []*Backend
 	policy   Policy
 	// verifyRR routes POST /verify and GET /kinds: verification
@@ -137,7 +128,12 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	rt := &Router{
-		cfg:      cfg,
+		cfg: cfg,
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        256,
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     90 * time.Second,
+		}},
 		policy:   pol,
 		sessions: make(map[string]*Backend),
 	}
@@ -275,7 +271,7 @@ func (rt *Router) send(r *http.Request, b *Backend, body []byte) (*http.Response
 	} else if len(body) > 0 {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		b.errors.Add(1)
 		rt.proxyErrors.Add(1)
@@ -287,9 +283,20 @@ func (rt *Router) send(r *http.Request, b *Backend, body []byte) (*http.Response
 
 // relay copies a backend response to the client, tagging which backend
 // served it (X-Galois-Backend) — the header the cross-node verification
-// demo and tests key off.
-func (rt *Router) relay(w http.ResponseWriter, b *Backend, resp *http.Response) {
+// demo and tests key off. When created is set, a 201 body is read first
+// (bounded by MaxBody) and handed to it.
+func (rt *Router) relay(w http.ResponseWriter, b *Backend, resp *http.Response, created func(*Backend, []byte)) {
 	defer resp.Body.Close()
+	var body io.Reader = resp.Body
+	if created != nil && resp.StatusCode == http.StatusCreated {
+		data, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
+		if err != nil {
+			rt.writeError(w, http.StatusBadGateway, "backend %s: reading response: %v", b.URL, err)
+			return
+		}
+		created(b, data)
+		body = bytes.NewReader(data)
+	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
@@ -301,7 +308,7 @@ func (rt *Router) relay(w http.ResponseWriter, b *Backend, resp *http.Response) 
 		rt.backpressure.Add(1)
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	_, _ = io.Copy(w, body)
 }
 
 func (rt *Router) writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -327,8 +334,9 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 // healthy backend, forward, and — only on a dial-phase connection error —
 // back off and retry on another. Responses (any status) pass through
 // unchanged apart from the X-Galois-Backend tag; 429s additionally count
-// as propagated backpressure.
-func (rt *Router) routeForward(w http.ResponseWriter, r *http.Request, body []byte, key uint64, hasKey bool, pick func([]*Backend) *Backend) {
+// as propagated backpressure. created, when set, sees the body of a 201
+// (see relay).
+func (rt *Router) routeForward(w http.ResponseWriter, r *http.Request, body []byte, key uint64, hasKey bool, pick func([]*Backend) *Backend, created func(*Backend, []byte)) {
 	rt.requests.Add(1)
 	tried := make(map[*Backend]bool)
 	backoff := rt.cfg.RetryBackoff
@@ -349,7 +357,7 @@ func (rt *Router) routeForward(w http.ResponseWriter, r *http.Request, body []by
 		b.inflight.Add(1)
 		resp, err := rt.send(r, b, body)
 		if err == nil {
-			rt.relay(w, b, resp)
+			rt.relay(w, b, resp, created)
 			b.inflight.Add(-1)
 			return
 		}
@@ -381,26 +389,18 @@ func (rt *Router) routeForward(w http.ResponseWriter, r *http.Request, body []by
 }
 
 // specKey computes the canonical routing key of a job spec, mirroring the
-// backend's own result-cache address (rescache.KeyOf over the normalized
-// semantic fields) so consistent-hash lands a repeat spec on the backend
-// whose cache already holds its result. A spec that yields no key (bad
-// JSON, g-n) simply routes key-less — normalization divergence between
-// router and backend can cost cache warmth, never correctness, because
-// routing is behavior-free.
+// backend's own result-cache address (rescache.KeyOf over the spec with
+// serve.Spec.WithDefaults applied, as the backend applies it) so
+// consistent-hash lands a repeat spec on the backend whose cache already
+// holds its result. A spec that yields no key (bad JSON, g-n) simply
+// routes key-less — routing is behavior-free, so a missing key can cost
+// cache warmth, never correctness.
 func specKey(body []byte) (uint64, bool) {
 	var spec serve.Spec
 	if err := json.Unmarshal(body, &spec); err != nil {
 		return 0, false
 	}
-	if spec.Variant == "" {
-		spec.Variant = "g-d"
-	}
-	if spec.Scale == "" {
-		spec.Scale = "small"
-	}
-	if spec.Threads <= 0 {
-		spec.Threads = 1
-	}
+	spec = spec.WithDefaults()
 	key, err := rescache.KeyOf(spec.Kind, spec.Variant, spec.Scale, spec.Seed, spec.Threads)
 	if err != nil {
 		return 0, false
@@ -427,7 +427,7 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key, hasKey := specKey(body)
-	rt.routeForward(w, r, body, key, hasKey, nil)
+	rt.routeForward(w, r, body, key, hasKey, nil, nil)
 }
 
 func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -444,7 +444,7 @@ func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// replays happen continuously, not just when a test forces them.
 	rt.routeForward(w, r, body, 0, false, func(cands []*Backend) *Backend {
 		return rt.verifyRR.Pick(cands, 0, false)
-	})
+	}, nil)
 }
 
 func (rt *Router) handleKinds(w http.ResponseWriter, r *http.Request) {
@@ -453,12 +453,14 @@ func (rt *Router) handleKinds(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.routeForward(w, r, nil, 0, false, func(cands []*Backend) *Backend {
 		return rt.verifyRR.Pick(cands, 0, false)
-	})
+	}, nil)
 }
 
-// handleSessionCreate routes a session creation through the policy, then
-// records which backend owns the new id so every subsequent request on
-// the session sticks to it.
+// handleSessionCreate routes a session creation like any other request —
+// dial errors retry on another backend — and records which backend owns
+// the new id so every subsequent request on the session sticks to it.
+// Session creation has no content address (a session is identity, not
+// content), so key-driven policies fall back internally.
 func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if rt.rejectDraining(w) {
 		return
@@ -467,55 +469,16 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rt.requests.Add(1)
-	cands := rt.healthyExcept(nil)
-	if len(cands) == 0 {
-		rt.noBackend.Add(1)
-		rt.writeError(w, http.StatusServiceUnavailable, "no healthy backend")
-		return
-	}
-	// Session creation has no content address (a session is identity, not
-	// content), so key-driven policies fall back internally.
-	b := rt.policy.Pick(cands, 0, false)
-	b.requests.Add(1)
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
-	resp, err := rt.send(r, b, body)
-	if err != nil {
-		if isDialError(err) {
-			b.markFailure(rt.cfg.EjectAfter, time.Now().UnixNano())
-		}
-		rt.writeError(w, http.StatusBadGateway, "backend %s: %v", b.URL, err)
-		return
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
-	if err != nil {
-		rt.writeError(w, http.StatusBadGateway, "backend %s: reading response: %v", b.URL, err)
-		return
-	}
-	if resp.StatusCode == http.StatusCreated {
+	rt.routeForward(w, r, body, 0, false, nil, func(b *Backend, created []byte) {
 		var si struct {
 			ID string `json:"id"`
 		}
-		if json.Unmarshal(respBody, &si) == nil && si.ID != "" {
+		if json.Unmarshal(created, &si) == nil && si.ID != "" {
 			rt.sessionsMu.Lock()
 			rt.sessions[si.ID] = b
 			rt.sessionsMu.Unlock()
 		}
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	w.Header().Set("X-Galois-Backend", b.URL)
-	if resp.StatusCode == http.StatusTooManyRequests {
-		rt.backpressure.Add(1)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = w.Write(respBody)
+	})
 }
 
 // handleSessionRouted forwards any /sessions/{id}/* request to the id's
@@ -555,7 +518,7 @@ func (rt *Router) handleSessionRouted(w http.ResponseWriter, r *http.Request) {
 			"session %s owner %s: %v (sessions are pinned; not rerouted)", id, b.URL, err)
 		return
 	}
-	rt.relay(w, b, resp)
+	rt.relay(w, b, resp, nil)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -680,14 +643,14 @@ func (rt *Router) ProbeOnce() {
 // before its listener closes.
 func (rt *Router) probe(b *Backend, now int64) {
 	b.probes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.URL+"/healthz", nil)
 	if err != nil {
 		b.markFailure(rt.cfg.EjectAfter, now)
 		return
 	}
-	resp, err := rt.cfg.Client.Do(req)
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		b.markFailure(rt.cfg.EjectAfter, now)
 		return

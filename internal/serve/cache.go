@@ -79,8 +79,8 @@ func (s *Server) cacheKey(spec Spec, kind *Kind) (rescache.Key, bool) {
 }
 
 // spotChecker deterministically selects the configured fraction of cache
-// hits for honesty re-execution. The stream is seeded and private — no
-// global RNG — so a server replayed against the same request sequence
+// hits for honesty re-execution. The stream is private and always seeded
+// with 1 — no global RNG — so a server replayed against the same request sequence
 // spot-checks the same hits.
 type spotChecker struct {
 	mu     sync.Mutex
@@ -91,8 +91,8 @@ type spotChecker struct {
 	threshold uint64
 }
 
-func newSpotChecker(fraction float64, seed uint64) *spotChecker {
-	sp := &spotChecker{rnd: rng.New(seed)}
+func newSpotChecker(fraction float64) *spotChecker {
+	sp := &spotChecker{rnd: rng.New(1)}
 	if fraction >= 1 {
 		sp.always = true
 	} else {

@@ -193,22 +193,10 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 
 // Kinds lists the job kinds the server accepts.
 func (c *Client) Kinds(ctx context.Context) ([]string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/kinds", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, apiError(resp)
-	}
 	var out struct {
 		Kinds []string `json:"kinds"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/kinds", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Kinds, nil

@@ -13,12 +13,15 @@
 //     and cached per (input family, scale, seed) in a byte-budgeted LRU
 //     (input.go), so client-chosen seeds cannot grow the process.
 //   - Engine pool (EnginePool): checks reusable galois.Engine instances in
-//     and out, keyed by thread count and lazily grown to a cap, so
+//     and out, keyed by thread count and lazily grown to one engine per
+//     worker, so
 //     steady-state request handling rides the engine's allocation-free
 //     path instead of rebuilding run state per request.
-//   - Admission control (Server): a bounded job queue with explicit
-//     rejection (HTTP 429 + Retry-After) when full, per-job deadlines, and
-//     graceful shutdown that completes every admitted job while new
+//   - Admission control (executor.go): one generic submit carries every
+//     kind of work — one-shot jobs, session batches, chain verifies —
+//     onto a bounded queue with explicit rejection (HTTP 429 +
+//     Retry-After) when full, per-task deadlines checked at dequeue, and
+//     graceful shutdown that completes every admitted task while new
 //     submissions get 503.
 //   - Result cache (internal/rescache): deterministic jobs are pure
 //     functions of their normalized spec, so results are content-

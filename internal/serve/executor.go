@@ -5,30 +5,24 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"galois"
 	"galois/internal/obs"
 )
 
-// task is one admitted unit of work. Implementations run on a worker
-// goroutine — tid is that worker's metric cell (>= 1; cell 0 is the
-// handler side) — and deliver their own outcome (each task owns a
-// buffered reply channel, so a worker never blocks on a submitter that
-// stopped listening).
-type task interface {
-	run(tid int)
-}
-
-// executor is the execution substrate shared by one-shot jobs and session
-// batches: the bounded admission queue, the worker pool, the engine pool,
-// graceful drain, and the metrics registry. Policy — caching, input
-// resolution, chains — lives above it in Server; the executor only knows
-// how to admit a task and hand it a worker and an engine.
+// executor is the execution substrate under every kind of work — one-shot
+// jobs, session batches and chain verifies: the bounded admission queue,
+// the worker pool, the engine pool, graceful drain, and the metrics
+// registry. Policy — caching, input resolution, chains — lives above it in
+// Server; the executor only knows how to admit a task and hand it a worker
+// and an engine. submit is the one way onto a worker.
 type executor struct {
-	queueDepth int
-	queue      chan task
-	workers    sync.WaitGroup
-	pool       *EnginePool
+	// queue carries admitted tasks; tid is the running worker's metric
+	// cell (>= 1; cell 0 is the handler side).
+	queue   chan func(tid int)
+	workers sync.WaitGroup
+	pool    *EnginePool
 
 	// inflight counts tasks currently executing on a worker (admitted
 	// tasks still queued are visible as len(queue) instead). It is the
@@ -50,13 +44,14 @@ type executor struct {
 	metMu sync.Mutex
 }
 
-// newExecutor builds the substrate and starts its workers.
-func newExecutor(workers, queueDepth, engineCap int) *executor {
+// newExecutor builds the substrate and starts its workers. The engine pool
+// retains up to one engine per worker for each thread count, so a steady
+// mixed workload never constructs engines after warmup.
+func newExecutor(workers, queueDepth int) *executor {
 	x := &executor{
-		queueDepth: queueDepth,
-		queue:      make(chan task, queueDepth),
-		pool:       NewEnginePool(engineCap),
-		met:        obs.NewRegistry(workers + 1),
+		queue: make(chan func(tid int), queueDepth),
+		pool:  NewEnginePool(workers),
+		met:   obs.NewRegistry(workers + 1),
 	}
 	x.workers.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -68,9 +63,9 @@ func newExecutor(workers, queueDepth, engineCap int) *executor {
 
 func (x *executor) worker(wid int) {
 	defer x.workers.Done()
-	for t := range x.queue {
+	for run := range x.queue {
 		x.inflight.Add(1)
-		t.run(wid + 1)
+		run(wid + 1)
 		x.inflight.Add(-1)
 	}
 }
@@ -86,10 +81,10 @@ func (x *executor) count(name string) {
 	x.metMu.Unlock()
 }
 
-// admit places t on the queue, or rejects it: 503 while draining, 429
+// admit places run on the queue, or rejects it: 503 while draining, 429
 // with Retry-After when the queue is full. Once admit returns nil the
 // task will run — a queued task is never dropped, even during drain.
-func (x *executor) admit(t task) *httpError {
+func (x *executor) admit(run func(tid int)) *httpError {
 	x.admitMu.RLock()
 	defer x.admitMu.RUnlock()
 	if x.isDraining {
@@ -97,7 +92,7 @@ func (x *executor) admit(t task) *httpError {
 		return errf(http.StatusServiceUnavailable, "server is draining; not accepting jobs")
 	}
 	select {
-	case x.queue <- t:
+	case x.queue <- run:
 	default:
 		x.count("serve.reject.full")
 		return &httpError{status: http.StatusTooManyRequests,
@@ -105,6 +100,44 @@ func (x *executor) admit(t task) *httpError {
 	}
 	x.count("serve.admit")
 	return nil
+}
+
+// submit is the one path from a handler to a worker: it admits fn, runs
+// it on a worker, and waits for its outcome. fn receives the worker's
+// metric cell and the time the task was admitted. A task whose deadline
+// passed while it was queued never runs: it counts serve.timeout and
+// returns 504. If ctx ends first the caller gets 504 at once, and the
+// admitted task still runs to completion — its outcome lands in a
+// buffered channel nobody reads, so a worker never blocks on a submitter
+// that stopped listening. what names the work in error messages; it is
+// called only to build one.
+func submit[R any](x *executor, ctx context.Context, deadline time.Time, what func() string, fn func(tid int, admitted time.Time) (R, *httpError)) (R, *httpError) {
+	type outcome struct {
+		res R
+		err *httpError
+	}
+	done := make(chan outcome, 1)
+	admitted := time.Now()
+	if herr := x.admit(func(tid int) {
+		if time.Now().After(deadline) {
+			x.met.Counter("serve.timeout").Add(tid, 1)
+			done <- outcome{err: errf(http.StatusGatewayTimeout, "%s exceeded its deadline while queued", what())}
+			return
+		}
+		res, err := fn(tid, admitted)
+		done <- outcome{res: res, err: err}
+	}); herr != nil {
+		var zero R
+		return zero, herr
+	}
+	//detlint:ignore goroutineorder admission wait: this select only decides whether the HTTP response gets written; the task's result is a pure function of its spec (or recorded chain) and is delivered via the buffered channel regardless
+	select {
+	case out := <-done:
+		return out.res, out.err
+	case <-ctx.Done():
+		var zero R
+		return zero, errf(http.StatusGatewayTimeout, "request context canceled while %s in flight: %v", what(), ctx.Err())
+	}
 }
 
 // withEngine checks an engine out of the pool for the duration of fn,

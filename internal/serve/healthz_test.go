@@ -72,7 +72,7 @@ func TestHealthzInFlightGauge(t *testing.T) {
 		release: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	if herr := s.exec.admit(bt); herr != nil {
+	if herr := s.exec.admit(bt.run); herr != nil {
 		t.Fatalf("admit: %v", herr)
 	}
 	<-bt.started

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -24,23 +25,14 @@ type Config struct {
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// 429 + Retry-After. Default 64.
 	QueueDepth int
-	// Workers is the number of job-executing goroutines. Default
-	// GOMAXPROCS.
+	// Workers is the number of job-executing goroutines, and the engine
+	// pool's retained-engine cap per thread count. Default GOMAXPROCS.
 	Workers int
-	// EngineCap is the engine pool's retained-engine cap per thread-count
-	// key. Default Workers (so a steady mixed workload never constructs
-	// engines after warmup).
-	EngineCap int
-	// DefaultThreads is the per-job thread count when the spec omits it.
-	// Default 1.
-	DefaultThreads int
 	// MaxThreads clamps per-job thread requests. Default 8.
 	MaxThreads int
 	// DefaultTimeout bounds queue wait + execution when the spec omits
 	// timeout_ms. Default 60s.
 	DefaultTimeout time.Duration
-	// MaxBody bounds request bodies. Default 1 MiB.
-	MaxBody int64
 	// Registry supplies the job kinds. Default DefaultRegistry().
 	Registry *Registry
 	// SessionKinds supplies the session kinds. Default
@@ -65,13 +57,10 @@ type Config struct {
 	// hit). Selection is deterministic, drawn from a seeded private
 	// stream.
 	CacheSpotCheck float64
-	// CacheSpotSeed seeds the spot-check selector. Default 1.
-	CacheSpotSeed uint64
-	// CacheSink optionally receives cache trace events (hit, miss, store,
-	// evict, collapse). The cache serializes all emissions onto tid 0 of
-	// this sink; do not share it with a traced scheduler run.
-	CacheSink obs.Sink
 }
+
+// maxBody bounds request bodies.
+const maxBody = 1 << 20
 
 func (c *Config) fillDefaults() {
 	if c.QueueDepth <= 0 {
@@ -80,20 +69,11 @@ func (c *Config) fillDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.EngineCap <= 0 {
-		c.EngineCap = c.Workers
-	}
-	if c.DefaultThreads <= 0 {
-		c.DefaultThreads = 1
-	}
 	if c.MaxThreads <= 0 {
 		c.MaxThreads = 8
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
-	}
-	if c.MaxBody <= 0 {
-		c.MaxBody = 1 << 20
 	}
 	if c.Registry == nil {
 		c.Registry = DefaultRegistry()
@@ -104,38 +84,6 @@ func (c *Config) fillDefaults() {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
 	}
-	if c.CacheSpotSeed == 0 {
-		c.CacheSpotSeed = 1
-	}
-}
-
-// job is one admitted one-shot unit of work.
-type job struct {
-	srv      *Server
-	spec     Spec
-	kind     *Kind
-	deadline time.Time
-	admitted time.Time
-	// ckey is the result-cache address of the spec when store or recheck
-	// is set. store caches the outcome after a successful run; recheck
-	// serves from the cache if the key was filled while the job queued
-	// (a verify re-execution can land the result first) so an admitted
-	// spec never executes twice. Honesty re-executions (verify,
-	// spot-check) set store without recheck — they exist to run.
-	ckey    rescache.Key
-	store   bool
-	recheck bool
-	// done receives the outcome exactly once. Buffered so a worker never
-	// blocks on a submitter that stopped waiting (client disconnect).
-	done chan jobOutcome
-}
-
-// run implements task: execute on a worker and deliver the outcome.
-func (j *job) run(tid int) { j.done <- j.srv.runJob(tid, j) }
-
-type jobOutcome struct {
-	res *JobResult
-	err *httpError
 }
 
 // Server is the deterministic analytics job service. Create with
@@ -174,17 +122,14 @@ func NewServer(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      cfg.Registry,
 		inputs:   newInputCache(inputBytes),
-		exec:     newExecutor(cfg.Workers, cfg.QueueDepth, cfg.EngineCap),
+		exec:     newExecutor(cfg.Workers, cfg.QueueDepth),
 		sessions: session.NewManager(cfg.SessionKinds, cfg.MaxSessions),
 	}
 	if cfg.CacheBytes > 0 {
 		s.cache = rescache.New(cfg.CacheBytes)
-		if cfg.CacheSink != nil {
-			s.cache.SetSink(cfg.CacheSink)
-		}
 		s.flight = rescache.NewFlight()
 		if cfg.CacheSpotCheck > 0 {
-			s.spot = newSpotChecker(cfg.CacheSpotCheck, cfg.CacheSpotSeed)
+			s.spot = newSpotChecker(cfg.CacheSpotCheck)
 		}
 	}
 	s.mux = http.NewServeMux()
@@ -267,35 +212,45 @@ func (s *Server) count(name string) { s.exec.count(name) }
 // normalize validates a raw spec against the registry and config and fills
 // defaults, returning the canonical spec a receipt will carry.
 func (s *Server) normalize(spec Spec) (Spec, *Kind, *httpError) {
+	spec = spec.WithDefaults()
 	kind := s.reg.Lookup(spec.Kind)
 	if kind == nil {
 		return spec, nil, errf(http.StatusBadRequest, "unknown job kind %q (have %v)", spec.Kind, s.reg.Names())
 	}
 	switch spec.Variant {
-	case "":
-		spec.Variant = "g-d"
 	case "g-n", "g-d", "g-dnc":
 	default:
 		return spec, nil, errf(http.StatusBadRequest, "unknown variant %q (g-n|g-d|g-dnc)", spec.Variant)
-	}
-	if spec.Scale == "" {
-		spec.Scale = "small"
 	}
 	switch spec.Scale {
 	case "small", "default", "full":
 	default:
 		return spec, nil, errf(http.StatusBadRequest, "unknown scale %q (small|default|full)", spec.Scale)
 	}
-	if spec.Threads <= 0 {
-		spec.Threads = s.cfg.DefaultThreads
-	}
-	if spec.Threads > s.cfg.MaxThreads {
-		return spec, nil, errf(http.StatusBadRequest, "threads %d exceeds server limit %d", spec.Threads, s.cfg.MaxThreads)
+	var herr *httpError
+	if spec.Threads, herr = s.threads(spec.Threads, 0); herr != nil {
+		return spec, nil, herr
 	}
 	if spec.TimeoutMS < 0 {
 		return spec, nil, errf(http.StatusBadRequest, "negative timeout_ms")
 	}
 	return spec, kind, nil
+}
+
+// threads resolves a request's thread count: the first positive of
+// requested and fallback, else 1. More than MaxThreads is a 400.
+func (s *Server) threads(requested, fallback int) (int, *httpError) {
+	t := requested
+	if t <= 0 {
+		t = fallback
+	}
+	if t <= 0 {
+		t = 1
+	}
+	if t > s.cfg.MaxThreads {
+		return 0, errf(http.StatusBadRequest, "threads %d exceeds server limit %d", t, s.cfg.MaxThreads)
+	}
+	return t, nil
 }
 
 // Execute runs one job through admission: it is the common path of
@@ -329,7 +284,7 @@ func (s *Server) executeMode(ctx context.Context, spec Spec, bypassCache bool) (
 	}
 	key, cacheable := s.cacheKey(spec, kind)
 	if !cacheable || bypassCache {
-		return s.enqueue(ctx, spec, kind, key, cacheable, false, timeout)
+		return s.runJob(ctx, spec, kind, key, cacheable, false, timeout)
 	}
 
 	if v, ok := s.cache.Get(key); ok {
@@ -342,13 +297,17 @@ func (s *Server) executeMode(ctx context.Context, spec Spec, bypassCache bool) (
 	// deadline instead): a leader disconnect must not poison the outcome
 	// its followers are waiting to share. Followers wait under their own
 	// context plus the same deadline.
+	type outcome struct {
+		res *JobResult
+		err *httpError
+	}
 	wctx, wcancel := context.WithTimeout(ctx, timeout)
 	defer wcancel()
 	v, ferr, leader := s.flight.Do(wctx, key, func() (any, error) {
 		lctx, lcancel := context.WithTimeout(context.WithoutCancel(ctx), timeout)
 		defer lcancel()
-		res, lerr := s.enqueue(lctx, spec, kind, key, true, true, timeout)
-		return jobOutcome{res: res, err: lerr}, nil
+		res, lerr := s.runJob(lctx, spec, kind, key, true, true, timeout)
+		return outcome{res: res, err: lerr}, nil
 	})
 	if ferr != nil {
 		if errors.Is(ferr, rescache.ErrLeaderPanic) {
@@ -357,10 +316,9 @@ func (s *Server) executeMode(ctx context.Context, spec Spec, bypassCache bool) (
 		return nil, errf(http.StatusGatewayTimeout,
 			"request context canceled while job %s in flight: %v", spec, ferr)
 	}
-	out := v.(jobOutcome)
+	out := v.(outcome)
 	if !leader {
 		s.count("serve.cache.collapse")
-		s.cache.Event(obs.KindCacheCollapse, [4]int64{key.Low64()})
 		if out.res != nil {
 			// Followers get their own copy: results must never be shared
 			// mutable between responses.
@@ -394,115 +352,90 @@ func (s *Server) serveHit(ctx context.Context, key rescache.Key, spec Spec, cr *
 	return cr.result(), nil
 }
 
-// enqueue runs one job through admission and waits for its outcome: the
-// tail of every execution path, cached or not.
-func (s *Server) enqueue(ctx context.Context, spec Spec, kind *Kind, key rescache.Key, store, recheck bool, timeout time.Duration) (*JobResult, *httpError) {
-	now := time.Now()
-	j := &job{
-		srv:      s,
-		spec:     spec,
-		kind:     kind,
-		deadline: now.Add(timeout),
-		admitted: now,
-		ckey:     key,
-		store:    store,
-		recheck:  recheck,
-		done:     make(chan jobOutcome, 1),
-	}
-	if herr := s.exec.admit(j); herr != nil {
-		return nil, herr
-	}
-
-	// The job is admitted: a worker will run it and deliver the outcome on
-	// the buffered done channel whether or not anyone is still listening.
-	//detlint:ignore goroutineorder admission wait: this select only decides whether the HTTP response gets written; the job's committed result is a pure function of its spec and is delivered via the buffered channel regardless
-	select {
-	case out := <-j.done:
-		return out.res, out.err
-	case <-ctx.Done():
-		return nil, errf(http.StatusGatewayTimeout, "request context canceled while job %s in flight: %v", spec, ctx.Err())
-	}
-}
-
-// runJob executes one job on a pooled engine and assembles its result.
-func (s *Server) runJob(tid int, j *job) jobOutcome {
-	if time.Now().After(j.deadline) {
-		s.exec.met.Counter("serve.timeout").Add(tid, 1)
-		return jobOutcome{err: errf(http.StatusGatewayTimeout,
-			"job %s exceeded its deadline while queued", j.spec)}
-	}
-	if j.recheck {
-		if v, ok := s.cache.Get(j.ckey); ok {
-			// Queued-then-cached: the result landed (via a verify or
-			// spot-check re-execution) while this job waited for a worker.
-			// Serving the resident copy keeps the one-execution-per-spec
-			// property instead of running the same pure function twice.
-			s.exec.met.Counter("serve.cache.hit_queued").Add(tid, 1)
-			return jobOutcome{res: v.(*cachedResult).result()}
-		}
-	}
-	ent, err := s.inputs.get(j.kind, j.spec.Scale, j.spec.Seed)
-	if err != nil {
-		return jobOutcome{err: errf(http.StatusBadRequest, "building input: %v", err)}
-	}
-	if ent.exclusive {
-		// Mutable input: this job gets exclusive use, restored to its
-		// initial state first, so serialized jobs see identical inputs.
-		ent.runMu.Lock()
-		defer ent.runMu.Unlock()
-		j.kind.Reset(ent.data)
-	}
-
-	var res *JobResult
-	herr := s.exec.withEngine(j.spec.Threads, tid, func(eng *galois.Engine, engineHit bool) {
-		var sink *galois.Trace
-		if j.spec.Trace {
-			sink = galois.NewTrace(j.spec.Threads)
-		}
-		opts := schedOpts(j.spec.Variant, j.spec.Threads, eng, sink)
-
-		start := time.Now()
-		fp, st := j.kind.Run(ent.data, opts)
-		wall := time.Since(start)
-
-		s.recordRun(tid, j.spec, st, wall)
-		res = &JobResult{
-			Receipt: Receipt{
-				Spec:          j.spec,
-				Fingerprint:   fmt.Sprintf("%016x", fp),
-				Deterministic: j.spec.Deterministic(),
-			},
-			WallNS:    wall.Nanoseconds(),
-			QueueNS:   start.Sub(j.admitted).Nanoseconds(),
-			Commits:   st.Commits,
-			Aborts:    st.Aborts,
-			Rounds:    st.Rounds,
-			EngineHit: engineHit,
-		}
-		if sink != nil {
-			var buf bytes.Buffer
-			if err := sink.WriteChromeTrace(&buf); err == nil {
-				res.Trace = json.RawMessage(buf.Bytes())
+// runJob submits one job and waits for its result: the tail of every
+// execution path, cached or not. key is the result-cache address of the
+// spec when store or recheck is set. store caches the outcome after a
+// successful run; recheck serves from the cache if the key was filled
+// while the job queued (a verify re-execution can land the result first)
+// so an admitted spec never executes twice. Honesty re-executions (verify,
+// spot-check) set store without recheck — they exist to run.
+func (s *Server) runJob(ctx context.Context, spec Spec, kind *Kind, key rescache.Key, store, recheck bool, timeout time.Duration) (*JobResult, *httpError) {
+	what := func() string { return "job " + spec.String() }
+	return submit(s.exec, ctx, time.Now().Add(timeout), what, func(tid int, admitted time.Time) (*JobResult, *httpError) {
+		if recheck {
+			if v, ok := s.cache.Get(key); ok {
+				// Queued-then-cached: the result landed (via a verify or
+				// spot-check re-execution) while this job waited for a
+				// worker. Serving the resident copy keeps the
+				// one-execution-per-spec property instead of running the
+				// same pure function twice.
+				s.exec.met.Counter("serve.cache.hit_queued").Add(tid, 1)
+				return v.(*cachedResult).result(), nil
 			}
 		}
-	})
-	if herr != nil {
-		return jobOutcome{err: errf(herr.status, "job %s: %s", j.spec, herr.msg)}
-	}
-	if j.store {
-		// Store before delivering the outcome: once the submitter (or a
-		// flight follower) sees the receipt, the cache already has it, so
-		// an immediate identical resubmission is a guaranteed hit.
-		cr := &cachedResult{
-			Receipt: res.Receipt,
-			WallNS:  res.WallNS,
-			Commits: res.Commits,
-			Aborts:  res.Aborts,
-			Rounds:  res.Rounds,
+		ent, err := s.inputs.get(kind, spec.Scale, spec.Seed)
+		if err != nil {
+			return nil, errf(http.StatusBadRequest, "building input: %v", err)
 		}
-		s.cache.Put(j.ckey, cr, cr.size())
-	}
-	return jobOutcome{res: res}
+		if ent.exclusive {
+			// Mutable input: this job gets exclusive use, restored to its
+			// initial state first, so serialized jobs see identical inputs.
+			ent.runMu.Lock()
+			defer ent.runMu.Unlock()
+			kind.Reset(ent.data)
+		}
+
+		var res *JobResult
+		herr := s.exec.withEngine(spec.Threads, tid, func(eng *galois.Engine, engineHit bool) {
+			var sink *galois.Trace
+			if spec.Trace {
+				sink = galois.NewTrace(spec.Threads)
+			}
+			opts := schedOpts(spec.Variant, spec.Threads, eng, sink)
+
+			start := time.Now()
+			fp, st := kind.Run(ent.data, opts)
+			wall := time.Since(start)
+
+			s.recordRun(tid, spec, st, wall)
+			res = &JobResult{
+				Receipt: Receipt{
+					Spec:          spec,
+					Fingerprint:   fmt.Sprintf("%016x", fp),
+					Deterministic: spec.Deterministic(),
+				},
+				WallNS:    wall.Nanoseconds(),
+				QueueNS:   start.Sub(admitted).Nanoseconds(),
+				Commits:   st.Commits,
+				Aborts:    st.Aborts,
+				Rounds:    st.Rounds,
+				EngineHit: engineHit,
+			}
+			if sink != nil {
+				var buf bytes.Buffer
+				if err := sink.WriteChromeTrace(&buf); err == nil {
+					res.Trace = json.RawMessage(buf.Bytes())
+				}
+			}
+		})
+		if herr != nil {
+			return nil, errf(herr.status, "job %s: %s", spec, herr.msg)
+		}
+		if store {
+			// Store before delivering the outcome: once the submitter (or a
+			// flight follower) sees the receipt, the cache already has it,
+			// so an immediate identical resubmission is a guaranteed hit.
+			cr := &cachedResult{
+				Receipt: res.Receipt,
+				WallNS:  res.WallNS,
+				Commits: res.Commits,
+				Aborts:  res.Aborts,
+				Rounds:  res.Rounds,
+			}
+			s.cache.Put(key, cr, cr.size())
+		}
+		return res, nil
+	})
 }
 
 // recordRun publishes one finished run into the server's metrics.
@@ -552,10 +485,12 @@ func writeError(w http.ResponseWriter, herr *httpError) {
 	writeJSON(w, herr.status, errorBody{Error: herr.msg})
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+// decode reads a JSON request body into v, writing a 400 on failure. An
+// optional body may be empty.
+func decode(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := dec.Decode(v); err != nil && !(optional && errors.Is(err, io.EOF)) {
 		writeError(w, errf(http.StatusBadRequest, "decoding request: %v", err))
 		return false
 	}
@@ -564,7 +499,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if !s.decode(w, r, &spec) {
+	if !decode(w, r, &spec, false) {
 		return
 	}
 	res, herr := s.execute(r.Context(), spec)
@@ -577,7 +512,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var rcpt Receipt
-	if !s.decode(w, r, &rcpt) {
+	if !decode(w, r, &rcpt, false) {
 		return
 	}
 	if rcpt.Fingerprint == "" {

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
@@ -58,49 +56,33 @@ type cachedLink struct {
 
 func (c *cachedLink) size() int64 { return 64 }
 
-// batchOutcome carries one batch task's result over its done channel.
-type batchOutcome struct {
-	res *BatchResult
-	err *httpError
-}
-
-// batchTask is one admitted session mutation batch. It shares the
-// executor substrate with one-shot jobs: same queue, same workers, same
-// engine pool, same deadline semantics. The session's own lock serializes
-// batches against the same state; batches on different sessions run
-// concurrently on different workers.
-type batchTask struct {
-	srv      *Server
-	sess     *session.Session
-	b        session.BatchSpec
-	variant  string
-	threads  int
-	deadline time.Time
-	admitted time.Time
-	done     chan batchOutcome
-}
-
-func (t *batchTask) run(tid int) { t.done <- t.srv.runBatch(tid, t) }
-
-// runBatch executes one session batch on a worker.
-func (s *Server) runBatch(tid int, t *batchTask) batchOutcome {
-	if time.Now().After(t.deadline) {
-		s.exec.met.Counter("serve.timeout").Add(tid, 1)
-		return batchOutcome{err: errf(http.StatusGatewayTimeout,
-			"session %s batch exceeded its deadline while queued", t.sess.ID)}
+// runBatch executes one session batch on a worker. Batches share the
+// executor with one-shot jobs: same queue, same workers, same engine pool,
+// same deadline semantics. The session's own lock serializes batches
+// against the same state; batches on different sessions run concurrently
+// on different workers. The session's init spec is read here, not in the
+// handler: reading it waits on that lock, and a handler that waited there
+// would hold a batch back from admission (no 429, and a deadline that
+// starts only after the wait).
+func (s *Server) runBatch(tid int, admitted time.Time, sess *session.Session, b session.BatchSpec) (*BatchResult, *httpError) {
+	queued := time.Since(admitted)
+	is := sess.Init()
+	variant := is.Variant
+	threads, herr := s.threads(b.Threads, is.Threads)
+	if herr != nil {
+		return nil, herr
 	}
 	var (
 		wall      time.Duration
-		queued    = time.Since(t.admitted)
 		st        stats.Stats
 		engineHit bool
 	)
 	runner := func(k *session.Kind, state any, b session.BatchSpec, prev, canon []byte) (uint64, uint64, error) {
 		var stateFP, resultFP uint64
 		var aerr error
-		herr := s.exec.withEngine(t.threads, tid, func(eng *galois.Engine, hit bool) {
+		herr := s.exec.withEngine(threads, tid, func(eng *galois.Engine, hit bool) {
 			engineHit = hit
-			opts := schedOpts(t.variant, t.threads, eng, nil)
+			opts := schedOpts(variant, threads, eng, nil)
 			start := time.Now()
 			stateFP, resultFP, st, aerr = k.Apply(state, b, opts)
 			wall = time.Since(start)
@@ -115,22 +97,22 @@ func (s *Server) runBatch(tid int, t *batchTask) batchOutcome {
 		return stateFP, resultFP, nil
 	}
 	now := time.Now().UnixNano() //detlint:ordered idle-eviction bookkeeping only: session.Batch stores the timestamp as lastUsed and never feeds it into the chain hash
-	link, err := t.sess.Batch(t.b, now, runner)
+	link, err := sess.Batch(b, now, runner)
 	if err != nil {
-		return batchOutcome{err: sessionError(t.sess.ID, err)}
+		return nil, sessionError(sess.ID, err)
 	}
 	s.exec.met.Counter("serve.session.batch").Add(tid, 1)
 	if link.Replayed {
 		s.exec.met.Counter("serve.session.batch.replayed").Add(tid, 1)
-		return batchOutcome{res: &BatchResult{ID: t.sess.ID, Link: link}}
+		return &BatchResult{ID: sess.ID, Link: link}, nil
 	}
-	s.recordRun(tid, Spec{Kind: "session." + t.sess.Init().Kind, Variant: t.variant, Threads: t.threads}, st, wall)
-	return batchOutcome{res: &BatchResult{
-		ID: t.sess.ID, Link: link,
+	s.recordRun(tid, Spec{Kind: "session." + is.Kind, Variant: variant, Threads: threads}, st, wall)
+	return &BatchResult{
+		ID: sess.ID, Link: link,
 		WallNS: wall.Nanoseconds(), QueueNS: queued.Nanoseconds(),
 		Commits: st.Commits, Aborts: st.Aborts, Rounds: st.Rounds,
 		EngineHit: engineHit,
-	}}
+	}, nil
 }
 
 // checkLinkCache cross-checks a freshly computed batch result against the
@@ -161,53 +143,31 @@ func (s *Server) checkLinkCache(tid int, prev, canon []byte, stateFP, resultFP u
 	s.cache.Put(key, cl, cl.size())
 }
 
-// verifyOutcomeBox carries one verify task's result over its done channel.
-type verifyOutcomeBox struct {
-	out *session.VerifyOutcome
-	err *httpError
-}
-
-// verifyTask replays a session's whole chain on one worker with one
+// runSessionVerify replays a session's whole chain on one worker with one
 // checked-out engine. It bypasses the link cache entirely — read and
 // write — because an audit is only evidence if it reaches real runs.
-type verifyTask struct {
-	srv      *Server
-	sess     *session.Session
-	expect   string
-	variant  string
-	threads  int
-	deadline time.Time
-	done     chan verifyOutcomeBox
-}
-
-func (t *verifyTask) run(tid int) { t.done <- t.srv.runSessionVerify(tid, t) }
-
-func (s *Server) runSessionVerify(tid int, t *verifyTask) verifyOutcomeBox {
-	if time.Now().After(t.deadline) {
-		s.exec.met.Counter("serve.timeout").Add(tid, 1)
-		return verifyOutcomeBox{err: errf(http.StatusGatewayTimeout,
-			"session %s verify exceeded its deadline while queued", t.sess.ID)}
-	}
+func (s *Server) runSessionVerify(tid int, sess *session.Session, expect string, threads int) (*session.VerifyOutcome, *httpError) {
+	variant := sess.Init().Variant
 	var out session.VerifyOutcome
 	var verr error
-	herr := s.exec.withEngine(t.threads, tid, func(eng *galois.Engine, hit bool) {
+	herr := s.exec.withEngine(threads, tid, func(eng *galois.Engine, hit bool) {
 		runner := func(k *session.Kind, state any, b session.BatchSpec, prev, canon []byte) (uint64, uint64, error) {
-			stateFP, resultFP, _, err := k.Apply(state, b, schedOpts(t.variant, t.threads, eng, nil))
+			stateFP, resultFP, _, err := k.Apply(state, b, schedOpts(variant, threads, eng, nil))
 			return stateFP, resultFP, err
 		}
-		out, verr = t.sess.Verify(t.expect, runner)
+		out, verr = sess.Verify(expect, runner)
 	})
 	if herr != nil {
-		return verifyOutcomeBox{err: herr}
+		return nil, herr
 	}
 	if verr != nil {
-		return verifyOutcomeBox{err: errf(http.StatusInternalServerError, "session %s replay: %v", t.sess.ID, verr)}
+		return nil, errf(http.StatusInternalServerError, "session %s replay: %v", sess.ID, verr)
 	}
 	s.exec.met.Counter("serve.session.verify").Add(tid, 1)
 	if !out.Match {
 		s.exec.met.Counter("serve.session.verify.mismatch").Add(tid, 1)
 	}
-	return verifyOutcomeBox{out: &out}
+	return &out, nil
 }
 
 // sessionError maps session-package sentinels onto HTTP statuses.
@@ -235,34 +195,22 @@ func sessionInfo(s *session.Session) *SessionInfo {
 	}
 }
 
-// jsonDecoderLenient is decode() without the error writing, for handlers
-// whose body is optional.
-func jsonDecoderLenient(w http.ResponseWriter, r *http.Request, maxBody int64) *json.Decoder {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	return dec
-}
-
-func isEmptyBody(err error) bool { return errors.Is(err, io.EOF) }
-
 // --- session HTTP handlers ---
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.sweepSessions()
 	var is session.InitSpec
-	if !s.decode(w, r, &is) {
+	if !decode(w, r, &is, false) {
 		return
 	}
 	if s.exec.draining() {
 		writeError(w, errf(http.StatusServiceUnavailable, "server is draining; not accepting sessions"))
 		return
 	}
-	if is.Threads > s.cfg.MaxThreads {
-		writeError(w, errf(http.StatusBadRequest, "threads %d exceeds server limit %d", is.Threads, s.cfg.MaxThreads))
+	var herr *httpError
+	if is.Threads, herr = s.threads(is.Threads, 0); herr != nil {
+		writeError(w, herr)
 		return
-	}
-	if is.Threads <= 0 {
-		is.Threads = s.cfg.DefaultThreads
 	}
 	now := time.Now().UnixNano() //detlint:ordered idle-eviction bookkeeping only: session.Create stores the timestamp as lastUsed and never feeds it into the chain hash
 	sess, err := s.sessions.Create(is, now)
@@ -303,7 +251,7 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 	s.sweepSessions()
 	id := r.PathValue("id")
 	var b session.BatchSpec
-	if !s.decode(w, r, &b) {
+	if !decode(w, r, &b, false) {
 		return
 	}
 	sess, err := s.sessions.Get(id)
@@ -311,55 +259,34 @@ func (s *Server) handleSessionBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, sessionError(id, err))
 		return
 	}
-	threads := b.Threads
-	if threads <= 0 {
-		threads = sess.Init().Threads
-	}
-	if threads <= 0 {
-		threads = s.cfg.DefaultThreads
-	}
-	if threads > s.cfg.MaxThreads {
-		writeError(w, errf(http.StatusBadRequest, "threads %d exceeds server limit %d", threads, s.cfg.MaxThreads))
+	// Only the requested threads are checked here; runBatch falls back to
+	// the session's, which were checked when it was created.
+	if _, herr := s.threads(b.Threads, 0); herr != nil {
+		writeError(w, herr)
 		return
 	}
 	timeout := s.cfg.DefaultTimeout
 	if b.TimeoutMS > 0 {
 		timeout = time.Duration(b.TimeoutMS) * time.Millisecond
 	}
-	now := time.Now()
-	t := &batchTask{
-		srv: s, sess: sess, b: b,
-		variant: sess.Init().Variant, threads: threads,
-		deadline: now.Add(timeout), admitted: now,
-		done: make(chan batchOutcome, 1),
-	}
-	if herr := s.exec.admit(t); herr != nil {
+	what := func() string { return "session " + id + " batch" }
+	res, herr := submit(s.exec, r.Context(), time.Now().Add(timeout), what, func(tid int, admitted time.Time) (*BatchResult, *httpError) {
+		return s.runBatch(tid, admitted, sess, b)
+	})
+	if herr != nil {
 		writeError(w, herr)
 		return
 	}
-	//detlint:ignore goroutineorder admission wait: decides only whether the HTTP response gets written; the chain link is sealed under the session lock regardless
-	select {
-	case out := <-t.done:
-		if out.err != nil {
-			writeError(w, out.err)
-			return
-		}
-		writeJSON(w, http.StatusOK, out.res)
-	case <-r.Context().Done():
-		writeError(w, errf(http.StatusGatewayTimeout,
-			"request context canceled while session %s batch in flight: %v", id, r.Context().Err()))
-	}
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleSessionVerify(w http.ResponseWriter, r *http.Request) {
 	s.sweepSessions()
 	id := r.PathValue("id")
-	var req sessionVerifyRequest
 	// The body is optional: verifying against the recorded chain alone
 	// needs no input from the client.
-	dec := jsonDecoderLenient(w, r, s.cfg.MaxBody)
-	if err := dec.Decode(&req); err != nil && !isEmptyBody(err) {
-		writeError(w, errf(http.StatusBadRequest, "decoding request: %v", err))
+	var req sessionVerifyRequest
+	if !decode(w, r, &req, true) {
 		return
 	}
 	sess, err := s.sessions.Get(id)
@@ -367,34 +294,18 @@ func (s *Server) handleSessionVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, sessionError(id, err))
 		return
 	}
-	threads := req.Threads
-	if threads <= 0 {
-		threads = s.cfg.DefaultThreads
-	}
-	if threads > s.cfg.MaxThreads {
-		writeError(w, errf(http.StatusBadRequest, "threads %d exceeds server limit %d", threads, s.cfg.MaxThreads))
-		return
-	}
-	t := &verifyTask{
-		srv: s, sess: sess, expect: req.FinalChain,
-		variant: sess.Init().Variant, threads: threads,
-		deadline: time.Now().Add(s.cfg.DefaultTimeout),
-		done:     make(chan verifyOutcomeBox, 1),
-	}
-	if herr := s.exec.admit(t); herr != nil {
+	threads, herr := s.threads(req.Threads, 0)
+	if herr != nil {
 		writeError(w, herr)
 		return
 	}
-	//detlint:ignore goroutineorder admission wait: decides only whether the HTTP response gets written; the replay outcome is a pure function of the recorded chain
-	select {
-	case out := <-t.done:
-		if out.err != nil {
-			writeError(w, out.err)
-			return
-		}
-		writeJSON(w, http.StatusOK, out.out)
-	case <-r.Context().Done():
-		writeError(w, errf(http.StatusGatewayTimeout,
-			"request context canceled while session %s verify in flight: %v", id, r.Context().Err()))
+	what := func() string { return "session " + id + " verify" }
+	out, herr := submit(s.exec, r.Context(), time.Now().Add(s.cfg.DefaultTimeout), what, func(tid int, _ time.Time) (*session.VerifyOutcome, *httpError) {
+		return s.runSessionVerify(tid, sess, req.FinalChain, threads)
+	})
+	if herr != nil {
+		writeError(w, herr)
+		return
 	}
+	writeJSON(w, http.StatusOK, out)
 }

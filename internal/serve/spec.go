@@ -7,7 +7,7 @@ import (
 
 // Spec is the wire form of one job: what to run and under which scheduler
 // parameters. The zero values of optional fields are filled in by
-// normalize, and the normalized spec — not the raw request — is what a
+// WithDefaults, and the normalized spec — not the raw request — is what a
 // Receipt carries, so re-executing a receipt needs no access to server
 // defaults.
 type Spec struct {
@@ -32,6 +32,24 @@ type Spec struct {
 	// Trace requests a Chrome trace-event capture of the run, returned
 	// inline in the response (not part of the receipt).
 	Trace bool `json:"trace,omitempty"`
+}
+
+// WithDefaults fills the optional fields every normalized spec carries:
+// variant g-d, scale small, threads 1. It is the one place those defaults
+// are decided — galoisd's normalization and galoisrouter's consistent-hash
+// key both call it, so a routing key always matches the backend's cache
+// key.
+func (s Spec) WithDefaults() Spec {
+	if s.Variant == "" {
+		s.Variant = "g-d"
+	}
+	if s.Scale == "" {
+		s.Scale = "small"
+	}
+	if s.Threads <= 0 {
+		s.Threads = 1
+	}
+	return s
 }
 
 // Deterministic reports whether the spec's variant has a reproducible
