@@ -45,11 +45,11 @@ race:
 # whose operator panics leaves no worker busy and the engine reusable, and a
 # server's live heap after a collection is as large after 84 never-repeated
 # jobs as after 42. Riding along, the context a commit handler built once
-# per loop reads its task from (Ctx.Item) under every scheduler at 1, 2 and
-# 4 workers. All under the race detector, half a minute; `make soak` —
-# minutes of mixed load — is still owed (ROADMAP).
+# per loop reads its task (Ctx.Item) and its plan (PlanOf) from, under every
+# scheduler at 1, 2 and 4 workers. All under the race detector, half a
+# minute; `make soak` — minutes of mixed load — is still owed (ROADMAP).
 soak-smoke:
-	$(GO) test -race -count=1 -run 'TestScrubReleasesRunData|TestFailedRunLeavesNoClosures|TestNonDetPanicIsContained|TestCtxItem' ./internal/core
+	$(GO) test -race -count=1 -run 'TestScrubReleasesRunData|TestFailedRunLeavesNoClosures|TestNonDetPanicIsContained|TestCtxItem|TestPlanOf' ./internal/core
 	$(GO) test -race -count=1 -run 'TestServerMemoryIsBounded' ./internal/serve
 
 # End-to-end trace check: run one traced figure at small scale, then prove

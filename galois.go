@@ -68,6 +68,12 @@ const (
 // Deterministic, CountAtomic.
 type Ctx[T any] = core.Ctx[T]
 
+// PlanOf returns the executing task's plan: a *P zeroed at the body's first
+// call and handed to the task's commit handler again, so the body can build
+// what its commit needs into engine storage and a handler built once per
+// loop can read it back beside Ctx.Item. See core.PlanOf.
+func PlanOf[P, T any](ctx *Ctx[T]) *P { return core.PlanOf[P](ctx) }
+
 // Lockable is the mark word embedded in every abstract location that tasks
 // may conflict on. The zero value is ready to use.
 type Lockable = marks.Lockable

@@ -90,14 +90,16 @@ func badTriangles(root *mesh.Element, q Quality) []*mesh.Element {
 	return bad
 }
 
-// refineOnce performs the read phase for one bad triangle: skip if stale,
-// otherwise build the cavity. Shared by all variants.
-func refineOnce(el *mesh.Element, q Quality, acq mesh.Acquirer) *mesh.Cavity {
+// refineOnce performs the read phase for one bad triangle: skip it if it is
+// stale, otherwise build its cavity into cav. It reports whether it built
+// one. Shared by all variants.
+func refineOnce(cav *mesh.Cavity, el *mesh.Element, q Quality, acq mesh.Acquirer) bool {
 	acq(el)
 	if el.Dead || !el.IsBad(q.CosBound, q.MinEdge2) {
-		return nil
+		return false
 	}
-	return mesh.BuildRefinement(el, acq)
+	mesh.BuildRefinement(cav, el, acq)
+	return true
 }
 
 // applyCavity retriangulates and returns the follow-up work: new bad
@@ -127,15 +129,15 @@ func Seq(root *mesh.Element, q Quality) *Result {
 	col.Start()
 	work := badTriangles(root, q)
 	last := root
+	var cav mesh.Cavity
 	for len(work) > 0 {
 		el := work[len(work)-1]
 		work = work[:len(work)-1]
-		cav := refineOnce(el, q, mesh.NoAcquire)
-		if cav == nil {
+		if !refineOnce(&cav, el, q, mesh.NoAcquire) {
 			col.Commit(0)
 			continue
 		}
-		work = append(work, applyCavity(el, cav, q)...)
+		work = append(work, applyCavity(el, &cav, q)...)
 		last = cav.Members[len(cav.Members)-1]
 		col.Commit(0)
 	}
@@ -150,16 +152,20 @@ func Seq(root *mesh.Element, q Quality) *Result {
 func Galois(root *mesh.Element, q Quality, opts ...galois.Option) *Result {
 	initial := badTriangles(root, q)
 	anchor := root
+	// One commit handler for the loop: a task builds its cavity into its
+	// plan, and the handler applies the plan of the task it commits to that
+	// task's triangle.
+	commit := func(c *galois.Ctx[*mesh.Element]) {
+		for _, nb := range applyCavity(c.Item(), galois.PlanOf[mesh.Cavity](c), q) {
+			c.Push(nb)
+		}
+	}
 	st := galois.ForEach(initial, func(ctx *galois.Ctx[*mesh.Element], el *mesh.Element) {
-		cav := refineOnce(el, q, func(e *mesh.Element) { ctx.Acquire(&e.Lockable) })
-		if cav == nil {
+		cav := galois.PlanOf[mesh.Cavity](ctx)
+		if !refineOnce(cav, el, q, func(e *mesh.Element) { ctx.Acquire(&e.Lockable) }) {
 			return // stale or unrefinable: no-op commit
 		}
-		ctx.OnCommit(func(c *galois.Ctx[*mesh.Element]) {
-			for _, nb := range applyCavity(el, cav, q) {
-				c.Push(nb)
-			}
-		})
+		ctx.OnCommit(commit)
 	}, opts...)
 	for anchor.Dead {
 		anchor = anchor.Repl
@@ -179,9 +185,10 @@ type pbbsStep struct {
 }
 
 func (s *pbbsStep) Reserve(i int, r *detres.Reserver) bool {
-	cav := refineOnce(s.items[i], s.q, func(e *mesh.Element) { r.Reserve(&e.Lockable) })
-	s.cav[i] = cav
-	return cav != nil
+	if s.cav[i] == nil {
+		s.cav[i] = new(mesh.Cavity) // rebuilt in place if the item retries
+	}
+	return refineOnce(s.cav[i], s.items[i], s.q, func(e *mesh.Element) { r.Reserve(&e.Lockable) })
 }
 
 func (s *pbbsStep) Commit(i int) {

@@ -48,12 +48,12 @@ func Seq(pts []geom.Point, seed uint64) *Result {
 	ordered := geom.BRIO(pts, seed)
 	col := stats.NewCollector(1)
 	col.Start()
-	root := mesh.NewSuperTriangle()
-	hint := root
+	var cav mesh.Cavity
+	hint := mesh.NewSuperTriangle()
 	inserted := 0
 	for _, p := range ordered {
 		var ok bool
-		hint, ok = mesh.InsertPointSeq(hint, p)
+		hint, ok = mesh.InsertPointSeq(&cav, hint, p)
 		if ok {
 			inserted++
 		}
@@ -83,15 +83,16 @@ func newAssoc(pts []geom.Point) (*assoc, *mesh.Element) {
 }
 
 // insertBody performs the read phase for point i: resolve the association
-// hint, locate, and build the cavity. It returns nil if the point is a
-// duplicate vertex.
-func (a *assoc) insertBody(i int32, acq mesh.Acquirer) *mesh.Cavity {
+// hint, locate, and build the cavity into cav. It reports false if the point
+// is a duplicate vertex.
+func (a *assoc) insertBody(cav *mesh.Cavity, i int32, acq mesh.Acquirer) bool {
 	start := a.pointTri[i].Load()
 	tri, onVertex := mesh.Locate(start, a.pts[i], acq)
 	if onVertex {
-		return nil
+		return false
 	}
-	return mesh.BuildInsertion(tri, a.pts[i], acq)
+	mesh.BuildInsertion(cav, tri, a.pts[i], acq)
+	return true
 }
 
 // commitCavity applies a built cavity and refreshes the association of
@@ -124,12 +125,15 @@ func Galois(pts []geom.Point, seed uint64, opts ...galois.Option) *Result {
 	for i := range items {
 		items[i] = int32(i)
 	}
+	// One commit handler for the loop: a task builds its cavity into its
+	// plan, and the handler applies the plan of the task it commits.
+	commit := func(c *galois.Ctx[int32]) { a.commitCavity(galois.PlanOf[mesh.Cavity](c)) }
 	st := galois.ForEach(items, func(ctx *galois.Ctx[int32], i int32) {
-		cav := a.insertBody(i, func(e *mesh.Element) { ctx.Acquire(&e.Lockable) })
-		if cav == nil {
+		cav := galois.PlanOf[mesh.Cavity](ctx)
+		if !a.insertBody(cav, i, func(e *mesh.Element) { ctx.Acquire(&e.Lockable) }) {
 			return // duplicate point: no-op commit
 		}
-		ctx.OnCommit(func(*galois.Ctx[int32]) { a.commitCavity(cav) })
+		ctx.OnCommit(commit)
 	}, opts...)
 	return &Result{Root: a.root(), Inserted: int(a.inserted.Load()), Stats: st}
 }
@@ -142,9 +146,10 @@ type pbbsStep struct {
 }
 
 func (s *pbbsStep) Reserve(i int, r *detres.Reserver) bool {
-	cav := s.a.insertBody(int32(i), func(e *mesh.Element) { r.Reserve(&e.Lockable) })
-	s.cav[i] = cav
-	return cav != nil
+	if s.cav[i] == nil {
+		s.cav[i] = new(mesh.Cavity) // rebuilt in place if the item retries
+	}
+	return s.a.insertBody(s.cav[i], int32(i), func(e *mesh.Element) { r.Reserve(&e.Lockable) })
 }
 
 func (s *pbbsStep) Commit(i int) { s.a.commitCavity(s.cav[i]) }

@@ -79,6 +79,12 @@ type Ctx[T any] struct {
 	// concurrently on different workers could write one backing array.
 	scratch []child[T]
 
+	// plans are the worker's plan slots (PlanOf): one per position in the
+	// worker's static share of a round, which its inspect and execute
+	// phases walk alike; slot is the executing task's position.
+	plans []planSlot
+	slot  int
+
 	// tally batches the worker's counts: flushed once per window range
 	// (DIG) or when the worker leaves (speculative).
 	tally stats.Tally
@@ -101,9 +107,10 @@ func (c *Ctx[T]) prepare(threads int, det bool, col *stats.Collector, opt Option
 }
 
 // reset binds the context to one task: every path that runs a body or a
-// commit handler calls it with that task's item and record.
-func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec, item T) {
+// commit handler calls it with that task's item, record and plan slot.
+func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec, item T, slot int) {
 	c.tid = tid
+	c.slot = slot
 	c.mode = m
 	c.item = item
 	c.rec = rec
@@ -116,13 +123,14 @@ func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec, item T) {
 	c.nchild = 0
 }
 
-// forgetTask drops what the context still holds of the last task it ran —
-// its commit closure and its item, either of which can pin operator state —
-// once a run is over.
+// forgetTask drops what the context still holds of the tasks it ran — the
+// last commit closure and item, and every plan, any of which can pin
+// operator state — once a run is over.
 func (c *Ctx[T]) forgetTask() {
 	var zero T
 	c.commitFn = nil
 	c.item = zero
+	clear(c.plans)
 }
 
 // Item returns the item of the task being executed, in its body and in its
@@ -130,6 +138,41 @@ func (c *Ctx[T]) forgetTask() {
 // state the task acquired can therefore be built once per loop, outside the
 // body, and read the item here: no closure per task.
 func (c *Ctx[T]) Item() T { return c.item }
+
+// planSlot holds one task's plan. live is set by the first PlanOf of the
+// task's body and cleared when a body starts in the slot: a handler whose
+// body built no plan finds live unset and gets a zero plan, never another
+// task's.
+type planSlot struct {
+	plan any
+	live bool
+}
+
+// PlanOf returns the executing task's plan: a *P that the first call in each
+// execution of the task's body zeroes, and that the task's commit handler
+// gets again, whichever worker context it runs on. A body builds what its
+// commit needs into the plan (a mesh cavity, say) instead of allocating it,
+// and a handler built once per loop reads it back with Item, so a task
+// allocates neither. The plan is engine storage, private to the task: the
+// next task in its slot zeroes it, and the run's end drops it, so a plan
+// outlives neither. A loop uses one plan type; a call with another type
+// gets a fresh zero plan.
+func PlanOf[P, T any](c *Ctx[T]) *P {
+	for len(c.plans) <= c.slot {
+		c.plans = append(c.plans, planSlot{})
+	}
+	s := &c.plans[c.slot]
+	p, ok := s.plan.(*P)
+	if !ok {
+		p = new(P)
+		s.plan = p
+	} else if !s.live {
+		var zero P
+		*p = zero
+	}
+	s.live = true
+	return p
+}
 
 // TID returns the executing worker's id in [0, Threads()). It is stable for
 // the duration of one body or commit-closure execution only.
@@ -254,6 +297,9 @@ func (c *Ctx[T]) CountAtomic(n int) { c.tally.AtomicOps += uint64(n) }
 // runBody executes body under the current mode, translating conflict
 // panics into the returned flag. Any other panic propagates to the caller.
 func (c *Ctx[T]) runBody(body func(*Ctx[T], T), item T) (conflicted bool) {
+	if c.slot < len(c.plans) {
+		c.plans[c.slot].live = false // this body's first PlanOf zeroes the plan
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(conflictSignal); ok {

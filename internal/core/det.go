@@ -112,11 +112,11 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 // continuation optimization the registered commit closure and any phase-1
 // children are retained for resumption; without it they are discarded and
 // the commit phase re-executes the body.
-func (r *roundExecutor[T]) inspectTask(ctx *Ctx[T], t *detTask[T], tid int) {
+func (r *roundExecutor[T]) inspectTask(ctx *Ctx[T], t *detTask[T], tid, slot int) {
 	// Enter this round's epoch before writing any marks: stealers only touch
 	// the rec after seeing one, and last round's Prevented flag goes stale.
 	t.rec.Enter(r.epoch)
-	ctx.reset(tid, modeInspect, &t.rec, t.item)
+	ctx.reset(tid, modeInspect, &t.rec, t.item, slot)
 	ctx.children = t.children[:0]
 	ctx.runBody(r.body, t.item)
 	if r.opt.Continuation {
@@ -136,7 +136,7 @@ func (r *roundExecutor[T]) inspectTask(ctx *Ctx[T], t *detTask[T], tid int) {
 // execTask decides whether t is in the round's independent set and, if so,
 // commits it. Marks are left as they are: the next round's epoch retires
 // them. The outcome is counted once, by finishRound's record, not here.
-func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid int) {
+func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid, slot int) {
 	if r.opt.Continuation {
 		// §3.3: the prevented flag subsumes mark re-validation — it
 		// is set iff some location of t ended up owned by a higher id.
@@ -147,7 +147,7 @@ func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid int) {
 		t.failed = false
 		if t.commitFn != nil {
 			// The ctx has inspected other tasks since this one: rebind it.
-			ctx.reset(tid, modeInspect, &t.rec, t.item)
+			ctx.reset(tid, modeInspect, &t.rec, t.item, slot)
 			ctx.children = t.children
 			ctx.nchild = childMax(t.children)
 			ctx.inCommit = true
@@ -163,7 +163,7 @@ func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid int) {
 		// validates that each mark still holds this task's id and
 		// unwinds on the first mismatch. Pushes go to the ctx-owned
 		// scratch buffer (see Ctx.scratch), reclaimed below.
-		ctx.reset(tid, modeValidate, &t.rec, t.item)
+		ctx.reset(tid, modeValidate, &t.rec, t.item, slot)
 		ctx.children = ctx.scratch[:0]
 		conflicted := ctx.runBody(r.body, t.item)
 		if !conflicted && ctx.commitFn != nil {

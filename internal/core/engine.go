@@ -221,8 +221,8 @@ func (st *engState[T]) scrub() {
 // scrubItems zeroes every retained copy of an item, and the commit closures
 // stored beside them: arenas up to their dirty mark, the collector's lanes
 // and produced buffer, the sort scratch and the contexts' children buffers.
-// The speculative worklists need nothing — a pop zeroes its slot or drops
-// the drained chunk.
+// The speculative worklists need nothing — a pop zeroes its slot, so the
+// drained chunks they keep for reuse hold no item.
 func (st *engState[T]) scrubItems() {
 	for _, a := range st.free.byClass {
 		if a != nil {

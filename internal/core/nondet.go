@@ -20,11 +20,12 @@ func (a *obimAdapter[T]) Pop(tid int) (T, bool) { return a.obim.Pop(tid) }
 
 // pickWorklist selects the run's worklist, reusing the engine-retained one
 // when its kind and size fit. A drained worklist is structurally empty, so
-// reuse is invisible to the run. Reuse keeps the per-thread queues, not the
-// chunks: a drained chunk is dropped (ChunkedLIFO.takeChunk, ChunkedFIFO.Pop),
-// so every run allocates one chunk per 64 pushes afresh. OBIM worklists are
-// rebuilt per run — they embed the run's priority function and bucket
-// count, which may change.
+// reuse is invisible to the run. Reuse keeps the per-thread queues and their
+// chunks: each thread's pushes refill the chunks its pops drained, dealt out
+// evenly again before the run, so a warm run allocates chunks only beyond
+// the peak occupancy of the runs before it. OBIM worklists are rebuilt per
+// run — they embed the run's priority function and bucket count, which may
+// change.
 func pickWorklist[T any](st *engState[T], opt Options, nthreads int) interface {
 	Push(tid int, item T)
 	Pop(tid int) (T, bool)
@@ -45,12 +46,14 @@ func pickWorklist[T any](st *engState[T], opt Options, nthreads int) interface {
 			st.fifo = worklist.NewChunkedFIFO[T](nthreads)
 			st.fifoThreads = nthreads
 		}
+		st.fifo.BalanceSpares()
 		return st.fifo
 	default:
 		if st.lifo == nil || st.lifoThreads < nthreads {
 			st.lifo = worklist.NewChunkedLIFO[T](nthreads)
 			st.lifoThreads = nthreads
 		}
+		st.lifo.BalanceSpares()
 		return st.lifo
 	}
 }
@@ -125,7 +128,7 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 				continue
 			}
 
-			ctx.reset(tid, modeDirect, rec, item)
+			ctx.reset(tid, modeDirect, rec, item, 0)
 			conflicted := ctx.runBody(body, item)
 			if !conflicted {
 				// Commit: run the deferred write phase while still

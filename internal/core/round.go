@@ -265,12 +265,12 @@ func (r *roundExecutor[T]) advance() {
 	r.setupRound()
 	for !r.done && r.serialRound {
 		ctx := r.ctxs[0]
-		for _, t := range r.cur {
-			r.inspectTask(ctx, t, 0)
+		for j, t := range r.cur {
+			r.inspectTask(ctx, t, 0, j)
 		}
 		r.ts1 = obs.Nanotime()
-		for _, t := range r.cur {
-			r.execTask(ctx, t, 0)
+		for j, t := range r.cur {
+			r.execTask(ctx, t, 0, j)
 		}
 		ctx.flush(0)
 		r.ts2 = obs.Nanotime()
@@ -287,8 +287,8 @@ func (r *roundExecutor[T]) advance() {
 // inspect mode, write-max-marking its neighborhood.
 func (r *roundExecutor[T]) inspectRange(ctx *Ctx[T], tid, lo, hi int) {
 	defer r.contain(false)
-	for _, t := range r.cur[lo:hi] {
-		r.inspectTask(ctx, t, tid)
+	for j, t := range r.cur[lo:hi] {
+		r.inspectTask(ctx, t, tid, j)
 	}
 }
 
@@ -305,8 +305,8 @@ func (r *roundExecutor[T]) execRange(ctx *Ctx[T], tid, lo, hi int) {
 	lane := &r.cc.lanes[tid]
 	failed := lane.failed[:0]
 	children := lane.children
-	for _, t := range r.cur[lo:hi] {
-		r.execTask(ctx, t, tid)
+	for j, t := range r.cur[lo:hi] {
+		r.execTask(ctx, t, tid, j)
 		if t.failed {
 			failed = append(failed, t)
 			continue

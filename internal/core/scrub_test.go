@@ -81,6 +81,31 @@ func scrubRun(n int, opt Options) *scrubWitness {
 	return w
 }
 
+// planRun runs n pointer-free items on opt's engine; every task builds a
+// plan that points at a fresh node, which its handler reads back. It returns
+// weak pointers to the nodes: garbage once planRun returns, unless a plan
+// outlived its run.
+//
+//go:noinline
+func planRun(n int, opt Options) []weak.Pointer[scrubNode] {
+	type plan struct{ node *scrubNode }
+	nodes := make([]weak.Pointer[scrubNode], n)
+	cells := make([]cell, n)
+	items := make([]int, n)
+	for i := range items {
+		items[i] = i
+	}
+	visit := func(c *Ctx[int]) { PlanOf[plan](c).node.depth++ }
+	ForEach(items, func(ctx *Ctx[int], i int) {
+		ctx.Acquire(&cells[i].Lockable)
+		nd := &scrubNode{}
+		nodes[i] = weak.Make(nd)
+		PlanOf[plan](ctx).node = nd
+		ctx.OnCommit(visit)
+	}, opt)
+	return nodes
+}
+
 // mallocsOf counts the heap objects one call of f allocates.
 func mallocsOf(f func()) uint64 {
 	var before, after runtime.MemStats
@@ -96,9 +121,10 @@ func mallocsOf(f func()) uint64 {
 // the small run never reached; after Scrub and two collections every item,
 // every child, the closures' captured state and each run's own metrics
 // registry are gone — and before the scrub, each scheduler's tail has
-// already dropped the contexts' last items and closures. The engine is
-// still as warm as it was: the next run allocates no more than the
-// steady-state ceiling of TestEngineSteadyStateAllocs.
+// already dropped the contexts' last items and closures, and every plan:
+// plans are not items, so a Scrub of pointer-free items would never look at
+// them. The engine is still as warm as it was: the next run allocates no
+// more than the steady-state ceiling of TestEngineSteadyStateAllocs.
 func TestScrubReleasesRunData(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -116,6 +142,7 @@ func TestScrubReleasesRunData(t *testing.T) {
 
 			big := scrubRun(700, opt)
 			small := scrubRun(20, opt)
+			planned := planRun(300, opt)
 			// RunOn never scrubs, and an engine nobody parks is never
 			// scrubbed: a run's own tail must leave no task in the contexts,
 			// or each worker's last item and closure live as long as the
@@ -125,6 +152,17 @@ func TestScrubReleasesRunData(t *testing.T) {
 					t.Errorf("worker %d's context still holds its last task after the run (item %v, closure %v)",
 						tid, ctx.item != nil, ctx.commitFn != nil)
 				}
+			}
+			runtime.GC()
+			runtime.GC()
+			alive := 0
+			for _, p := range planned {
+				if p.Value() != nil {
+					alive++
+				}
+			}
+			if alive > 0 {
+				t.Errorf("%d of %d plans of a finished run over pointer-free items still hold their nodes", alive, len(planned))
 			}
 			eng.Scrub()
 			runtime.GC()
@@ -141,8 +179,10 @@ func TestScrubReleasesRunData(t *testing.T) {
 			}
 
 			// The steady state survives: pointer items again, read-only, on
-			// the first run after the scrub. (The speculative scheduler has no
-			// ceiling to keep — it drops drained worklist chunks every run.)
+			// the first run after the scrub. (The speculative scheduler's
+			// steady state is the g-n leg of TestEngineSteadyStateAllocs: how
+			// many chunks its run needs beyond the spares it kept is up to
+			// the schedule, which a ceiling this tight cannot allow for.)
 			if opt.Sched != Deterministic {
 				return
 			}

@@ -584,6 +584,16 @@ func (fr *frame) callProv(call *ast.CallExpr) prov {
 	if fn := staticCallee(fr.pkg.Info, call); fn != nil {
 		fn = fn.Origin()
 		if isCtxMethod(fn) {
+			// Item is the task's item, which the task shares with whoever
+			// built it; every other method's result references nothing.
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && fn.Name() == "Item" {
+				return fr.provOf(sel.X)
+			}
+			return provFresh
+		}
+		if isPlanOf(fn) {
+			// The first PlanOf of a body zeroes the plan, so it holds only
+			// what this task stored in it: memory the task allocated.
 			return provFresh
 		}
 		if sum := fr.w.summarize(fn); sum != nil {
@@ -674,10 +684,18 @@ func builtinName(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// staticCallee resolves a call to a package-level function or method.
+// staticCallee resolves a call to a package-level function or method,
+// including an explicitly instantiated generic one, f[T](x).
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
 	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		id = fun
 	case *ast.SelectorExpr:
@@ -718,6 +736,11 @@ func isCtxMethod(fn *types.Func) bool {
 		return false
 	}
 	return isCtxType(sig.Recv().Type())
+}
+
+// isPlanOf reports whether fn is core.PlanOf, the task's plan slot.
+func isPlanOf(fn *types.Func) bool {
+	return fn.Name() == "PlanOf" && fn.Pkg() != nil && pathHasSuffix(fn.Pkg().Path(), "internal/core")
 }
 
 func pathHasSuffix(path, suffix string) bool {

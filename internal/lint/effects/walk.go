@@ -174,6 +174,9 @@ func (fr *frame) handleCall(call *ast.CallExpr) {
 		return
 	}
 	fn = fn.Origin()
+	if isPlanOf(fn) {
+		return // writes only the executing task's own plan slot
+	}
 	if isCtxMethod(fn) {
 		switch fn.Name() {
 		case "Acquire":

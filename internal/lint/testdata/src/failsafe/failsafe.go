@@ -134,3 +134,32 @@ func freshWritesAreFine(ctx *core.Ctx[*node], n *node) {
 	ctx.Acquire(&n.lock)
 	ctx.OnCommit(func(c *core.Ctx[*node]) { n.val = scratch.val })
 }
+
+// Item is the task's item: with a pointer item type, a write through it
+// before the failsafe point lands in shared state, as one through the item
+// parameter does. In the handler it is the commit.
+func writesThroughItem(ctx *core.Ctx[*node], n *node) {
+	ctx.Item().val = 7 // want failsafe
+	ctx.Acquire(&n.lock)
+	ctx.OnCommit(func(c *core.Ctx[*node]) { c.Item().val = 8 })
+}
+
+type plan struct {
+	target  *node
+	members []*node
+}
+
+// The dt/dmr pattern: the body builds into its task's plan and one handler
+// built before the loop applies the plan of the task it commits. A plan is
+// zeroed for each task, so what the body writes into it is the task's own;
+// the handler's write through what the plan points at is the commit.
+func plannedCommit(nodes []node, items []int) {
+	apply := func(c *core.Ctx[int]) { core.PlanOf[plan](c).target.val = 1 }
+	core.ForEach(items, func(ctx *core.Ctx[int], i int) {
+		p := core.PlanOf[plan](ctx)
+		p.target = &nodes[i]
+		p.members = append(p.members, &nodes[i])
+		ctx.Acquire(&nodes[i].lock)
+		ctx.OnCommit(apply)
+	}, core.Options{})
+}

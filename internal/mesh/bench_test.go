@@ -45,15 +45,15 @@ func badTriangles(root *Element) []*Element {
 }
 
 // refineStep is one iteration of dmr.Seq's loop: pop a triangle, refine it
-// if it is still alive and bad, push the bad triangles that result. It
-// reports whether a cavity was applied.
-func refineStep(work *[]*Element) bool {
+// if it is still alive and bad, building its cavity into c, and push the
+// bad triangles that result. It reports whether a cavity was applied.
+func refineStep(c *Cavity, work *[]*Element) bool {
 	w := *work
 	el := w[len(w)-1]
 	w = w[:len(w)-1]
 	applied := false
 	if !el.Dead && el.IsBad(geom.Cos30, benchMinEdge2) {
-		for _, t := range BuildRefinement(el, NoAcquire).Retriangulate(nil) {
+		for _, t := range BuildRefinement(c, el, NoAcquire).Retriangulate(nil) {
 			if !t.IsSegment() && t.IsBad(geom.Cos30, benchMinEdge2) {
 				w = append(w, t)
 			}
@@ -69,9 +69,10 @@ func refineStep(work *[]*Element) bool {
 
 // refineSeq refines the mesh to completion and returns a live element.
 func refineSeq(root *Element) *Element {
+	var c Cavity
 	work := badTriangles(root)
 	for len(work) > 0 {
-		refineStep(&work)
+		refineStep(&c, &work)
 	}
 	for root.Dead {
 		root = root.Repl
@@ -87,11 +88,12 @@ func BenchmarkInsertPoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var hint *Element
+	var c Cavity
 	for i := 0; i < b.N; i++ {
 		if i%len(pts) == 0 {
 			hint = NewSuperTriangle()
 		}
-		hint, _ = InsertPointSeq(hint, pts[i%len(pts)])
+		hint, _ = InsertPointSeq(&c, hint, pts[i%len(pts)])
 	}
 }
 
@@ -101,13 +103,14 @@ func BenchmarkInsertPoint(b *testing.B) {
 func BenchmarkRefineCavity(b *testing.B) {
 	b.ReportAllocs()
 	var work []*Element
+	var c Cavity
 	for i := 0; i < b.N; {
 		if len(work) == 0 {
 			b.StopTimer()
 			work = badTriangles(benchDMRInput(benchDMRPoints, 46))
 			b.StartTimer()
 		}
-		if refineStep(&work) {
+		if refineStep(&c, &work) {
 			i++
 		}
 	}
@@ -127,7 +130,7 @@ func circleCavity(tb testing.TB, n int) *Cavity {
 	if onVertex {
 		tb.Fatal("centre is a vertex")
 	}
-	cav := BuildInsertion(tri, centre, NoAcquire)
+	cav := BuildInsertion(new(Cavity), tri, centre, NoAcquire)
 	if len(cav.Members) != n {
 		tb.Fatalf("circle of %d points gave a %d-member cavity, want %d", len(pts), len(cav.Members), n)
 	}

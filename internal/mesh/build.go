@@ -50,31 +50,31 @@ func NewUnitSquare() *Element {
 }
 
 // InsertPointSeq inserts p into the mesh sequentially (no synchronization):
-// locate from the hint element, build the Bowyer–Watson cavity, and
+// locate from the hint element, build the Bowyer–Watson cavity into c, and
 // retriangulate. It returns a new hint (one of the created triangles) and
 // whether the point was inserted (false for duplicates of existing
 // vertices). Used to build inputs and as the dt/dmr sequential baseline
-// building block.
-func InsertPointSeq(hint *Element, p geom.Point) (newHint *Element, inserted bool) {
+// building block; a caller inserting many points passes one c to each call.
+func InsertPointSeq(c *Cavity, hint *Element, p geom.Point) (newHint *Element, inserted bool) {
 	t, onVertex := Locate(hint, p, NoAcquire)
 	if onVertex {
 		return t, false
 	}
-	cav := BuildInsertion(t, p, NoAcquire)
-	created := cav.Retriangulate(nil)
+	created := BuildInsertion(c, t, p, NoAcquire).Retriangulate(nil)
 	return created[0], true
 }
 
 // BuildDelaunaySeq triangulates pts (sequentially, in the given order,
 // which callers typically BRIO/Hilbert order first) into the mesh rooted at
-// root. It returns a live element of the final mesh and the number of
-// points actually inserted.
+// root, building every insertion's cavity into one Cavity. It returns a live
+// element of the final mesh and the number of points actually inserted.
 func BuildDelaunaySeq(root *Element, pts []geom.Point) (*Element, int) {
+	var c Cavity
 	hint := root
 	inserted := 0
 	for _, p := range pts {
 		var ok bool
-		hint, ok = InsertPointSeq(hint, p)
+		hint, ok = InsertPointSeq(&c, hint, p)
 		if ok {
 			inserted++
 		}

@@ -25,9 +25,11 @@ type frontEdge struct {
 // graph in the inspect phase, writes run in the commit phase).
 //
 // Members, frontier and the elements Retriangulate creates start out backed
-// by memberBuf, frontBuf and createdBuf, so a cavity of ordinary size is one
-// heap object; larger ones regrow through append like any slice. A Cavity
-// must not be copied.
+// by memberBuf, frontBuf and createdBuf, so a cavity of ordinary size needs
+// no storage beyond the Cavity itself; larger ones regrow through append
+// like any slice. The builders build into a Cavity the caller supplies — a
+// task's plan, or one a sequential loop reuses for every insertion — and
+// empty it first. A Cavity must not be copied.
 type Cavity struct {
 	Center   geom.Point
 	SplitSeg *Element
@@ -49,10 +51,11 @@ const (
 	inlineFrontier = inlineMembers + 2
 )
 
-func newCavity(center geom.Point) *Cavity {
-	c := &Cavity{Center: center}
+// init empties c for a new cavity around center, over its inline storage.
+// Whatever c held before, zero or a finished cavity, is discarded.
+func (c *Cavity) init(center geom.Point) {
+	c.Center, c.SplitSeg = center, nil
 	c.Members, c.frontier = c.memberBuf[:0], c.frontBuf[:0]
-	return c
 }
 
 func (c *Cavity) hasMember(e *Element) bool {
@@ -107,27 +110,27 @@ func (c *Cavity) expand(seed *Element, acq Acquirer, stopOnEncroach bool) (encro
 	return nil
 }
 
-// BuildInsertion builds the Bowyer–Watson insertion cavity for point p,
-// whose containing triangle is t (from Locate). Used by Delaunay
-// triangulation, where points lie strictly inside the (super-)triangulated
-// domain.
-func BuildInsertion(t *Element, p geom.Point, acq Acquirer) *Cavity {
-	c := newCavity(p)
+// BuildInsertion builds into c the Bowyer–Watson insertion cavity for point
+// p, whose containing triangle is t (from Locate), and returns c. Used by
+// Delaunay triangulation, where points lie strictly inside the
+// (super-)triangulated domain.
+func BuildInsertion(c *Cavity, t *Element, p geom.Point, acq Acquirer) *Cavity {
+	c.init(p)
 	c.expand(t, acq, false)
 	return c
 }
 
-// BuildSegmentSplit builds the cavity that replaces boundary segment s with
-// two half-segments and inserts its midpoint. The caller must have acquired
-// s (it arrives through cavity expansion or a refinement walk, which do).
-func BuildSegmentSplit(s *Element, acq Acquirer) *Cavity {
-	c := newCavity(geom.Point{})
+// BuildSegmentSplit builds into c the cavity that replaces boundary segment
+// s with two half-segments and inserts its midpoint, and returns c. The
+// caller must have acquired s (it arrives through cavity expansion or a
+// refinement walk, which do).
+func BuildSegmentSplit(c *Cavity, s *Element, acq Acquirer) *Cavity {
+	c.init(geom.Point{})
 	c.segmentSplit(s, acq)
 	return c
 }
 
-// segmentSplit empties c and builds the split of s into it, as
-// BuildSegmentSplit does into a new cavity.
+// segmentSplit empties c and builds the split of s into it.
 func (c *Cavity) segmentSplit(s *Element, acq Acquirer) {
 	c.Center, c.SplitSeg = geom.Midpoint(s.Pts[0], s.Pts[1]), s
 	c.Members, c.frontier = append(c.Members[:0], s), c.frontier[:0]
@@ -136,16 +139,16 @@ func (c *Cavity) segmentSplit(s *Element, acq Acquirer) {
 	c.expand(inner, acq, false)
 }
 
-// BuildRefinement builds the cavity for fixing the bad triangle bad: insert
-// its circumcenter, unless the circumcenter lies outside the domain or
-// encroaches a boundary segment, in which case the offending segment is
-// split instead (Ruppert/Chew, as in the Lonestar dmr code). The caller
-// must have acquired bad and verified it is alive. Either way it builds one
-// Cavity: a split found by expansion replaces what expansion had built.
-func BuildRefinement(bad *Element, acq Acquirer) *Cavity {
+// BuildRefinement builds into c the cavity for fixing the bad triangle bad,
+// and returns c: insert its circumcenter, unless the circumcenter lies
+// outside the domain or encroaches a boundary segment, in which case the
+// offending segment is split instead (Ruppert/Chew, as in the Lonestar dmr
+// code). The caller must have acquired bad and verified it is alive. A split
+// found by expansion replaces what expansion had built in c.
+func BuildRefinement(c *Cavity, bad *Element, acq Acquirer) *Cavity {
 	center := bad.Circumcenter()
 	tri, blocked := walkToward(bad, center, acq)
-	c := newCavity(center)
+	c.init(center)
 	if blocked != nil {
 		// The center lies beyond this boundary segment; split it.
 		c.segmentSplit(blocked, acq)

@@ -210,7 +210,7 @@ func insertBoth(tb testing.TB, mk func() *Element, pts []geom.Point, assoc bool)
 		if gv {
 			continue
 		}
-		refNew, gotNew := applyBoth(tb, BuildInsertion(rt, p, NoAcquire), BuildInsertion(gt, p, NoAcquire), assocPts)
+		refNew, gotNew := applyBoth(tb, BuildInsertion(new(Cavity), rt, p, NoAcquire), BuildInsertion(new(Cavity), gt, p, NoAcquire), assocPts)
 		refRoot, gotRoot = refNew[0], gotNew[0]
 	}
 	checkMesh(tb, gotRoot)
@@ -245,7 +245,7 @@ func TestStarWiringMatchesMapReferenceOnRefinement(t *testing.T) {
 		if gel.Dead || !gel.IsBad(geom.Cos30, benchMinEdge2) {
 			continue
 		}
-		ref, got := BuildRefinement(rel, NoAcquire), BuildRefinement(gel, NoAcquire)
+		ref, got := BuildRefinement(new(Cavity), rel, NoAcquire), BuildRefinement(new(Cavity), gel, NoAcquire)
 		if (ref.SplitSeg == nil) != (got.SplitSeg == nil) {
 			t.Fatal("one copy split a segment, the other did not")
 		}
@@ -349,12 +349,13 @@ func assocPoints(c *Cavity) int {
 }
 
 // TestCavityAllocationCeilings pins the kernel's allocation contract: one
-// insertion or one refinement step costs the elements it creates plus one
-// object, the Cavity, which holds the created slice, whenever the cavity
-// fits its inline storage (and nearly all do). A dt insertion that moves
-// association lists costs one object more, the array the new lists are
-// carved from. A map, a regrown slice or a stray temporary puts every
-// cavity over and trips it.
+// insertion or one refinement step into a Cavity the caller supplies costs
+// the elements it creates and nothing else, whenever the cavity fits its
+// inline storage (and nearly all do): the Cavity holds the members, the
+// frontier and the created slice. A dt insertion that moves association
+// lists costs one object more, the array the new lists are carved from. A
+// map, a regrown slice, a stray temporary or a builder that allocates its
+// own Cavity puts every cavity over and trips it.
 //
 // geom's predicates fall back to big-number arithmetic, which allocates,
 // when a determinant is too close to zero to call. A segment split always
@@ -384,7 +385,7 @@ func TestCavityAllocationCeilings(t *testing.T) {
 			}
 			step()
 		})
-		ceiling := len(preview.frontier) + 1 // the created elements and the Cavity
+		ceiling := len(preview.frontier) // the created elements
 		if assoc {
 			ceiling++ // and the association array
 		}
@@ -401,10 +402,12 @@ func TestCavityAllocationCeilings(t *testing.T) {
 		fitting, total, over = 0, 0, 0
 	}
 
+	// One Cavity serves every step, as in dt.Seq, dmr.Seq and a task's plan.
+	cav := new(Cavity)
 	hint := NewSuperTriangle()
 	for _, p := range geom.BRIO(geom.UniformPoints(600, 91), 92) {
 		tri, _ := Locate(hint, p, NoAcquire)
-		measure(BuildInsertion(tri, p, NoAcquire), false, func() { hint, _ = InsertPointSeq(hint, p) })
+		measure(BuildInsertion(new(Cavity), tri, p, NoAcquire), false, func() { hint, _ = InsertPointSeq(cav, hint, p) })
 	}
 	verdict("InsertPointSeq")
 
@@ -420,7 +423,7 @@ func TestCavityAllocationCeilings(t *testing.T) {
 		if onVertex {
 			continue
 		}
-		measure(BuildInsertion(tri, p, NoAcquire), true, func() { hint = BuildInsertion(tri, p, NoAcquire).Retriangulate(pts)[0] })
+		measure(BuildInsertion(new(Cavity), tri, p, NoAcquire), true, func() { hint = BuildInsertion(cav, tri, p, NoAcquire).Retriangulate(pts)[0] })
 	}
 	verdict("insertion with association lists")
 
@@ -431,37 +434,38 @@ func TestCavityAllocationCeilings(t *testing.T) {
 			work = work[:len(work)-1]
 			continue
 		}
-		preview := BuildRefinement(el, NoAcquire)
+		preview := BuildRefinement(new(Cavity), el, NoAcquire)
 		// refineStep's own appends must stay inside work's capacity.
 		work = slices.Grow(work, len(preview.frontier)+2)
-		measure(preview, false, func() { refineStep(&work) })
+		measure(preview, false, func() { refineStep(cav, &work) })
 	}
 	verdict("refinement")
 }
 
 // TestEncroachingRefinementBuildsOneCavity: when a refinement's expansion
 // reaches a segment its circumcenter encroaches, BuildRefinement builds the
-// segment split into the cavity it already has, so the whole build is one
-// object.
+// segment split into the cavity it already has, so the whole build into a
+// supplied Cavity allocates nothing.
 func TestEncroachingRefinementBuildsOneCavity(t *testing.T) {
 	encroaching, over := 0, 0
+	cav := new(Cavity)
 	work := badTriangles(benchDMRInput(400, 96))
 	for len(work) > 0 && encroaching < 50 {
 		el := work[len(work)-1]
 		if !el.Dead && el.IsBad(geom.Cos30, benchMinEdge2) {
 			_, blocked := walkToward(el, el.Circumcenter(), NoAcquire)
-			if blocked == nil && BuildRefinement(el, NoAcquire).SplitSeg != nil {
+			if blocked == nil && BuildRefinement(cav, el, NoAcquire).SplitSeg != nil {
 				encroaching++
-				if got := testing.AllocsPerRun(3, func() { BuildRefinement(el, NoAcquire) }); got != 1 {
+				if got := testing.AllocsPerRun(3, func() { BuildRefinement(cav, el, NoAcquire) }); got != 0 {
 					over++
 					t.Logf("%v: BuildRefinement allocates %v objects", el, got)
 				}
 			}
 		}
-		refineStep(&work)
+		refineStep(cav, &work)
 	}
-	t.Logf("%d encroaching refinements, %d of them not one object", encroaching, over)
+	t.Logf("%d encroaching refinements, %d of them allocating", encroaching, over)
 	if encroaching < 10 || over*10 > encroaching {
-		t.Fatalf("%d encroaching refinements, %d of them not one object", encroaching, over)
+		t.Fatalf("%d encroaching refinements, %d of them allocating", encroaching, over)
 	}
 }

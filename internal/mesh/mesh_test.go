@@ -79,7 +79,7 @@ func TestUnitSquareConforming(t *testing.T) {
 
 func TestInsertSinglePoint(t *testing.T) {
 	root := NewSuperTriangle()
-	hint, ok := InsertPointSeq(root, geom.Point{X: 0.5, Y: 0.5})
+	hint, ok := InsertPointSeq(new(Cavity), root, geom.Point{X: 0.5, Y: 0.5})
 	if !ok {
 		t.Fatal("insertion failed")
 	}
@@ -96,8 +96,8 @@ func TestInsertSinglePoint(t *testing.T) {
 
 func TestInsertDuplicateIsNoop(t *testing.T) {
 	root := NewSuperTriangle()
-	hint, _ := InsertPointSeq(root, geom.Point{X: 0.5, Y: 0.5})
-	hint2, ok := InsertPointSeq(hint, geom.Point{X: 0.5, Y: 0.5})
+	hint, _ := InsertPointSeq(new(Cavity), root, geom.Point{X: 0.5, Y: 0.5})
+	hint2, ok := InsertPointSeq(new(Cavity), hint, geom.Point{X: 0.5, Y: 0.5})
 	if ok {
 		t.Fatal("duplicate insertion succeeded")
 	}
@@ -108,10 +108,10 @@ func TestInsertDuplicateIsNoop(t *testing.T) {
 
 func TestInsertPointOnEdge(t *testing.T) {
 	root := NewSuperTriangle()
-	hint, _ := InsertPointSeq(root, geom.Point{X: 0.25, Y: 0.25})
-	hint, _ = InsertPointSeq(hint, geom.Point{X: 0.75, Y: 0.75})
+	hint, _ := InsertPointSeq(new(Cavity), root, geom.Point{X: 0.25, Y: 0.25})
+	hint, _ = InsertPointSeq(new(Cavity), hint, geom.Point{X: 0.75, Y: 0.75})
 	// A point on the shared edge between two triangles.
-	hint, ok := InsertPointSeq(hint, geom.Point{X: 0.5, Y: 0.5})
+	hint, ok := InsertPointSeq(new(Cavity), hint, geom.Point{X: 0.5, Y: 0.5})
 	if !ok {
 		t.Fatal("on-edge insertion failed")
 	}
@@ -195,7 +195,7 @@ func TestLocateOnVertex(t *testing.T) {
 
 func TestResolveFollowsForwarding(t *testing.T) {
 	root := NewSuperTriangle()
-	hint, _ := InsertPointSeq(root, geom.Point{X: 0.3, Y: 0.3})
+	hint, _ := InsertPointSeq(new(Cavity), root, geom.Point{X: 0.3, Y: 0.3})
 	if !root.Dead {
 		t.Fatal("original super triangle should be dead")
 	}
@@ -220,7 +220,7 @@ func TestSegmentSplit(t *testing.T) {
 			break
 		}
 	}
-	cav := BuildSegmentSplit(seg, NoAcquire)
+	cav := BuildSegmentSplit(new(Cavity), seg, NoAcquire)
 	created := cav.Retriangulate(nil)
 	nseg := 0
 	for _, e := range created {
@@ -255,7 +255,7 @@ func TestRefinementCavityOnBadTriangle(t *testing.T) {
 	// producing sliver triangles, then refine one and check the mesh
 	// stays conforming.
 	root := NewUnitSquare()
-	hint, ok := InsertPointSeq(root, geom.Point{X: 0.5, Y: 0.02})
+	hint, ok := InsertPointSeq(new(Cavity), root, geom.Point{X: 0.5, Y: 0.02})
 	if !ok {
 		t.Fatal("seed insertion failed")
 	}
@@ -269,7 +269,7 @@ func TestRefinementCavityOnBadTriangle(t *testing.T) {
 	if bad == nil {
 		t.Skip("no bad triangle in this configuration")
 	}
-	cav := BuildRefinement(bad, NoAcquire)
+	cav := BuildRefinement(new(Cavity), bad, NoAcquire)
 	if cav == nil {
 		t.Fatal("refinement cavity not built")
 	}
@@ -289,7 +289,7 @@ func TestAssocRedistribution(t *testing.T) {
 	if onV {
 		t.Fatal("unexpected vertex hit")
 	}
-	cav := BuildInsertion(tri, pts[0], NoAcquire)
+	cav := BuildInsertion(new(Cavity), tri, pts[0], NoAcquire)
 	created := cav.Retriangulate(pts)
 	total := 0
 	for _, e := range created {

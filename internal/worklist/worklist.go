@@ -23,6 +23,51 @@ type chunk[T any] struct {
 	n     int
 }
 
+// spares is a thread's list of drained chunks, touched by that thread alone:
+// a chunk drained by its pops is kept here and filled again by its pushes,
+// so a retained worklist allocates chunks only up to its peak occupancy. A
+// pop zeroes the slot it reads, so a spare holds no item. Past maxSpares a
+// thread drops what it drains, which bounds what a parked worklist keeps.
+type spares[T any] []*chunk[T]
+
+// take returns an empty chunk: a spare if there is one, else a new one.
+func (s *spares[T]) take() *chunk[T] {
+	if n := len(*s); n > 0 {
+		c := (*s)[n-1]
+		*s = (*s)[:n-1]
+		return c
+	}
+	return &chunk[T]{}
+}
+
+// maxSpares bounds one thread's spares at room for 262 144 tasks, over
+// three times what each worker of a 2-worker run fills when the run starts
+// from 150 000 tasks.
+const maxSpares = 1 << 12
+
+// put keeps the drained chunk c for reuse.
+func (s *spares[T]) put(c *chunk[T]) {
+	if len(*s) < maxSpares {
+		*s = append(*s, c)
+	}
+}
+
+// balanceSpares deals the spares of n threads (at(i) is thread i's) out
+// evenly: a thread that drained more than it filled, stealing from the
+// others, hands its surplus to the threads it stole from.
+func balanceSpares[T any](n int, at func(int) *spares[T]) {
+	all := at(0)
+	for i := 1; i < n; i++ {
+		*all = append(*all, *at(i)...)
+		*at(i) = (*at(i))[:0]
+	}
+	share := len(*all) / n
+	for i := 1; i < n; i++ {
+		*at(i) = append(*at(i), (*all)[len(*all)-share:]...)
+		*all = (*all)[:len(*all)-share]
+	}
+}
+
 // ChunkedLIFO is a scalable worklist: each thread owns a current chunk for
 // pushes and pops; full/spare chunks circulate through per-thread shelves
 // with stealing. LIFO order maximizes locality for data-driven algorithms.
@@ -35,8 +80,9 @@ type localQueue[T any] struct {
 	mu     sync.Mutex
 	chunks []*chunk[T] // shelf of full or partial chunks, top at end
 	cur    *chunk[T]   // private push/pop chunk, not visible to thieves
+	spare  spares[T]   // private drained chunks
 	rnd    *rng.Rand
-	_      [24]byte // reduce false sharing between adjacent queues
+	_      [56]byte // reduce false sharing between adjacent queues
 }
 
 // NewChunkedLIFO returns a worklist for nthreads threads.
@@ -52,13 +98,13 @@ func NewChunkedLIFO[T any](nthreads int) *ChunkedLIFO[T] {
 func (w *ChunkedLIFO[T]) Push(tid int, item T) {
 	q := &w.perThread[tid]
 	if q.cur == nil {
-		q.cur = &chunk[T]{}
+		q.cur = q.spare.take()
 	}
 	if q.cur.n == chunkSize {
 		q.mu.Lock()
 		q.chunks = append(q.chunks, q.cur)
 		q.mu.Unlock()
-		q.cur = &chunk[T]{}
+		q.cur = q.spare.take()
 	}
 	q.cur.items[q.cur.n] = item
 	q.cur.n++
@@ -80,7 +126,7 @@ func (w *ChunkedLIFO[T]) Pop(tid int) (item T, ok bool) {
 	}
 	// Refill from own shelf.
 	if c := w.takeChunk(tid); c != nil {
-		q.cur = c
+		q.refill(c)
 		return w.Pop(tid)
 	}
 	// Steal: probe other shelves starting from a random victim.
@@ -93,13 +139,22 @@ func (w *ChunkedLIFO[T]) Pop(tid int) (item T, ok bool) {
 				continue
 			}
 			if c := w.takeChunk(v); c != nil {
-				q.cur = c
+				q.refill(c)
 				return w.Pop(tid)
 			}
 		}
 	}
 	var zero T
 	return zero, false
+}
+
+// refill makes c the queue's private chunk; the drained one it replaces
+// becomes a spare.
+func (q *localQueue[T]) refill(c *chunk[T]) {
+	if q.cur != nil {
+		q.spare.put(q.cur)
+	}
+	q.cur = c
 }
 
 func (w *ChunkedLIFO[T]) takeChunk(victim int) *chunk[T] {
@@ -120,6 +175,13 @@ func (w *ChunkedLIFO[T]) takeChunk(victim int) *chunk[T] {
 // when no concurrent pushes/pops are in flight.
 func (w *ChunkedLIFO[T]) Size() int { return int(w.size.Load()) }
 
+// BalanceSpares deals the threads' drained chunks out evenly, so the next
+// pushes of every thread find spares. Only for a worklist no thread is using,
+// such as a drained one between runs.
+func (w *ChunkedLIFO[T]) BalanceSpares() {
+	balanceSpares(len(w.perThread), func(i int) *spares[T] { return &w.perThread[i].spare })
+}
+
 // ChunkedFIFO is a scalable approximately-first-in-first-out worklist:
 // threads fill private chunks and append them to a shared queue; pops drain
 // a private chunk taken from the queue's head. Order is FIFO at chunk
@@ -137,7 +199,8 @@ type fifoLocal[T any] struct {
 	write *chunk[T] // being filled by this thread
 	read  *chunk[T] // being drained by this thread
 	pos   int       // next index to read in read-chunk
-	_     [40]byte
+	spare spares[T] // drained chunks, this thread's alone
+	_     [16]byte
 }
 
 // NewChunkedFIFO returns a worklist for nthreads threads.
@@ -149,7 +212,7 @@ func NewChunkedFIFO[T any](nthreads int) *ChunkedFIFO[T] {
 func (w *ChunkedFIFO[T]) Push(tid int, item T) {
 	q := &w.local[tid]
 	if q.write == nil {
-		q.write = &chunk[T]{}
+		q.write = q.spare.take()
 	}
 	q.write.items[q.write.n] = item
 	q.write.n++
@@ -168,8 +231,12 @@ func (w *ChunkedFIFO[T]) Pop(tid int) (item T, ok bool) {
 	q := &w.local[tid]
 	if q.read != nil && q.pos < q.read.n {
 		item = q.read.items[q.pos]
+		var zero T
+		q.read.items[q.pos] = zero
 		q.pos++
 		if q.pos == q.read.n {
+			q.read.n = 0
+			q.spare.put(q.read)
 			q.read = nil
 		}
 		w.size.Add(-1)
@@ -206,6 +273,13 @@ func (w *ChunkedFIFO[T]) Pop(tid int) (item T, ok bool) {
 
 // Size returns the number of queued tasks.
 func (w *ChunkedFIFO[T]) Size() int { return int(w.size.Load()) }
+
+// BalanceSpares deals the threads' drained chunks out evenly, so the next
+// pushes of every thread find spares. Only for a worklist no thread is using,
+// such as a drained one between runs.
+func (w *ChunkedFIFO[T]) BalanceSpares() {
+	balanceSpares(len(w.local), func(i int) *spares[T] { return &w.local[i].spare })
+}
 
 // FIFO is a mutex-protected global queue, useful as a simple baseline
 // worklist and for tests.

@@ -300,3 +300,88 @@ func TestOBIMHintRecovery(t *testing.T) {
 		t.Fatal("phantom item")
 	}
 }
+
+// TestDrainedChunksAreRecycled: a thread's pushes refill the chunks its pops
+// drained, so filling and draining a warm worklist again allocates nothing,
+// and a drained chunk holds no item — every pop zeroes its slot — so a
+// retained worklist pins nothing that passed through it.
+func TestDrainedChunksAreRecycled(t *testing.T) {
+	lifo, fifo := NewChunkedLIFO[*int](1), NewChunkedFIFO[*int](1)
+	lq, fq := &lifo.perThread[0], &fifo.local[0]
+	checkRecycled(t, "lifo", lifo, func() []*chunk[*int] { return append([]*chunk[*int]{lq.cur}, lq.spare...) })
+	checkRecycled(t, "fifo", fifo, func() []*chunk[*int] { return append([]*chunk[*int]{fq.read, fq.write}, fq.spare...) })
+}
+
+// checkRecycled fills wl with 10 chunks and a bit and drains it, twice
+// over, and then inspects the chunks it holds.
+func checkRecycled(t *testing.T, name string, wl interface {
+	Push(tid int, item *int)
+	Pop(tid int) (*int, bool)
+}, held func() []*chunk[*int]) {
+	x := new(int)
+	cycle := func() {
+		for i := 0; i < 10*chunkSize+3; i++ {
+			wl.Push(0, x)
+		}
+		for {
+			if _, ok := wl.Pop(0); !ok {
+				break
+			}
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(3, cycle); got != 0 {
+		t.Errorf("%s: refilling a drained worklist allocates %v objects, want 0", name, got)
+	}
+	n := 0
+	for _, ch := range held() {
+		if ch == nil {
+			continue
+		}
+		n++
+		for i, it := range ch.items {
+			if it != nil {
+				t.Fatalf("%s: a drained chunk still holds an item in slot %d", name, i)
+			}
+		}
+	}
+	if n < 11 {
+		t.Errorf("%s: the worklist keeps %d drained chunks, want the 11 it filled", name, n)
+	}
+}
+
+// TestBalanceSpares: when one thread fills the chunks and another drains
+// them, the drained chunks pile up with the second; BalanceSpares between
+// rounds deals them back out, so after a few rounds the first thread's
+// pushes find spares and a round allocates nothing.
+func TestBalanceSpares(t *testing.T) {
+	lifo, fifo := NewChunkedLIFO[int](2), NewChunkedFIFO[int](2)
+	for _, c := range []struct {
+		name string
+		wl   interface {
+			Push(tid int, item int)
+			Pop(tid int) (int, bool)
+			BalanceSpares()
+		}
+	}{{"lifo", lifo}, {"fifo", fifo}} {
+		round := func() {
+			for i := 0; i < 8*chunkSize; i++ {
+				c.wl.Push(0, i)
+			}
+			for _, tid := range []int{1, 0} { // thread 0's private chunk is not stealable
+				for {
+					if _, ok := c.wl.Pop(tid); !ok {
+						break
+					}
+				}
+			}
+			c.wl.BalanceSpares()
+		}
+		for i := 0; i < 8; i++ {
+			round()
+		}
+		if got := testing.AllocsPerRun(3, round); got != 0 {
+			t.Errorf("%s: a round allocates %v objects after eight, want 0", c.name, got)
+		}
+	}
+}
