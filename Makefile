@@ -109,7 +109,12 @@ profile-finegrain:
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/finegrain.cpu.pprof
 
 # The same for the mesh kernel: dt and dmr, g-d, with the collector ON —
-# what dt/dmr leave for it to mark is the finding (EXPERIMENTS.md H16).
+# what dt/dmr leave for it to mark is part of the finding (EXPERIMENTS.md
+# H16). Small scale (dt 4 000 points, dmr 2 000) is close to the sizes
+# galoisbench's engine-mesh times (dt 6 000, dmr 3 000); default scale is
+# 20 times that, where the collector and the input builds weigh more than
+# they do in the benchmark's op (H26). Each run is tens of ms, so 300 reps
+# give each cell over a thousand samples.
 # The same run also writes an allocation profile, printed by objects
 # allocated (EXPERIMENTS.md H23). `repro -loop` fingerprints every run, so
 # each table is printed twice: whole, and without the frames under
@@ -117,7 +122,7 @@ profile-finegrain:
 profile-mesh:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) build -o $(PROFILE_DIR)/repro ./cmd/repro
-	$(PROFILE_DIR)/repro -loop dt/g-d,dmr/g-d -reps 10 -threads 2 -scale default -cpuprofile $(PROFILE_DIR)/mesh.cpu.pprof -memprofile $(PROFILE_DIR)/mesh.allocs.pprof
+	$(PROFILE_DIR)/repro -loop dt/g-d,dmr/g-d -reps 300 -threads 2 -scale small -cpuprofile $(PROFILE_DIR)/mesh.cpu.pprof -memprofile $(PROFILE_DIR)/mesh.allocs.pprof
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.cpu.pprof
 	$(GO) tool pprof -top -nodecount=25 -ignore 'mesh\.Fingerprint' $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.cpu.pprof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount=25 $(PROFILE_DIR)/repro $(PROFILE_DIR)/mesh.allocs.pprof

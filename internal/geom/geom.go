@@ -31,9 +31,18 @@ var (
 
 // Orient computes the orientation of the triple (a, b, c):
 // +1 if counterclockwise, -1 if clockwise, 0 if collinear. Exact.
-func Orient(a, b, c Point) int {
-	detleft := (a.X - c.X) * (b.Y - c.Y)
-	detright := (a.Y - c.Y) * (b.X - c.X)
+func Orient(a, b, c Point) int { return OrientFrom(a, b, c, Sub(a, c), Sub(b, c)) }
+
+// Sub returns the offset a - b.
+func Sub(a, b Point) Point { return Point{X: a.X - b.X, Y: a.Y - b.Y} }
+
+// OrientFrom is Orient(a, b, c) given the offsets ac = Sub(a, c) and
+// bc = Sub(b, c), for a caller that tests many points around one c and
+// takes each offset once. Orient is OrientFrom over offsets it takes
+// itself, so the two decide by the same filter and exact fallback.
+func OrientFrom(a, b, c, ac, bc Point) int {
+	detleft := ac.X * bc.Y
+	detright := ac.Y * bc.X
 	det := detleft - detright
 	var detsum float64
 	switch {
@@ -197,8 +206,10 @@ func MinAngleBelow(a, b, c Point, cosBound float64) bool {
 }
 
 // Cos30 is the cosine of the paper's 30-degree quality bound for Delaunay
-// mesh refinement.
-var Cos30 = math.Cos(30 * math.Pi / 180)
+// mesh refinement, cos 30° = √3/2 rounded to float64. It is a literal, not
+// math.Cos(30°) at init: math.Cos is assembly on s390x, and dmr's output
+// must not depend on the port that computed its bound.
+var Cos30 = 0.8660254037844386
 
 // InDiametralCircle reports whether p lies strictly inside the diametral
 // circle of segment (a, b) — the encroachment test of Ruppert's algorithm.

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -57,6 +58,40 @@ func TestOrientNearDegenerate(t *testing.T) {
 	want := orientExact(Point{0, 0}, Point{1, 1}, p)
 	if got != want {
 		t.Fatalf("filtered orient %d != exact %d", got, want)
+	}
+}
+
+// TestOrientFromMatchesOrient: given the offsets Sub takes, OrientFrom
+// answers as Orient does and as the exact test does, on random triples and
+// on grid triples, where collinear ones are common and the filter defers to
+// the exact fallback.
+func TestOrientFromMatchesOrient(t *testing.T) {
+	r := rng.New(13)
+	grid := func() float64 { return float64(r.Intn(8)) / 7 }
+	for i := 0; i < 4000; i++ {
+		a, b, c := Point{r.Float64(), r.Float64()}, Point{r.Float64(), r.Float64()}, Point{r.Float64(), r.Float64()}
+		if i%2 == 1 {
+			a, b, c = Point{grid(), grid()}, Point{grid(), grid()}, Point{grid(), grid()}
+		}
+		got := OrientFrom(a, b, c, Sub(a, c), Sub(b, c))
+		if want := orientExact(a, b, c); got != want || Orient(a, b, c) != want {
+			t.Fatalf("%v %v %v: OrientFrom %d, Orient %d, exact %d", a, b, c, got, Orient(a, b, c), want)
+		}
+	}
+}
+
+// TestCos30 pins the literal: √3/2 rounded (math.Sqrt is correctly rounded
+// on every port), and on amd64, where math.Cos is pure Go and nothing is
+// fused, bit for bit the value math.Cos(30°) gave it before.
+func TestCos30(t *testing.T) {
+	if got, want := math.Float64bits(Cos30), math.Float64bits(math.Sqrt(3)/2); got != want {
+		t.Fatalf("Cos30 bits %#x, √3/2 %#x", got, want)
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("math.Cos is not the amd64 pure-Go code on %s", runtime.GOARCH)
+	}
+	if got, want := math.Float64bits(Cos30), math.Float64bits(math.Cos(30*math.Pi/180)); got != want {
+		t.Fatalf("Cos30 bits %#x, math.Cos(30°) %#x", got, want)
 	}
 }
 

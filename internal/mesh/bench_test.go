@@ -81,20 +81,50 @@ func refineSeq(root *Element) *Element {
 }
 
 // BenchmarkInsertPoint is one sequential Bowyer–Watson insertion (locate,
-// build the cavity, retriangulate) in BRIO order, the unit of dt.Seq and of
-// every input build.
+// build the cavity, retriangulate) in BRIO order. "bare" is the unit of
+// dt.Seq and of every input build. "assoc" carries association lists the
+// way dt.Galois commits do: every point not yet inserted rides in the list
+// of the triangle that contains it, is located from there, and is moved by
+// redistribute whenever a cavity kills that triangle.
 func BenchmarkInsertPoint(b *testing.B) {
 	pts := geom.BRIO(geom.UniformPoints(benchDTPoints, 42), 45)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var hint *Element
-	var c Cavity
-	for i := 0; i < b.N; i++ {
-		if i%len(pts) == 0 {
-			hint = NewSuperTriangle()
+	b.Run("bare", func(b *testing.B) {
+		b.ReportAllocs()
+		var hint *Element
+		var c Cavity
+		for i := 0; i < b.N; i++ {
+			if i%len(pts) == 0 {
+				hint = NewSuperTriangle()
+			}
+			hint, _ = InsertPointSeq(&c, hint, pts[i%len(pts)])
 		}
-		hint, _ = InsertPointSeq(&c, hint, pts[i%len(pts)])
-	}
+	})
+	b.Run("assoc", func(b *testing.B) {
+		b.ReportAllocs()
+		pointTri := make([]*Element, len(pts))
+		var c Cavity
+		for i := 0; i < b.N; i++ {
+			k := i % len(pts)
+			if k == 0 {
+				b.StopTimer()
+				root := NewSuperTriangle()
+				root.Assoc = make([]int32, len(pts))
+				for j := range pts {
+					root.Assoc[j], pointTri[j] = int32(j), root
+				}
+				b.StartTimer()
+			}
+			tri, onVertex := Locate(pointTri[k], pts[k], NoAcquire)
+			if onVertex {
+				continue
+			}
+			for _, e := range BuildInsertion(&c, tri, pts[k], NoAcquire).Retriangulate(pts) {
+				for _, idx := range e.Assoc {
+					pointTri[idx] = e
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkRefineCavity is one dmr refinement step (build the refinement

@@ -8,10 +8,12 @@ import (
 
 // frontEdge is one edge of the cavity boundary: the new point is joined to
 // (u, v), and the resulting triangle is wired to outside (a surviving
-// triangle, a boundary segment, or nil on the outer hull).
+// triangle, a boundary segment, or nil on the outer hull) through outside's
+// edge slot, the one that faced the member.
 type frontEdge struct {
 	u, v    geom.Point
 	outside *Element
+	slot    int8
 }
 
 // Cavity describes one mesh update: the elements to remove (Members), the
@@ -94,7 +96,7 @@ func (c *Cavity) expand(seed *Element, acq Acquirer, stopOnEncroach bool) (encro
 					geom.InDiametralCircle(nb.Pts[0], nb.Pts[1], c.Center) {
 					return nb
 				}
-				c.frontier = append(c.frontier, frontEdge{u: u, v: v, outside: nb})
+				c.frontier = append(c.frontier, frontEdge{u: u, v: v, outside: nb, slot: nb.slotOf(e)})
 				continue
 			}
 			if c.hasMember(nb) {
@@ -104,7 +106,7 @@ func (c *Cavity) expand(seed *Element, acq Acquirer, stopOnEncroach bool) (encro
 				c.Members = append(c.Members, nb)
 				continue
 			}
-			c.frontier = append(c.frontier, frontEdge{u: u, v: v, outside: nb})
+			c.frontier = append(c.frontier, frontEdge{u: u, v: v, outside: nb, slot: nb.slotOf(e)})
 		}
 	}
 	return nil
@@ -158,11 +160,32 @@ func BuildRefinement(c *Cavity, bad *Element, acq Acquirer) *Cavity {
 	return c
 }
 
-// spoke is a star edge {x, Center} seen on one new triangle, t, and waiting
-// for the other new triangle that shares it.
+// The star's triangles are built as (u, v, Center) for each frontier edge
+// (u, v), so their edge slots are known without a search: the outer edge
+// (u, v) is slot 0, the spoke {v, Center} slot 1 and {Center, u} slot 2.
+const (
+	slotOuter = 0
+	slotV     = 1
+	slotU     = 2
+)
+
+// slotOf returns the slot of e's edge that faces nb, its neighbour. It
+// panics if e does not point back at nb: the adjacency is asymmetric.
+func (e *Element) slotOf(nb *Element) int8 {
+	for j := 0; j < e.NEdges(); j++ {
+		if e.adj[j] == nb {
+			return int8(j)
+		}
+	}
+	panic(fmt.Sprintf("mesh: asymmetric adjacency between %v and %v", nb, e))
+}
+
+// spoke is a star edge {x, Center} seen on one new triangle, t, at t's edge
+// slot, and waiting for the other new triangle that shares it.
 type spoke struct {
-	x geom.Point
-	t *Element
+	x    geom.Point
+	t    *Element
+	slot int8
 }
 
 // The new triangles are wired to each other through their spokes. Every
@@ -177,27 +200,33 @@ type spoke struct {
 // a few in 100 000 dmr cavities of H16's histogram.
 const starInline = 16
 
-// takeSpoke removes the spoke at x from open and returns the triangle that
-// was waiting on it, or nil if there is none.
-func takeSpoke(open []spoke, x geom.Point) ([]spoke, *Element) {
+// takeSpoke removes the spoke at x from open and returns it, or a spoke
+// with a nil triangle if there is none.
+func takeSpoke(open []spoke, x geom.Point) ([]spoke, spoke) {
 	for i, sp := range open {
 		if sp.x == x {
 			last := len(open) - 1
 			open[i] = open[last]
-			return open[:last], sp.t
+			return open[:last], sp
 		}
 	}
-	return open, nil
+	return open, spoke{}
 }
 
-// joinSpoke wires t to the triangle waiting at spoke x, or leaves t waiting
-// there.
-func joinSpoke(open []spoke, center geom.Point, t *Element, x geom.Point) []spoke {
-	open, other := takeSpoke(open, x)
-	if other == nil {
-		return append(open, spoke{x, t})
+// link makes a's and b's elements neighbours across their shared spoke.
+func link(a, b spoke) {
+	a.t.adj[a.slot] = b.t
+	b.t.adj[b.slot] = a.t
+}
+
+// joinSpoke wires sp's triangle to the triangle waiting at the same spoke,
+// or leaves it waiting there.
+func joinSpoke(open []spoke, sp spoke) []spoke {
+	open, other := takeSpoke(open, sp.x)
+	if other.t == nil {
+		return append(open, sp)
 	}
-	Wire(t, other, x, center)
+	link(sp, other)
 	return open
 }
 
@@ -232,15 +261,18 @@ func (c *Cavity) Retriangulate(pts []geom.Point) []*Element {
 			sawSplitEdge = true
 			continue
 		}
-		t := NewTriangle(fe.u, fe.v, c.Center)
+		// Counterclockwise as it stands: the check above is
+		// NewTriangle's.
+		t := &Element{Pts: [3]geom.Point{fe.u, fe.v, c.Center}, dim: 3}
 		created = append(created, t)
 		// Outer side.
 		if fe.outside != nil {
-			Wire(t, fe.outside, fe.u, fe.v)
+			t.adj[slotOuter] = fe.outside
+			fe.outside.adj[fe.slot] = t
 		}
 		// Inner (star) sides.
-		open = joinSpoke(open, c.Center, t, fe.v)
-		open = joinSpoke(open, c.Center, t, fe.u)
+		open = joinSpoke(open, spoke{fe.v, t, slotV})
+		open = joinSpoke(open, spoke{fe.u, t, slotU})
 	}
 	if c.SplitSeg != nil {
 		if !sawSplitEdge {
@@ -248,14 +280,15 @@ func (c *Cavity) Retriangulate(pts []geom.Point) []*Element {
 		}
 		s1 := NewSegment(splitU, c.Center)
 		s2 := NewSegment(c.Center, splitV)
-		// Wire each half-segment to the unique star triangle sharing
-		// its edge: the one still waiting at the half's frontier end.
-		for _, h := range [2]spoke{{splitU, s1}, {splitV, s2}} {
-			var t *Element
-			if open, t = takeSpoke(open, h.x); t == nil {
+		// Wire each half-segment (its edge is slot 0) to the unique
+		// star triangle sharing it: the one still waiting at the
+		// half's frontier end.
+		for _, h := range [2]spoke{{x: splitU, t: s1}, {x: splitV, t: s2}} {
+			var sp spoke
+			if open, sp = takeSpoke(open, h.x); sp.t == nil {
 				panic("mesh: no star triangle for split segment half")
 			}
-			Wire(t, h.t, h.x, c.Center)
+			link(sp, h)
 		}
 		created = append(created, s1, s2)
 	}
@@ -282,11 +315,45 @@ func (c *Cavity) Retriangulate(pts []geom.Point) []*Element {
 // hold hundreds or thousands of points, need more, in one heap slice.
 const inlineScratch = 256
 
+// ray is a spoke {x, Center} as redistribute places points by it: x's
+// offset from the center, taken once per cavity, and which side of the
+// spoke the point being placed lies on, taken at most once per point.
+type ray struct {
+	x, offset geom.Point
+	// side is geom.OrientFrom(x, p, Center), +1 if p lies
+	// counterclockwise of the spoke, for the point p numbered point:
+	// 1 + its position in the members' lists.
+	side  int8
+	point int32
+}
+
+// rayAt returns the index in rays of the spoke at x, appending it if new.
+func rayAt(rays []ray, x, center geom.Point) ([]ray, int) {
+	for i := range rays {
+		if rays[i].x == x {
+			return rays, i
+		}
+	}
+	return append(rays, ray{x: x, offset: geom.Sub(x, center)}), len(rays)
+}
+
 // redistribute moves the members' associated point indices into the created
 // triangles: each point, unless it is the inserted center, goes to the first
 // created triangle that contains it. The new lists are windows of one array,
 // filled in member and Assoc order, each with its capacity cut to its
 // length, so an append to one list never writes into the next.
+//
+// A point is placed by wedge, not by testing each triangle's three edges.
+// Triangle k = (u, v, Center) contains a point p of the cavity exactly when
+// p lies in its wedge: Orient(Center, u, p) >= 0 and Orient(Center, v, p)
+// <= 0. Retriangulate's frontier check proved that every frontier edge sees
+// Center strictly, so the cavity is star-shaped from Center and the star's
+// triangles tile it; inside the cavity the outer edge (u, v) therefore
+// never decides, and p, being associated with a member, is inside. Orient is
+// exact, so the two tests agree with the three-edge test on every point,
+// ties included: a point on a spoke or at a frontier vertex lies in two
+// wedges, and the first in created order takes it. Each spoke is shared by
+// two triangles, and its side is computed at most once per point.
 func (c *Cavity) redistribute(created []*Element, pts []geom.Point) {
 	points := 0
 	for _, m := range c.Members {
@@ -299,14 +366,40 @@ func (c *Cavity) redistribute(created []*Element, pts []geom.Point) {
 	}
 	count, dest := scratch[:len(created)], scratch[len(created):len(created)+points]
 
+	// The wedge of each created triangle, as the indices of its two
+	// spokes; segments, which come last, have none.
+	var rayBuf [inlineFrontier + 1]ray
+	var wedgeBuf [inlineFrontier + 2][2]int
+	rays, wedges := rayBuf[:0], wedgeBuf[:0]
+	for _, t := range created {
+		if t.IsSegment() {
+			break
+		}
+		var u, v int
+		rays, u = rayAt(rays, t.Pts[0], c.Center)
+		rays, v = rayAt(rays, t.Pts[1], c.Center)
+		wedges = append(wedges, [2]int{u, v})
+	}
+
 	// Place every point once and remember where it goes.
 	placed, j := 0, 0
 	for _, m := range c.Members {
 		for _, idx := range m.Assoc {
 			dest[j] = -1
 			if p := pts[idx]; p != c.Center { // else now inserted
-				for k, t := range created {
-					if !t.IsSegment() && t.Contains(p) {
+				pc, point := geom.Sub(p, c.Center), int32(j+1)
+				for k, w := range wedges {
+					r := &rays[w[0]]
+					if r.point != point {
+						r.side, r.point = int8(geom.OrientFrom(r.x, p, c.Center, r.offset, pc)), point
+					}
+					if r.side < 0 {
+						continue
+					}
+					if r = &rays[w[1]]; r.point != point {
+						r.side, r.point = int8(geom.OrientFrom(r.x, p, c.Center, r.offset, pc)), point
+					}
+					if r.side <= 0 {
 						dest[j] = int32(k)
 						break
 					}

@@ -9,6 +9,20 @@ import (
 	"galois/internal/rng"
 )
 
+// Contains reports whether the triangle contains p (boundary inclusive):
+// the rule dt's association lists follow, each point in the first created
+// triangle that contains it. Retriangulate places points by wedge instead;
+// retriangulateRef keeps this rule as the reference.
+func (e *Element) Contains(p geom.Point) bool {
+	for i := 0; i < 3; i++ {
+		u, v := e.Edge(i)
+		if geom.Orient(u, v, p) < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // retriangulateRef is Retriangulate as it was before the star was paired by
 // endpoint: shared star edges are matched through a map keyed by the
 // undirected point pair. Kept as the reference the differential tests and
@@ -188,8 +202,9 @@ func checkMesh(tb testing.TB, root *Element) {
 // insertBoth inserts pts, in order, into two copies of the mesh rooted at
 // mk(), one through the reference and one through the kernel, with dt's
 // association lists riding along when assoc is set (mk must then return a
-// single triangle holding every point). It returns live roots of both.
-func insertBoth(tb testing.TB, mk func() *Element, pts []geom.Point, assoc bool) (refRoot, gotRoot *Element) {
+// single triangle holding every point). It returns live roots of both and
+// how many placements were tied between two triangles (tiedPoints).
+func insertBoth(tb testing.TB, mk func() *Element, pts []geom.Point, assoc bool) (refRoot, gotRoot *Element, ties int) {
 	tb.Helper()
 	refRoot, gotRoot = mk(), mk()
 	var assocPts []geom.Point
@@ -211,11 +226,12 @@ func insertBoth(tb testing.TB, mk func() *Element, pts []geom.Point, assoc bool)
 			continue
 		}
 		refNew, gotNew := applyBoth(tb, BuildInsertion(new(Cavity), rt, p, NoAcquire), BuildInsertion(new(Cavity), gt, p, NoAcquire), assocPts)
+		ties += tiedPoints(gotNew, pts)
 		refRoot, gotRoot = refNew[0], gotNew[0]
 	}
 	checkMesh(tb, gotRoot)
 	checkMesh(tb, refRoot)
-	return refRoot, gotRoot
+	return refRoot, gotRoot, ties
 }
 
 func TestStarWiringMatchesMapReferenceOnInsertion(t *testing.T) {
@@ -226,11 +242,51 @@ func TestStarWiringMatchesMapReferenceOnInsertion(t *testing.T) {
 	insertBoth(t, NewUnitSquare, shrink(geom.UniformPoints(400, 63)), false)
 }
 
+// tiedPoints counts the points of created's association lists that some
+// other created triangle contains too: points on a spoke or at a frontier
+// vertex, which the first-containing rule gives to the first of two.
+func tiedPoints(created []*Element, pts []geom.Point) int {
+	ties := 0
+	for k, t := range created {
+		for _, idx := range t.Assoc {
+			for i, o := range created {
+				if i != k && !o.IsSegment() && o.Contains(pts[idx]) {
+					ties++
+					break
+				}
+			}
+		}
+	}
+	return ties
+}
+
+// TestWedgePlacementOnDegenerateGrid inserts, with association lists, a
+// grid in BRIO order: rows, columns and diagonals of collinear points,
+// squares of cocircular ones, and a quarter of the points twice, so
+// redistribute meets points on spokes, at frontier vertices and at the
+// center. Every cavity is applied both ways, so a wedge test off by its
+// boundary or a tie given to the wrong triangle shows as a different list;
+// uniform points, which never tie, catch neither.
+func TestWedgePlacementOnDegenerateGrid(t *testing.T) {
+	const n = 40
+	var pts []geom.Point
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			pts = append(pts, geom.Point{X: (float64(i) + 0.5) / n, Y: (float64(j) + 0.5) / n})
+		}
+	}
+	_, _, ties := insertBoth(t, NewSuperTriangle, geom.BRIO(append(pts, pts[:n*n/4]...), 111), true)
+	t.Logf("%d placements tied between two triangles", ties)
+	if ties < 1000 {
+		t.Fatalf("only %d tied placements: the test lost its subject", ties)
+	}
+}
+
 // TestStarWiringMatchesMapReferenceOnRefinement runs dmr's sequential loop
 // on two copies of one mesh in lockstep, so every refinement cavity and
 // every segment split it meets is applied both ways.
 func TestStarWiringMatchesMapReferenceOnRefinement(t *testing.T) {
-	refRoot, gotRoot := insertBoth(t, NewUnitSquare, geom.BRIO(shrink(geom.UniformPoints(600, 71)), 72), false)
+	refRoot, gotRoot, _ := insertBoth(t, NewUnitSquare, geom.BRIO(shrink(geom.UniformPoints(600, 71)), 72), false)
 	refWork, gotWork := badTriangles(refRoot), badTriangles(gotRoot)
 	cavities, splits := 0, 0
 	for len(gotWork) > 0 {
@@ -288,8 +344,8 @@ func maxOpenSpokes(c *Cavity) int {
 			continue
 		}
 		t := NewTriangle(u, v, c.Center)
-		open = joinSpoke(open, c.Center, t, v)
-		open = joinSpoke(open, c.Center, t, u)
+		open = joinSpoke(open, spoke{v, t, slotV})
+		open = joinSpoke(open, spoke{u, t, slotU})
 		most = max(most, len(open))
 	}
 	return most

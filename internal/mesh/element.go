@@ -108,17 +108,6 @@ func (e *Element) HasVertex(p geom.Point) bool {
 	return false
 }
 
-// Contains reports whether the triangle contains p (boundary inclusive).
-func (e *Element) Contains(p geom.Point) bool {
-	for i := 0; i < 3; i++ {
-		u, v := e.Edge(i)
-		if geom.Orient(u, v, p) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // InCircumcircle reports whether p lies strictly inside the triangle's
 // circumcircle.
 func (e *Element) InCircumcircle(p geom.Point) bool {

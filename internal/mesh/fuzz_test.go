@@ -29,7 +29,7 @@ func FuzzStarWiring(f *testing.F) {
 			pts[i] = geom.Point{X: (2*float64(data[2*i]) + 1) / 512, Y: (2*float64(data[2*i+1]) + 1) / 512}
 		}
 		insertBoth(t, NewSuperTriangle, pts, true)
-		refRoot, gotRoot := insertBoth(t, NewUnitSquare, pts, false)
+		refRoot, gotRoot, _ := insertBoth(t, NewUnitSquare, pts, false)
 
 		refLive, gotLive := Live(refRoot), Live(gotRoot)
 		if len(refLive) != len(gotLive) {
