@@ -9,11 +9,10 @@
 // function of its normalized spec, so repeat submissions are served from a
 // content-addressed result cache (-cache-bytes, default 64 MiB) without an
 // engine execution — the response carries the same fingerprint with
-// "cached": true. -cache-spotcheck re-executes a seeded deterministic
-// fraction of hits through the verify path and evicts on any mismatch.
-// The same flag sizes the input cache: built graphs, point sets and
-// networks are shared between jobs in a second LRU with the same byte
-// budget, so never-repeated seeds cannot grow the process.
+// "cached": true; POST /verify is the audit of any such answer, and it
+// always re-executes. The same flag sizes the input cache: built graphs,
+// point sets and networks are shared between jobs in a second LRU with
+// the same byte budget, so never-repeated seeds cannot grow the process.
 //
 // Stateful sessions make mutation a first-class API: POST /sessions pins
 // a long-lived mutable input (a dmr mesh, an sssp graph) server-side,
@@ -27,7 +26,7 @@
 // Jobs, session batches and chain verifies share one admission queue
 // (-queue; full => 429) and one set of -workers workers, each keeping up
 // to one pooled engine per thread count; -timeout is the default per-task
-// deadline.
+// deadline, which bounds queue wait and run together.
 //
 //	galoisd -addr :8090
 //	curl -s localhost:8090/jobs -d '{"kind":"bfs","variant":"g-d","scale":"small"}'
@@ -65,7 +64,6 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-job deadline when the spec omits one")
 	drain := flag.Duration("drain", 2*time.Minute, "shutdown grace period for draining admitted jobs")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "byte budget of the result cache and, again, of the input cache; repeat det specs are served from the result cache at lookup speed (0 disables it and leaves the input cache at 64 MiB)")
-	spotCheck := flag.Float64("cache-spotcheck", 0, "fraction of cache hits re-executed through the verify path as an honesty check (deterministic seeded selection; 0 disables, 1 checks every hit)")
 	sessionIdle := flag.Duration("session-idle", 10*time.Minute, "evict sessions with no batch for this long, sealing a tombstone link (0 disables)")
 	maxSessions := flag.Int("max-sessions", 64, "cap on live (un-evicted) sessions; creation beyond it gets 429")
 	flag.Parse()
@@ -76,7 +74,6 @@ func main() {
 		MaxThreads:     *maxThreads,
 		DefaultTimeout: *timeout,
 		CacheBytes:     *cacheBytes,
-		CacheSpotCheck: *spotCheck,
 		SessionIdle:    *sessionIdle,
 		MaxSessions:    *maxSessions,
 	})

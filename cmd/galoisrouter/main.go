@@ -2,12 +2,14 @@
 // tier. Because every deterministic job's output is a pure function of
 // its canonical spec — independent of machine and thread count — routing
 // is behavior-free: the same job mix yields byte-identical receipts
-// whichever backend each job lands on, under whichever policy. The policy
-// flag is therefore a pure performance knob, and POST /verify routes
-// round-robin across ALL healthy backends on purpose, so receipts are
-// continuously replayed on nodes that did not produce them.
+// whichever backend each job lands on. Placement has one rule and no flag:
+// rendezvous hashing of the canonical spec key, so a repeat spec lands
+// where its result is cached; requests without a key (g-n specs, session
+// creation) go round-robin. POST /verify routes round-robin across ALL
+// healthy backends on purpose, so receipts are continuously replayed on
+// nodes that did not produce them.
 //
-//	galoisrouter -backends 127.0.0.1:8091,127.0.0.1:8092 -policy least-loaded
+//	galoisrouter -backends 127.0.0.1:8091,127.0.0.1:8092
 //	curl -s localhost:8090/jobs -d '{"kind":"bfs","variant":"g-d","scale":"small"}'
 //	curl -s localhost:8090/verify -d "$receipt"   # may land on either backend
 //
@@ -28,7 +30,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -40,8 +41,6 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address (use :0 for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the actual listen address to this file once bound (for scripts using :0)")
 	backends := flag.String("backends", "", "comma-separated galoisd base URLs (required), e.g. 127.0.0.1:8091,127.0.0.1:8092")
-	policy := flag.String("policy", "round-robin", "routing policy: round-robin|least-loaded|consistent-hash|weighted")
-	weights := flag.String("weights", "", "comma-separated integer weights matching -backends (weighted policy; default all 1)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "health-probe period against each backend's /healthz (0 disables active probing)")
 	ejectAfter := flag.Int("eject-after", 3, "consecutive probe/dial failures that eject a backend")
 	recoverAfter := flag.Duration("recover-after", 5*time.Second, "cooldown before an ejected backend gets a half-open recovery probe")
@@ -57,28 +56,12 @@ func main() {
 	var specs []router.BackendSpec
 	for _, u := range strings.Split(*backends, ",") {
 		if u = strings.TrimSpace(u); u != "" {
-			specs = append(specs, router.BackendSpec{URL: u, Weight: 1})
-		}
-	}
-	if *weights != "" {
-		ws := strings.Split(*weights, ",")
-		if len(ws) != len(specs) {
-			fmt.Fprintf(os.Stderr, "galoisrouter: -weights has %d entries for %d backends\n", len(ws), len(specs))
-			os.Exit(2)
-		}
-		for i, w := range ws {
-			n, err := strconv.Atoi(strings.TrimSpace(w))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "galoisrouter: bad weight %q (want integer >= 1)\n", w)
-				os.Exit(2)
-			}
-			specs[i].Weight = n
+			specs = append(specs, router.BackendSpec{URL: u})
 		}
 	}
 
 	rt, err := router.New(router.Config{
 		Backends:      specs,
-		Policy:        *policy,
 		ProbeInterval: *probeInterval,
 		EjectAfter:    *ejectAfter,
 		RecoverAfter:  *recoverAfter,
@@ -101,8 +84,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "galoisrouter: listening on %s — %d backends, policy %s\n",
-		ln.Addr(), len(specs), rt.Policy())
+	fmt.Fprintf(os.Stderr, "galoisrouter: listening on %s — %d backends\n", ln.Addr(), len(specs))
 
 	hs := &http.Server{Handler: rt.Handler()}
 	errc := make(chan error, 1)

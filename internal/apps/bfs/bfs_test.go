@@ -150,8 +150,22 @@ func TestFingerprintSensitive(t *testing.T) {
 	}
 }
 
+// TestGaloisOnGrid runs g-d bfs on a 30×30 grid: a high-diameter input
+// whose wavefronts hold many tasks reachable by many shortest paths.
 func TestGaloisOnGrid(t *testing.T) {
-	g := graph.Grid2D(30)
+	const side = 30
+	b := graph.NewBuilder(side * side)
+	for v := 0; v < side*side; v++ {
+		if v%side+1 < side {
+			b.AddEdge(v, v+1)
+			b.AddEdge(v+1, v)
+		}
+		if v+side < side*side {
+			b.AddEdge(v, v+side)
+			b.AddEdge(v+side, v)
+		}
+	}
+	g := b.Build()
 	want := Seq(g, 0)
 	got := Galois(g, 0, galois.WithThreads(4), galois.WithSched(galois.Deterministic))
 	for v := range want.Dist {

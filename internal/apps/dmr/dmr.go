@@ -196,13 +196,9 @@ func (s *pbbsStep) Commit(i int) {
 }
 
 // PBBS refines the mesh with rounds of deterministic reservations on
-// nthreads threads; granularity is the fixed PBBS round size.
-func PBBS(root *mesh.Element, q Quality, nthreads, granularity int) *Result {
-	return PBBSProfiled(root, q, nthreads, granularity, nil)
-}
-
-// PBBSProfiled is PBBS with an optional locality tracer (paper §5.4).
-func PBBSProfiled(root *mesh.Element, q Quality, nthreads, granularity int, pro *cachesim.Tracer) *Result {
+// nthreads threads; granularity is the fixed PBBS round size and pro an
+// optional locality tracer (paper §5.4, nil for none).
+func PBBS(root *mesh.Element, q Quality, nthreads, granularity int, pro *cachesim.Tracer) *Result {
 	work := badTriangles(root, q)
 	anchor := root
 	var agg stats.Stats

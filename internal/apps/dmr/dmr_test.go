@@ -96,13 +96,13 @@ func TestContinuationTransparency(t *testing.T) {
 
 func TestPBBSRefinesAndIsPortable(t *testing.T) {
 	q := DefaultQuality()
-	ref := PBBS(smallInput(t), q, 1, 256)
+	ref := PBBS(smallInput(t), q, 1, 256, nil)
 	if err := ref.Check(q); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.Fingerprint()
 	for _, threads := range []int{2, 8} {
-		r := PBBS(smallInput(t), q, threads, 256)
+		r := PBBS(smallInput(t), q, threads, 256, nil)
 		if err := r.Check(q); err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}

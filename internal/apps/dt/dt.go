@@ -156,13 +156,9 @@ func (s *pbbsStep) Commit(i int) { s.a.commitCavity(s.cav[i]) }
 
 // PBBS triangulates pts with the handwritten deterministic-reservations
 // algorithm on nthreads threads. granularity is the PBBS codes' fixed round
-// size (<=0 for the default).
-func PBBS(pts []geom.Point, seed uint64, nthreads, granularity int) *Result {
-	return PBBSProfiled(pts, seed, nthreads, granularity, nil)
-}
-
-// PBBSProfiled is PBBS with an optional locality tracer (paper §5.4).
-func PBBSProfiled(pts []geom.Point, seed uint64, nthreads, granularity int, pro *cachesim.Tracer) *Result {
+// size (<=0 for the default); pro is an optional locality tracer (paper
+// §5.4, nil for none).
+func PBBS(pts []geom.Point, seed uint64, nthreads, granularity int, pro *cachesim.Tracer) *Result {
 	// The PBBS dt randomizes its points offline (§4.1) rather than using
 	// BRIO: under round-based reservations, spatially-sorted prefixes
 	// would conflict wholesale (the §3.3 locality observation), so the

@@ -87,7 +87,7 @@ func TestPBBSMatchesSeqAndIsPortable(t *testing.T) {
 	want := Seq(pts, testSeed).Fingerprint()
 	var ref *Result
 	for _, threads := range []int{1, 2, 8} {
-		r := PBBS(pts, testSeed, threads, 64)
+		r := PBBS(pts, testSeed, threads, 64, nil)
 		if err := mesh.CheckDelaunay(r.Root); err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}

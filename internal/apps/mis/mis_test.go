@@ -114,8 +114,8 @@ func TestContinuationDoesNotChangeOutput(t *testing.T) {
 }
 
 func TestGaloisDetOnDenseGraph(t *testing.T) {
-	// Heavier conflicts: RMAT has high-degree hubs.
-	g := graph.Symmetrize(graph.RMAT(10, 8, 3))
+	// Heavier conflicts: ~32 neighbours a node.
+	g := graph.Symmetrize(graph.RandomKOut(1024, 16, 3))
 	r := Galois(g, galois.WithThreads(4), galois.WithSched(galois.Deterministic))
 	if err := r.Check(g); err != nil {
 		t.Fatal(err)

@@ -114,7 +114,19 @@ func TestContinuationTransparency(t *testing.T) {
 }
 
 func TestGaloisOnGridGraph(t *testing.T) {
-	g := graph.Grid2D(20)
+	const side = 20
+	b := graph.NewBuilder(side * side)
+	for v := 0; v < side*side; v++ {
+		if v%side+1 < side {
+			b.AddEdge(v, v+1)
+			b.AddEdge(v+1, v)
+		}
+		if v+side < side*side {
+			b.AddEdge(v, v+side)
+			b.AddEdge(v+side, v)
+		}
+	}
+	g := b.Build()
 	edges := RandomWeights(g, 100, 3)
 	want := Seq(g.N(), edges)
 	got := Galois(g.N(), edges, galois.WithThreads(4), galois.WithSched(galois.Deterministic))

@@ -164,7 +164,19 @@ func TestCheckPreflowDetectsViolation(t *testing.T) {
 }
 
 func TestGridNetwork(t *testing.T) {
-	g := graph.Grid2D(12)
+	const side = 12
+	b := graph.NewBuilder(side * side)
+	for v := 0; v < side*side; v++ {
+		if v%side+1 < side {
+			b.AddEdge(v, v+1)
+			b.AddEdge(v+1, v)
+		}
+		if v+side < side*side {
+			b.AddEdge(v, v+side)
+			b.AddEdge(v+side, v)
+		}
+	}
+	g := b.Build()
 	nw := Build(g, func(u, k int) int64 { return int64(1 + (u+k)%7) }, 0, g.N()-1)
 	want := Dinic(nw)
 	got, _ := Galois(nw, galois.WithThreads(4), galois.WithSched(galois.Deterministic))

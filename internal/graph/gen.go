@@ -39,27 +39,6 @@ func RandomKOut(n, k int, seed uint64) *CSR {
 	return b.Build()
 }
 
-// Grid2D generates a 4-connected sqrt-n x sqrt-n torus-free grid. Useful as
-// a high-diameter contrast input for bfs and as a structured flow network.
-func Grid2D(side int) *CSR {
-	n := side * side
-	b := NewBuilder(n)
-	id := func(x, y int) int { return y*side + x }
-	for y := 0; y < side; y++ {
-		for x := 0; x < side; x++ {
-			if x+1 < side {
-				b.AddEdge(id(x, y), id(x+1, y))
-				b.AddEdge(id(x+1, y), id(x, y))
-			}
-			if y+1 < side {
-				b.AddEdge(id(x, y), id(x, y+1))
-				b.AddEdge(id(x, y+1), id(x, y))
-			}
-		}
-	}
-	return b.Build()
-}
-
 // Chain generates a path graph of n nodes (worst case for level-synchronous
 // parallelism; used in tests).
 func Chain(n int) *CSR {
@@ -67,41 +46,6 @@ func Chain(n int) *CSR {
 	for i := 0; i+1 < n; i++ {
 		b.AddEdge(i, i+1)
 		b.AddEdge(i+1, i)
-	}
-	return b.Build()
-}
-
-// RMAT generates a scale-free graph with 2^scale nodes and edgeFactor
-// edges per node using the R-MAT recursive quadrant model with the standard
-// (0.57, 0.19, 0.19, 0.05) parameters. Self-loops are kept out; parallel
-// edges may occur (callers wanting simple graphs should Symmetrize).
-func RMAT(scale, edgeFactor int, seed uint64) *CSR {
-	n := 1 << scale
-	m := n * edgeFactor
-	b := NewBuilder(n)
-	r := rng.New(seed)
-	const a, bb, c = 0.57, 0.19, 0.19
-	for e := 0; e < m; e++ {
-		u, v := 0, 0
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.Float64()
-			switch {
-			case p < a:
-				// upper-left: nothing to add
-			case p < a+bb:
-				v |= 1 << bit
-			case p < a+bb+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
-		}
-		if u == v {
-			e--
-			continue
-		}
-		b.AddEdge(u, v)
 	}
 	return b.Build()
 }

@@ -183,24 +183,6 @@ func TestRandomKOutDeterministic(t *testing.T) {
 	}
 }
 
-func TestGrid2D(t *testing.T) {
-	g := Grid2D(4)
-	if g.N() != 16 {
-		t.Fatalf("n = %d", g.N())
-	}
-	// Corner has degree 2, edge 3, interior 4.
-	if g.Degree(0) != 2 {
-		t.Fatalf("corner degree = %d", g.Degree(0))
-	}
-	if g.Degree(1) != 3 {
-		t.Fatalf("edge degree = %d", g.Degree(1))
-	}
-	if g.Degree(5) != 4 {
-		t.Fatalf("interior degree = %d", g.Degree(5))
-	}
-	checkSymmetric(t, Symmetrize(g))
-}
-
 func TestChain(t *testing.T) {
 	g := Chain(5)
 	if g.M() != 8 {
@@ -208,30 +190,6 @@ func TestChain(t *testing.T) {
 	}
 	if g.Degree(0) != 1 || g.Degree(2) != 2 || g.Degree(4) != 1 {
 		t.Fatal("chain degrees wrong")
-	}
-}
-
-func TestRMAT(t *testing.T) {
-	g := RMAT(8, 4, 3)
-	if g.N() != 256 || g.M() != 1024 {
-		t.Fatalf("n=%d m=%d", g.N(), g.M())
-	}
-	for u := 0; u < g.N(); u++ {
-		for _, v := range g.Neighbors(u) {
-			if int(v) == u {
-				t.Fatal("self loop in RMAT output")
-			}
-		}
-	}
-	// Scale-free shape: max degree far above mean.
-	maxDeg := 0
-	for u := 0; u < g.N(); u++ {
-		if d := g.Degree(u); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if maxDeg < 10 {
-		t.Fatalf("max degree %d too uniform for RMAT", maxDeg)
 	}
 }
 

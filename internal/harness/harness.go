@@ -160,7 +160,7 @@ func (in *Inputs) RunOnce(app, variant string, threads int, profile *cachesim.Tr
 		case "seq":
 			res = dt.Seq(in.dtPoints, in.sc.Seed+3)
 		case "pbbs":
-			res = dt.PBBSProfiled(in.dtPoints, in.sc.Seed+3, threads, 0, profile)
+			res = dt.PBBS(in.dtPoints, in.sc.Seed+3, threads, 0, profile)
 		default:
 			res = dt.Galois(in.dtPoints, in.sc.Seed+3, in.galoisOpts(variant, threads, profile)...)
 		}
@@ -175,7 +175,7 @@ func (in *Inputs) RunOnce(app, variant string, threads int, profile *cachesim.Tr
 		case "seq":
 			res = dmr.Seq(root, q)
 		case "pbbs":
-			res = dmr.PBBSProfiled(root, q, threads, 0, profile)
+			res = dmr.PBBS(root, q, threads, 0, profile)
 		default:
 			res = dmr.Galois(root, q, in.galoisOpts(variant, threads, profile)...)
 		}

@@ -122,11 +122,11 @@ func BuildInsertion(c *Cavity, t *Element, p geom.Point, acq Acquirer) *Cavity {
 	return c
 }
 
-// BuildSegmentSplit builds into c the cavity that replaces boundary segment
+// buildSegmentSplit builds into c the cavity that replaces boundary segment
 // s with two half-segments and inserts its midpoint, and returns c. The
 // caller must have acquired s (it arrives through cavity expansion or a
 // refinement walk, which do).
-func BuildSegmentSplit(c *Cavity, s *Element, acq Acquirer) *Cavity {
+func buildSegmentSplit(c *Cavity, s *Element, acq Acquirer) *Cavity {
 	c.init(geom.Point{})
 	c.segmentSplit(s, acq)
 	return c

@@ -42,7 +42,7 @@ func FuzzStarWiring(f *testing.F) {
 			if refLive[i].Pts != s.Pts {
 				t.Fatalf("meshes differ at element %d: %v vs %v", i, refLive[i], s)
 			}
-			_, gotNew := applyBoth(t, BuildSegmentSplit(new(Cavity), refLive[i], NoAcquire), BuildSegmentSplit(new(Cavity), s, NoAcquire), nil)
+			_, gotNew := applyBoth(t, buildSegmentSplit(new(Cavity), refLive[i], NoAcquire), buildSegmentSplit(new(Cavity), s, NoAcquire), nil)
 			gotRoot = gotNew[0]
 		}
 		checkMesh(t, gotRoot)

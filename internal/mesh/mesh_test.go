@@ -220,7 +220,7 @@ func TestSegmentSplit(t *testing.T) {
 			break
 		}
 	}
-	cav := BuildSegmentSplit(new(Cavity), seg, NoAcquire)
+	cav := buildSegmentSplit(new(Cavity), seg, NoAcquire)
 	created := cav.Retriangulate(nil)
 	nseg := 0
 	for _, e := range created {

@@ -99,21 +99,6 @@ func (c *Cache) Put(k Key, v any, size int64) bool {
 	return true
 }
 
-// Remove deletes k (honesty enforcement: a spot-check mismatch evicts the
-// entry it contradicted). Reports whether the key was resident.
-func (c *Cache) Remove(k Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[k]
-	if !ok {
-		return false
-	}
-	c.unlink(e)
-	delete(c.m, k)
-	c.bytes -= e.size
-	return true
-}
-
 // Counters snapshots the cache's statistics.
 func (c *Cache) Counters() Counters {
 	c.mu.Lock()

@@ -13,8 +13,8 @@
 //     semantic spec fields hashed to a fixed-size address. Non-semantic
 //     fields (timeout, trace) are excluded; non-deterministic (g-n) specs
 //     are rejected — their output is not a function of the spec.
-//     KeyOfLink and KeyOfInput are the other two key domains (session
-//     links, built inputs), each under its own version byte.
+//     KeyOfInput is the other key domain (built inputs), under its own
+//     version byte.
 //   - Cache: a byte-budget LRU over opaque result values, safe for
 //     concurrent use, with counters.
 //   - Flight: singleflight collapse of concurrent identical submissions
@@ -36,13 +36,12 @@ import (
 // alias.
 const keyVersion = 1
 
-// linkKeyVersion leads session-link key preimages; a distinct constant so
-// a link key can never alias a one-shot job key even if their payloads
-// coincide byte-for-byte.
-const linkKeyVersion = 2
+// Version byte 2 led the preimages of session-link keys, a domain that is
+// gone; it stays reserved so no new domain can alias keys it made.
 
-// inputKeyVersion leads input key preimages (KeyOfInput): a third domain,
-// so an input cell can never alias a job or link key either.
+// inputKeyVersion leads input key preimages (KeyOfInput): a domain of its
+// own, so an input cell can never alias a job key even if their payloads
+// coincide byte-for-byte.
 const inputKeyVersion = 3
 
 // ErrNondeterministic is returned by KeyOf for g-n specs: a speculative
@@ -97,33 +96,6 @@ func KeyOf(kind, variant, scale string, seed uint64, threads int) (Key, error) {
 	h.Write(buf[:8])
 	n := binary.PutUvarint(buf[:], uint64(threads))
 	h.Write(buf[:n])
-	var k Key
-	h.Sum(k[:0])
-	return k, nil
-}
-
-// KeyOfLink addresses one session mutation batch by its chain prefix: the
-// raw chain hash of the preceding link plus the batch's canonical
-// encoding. This is what makes session results cacheable at all — a chain
-// hash transitively covers the init spec and every batch before this one,
-// so (prev, canon) pins the exact state the batch runs against, and the
-// link it produces is a pure function of the pair. Session *creation* has
-// no such key: a session is addressed by identity (its id), not content.
-//
-// prev must be a raw chain hash (sha256.Size bytes) and canon non-empty;
-// both arrive pre-validated from internal/session.
-func KeyOfLink(prev []byte, canon []byte) (Key, error) {
-	if len(prev) != sha256.Size || len(canon) == 0 {
-		return Key{}, fmt.Errorf("rescache: malformed link key preimage (prev=%d bytes, canon=%d bytes)",
-			len(prev), len(canon))
-	}
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	h.Write([]byte{linkKeyVersion})
-	h.Write(prev)
-	n := binary.PutUvarint(buf[:], uint64(len(canon)))
-	h.Write(buf[:n])
-	h.Write(canon)
 	var k Key
 	h.Sum(k[:0])
 	return k, nil

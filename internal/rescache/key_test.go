@@ -3,6 +3,7 @@ package rescache
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -60,50 +61,6 @@ func TestKeyOfRejectsNondeterministic(t *testing.T) {
 	}
 }
 
-func TestKeyOfLink(t *testing.T) {
-	prev := make([]byte, 32)
-	prev2 := make([]byte, 32)
-	prev2[31] = 1
-	canon := []byte{1, 'r', 'e', 'f'}
-
-	a, err := KeyOfLink(prev, canon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := KeyOfLink(prev, canon)
-	if err != nil || a != b {
-		t.Fatalf("identical preimages hashed apart: %s vs %s (%v)", a, b, err)
-	}
-	// Both the chain prefix and the batch payload must move the key.
-	if k, _ := KeyOfLink(prev2, canon); k == a {
-		t.Fatal("prev does not move the link key")
-	}
-	if k, _ := KeyOfLink(prev, []byte{1, 'r', 'e', 'g'}); k == a {
-		t.Fatal("canon does not move the link key")
-	}
-	// Link keys live in the same cache as spec keys (KeyOf) — the version
-	// byte must keep the two preimage spaces apart. A spec key's preimage
-	// can't be forged from (prev, canon) anyway, but cheap insurance.
-	if spec := mustKey(t, "bfs", "g-d", "small", 42, 2); spec == a {
-		t.Fatal("link key collided with a spec key")
-	}
-
-	for _, bad := range []struct {
-		prev, canon []byte
-	}{
-		{nil, canon},
-		{prev[:31], canon},
-		{append(prev, 0), canon},
-		{prev, nil},
-		{prev, []byte{}},
-	} {
-		if _, err := KeyOfLink(bad.prev, bad.canon); err == nil {
-			t.Errorf("KeyOfLink(%d-byte prev, %d-byte canon): expected error",
-				len(bad.prev), len(bad.canon))
-		}
-	}
-}
-
 func TestKeyOfRejectsUnnormalized(t *testing.T) {
 	cases := []struct {
 		kind, variant, scale string
@@ -147,10 +104,11 @@ func TestKeyOfInputFieldSeparation(t *testing.T) {
 	}
 }
 
-// TestKeyDomainsCannotAlias: a job key, a link key and an input key are
-// SHA-256 over (version byte ‖ payload) with three different version bytes,
-// so even byte-identical payloads hash apart. Each function's preimage is
-// rebuilt here by hand, which pins both the version bytes and the encodings.
+// TestKeyDomainsCannotAlias: a job key and an input key are SHA-256 over
+// (version byte ‖ payload) with different version bytes (2, once the
+// session-link domain's, stays reserved), so even byte-identical payloads
+// hash apart. Each function's preimage is rebuilt here by hand, which pins
+// both the version bytes and the encodings.
 func TestKeyDomainsCannotAlias(t *testing.T) {
 	sum := func(version byte, payload []byte) Key {
 		return sha256.Sum256(append([]byte{version}, payload...))
@@ -163,21 +121,99 @@ func TestKeyDomainsCannotAlias(t *testing.T) {
 		t.Errorf("KeyOf is not sha256(1 ‖ payload): %s", got)
 	}
 
-	prev := bytes.Repeat([]byte{0xab}, sha256.Size)
-	canon := []byte("canonical batch")
-	link := append(append(append([]byte{}, prev...), byte(len(canon))), canon...)
-	if got, err := KeyOfLink(prev, canon); err != nil || got != sum(2, link) {
-		t.Errorf("KeyOfLink is not sha256(2 ‖ payload): %s, %v", got, err)
-	}
-
 	input := append([]byte{3, 'b', 'f', 's', 5, 's', 'm', 'a', 'l', 'l'}, seed...)
 	if got := KeyOfInput("bfs", "small", 42); got != sum(3, input) {
 		t.Errorf("KeyOfInput is not sha256(3 ‖ payload): %s", got)
 	}
 
-	for _, payload := range [][]byte{job, link, input} {
-		if a, b, c := sum(1, payload), sum(2, payload), sum(3, payload); a == b || a == c || b == c {
-			t.Errorf("one payload, three domains, colliding keys: %s %s %s", a, b, c)
+	for _, payload := range [][]byte{job, input} {
+		if a, b := sum(1, payload), sum(3, payload); a == b {
+			t.Errorf("one payload, two domains, colliding keys: %s %s", a, b)
 		}
 	}
+}
+
+// jobPreimage and inputPreimage spell out the documented encodings of
+// KeyOf and KeyOfInput: version byte, strings uvarint-length-prefixed,
+// seed big-endian fixed width, threads uvarint.
+func jobPreimage(kind, variant, scale string, seed uint64, threads int) []byte {
+	b := []byte{keyVersion}
+	for _, f := range []string{kind, variant, scale} {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+		b = append(b, f...)
+	}
+	b = binary.BigEndian.AppendUint64(b, seed)
+	return binary.AppendUvarint(b, uint64(threads))
+}
+
+func inputPreimage(family, scale string, seed uint64) []byte {
+	b := []byte{inputKeyVersion}
+	for _, f := range []string{family, scale} {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+		b = append(b, f...)
+	}
+	return binary.BigEndian.AppendUint64(b, seed)
+}
+
+// FuzzKeyOf: KeyOf and KeyOfInput hash exactly their documented
+// preimages, two distinct KeyOf tuples never share a preimage or a key,
+// two distinct KeyOfInput tuples never do either, and no KeyOf tuple
+// shares one with a KeyOfInput tuple. The input tuples reuse the job
+// tuples' kind, scale and seed fields.
+func FuzzKeyOf(f *testing.F) {
+	f.Add("bfs", "g-d", "small", uint64(42), 2, "bfs", "g-d", "small", uint64(42), 4)
+	f.Add("ab", "c", "small", uint64(0), 1, "a", "bc", "small", uint64(0), 1)
+	f.Add("bfs", "g-d", "smal", uint64(0x6c), 1, "bfs", "g-d", "small", uint64(0), 1)
+	f.Add("sssp", "g-dnc", "default", uint64(42), 1, "sssp", "g-dnc", "default", uint64(42<<32), 1)
+	f.Add(strings.Repeat("f", 200), "g-d", "small", uint64(7), 128, strings.Repeat("f", 201), "g-d", "small", uint64(7), 128)
+	f.Add("bfs", "g-n", "small", uint64(1), 1, "kout-graph", "g-d", "full", uint64(1), 1)
+	f.Fuzz(func(t *testing.T, kind1, variant1, scale1 string, seed1 uint64, threads1 int,
+		kind2, variant2, scale2 string, seed2 uint64, threads2 int) {
+		type job struct {
+			kind, variant, scale string
+			seed                 uint64
+			threads              int
+		}
+		var pre [][]byte
+		var keys []Key
+		for _, j := range []job{{kind1, variant1, scale1, seed1, threads1}, {kind2, variant2, scale2, seed2, threads2}} {
+			k, err := KeyOf(j.kind, j.variant, j.scale, j.seed, j.threads)
+			if err != nil {
+				continue // g-n or not normalized: no key at all
+			}
+			p := jobPreimage(j.kind, j.variant, j.scale, j.seed, j.threads)
+			if k != sha256.Sum256(p) {
+				t.Fatalf("KeyOf%v is not sha256 of its documented preimage", j)
+			}
+			pre, keys = append(pre, p), append(keys, k)
+		}
+		sameJob := kind1 == kind2 && variant1 == variant2 && scale1 == scale2 && seed1 == seed2 && threads1 == threads2
+		if len(pre) == 2 && !sameJob && (bytes.Equal(pre[0], pre[1]) || keys[0] == keys[1]) {
+			t.Fatalf("distinct job tuples share a preimage or key: %x", pre[0])
+		}
+		jobs := len(pre)
+		type input struct {
+			family, scale string
+			seed          uint64
+		}
+		for _, in := range []input{{kind1, scale1, seed1}, {kind2, scale2, seed2}} {
+			p := inputPreimage(in.family, in.scale, in.seed)
+			k := KeyOfInput(in.family, in.scale, in.seed)
+			if k != sha256.Sum256(p) {
+				t.Fatalf("KeyOfInput%v is not sha256 of its documented preimage", in)
+			}
+			pre, keys = append(pre, p), append(keys, k)
+		}
+		sameInput := kind1 == kind2 && scale1 == scale2 && seed1 == seed2
+		for i := range pre {
+			for j := i + 1; j < len(pre); j++ {
+				if i < jobs && j < jobs || i >= jobs && sameInput {
+					continue // job pairs checked above; equal input tuples
+				}
+				if bytes.Equal(pre[i], pre[j]) || keys[i] == keys[j] {
+					t.Fatalf("distinct tuples share a preimage or key: %x", pre[i])
+				}
+			}
+		}
+	})
 }

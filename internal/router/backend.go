@@ -39,20 +39,13 @@ func (s State) String() string {
 type Backend struct {
 	// URL is the backend's base URL (e.g. "http://127.0.0.1:8090").
 	URL string
-	// Weight scales the backend's share under the weighted policy
-	// (minimum 1).
-	Weight int
 
-	// index is the backend's position in the configured set: the
-	// deterministic tie-breaker every policy falls back to.
-	index int
 	// id is a stable 64-bit identity derived from the URL, mixed with the
-	// spec key for rendezvous (consistent-hash) scoring.
+	// spec key for rendezvous scoring (place).
 	id uint64
 
 	// inflight counts proxied requests currently outstanding against this
-	// backend — the router's own bookkeeping, which is what least-loaded
-	// scores on (no healthz round-trip on the request path).
+	// backend, which Shutdown waits out.
 	inflight atomic.Int64
 
 	// Traffic counters, exported at the router's /metrics.
@@ -69,23 +62,14 @@ type Backend struct {
 	ejectedAt int64 // nanotime of the last ejection
 	ejections atomic.Int64
 	probes    atomic.Int64
-
-	// currentWeight is the smooth-WRR accumulator, guarded by the
-	// weighted policy's own mutex.
-	currentWeight int
 }
 
-func newBackend(url string, weight, index int) *Backend {
-	if weight < 1 {
-		weight = 1
-	}
+func newBackend(url string) *Backend {
 	h := fnv.New64a()
 	h.Write([]byte(url))
 	return &Backend{
-		URL:    strings.TrimRight(url, "/"),
-		Weight: weight,
-		index:  index,
-		id:     rng.Mix64(h.Sum64()),
+		URL: strings.TrimRight(url, "/"),
+		id:  rng.Mix64(h.Sum64()),
 	}
 }
 

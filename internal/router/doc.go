@@ -6,21 +6,21 @@
 // here: a deterministic job's output is a pure function of its canonical
 // spec, independent of machine and thread count. That portability makes
 // routing *behavior-free by construction* — whichever backend a job lands
-// on, under whichever policy, at whatever moment of cluster churn, the
-// receipt is byte-identical. Scaling out cannot change results, and any
-// node can verify any node's receipt. The router leans on both halves:
+// on, at whatever moment of cluster churn, the receipt is byte-identical.
+// Scaling out cannot change results, and any node can verify any node's
+// receipt. The router leans on both halves:
 //
-//   - Routing policy is pluggable (round-robin, least-loaded over the
-//     router's own in-flight bookkeeping, consistent-hash on the rescache
-//     canonical spec key so repeat specs land where the result cache is
-//     warm, weighted) precisely because policy is a pure performance
-//     knob. The determinism-under-cluster test pins this: the same job
-//     mix routed under different backend counts and different policies
-//     yields identical det receipts per spec.
-//   - POST /verify deliberately ignores spec affinity and walks the
-//     healthy set round-robin: every audit is a chance to replay a
-//     receipt on a node that did not produce it, which is the paper's
-//     portability property exercised continuously in production.
+//   - Placement has one rule and no setting: rendezvous hashing of the
+//     rescache canonical spec key over the healthy backends (place). A
+//     repeat spec lands where its result is cached, and losing a backend
+//     moves only its keys. Requests without a key (g-n specs, session
+//     creation) go round-robin. The determinism-under-cluster test pins
+//     that placement never reaches a result: the same job mix routed over
+//     1, 2 and 4 backends yields identical det receipts per spec.
+//   - POST /verify carries no key and walks the healthy set round-robin:
+//     every audit is a chance to replay a receipt on a node that did not
+//     produce it, which is the paper's portability property exercised
+//     continuously in production.
 //
 // Health is probed per backend against galoisd's GET /healthz (cheap by
 // construction: counters, no engine checkout). Consecutive failures —

@@ -19,26 +19,33 @@ import (
 )
 
 // TestBackendDownMidBurst kills one of two backends and pushes a burst of
-// distinct det jobs through the router: every job must still succeed
-// (dial errors retry onto the survivor — safe because the request never
-// reached admission), the dead backend must eject, and the survivor must
-// have received each job exactly once — zero duplicate executions.
+// distinct det jobs through the router, half of them placed on the dead
+// one: every job must still succeed (dial errors retry onto the survivor
+// — safe because the request never reached admission), the dead backend
+// must eject, and the survivor must have received each job exactly once
+// — zero duplicate executions.
 func TestBackendDownMidBurst(t *testing.T) {
 	ctx := context.Background()
-	cl := newCluster(t, 2, "round-robin", Config{EjectAfter: 1, Retries: 2})
+	cl := newCluster(t, 2, Config{EjectAfter: 1, Retries: 2})
 	cl.backs[0].Close() // backend 0 dies; router does not know yet
 
+	// Distinct seeds so nothing is served from the result cache: each job
+	// is a real execution we can count.
 	const jobs = 8
+	seeds := make([]uint64, jobs)
+	next := [2]uint64{100, 100}
+	for i := range seeds {
+		seeds[i] = seedOn(t, cl.rt, i%2, next[i%2])
+		next[i%2] = seeds[i] + 1
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, jobs)
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct seeds so nothing is served from the result cache:
-			// each job is a real execution we can count.
 			_, errs[i] = cl.client.Submit(ctx, serve.Spec{
-				Kind: "bfs", Variant: "g-d", Scale: "small", Seed: uint64(100 + i)})
+				Kind: "bfs", Variant: "g-d", Scale: "small", Seed: seeds[i]})
 		}(i)
 	}
 	wg.Wait()
@@ -64,11 +71,11 @@ func TestBackendDownMidBurst(t *testing.T) {
 // error against a dead backend is one attempt and a 502, even with a
 // healthy backend next in line.
 func TestZeroRetriesMeansOneAttempt(t *testing.T) {
-	cl := newCluster(t, 2, "round-robin", Config{Retries: 0})
-	cl.backs[0].Close() // round-robin's first pick is backend 0
+	cl := newCluster(t, 2, Config{Retries: 0})
+	cl.backs[0].Close()
 
 	status, _, body := postRaw(t, cl.front.URL+"/jobs",
-		serve.Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: 1})
+		serve.Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: seedOn(t, cl.rt, 0, 1)})
 	if status != http.StatusBadGateway {
 		t.Fatalf("dial error with Retries 0: status %d (%s), want 502", status, body)
 	}
@@ -86,8 +93,8 @@ func TestZeroRetriesMeansOneAttempt(t *testing.T) {
 // error proves the request never reached admission — and the session's
 // batches stick to that backend.
 func TestSessionCreateRetriesDialError(t *testing.T) {
-	cl := newCluster(t, 2, "round-robin", Config{Retries: 1})
-	cl.backs[0].Close() // round-robin's first pick is backend 0
+	cl := newCluster(t, 2, Config{Retries: 1})
+	cl.backs[0].Close() // a keyless request's first pick is backend 0
 	live := cl.backs[1].URL
 
 	status, owner, body := postRaw(t, cl.front.URL+"/sessions",
@@ -147,7 +154,6 @@ func TestNoRetryAfterAdmission(t *testing.T) {
 
 	rt, err := New(Config{
 		Backends:     []BackendSpec{{URL: tsA.URL}, {URL: tsB.URL}},
-		Policy:       "round-robin",
 		Retries:      3,
 		RetryBackoff: time.Millisecond,
 	})
@@ -158,9 +164,8 @@ func TestNoRetryAfterAdmission(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	// Round-robin's first pick is backend A (configured order).
 	status, _, body := postRaw(t, front.URL+"/jobs",
-		serve.Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: 1})
+		serve.Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: seedOn(t, rt, 0, 1)})
 	if status != http.StatusBadGateway {
 		t.Fatalf("mid-request death: status %d (%s), want 502", status, body)
 	}
@@ -267,7 +272,7 @@ func TestHalfOpenRecovery(t *testing.T) {
 // session's owner dies, requests on that session surface 502 — the
 // session is never silently re-created on a surviving backend.
 func TestSessionBackendLoss(t *testing.T) {
-	cl := newCluster(t, 2, "round-robin", Config{EjectAfter: 1})
+	cl := newCluster(t, 2, Config{EjectAfter: 1})
 	status, owner, body := postRaw(t, cl.front.URL+"/sessions",
 		session.InitSpec{Kind: "sssp", Scale: "small", Seed: 1})
 	if status != http.StatusCreated {
@@ -278,7 +283,7 @@ func TestSessionBackendLoss(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 
-	// Kill the owner (round-robin's first pick is backend 0).
+	// Kill the owner.
 	var survivor *serve.Client
 	for i, ts := range cl.backs {
 		if ts.URL == owner {
@@ -312,7 +317,7 @@ func TestSessionBackendLoss(t *testing.T) {
 // sealed, not lost), and the sealed chain still verifies via the router.
 func TestSessionEvicted410(t *testing.T) {
 	ctx := context.Background()
-	cl := newCluster(t, 1, "round-robin", Config{})
+	cl := newCluster(t, 1, Config{})
 	si, err := cl.client.CreateSession(ctx, session.InitSpec{Kind: "sssp", Scale: "small", Seed: 2})
 	if err != nil {
 		t.Fatalf("create: %v", err)
@@ -378,7 +383,7 @@ func TestBackpressurePassThrough(t *testing.T) {
 
 // TestRouterDrain checks Shutdown flips the router to 503 on new work.
 func TestRouterDrain(t *testing.T) {
-	cl := newCluster(t, 1, "round-robin", Config{})
+	cl := newCluster(t, 1, Config{})
 	if err := cl.rt.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}

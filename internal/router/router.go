@@ -21,18 +21,20 @@ import (
 type BackendSpec struct {
 	// URL is the backend's base URL ("http://host:port" or "host:port").
 	URL string
-	// Weight scales the backend's share under the weighted policy
-	// (default 1).
+	// Weight must be 0 or 1: every backend takes an equal share of the
+	// key space. The field stays so configurations that spell out a
+	// weight of 1 keep building.
 	Weight int
 }
 
 // Config sizes a Router. Zero values select the documented defaults.
 type Config struct {
-	// Backends is the routed set, in a fixed order that every policy
-	// tie-break refers to. At least one is required.
+	// Backends is the routed set, in a fixed order that placement ties
+	// and the round-robin refer to. At least one is required.
 	Backends []BackendSpec
-	// Policy names the routing policy: round-robin (default),
-	// least-loaded, consistent-hash or weighted.
+	// Policy must be "" or "consistent-hash", the one placement rule
+	// (place). The field stays so configurations that name the rule
+	// keep building.
 	Policy string
 	// ProbeInterval is the health-probe period. 0 disables the background
 	// prober — probes then only happen via ProbeOnce (tests) and passive
@@ -88,14 +90,12 @@ type Router struct {
 	// backend connections.
 	client   *http.Client
 	backends []*Backend
-	policy   Policy
-	// verifyRR routes POST /verify and GET /kinds: verification
-	// deliberately ignores spec affinity and walks the healthy set
-	// round-robin, so audits continuously replay receipts on nodes that
-	// did not produce them — the portability property exercised on every
-	// verify.
-	verifyRR roundRobin
-	mux      *http.ServeMux
+	// rr is the round-robin counter of every request without a spec key.
+	// POST /verify is one of them on purpose: audits walk the healthy set
+	// and keep replaying receipts on nodes that did not produce them —
+	// the portability property exercised on every verify.
+	rr  atomic.Uint64
+	mux *http.ServeMux
 
 	// sessions maps session id -> owning backend. Sticky by construction:
 	// the owner holds the pinned state and hash chain, so routing by
@@ -123,9 +123,8 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("router: no backends configured")
 	}
 	cfg.fillDefaults()
-	pol, err := NewPolicy(cfg.Policy)
-	if err != nil {
-		return nil, err
+	if cfg.Policy != "" && cfg.Policy != "consistent-hash" {
+		return nil, fmt.Errorf("router: unknown policy %q (the one rule is consistent-hash)", cfg.Policy)
 	}
 	rt := &Router{
 		cfg: cfg,
@@ -134,7 +133,6 @@ func New(cfg Config) (*Router, error) {
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
 		}},
-		policy:   pol,
 		sessions: make(map[string]*Backend),
 	}
 	for i, bs := range cfg.Backends {
@@ -142,10 +140,13 @@ func New(cfg Config) (*Router, error) {
 		if url == "" {
 			return nil, fmt.Errorf("router: backend %d has no URL", i)
 		}
+		if bs.Weight != 0 && bs.Weight != 1 {
+			return nil, fmt.Errorf("router: backend %d has weight %d (every backend weighs 1)", i, bs.Weight)
+		}
 		if !hasScheme(url) {
 			url = "http://" + url
 		}
-		rt.backends = append(rt.backends, newBackend(url, bs.Weight, i))
+		rt.backends = append(rt.backends, newBackend(url))
 	}
 	rt.mux = http.NewServeMux()
 	rt.mux.HandleFunc("POST /jobs", rt.handleJobs)
@@ -184,9 +185,6 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // Backends returns the configured backend set (fixed order).
 func (rt *Router) Backends() []*Backend { return rt.backends }
-
-// Policy returns the active routing policy's name.
-func (rt *Router) Policy() string { return rt.policy.Name() }
 
 // SessionsTracked returns the number of session ids with a recorded
 // owner.
@@ -330,13 +328,22 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return body, true
 }
 
-// routeForward is the common path of every policy-routed endpoint: pick a
-// healthy backend, forward, and — only on a dial-phase connection error —
-// back off and retry on another. Responses (any status) pass through
-// unchanged apart from the X-Galois-Backend tag; 429s additionally count
-// as propagated backpressure. created, when set, sees the body of a 201
-// (see relay).
-func (rt *Router) routeForward(w http.ResponseWriter, r *http.Request, body []byte, key uint64, hasKey bool, pick func([]*Backend) *Backend, created func(*Backend, []byte)) {
+// pick chooses the backend for one attempt: place for a request with a
+// spec key, round-robin for one without.
+func (rt *Router) pick(cands []*Backend, key uint64, hasKey bool) *Backend {
+	if hasKey {
+		return place(cands, key)
+	}
+	return cands[(rt.rr.Add(1)-1)%uint64(len(cands))]
+}
+
+// routeForward is the common path of every endpoint not pinned to a
+// session: pick a healthy backend, forward, and — only on a dial-phase
+// connection error — back off and retry on another. Responses (any
+// status) pass through unchanged apart from the X-Galois-Backend tag;
+// 429s additionally count as propagated backpressure. created, when set,
+// sees the body of a 201 (see relay).
+func (rt *Router) routeForward(w http.ResponseWriter, r *http.Request, body []byte, key uint64, hasKey bool, created func(*Backend, []byte)) {
 	rt.requests.Add(1)
 	tried := make(map[*Backend]bool)
 	backoff := rt.cfg.RetryBackoff
@@ -347,12 +354,7 @@ func (rt *Router) routeForward(w http.ResponseWriter, r *http.Request, body []by
 		if len(cands) == 0 {
 			break
 		}
-		var b *Backend
-		if pick != nil {
-			b = pick(cands)
-		} else {
-			b = rt.policy.Pick(cands, key, hasKey)
-		}
+		b := rt.pick(cands, key, hasKey)
 		b.requests.Add(1)
 		b.inflight.Add(1)
 		resp, err := rt.send(r, b, body)
@@ -390,11 +392,11 @@ func (rt *Router) routeForward(w http.ResponseWriter, r *http.Request, body []by
 
 // specKey computes the canonical routing key of a job spec, mirroring the
 // backend's own result-cache address (rescache.KeyOf over the spec with
-// serve.Spec.WithDefaults applied, as the backend applies it) so
-// consistent-hash lands a repeat spec on the backend whose cache already
-// holds its result. A spec that yields no key (bad JSON, g-n) simply
-// routes key-less — routing is behavior-free, so a missing key can cost
-// cache warmth, never correctness.
+// serve.Spec.WithDefaults applied, as the backend applies it) so place
+// lands a repeat spec on the backend whose cache already holds its
+// result. A spec that yields no key (bad JSON, g-n) simply routes
+// key-less — routing is behavior-free, so a missing key can cost cache
+// warmth, never correctness.
 func specKey(body []byte) (uint64, bool) {
 	var spec serve.Spec
 	if err := json.Unmarshal(body, &spec); err != nil {
@@ -427,7 +429,7 @@ func (rt *Router) handleJobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key, hasKey := specKey(body)
-	rt.routeForward(w, r, body, key, hasKey, nil, nil)
+	rt.routeForward(w, r, body, key, hasKey, nil)
 }
 
 func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -439,28 +441,25 @@ func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Any healthy backend can verify any receipt — that is the paper's
-	// portability property as a cluster API. Round-robin spreads audits
-	// across nodes regardless of the routing policy, so cross-node
-	// replays happen continuously, not just when a test forces them.
-	rt.routeForward(w, r, body, 0, false, func(cands []*Backend) *Backend {
-		return rt.verifyRR.Pick(cands, 0, false)
-	}, nil)
+	// portability property as a cluster API. A verify carries no key, so
+	// it goes round-robin instead of to the receipt's producer, and
+	// cross-node replays happen continuously, not just when a test forces
+	// them.
+	rt.routeForward(w, r, body, 0, false, nil)
 }
 
 func (rt *Router) handleKinds(w http.ResponseWriter, r *http.Request) {
 	if rt.rejectDraining(w) {
 		return
 	}
-	rt.routeForward(w, r, nil, 0, false, func(cands []*Backend) *Backend {
-		return rt.verifyRR.Pick(cands, 0, false)
-	}, nil)
+	rt.routeForward(w, r, nil, 0, false, nil)
 }
 
 // handleSessionCreate routes a session creation like any other request —
 // dial errors retry on another backend — and records which backend owns
 // the new id so every subsequent request on the session sticks to it.
 // Session creation has no content address (a session is identity, not
-// content), so key-driven policies fall back internally.
+// content), so it goes round-robin.
 func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if rt.rejectDraining(w) {
 		return
@@ -469,7 +468,7 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rt.routeForward(w, r, body, 0, false, nil, func(b *Backend, created []byte) {
+	rt.routeForward(w, r, body, 0, false, func(b *Backend, created []byte) {
 		var si struct {
 			ID string `json:"id"`
 		}
@@ -524,7 +523,6 @@ func (rt *Router) handleSessionRouted(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "router.policy %s\n", rt.policy.Name())
 	fmt.Fprintf(&buf, "router.backends %d\n", len(rt.backends))
 	fmt.Fprintf(&buf, "router.requests %d\n", rt.requests.Load())
 	fmt.Fprintf(&buf, "router.proxy.errors %d\n", rt.proxyErrors.Load())
@@ -547,9 +545,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // Healthz is the router's own load/liveness snapshot.
 type Healthz struct {
-	OK       bool   `json:"ok"`
-	Draining bool   `json:"draining"`
-	Policy   string `json:"policy"`
+	OK       bool `json:"ok"`
+	Draining bool `json:"draining"`
 	// Healthy counts backends currently accepting routed traffic; OK is
 	// true while at least one is.
 	Healthy  int             `json:"healthy"`
@@ -568,10 +565,7 @@ type BackendHealth struct {
 
 // Snapshot assembles the router's Healthz.
 func (rt *Router) Snapshot() Healthz {
-	h := Healthz{
-		Draining: rt.draining.Load(),
-		Policy:   rt.policy.Name(),
-	}
+	h := Healthz{Draining: rt.draining.Load()}
 	for _, b := range rt.backends {
 		st := b.State()
 		if st == Healthy {

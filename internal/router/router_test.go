@@ -25,7 +25,7 @@ type cluster struct {
 	client *serve.Client
 }
 
-func newCluster(t *testing.T, n int, policy string, cfg Config) *cluster {
+func newCluster(t *testing.T, n int, cfg Config) *cluster {
 	t.Helper()
 	cl := &cluster{}
 	for i := 0; i < n; i++ {
@@ -38,7 +38,6 @@ func newCluster(t *testing.T, n int, policy string, cfg Config) *cluster {
 		cl.backs = append(cl.backs, ts)
 		cfg.Backends = append(cfg.Backends, BackendSpec{URL: ts.URL})
 	}
-	cfg.Policy = policy
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = time.Millisecond
 	}
@@ -77,6 +76,29 @@ func postRaw(t *testing.T, url string, v any) (int, string, []byte) {
 	return resp.StatusCode, resp.Header.Get("X-Galois-Backend"), data
 }
 
+// seedOn returns the first seed from `from` on whose bfs g-d small spec
+// the placement rule picks backend i while every backend is healthy.
+// Backend identities hash their URLs, and httptest ports vary, so a test
+// that needs a job on a given backend searches for its seed.
+func seedOn(t *testing.T, rt *Router, i int, from uint64) uint64 {
+	t.Helper()
+	for seed := from; seed < from+1000; seed++ {
+		body, err := json.Marshal(serve.Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: seed})
+		if err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		key, ok := specKey(body)
+		if !ok {
+			t.Fatalf("seed %d: no spec key", seed)
+		}
+		if place(rt.backends, key) == rt.backends[i] {
+			return seed
+		}
+	}
+	t.Fatalf("no seed in [%d, %d) lands on backend %d", from, from+1000, i)
+	return 0
+}
+
 // clusterMix is the job mix the determinism matrix routes: deterministic
 // cells across kinds and seeds, a thread-count spread, and one
 // non-deterministic job to keep the route key-less path exercised.
@@ -100,15 +122,15 @@ func semKey(s serve.Spec) string {
 }
 
 // TestDeterminismUnderCluster is the subsystem's load-bearing test: the
-// same job mix routed through clusters of 1, 2 and 4 backends under
-// round-robin, least-loaded and consistent-hash yields byte-identical det
-// fingerprints per spec — equal to a direct single-server baseline — and
-// every receipt then verifies through the router, i.e. on whichever node
-// the verify round-robin happens to land; under round-robin every backend
-// serves at least one request. Routing is behavior-free.
+// same job mix routed through clusters of 1, 2 and 4 backends yields
+// byte-identical det fingerprints per spec — equal to a direct
+// single-server baseline — and every receipt then verifies through the
+// router, i.e. on whichever node the verify round-robin happens to land.
+// The mix carries one distinct key per backend that the placement rule
+// puts there, and every backend must serve at least one request. Routing
+// is behavior-free.
 func TestDeterminismUnderCluster(t *testing.T) {
 	ctx := context.Background()
-	mix := clusterMix()
 
 	// Baseline: one backend, no router.
 	base := serve.NewServer(serve.Config{Workers: 2, QueueDepth: 64})
@@ -119,86 +141,90 @@ func TestDeterminismUnderCluster(t *testing.T) {
 	})
 	bc := serve.NewClient(bts.URL, bts.Client())
 	want := make(map[string]string)
-	for _, spec := range mix {
-		res, err := bc.Submit(ctx, spec)
-		if err != nil {
-			t.Fatalf("baseline %s: %v", spec, err)
-		}
-		if spec.Deterministic() {
+	baseline := func(t *testing.T, mix []serve.Spec) {
+		for _, spec := range mix {
+			if _, ok := want[semKey(spec)]; ok || !spec.Deterministic() {
+				continue
+			}
+			res, err := bc.Submit(ctx, spec)
+			if err != nil {
+				t.Fatalf("baseline %s: %v", spec, err)
+			}
 			want[semKey(spec)] = res.Receipt.Fingerprint
 		}
 	}
 
 	for _, n := range []int{1, 2, 4} {
-		for _, policy := range []string{"round-robin", "least-loaded", "consistent-hash"} {
-			t.Run(fmt.Sprintf("backends=%d/%s", n, policy), func(t *testing.T) {
-				cl := newCluster(t, n, policy, Config{})
+		t.Run(fmt.Sprintf("backends=%d", n), func(t *testing.T) {
+			cl := newCluster(t, n, Config{})
+			mix := clusterMix()
+			for i := range cl.rt.Backends() {
+				mix = append(mix, serve.Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: seedOn(t, cl.rt, i, 1000)})
+			}
+			baseline(t, mix)
 
-				// Submit the mix concurrently so least-loaded sees real
-				// in-flight skew and round-robin interleaves.
-				results := make([]*serve.JobResult, len(mix))
-				var wg sync.WaitGroup
-				errs := make([]error, len(mix))
-				for i, spec := range mix {
-					wg.Add(1)
-					go func(i int, spec serve.Spec) {
-						defer wg.Done()
-						results[i], errs[i] = cl.client.Submit(ctx, spec)
-					}(i, spec)
+			// Submit the mix concurrently so the keyless requests
+			// interleave.
+			results := make([]*serve.JobResult, len(mix))
+			var wg sync.WaitGroup
+			errs := make([]error, len(mix))
+			for i, spec := range mix {
+				wg.Add(1)
+				go func(i int, spec serve.Spec) {
+					defer wg.Done()
+					results[i], errs[i] = cl.client.Submit(ctx, spec)
+				}(i, spec)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("submit %s: %v", mix[i], err)
 				}
-				wg.Wait()
-				for i, err := range errs {
-					if err != nil {
-						t.Fatalf("submit %s: %v", mix[i], err)
-					}
+			}
+			for i, spec := range mix {
+				if !spec.Deterministic() {
+					continue
 				}
-				for i, spec := range mix {
-					if !spec.Deterministic() {
-						continue
-					}
-					got := results[i].Receipt.Fingerprint
-					if got != want[semKey(spec)] {
-						t.Errorf("%s: fingerprint %s under %d backends/%s, want %s (baseline)",
-							spec, got, n, policy, want[semKey(spec)])
-					}
+				got := results[i].Receipt.Fingerprint
+				if got != want[semKey(spec)] {
+					t.Errorf("%s: fingerprint %s under %d backends, want %s (baseline)",
+						spec, got, n, want[semKey(spec)])
 				}
+			}
 
-				// Every receipt verifies through the router — whichever
-				// backend the verify round-robin lands on.
-				for i, spec := range mix {
-					if !spec.Deterministic() {
-						continue
-					}
-					vr, err := cl.client.Verify(ctx, results[i].Receipt)
-					if err != nil {
-						t.Fatalf("verify %s: %v", spec, err)
-					}
-					if !vr.Match {
-						t.Errorf("%s: receipt failed cluster verify: expect %s got %s",
-							spec, vr.Expect, vr.Got)
-					}
+			// Every receipt verifies through the router — whichever
+			// backend the verify round-robin lands on.
+			for i, spec := range mix {
+				if !spec.Deterministic() {
+					continue
 				}
+				vr, err := cl.client.Verify(ctx, results[i].Receipt)
+				if err != nil {
+					t.Fatalf("verify %s: %v", spec, err)
+				}
+				if !vr.Match {
+					t.Errorf("%s: receipt failed cluster verify: expect %s got %s",
+						spec, vr.Expect, vr.Got)
+				}
+			}
 
-				// Under round-robin every backend served work: the cluster
-				// was exercised, not one node behind a label.
-				if policy == "round-robin" {
-					for i, b := range cl.rt.Backends() {
-						if b.requests.Load() == 0 {
-							t.Errorf("backend %d of %d received no requests under round-robin", i, n)
-						}
-					}
+			// Every backend served work: the cluster was exercised, not
+			// one node behind a label.
+			for i, b := range cl.rt.Backends() {
+				if b.requests.Load() == 0 {
+					t.Errorf("backend %d of %d received no requests, though the mix has a key placed on it", i, n)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // TestCrossNodeVerify pins the headline portability demo: a receipt
-// produced on backend A verifies on backend B. Verify routes round-robin
-// regardless of policy, so with two backends a handful of verifies
-// provably hits a node that did not produce the receipt.
+// produced on backend A verifies on backend B. Verify routes round-robin,
+// not by key, so with two backends a handful of verifies provably hits a
+// node that did not produce the receipt.
 func TestCrossNodeVerify(t *testing.T) {
-	cl := newCluster(t, 2, "consistent-hash", Config{})
+	cl := newCluster(t, 2, Config{})
 	spec := serve.Spec{Kind: "sssp", Variant: "g-d", Scale: "small", Seed: 11}
 
 	status, producer, body := postRaw(t, cl.front.URL+"/jobs", spec)
@@ -236,50 +262,23 @@ func TestCrossNodeVerify(t *testing.T) {
 	}
 }
 
-// TestPolicyPicks exercises each policy's selection function directly.
+// TestPolicyPicks exercises the placement rule and the keyless
+// round-robin directly, and pins that New accepts no other rule.
 func TestPolicyPicks(t *testing.T) {
-	mk := func(urls ...string) []*Backend {
-		var bs []*Backend
-		for i, u := range urls {
-			bs = append(bs, newBackend(u, 1, i))
+	mk := func(urls ...string) *Router {
+		rt := &Router{}
+		for _, u := range urls {
+			rt.backends = append(rt.backends, newBackend(u))
 		}
-		return bs
+		return rt
 	}
 
-	t.Run("round-robin", func(t *testing.T) {
-		bs := mk("http://a", "http://b", "http://c")
-		p, _ := NewPolicy("round-robin")
-		for i := 0; i < 9; i++ {
-			if got := p.Pick(bs, 0, false); got != bs[i%3] {
-				t.Fatalf("pick %d = %s, want %s", i, got.URL, bs[i%3].URL)
-			}
-		}
-	})
-
-	t.Run("least-loaded", func(t *testing.T) {
-		bs := mk("http://a", "http://b", "http://c")
-		p, _ := NewPolicy("least-loaded")
-		bs[0].inflight.Store(3)
-		bs[1].inflight.Store(1)
-		bs[2].inflight.Store(2)
-		if got := p.Pick(bs, 0, false); got != bs[1] {
-			t.Fatalf("pick = %s, want least-loaded b", got.URL)
-		}
-		bs[1].inflight.Store(3)
-		bs[2].inflight.Store(3)
-		// All equal: tie broken by configured order.
-		if got := p.Pick(bs, 0, false); got != bs[0] {
-			t.Fatalf("tie pick = %s, want first-configured a", got.URL)
-		}
-	})
-
 	t.Run("consistent-hash", func(t *testing.T) {
-		bs := mk("http://a", "http://b", "http://c", "http://d")
-		p, _ := NewPolicy("consistent-hash")
+		bs := mk("http://a", "http://b", "http://c", "http://d").backends
 		owner := make(map[uint64]*Backend)
 		for key := uint64(1); key <= 200; key++ {
-			b := p.Pick(bs, key, true)
-			if again := p.Pick(bs, key, true); again != b {
+			b := place(bs, key)
+			if again := place(bs, key); again != b {
 				t.Fatalf("key %d not sticky: %s then %s", key, b.URL, again.URL)
 			}
 			owner[key] = b
@@ -288,7 +287,7 @@ func TestPolicyPicks(t *testing.T) {
 		// the keys it owned; every other key keeps its owner.
 		reduced := []*Backend{bs[0], bs[1], bs[3]} // bs[2] ejected
 		for key, b := range owner {
-			nb := p.Pick(reduced, key, true)
+			nb := place(reduced, key)
 			if b != bs[2] && nb != b {
 				t.Fatalf("key %d moved from %s to %s though its owner stayed healthy", key, b.URL, nb.URL)
 			}
@@ -296,33 +295,38 @@ func TestPolicyPicks(t *testing.T) {
 				t.Fatalf("key %d still routed to the removed backend", key)
 			}
 		}
-		// Keyless requests fall back rather than all landing on one node.
-		seen := make(map[*Backend]bool)
-		for i := 0; i < len(bs); i++ {
-			seen[p.Pick(bs, 0, false)] = true
-		}
-		if len(seen) != len(bs) {
-			t.Fatalf("keyless fallback covered %d/%d backends", len(seen), len(bs))
-		}
 	})
 
-	t.Run("weighted", func(t *testing.T) {
-		bs := mk("http://a", "http://b", "http://c")
-		bs[1].Weight = 2
-		p, _ := NewPolicy("weighted")
-		counts := make(map[*Backend]int)
-		for i := 0; i < 8; i++ {
-			counts[p.Pick(bs, 0, false)]++
-		}
-		if counts[bs[0]] != 2 || counts[bs[1]] != 4 || counts[bs[2]] != 2 {
-			t.Fatalf("weighted shares = %d/%d/%d over 8 picks, want 2/4/2",
-				counts[bs[0]], counts[bs[1]], counts[bs[2]])
+	t.Run("round-robin", func(t *testing.T) {
+		// Keyless requests cycle through the healthy set in configured
+		// order rather than all landing on one node.
+		rt := mk("http://a", "http://b", "http://c")
+		for i := 0; i < 9; i++ {
+			if got := rt.pick(rt.backends, 0, false); got != rt.backends[i%3] {
+				t.Fatalf("pick %d = %s, want %s", i, got.URL, rt.backends[i%3].URL)
+			}
 		}
 	})
 
 	t.Run("unknown", func(t *testing.T) {
-		if _, err := NewPolicy("zork"); err == nil {
-			t.Fatalf("unknown policy accepted")
+		for _, policy := range []string{"round-robin", "least-loaded", "weighted", "zork"} {
+			if _, err := New(Config{Backends: []BackendSpec{{URL: "http://a"}}, Policy: policy}); err == nil {
+				t.Errorf("policy %q accepted", policy)
+			}
+		}
+		if _, err := New(Config{Backends: []BackendSpec{{URL: "http://a", Weight: 2}}}); err == nil {
+			t.Error("weight 2 accepted")
+		}
+		for _, cfg := range []Config{
+			{Backends: []BackendSpec{{URL: "http://a"}}},
+			{Backends: []BackendSpec{{URL: "http://a", Weight: 1}}, Policy: "consistent-hash"},
+		} {
+			rt, err := New(cfg)
+			if err != nil {
+				t.Errorf("New(%+v): %v", cfg, err)
+				continue
+			}
+			rt.Close()
 		}
 	})
 }
@@ -332,7 +336,7 @@ func TestPolicyPicks(t *testing.T) {
 // verifies through the router, and an id this router never saw is a 404.
 func TestSessionSticky(t *testing.T) {
 	ctx := context.Background()
-	cl := newCluster(t, 2, "round-robin", Config{})
+	cl := newCluster(t, 2, Config{})
 
 	type sess struct {
 		id    string
@@ -404,7 +408,7 @@ func TestSessionSticky(t *testing.T) {
 // TestRouterObservability spot-checks the router's own /healthz and
 // /metrics surfaces.
 func TestRouterObservability(t *testing.T) {
-	cl := newCluster(t, 2, "least-loaded", Config{})
+	cl := newCluster(t, 2, Config{})
 
 	resp, err := http.Get(cl.front.URL + "/healthz")
 	if err != nil {
@@ -415,8 +419,8 @@ func TestRouterObservability(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatalf("decode healthz: %v", err)
 	}
-	if !h.OK || h.Healthy != 2 || h.Policy != "least-loaded" || len(h.Backends) != 2 {
-		t.Fatalf("healthz = %+v, want ok with 2 healthy backends under least-loaded", h)
+	if !h.OK || h.Healthy != 2 || len(h.Backends) != 2 {
+		t.Fatalf("healthz = %+v, want ok with 2 healthy backends", h)
 	}
 
 	mresp, err := http.Get(cl.front.URL + "/metrics")
@@ -425,7 +429,7 @@ func TestRouterObservability(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	data, _ := io.ReadAll(mresp.Body)
-	for _, want := range []string{"router.policy least-loaded", "router.backends 2",
+	for _, want := range []string{"router.backends 2",
 		"router.backend.0.state healthy", "router.backend.1.state healthy"} {
 		if !bytes.Contains(data, []byte(want)) {
 			t.Errorf("metrics missing %q:\n%s", want, data)

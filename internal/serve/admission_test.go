@@ -96,9 +96,10 @@ func workCells() []workCell {
 			name: "verify",
 			prepare: func(t *testing.T, s *Server, started chan struct{}) string {
 				// A chain with one batch, so the replay runs the slow
-				// Apply once.
+				// Apply once. The batch's own budget covers its run
+				// whatever the server's default.
 				id := createSlowSession(t, s)
-				if rec := call(context.Background(), s, "/sessions/"+id+"/batches", session.BatchSpec{Op: "slow"}); rec.Code != http.StatusOK {
+				if rec := call(context.Background(), s, "/sessions/"+id+"/batches", session.BatchSpec{Op: "slow", TimeoutMS: 10_000}); rec.Code != http.StatusOK {
 					t.Fatalf("preparing the chain: status %d: %s", rec.Code, rec.Body)
 				}
 				<-started
@@ -228,6 +229,12 @@ func TestQueuedJobDeadline(t *testing.T) {
 			ctx := context.Background()
 
 			reqA := w.request(t, s, id, 0)
+			if w.name == "verify" {
+				// A verify runs under the server's default deadline, set
+				// here to B's budget, so a job with a budget of its own
+				// holds the worker instead.
+				reqA = jobRequest(Spec{Kind: "slow", Scale: "small", TimeoutMS: 10_000})
+			}
 			resA := make(chan int, 1)
 			go func() { resA <- reqA.call(ctx, s) }()
 			<-started // A occupies the only worker for 250ms
@@ -252,6 +259,58 @@ func TestQueuedJobDeadline(t *testing.T) {
 			}
 			if got := s.Metrics().Counter("serve.timeout").Value(); got != 1 {
 				t.Errorf("serve.timeout = %d, want 1", got)
+			}
+		})
+	}
+}
+
+// TestRunOutlivesDeadline: a run longer than its deadline is a 504 on
+// every path to a worker — a job with the result cache on and off, a job
+// on an Exclusive input, a session batch and a chain verify — and the
+// admitted task still runs to completion.
+func TestRunOutlivesDeadline(t *testing.T) {
+	const run, budgetMS = 300 * time.Millisecond, 50
+	job := func(name, kind string) workCell {
+		return workCell{
+			name:    name,
+			prepare: func(*testing.T, *Server, chan struct{}) string { return "" },
+			request: func(_ *testing.T, _ *Server, _ string, timeoutMS int64) workRequest {
+				return jobRequest(Spec{Kind: kind, Scale: "small", TimeoutMS: timeoutMS})
+			},
+			completed: "serve.complete",
+		}
+	}
+	work := workCells() // job, batch, batch-same-session, verify
+	cells := []struct {
+		cfg Config
+		workCell
+	}{
+		{Config{CacheBytes: 64 << 20}, job("job-cache-on", "slow")},
+		{Config{}, job("job-cache-off", "slow")},
+		{Config{CacheBytes: 64 << 20}, job("exclusive", "slow-exclusive")},
+		{Config{}, work[1]},
+		// A verify carries no deadline of its own: it runs under the
+		// server's default, here the budget.
+		{Config{DefaultTimeout: budgetMS * time.Millisecond}, work[3]},
+	}
+	for _, w := range cells {
+		t.Run(w.name, func(t *testing.T) {
+			started := make(chan struct{}, 8)
+			w.cfg.Workers, w.cfg.QueueDepth = 1, 8
+			s, _ := newSlowServer(t, w.cfg, run, started)
+			id := w.prepare(t, s, started)
+			before := s.Metrics().Counter(w.completed).Value()
+
+			req := w.request(t, s, id, budgetMS)
+			if rec := call(context.Background(), s, req.path, req.body); rec.Code != http.StatusGatewayTimeout {
+				t.Fatalf("run of %v under a %d ms deadline: status %d (%s), want 504", run, budgetMS, rec.Code, rec.Body)
+			}
+			<-started // the task was admitted and ran
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Metrics().Counter(w.completed).Value(); got != before+1 {
+				t.Errorf("%s = %d after the timed-out task, want %d", w.completed, got, before+1)
 			}
 		})
 	}

@@ -2,16 +2,13 @@ package serve
 
 // Result-cache glue: everything the server layers on top of
 // internal/rescache. The soundness argument lives with the cache package;
-// what belongs here is policy — which specs are cacheable, what a cached
-// value carries, how hits are spot-checked against fresh executions, and
-// how the deterministic spot-check selector draws.
+// what belongs here is policy — which specs are cacheable and what a
+// cached value carries.
 
 import (
 	"encoding/json"
-	"sync"
 
 	"galois/internal/rescache"
-	"galois/internal/rng"
 )
 
 // cachedResult is the cache-resident value for one spec key: the receipt
@@ -62,11 +59,9 @@ func (cr *cachedResult) result() *JobResult {
 // (g-n output is not a function of the spec), shared read-only inputs only
 // (Exclusive kinds — pfp's mutable network, dmr's consumed mesh — reset
 // state between runs, and a one-shot cache entry would skip exactly that
-// reset; mutation-as-a-workload belongs to sessions, where batch results
-// are keyed by chain prefix and cross-checked, never served — see
-// checkLinkCache), untraced requests only (a trace
-// is a capture of one execution, not part of the result), and only when a
-// cache is configured.
+// reset; mutation-as-a-workload belongs to sessions, whose batches always
+// run), untraced requests only (a trace is a capture of one execution, not
+// part of the result), and only when a cache is configured.
 func (s *Server) cacheKey(spec Spec, kind *Kind) (rescache.Key, bool) {
 	if s.cache == nil || !spec.Deterministic() || kind.Exclusive || spec.Trace {
 		return rescache.Key{}, false
@@ -76,35 +71,4 @@ func (s *Server) cacheKey(spec Spec, kind *Kind) (rescache.Key, bool) {
 		return rescache.Key{}, false
 	}
 	return key, true
-}
-
-// spotChecker deterministically selects the configured fraction of cache
-// hits for honesty re-execution. The stream is private and always seeded
-// with 1 — no global RNG — so a server replayed against the same request sequence
-// spot-checks the same hits.
-type spotChecker struct {
-	mu     sync.Mutex
-	rnd    *rng.Rand
-	always bool
-	// threshold selects a hit when the next 64-bit draw falls below it;
-	// fraction f maps to f·2⁶⁴.
-	threshold uint64
-}
-
-func newSpotChecker(fraction float64) *spotChecker {
-	sp := &spotChecker{rnd: rng.New(1)}
-	if fraction >= 1 {
-		sp.always = true
-	} else {
-		sp.threshold = uint64(fraction * (1 << 63) * 2)
-	}
-	return sp
-}
-
-// pick draws the next selection decision.
-func (sp *spotChecker) pick() bool {
-	sp.mu.Lock()
-	u := sp.rnd.Uint64()
-	sp.mu.Unlock()
-	return sp.always || u < sp.threshold
 }

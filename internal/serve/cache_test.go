@@ -255,55 +255,6 @@ func TestQueuedThenCachedDoesNotDoubleExecute(t *testing.T) {
 	}
 }
 
-func TestSpotCheckMismatchEvicts(t *testing.T) {
-	s, c := newTestServer(t, Config{CacheBytes: 1 << 20, CacheSpotCheck: 1})
-	spec := Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: 5}
-	fresh := submitOK(t, c, spec)
-
-	// Corrupt the resident entry: the spot-check must catch the lie.
-	nspec, kind, _ := s.normalize(spec)
-	key, _ := s.cacheKey(nspec, kind)
-	corrupt := &cachedResult{Receipt: Receipt{Spec: nspec, Fingerprint: "00000000deadbeef", Deterministic: true}}
-	s.cache.Put(key, corrupt, corrupt.size())
-
-	res := submitOK(t, c, spec)
-	if res.Receipt.Cached {
-		t.Fatal("mismatched entry served as a cache hit")
-	}
-	if res.Receipt.Fingerprint != fresh.Receipt.Fingerprint {
-		t.Fatalf("spot-check served %s, want the true fingerprint %s",
-			res.Receipt.Fingerprint, fresh.Receipt.Fingerprint)
-	}
-	if _, ok := s.cache.Get(key); ok {
-		t.Fatal("corrupt entry survived the spot-check mismatch")
-	}
-	if v := s.exec.met.Counter("serve.cache.spotcheck.mismatch").Value(); v != 1 {
-		t.Fatalf("spotcheck.mismatch = %d, want 1", v)
-	}
-}
-
-func TestSpotCheckMatchKeepsEntry(t *testing.T) {
-	s, c := newTestServer(t, Config{CacheBytes: 1 << 20, CacheSpotCheck: 1})
-	spec := Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: 6}
-	fresh := submitOK(t, c, spec)
-
-	res := submitOK(t, c, spec)
-	if !res.Receipt.Cached || res.Receipt.Fingerprint != fresh.Receipt.Fingerprint {
-		t.Fatalf("honest hit not served: cached=%v fp=%s", res.Receipt.Cached, res.Receipt.Fingerprint)
-	}
-	if v := s.exec.met.Counter("serve.cache.spotcheck").Value(); v != 1 {
-		t.Fatalf("spotcheck = %d, want 1", v)
-	}
-	if v := s.exec.met.Counter("serve.cache.spotcheck.mismatch").Value(); v != 0 {
-		t.Fatalf("spotcheck.mismatch = %d, want 0", v)
-	}
-	nspec, kind, _ := s.normalize(spec)
-	key, _ := s.cacheKey(nspec, kind)
-	if _, ok := s.cache.Get(key); !ok {
-		t.Fatal("honest entry evicted by a matching spot-check")
-	}
-}
-
 func TestVerifyBypassesCache(t *testing.T) {
 	s, c := newTestServer(t, Config{CacheBytes: 1 << 20})
 	spec := Spec{Kind: "bfs", Variant: "g-d", Scale: "small", Seed: 8}

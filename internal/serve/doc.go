@@ -20,18 +20,17 @@
 //   - Admission control (executor.go): one generic submit carries every
 //     kind of work — one-shot jobs, session batches, chain verifies —
 //     onto a bounded queue with explicit rejection (HTTP 429 +
-//     Retry-After) when full, per-task deadlines checked at dequeue, and
-//     graceful shutdown that completes every admitted task while new
+//     Retry-After) when full, per-task deadlines that bound queue wait and
+//     run together, and graceful shutdown that completes every admitted task while new
 //     submissions get 503.
 //   - Result cache (internal/rescache): deterministic jobs are pure
 //     functions of their normalized spec, so results are content-
 //     addressed — a byte-budgeted LRU keyed by the canonical spec hash
 //     serves repeat submissions at lookup speed, singleflight collapses
-//     concurrent identical submissions onto one execution, and seeded
-//     spot-checks re-execute a fraction of hits through the verify path,
-//     evicting on mismatch. Cached responses carry the same receipt a
-//     fresh run would, plus a cached flag that is excluded from
-//     verification.
+//     concurrent identical submissions onto one execution. Cached
+//     responses carry the same receipt a fresh run would, plus a cached
+//     flag that is excluded from verification, so POST /verify audits
+//     them like any other.
 //   - Fingerprint receipts (Receipt): every response carries the result
 //     fingerprint and the exact normalized job spec; POST /verify
 //     re-executes a receipt and reports match/mismatch — determinism as an

@@ -104,10 +104,11 @@ func (x *executor) admit(run func(tid int)) *httpError {
 
 // submit is the one path from a handler to a worker: it admits fn, runs
 // it on a worker, and waits for its outcome. fn receives the worker's
-// metric cell and the time the task was admitted. A task whose deadline
-// passed while it was queued never runs: it counts serve.timeout and
-// returns 504. If ctx ends first the caller gets 504 at once, and the
-// admitted task still runs to completion — its outcome lands in a
+// metric cell and the time the task was admitted. The deadline bounds
+// queue wait and execution together: a task whose deadline passed while
+// it was queued never runs (it counts serve.timeout), and a caller whose
+// deadline passes, or whose ctx ends, gets 504 at once. An admitted task
+// that has started still runs to completion — its outcome lands in a
 // buffered channel nobody reads, so a worker never blocks on a submitter
 // that stopped listening. what names the work in error messages; it is
 // called only to build one.
@@ -130,12 +131,16 @@ func submit[R any](x *executor, ctx context.Context, deadline time.Time, what fu
 		var zero R
 		return zero, herr
 	}
+	expired := time.NewTimer(time.Until(deadline))
+	defer expired.Stop()
+	var zero R
 	//detlint:ignore goroutineorder admission wait: this select only decides whether the HTTP response gets written; the task's result is a pure function of its spec (or recorded chain) and is delivered via the buffered channel regardless
 	select {
 	case out := <-done:
 		return out.res, out.err
+	case <-expired.C:
+		return zero, errf(http.StatusGatewayTimeout, "%s exceeded its deadline", what())
 	case <-ctx.Done():
-		var zero R
 		return zero, errf(http.StatusGatewayTimeout, "request context canceled while %s in flight: %v", what(), ctx.Err())
 	}
 }

@@ -52,11 +52,6 @@ type Config struct {
 	// here keeps embedded and test servers result-cache-free unless they
 	// opt in.
 	CacheBytes int64
-	// CacheSpotCheck is the fraction of cache hits re-executed through
-	// the verify path as an honesty check (0 disables, 1 re-executes every
-	// hit). Selection is deterministic, drawn from a seeded private
-	// stream.
-	CacheSpotCheck float64
 }
 
 // maxBody bounds request bodies.
@@ -99,12 +94,11 @@ type Server struct {
 	sessions *session.Manager
 	mux      *http.ServeMux
 
-	// cache/flight/spot are nil unless Config.CacheBytes enabled caching:
-	// the result cache, the singleflight group collapsing identical
-	// in-flight submissions, and the deterministic hit spot-checker.
+	// cache/flight are nil unless Config.CacheBytes enabled caching: the
+	// result cache and the singleflight group collapsing identical
+	// in-flight submissions.
 	cache  *rescache.Cache
 	flight *rescache.Flight
-	spot   *spotChecker
 
 	// janitorStop ends the idle-eviction janitor; nil when SessionIdle=0.
 	janitorStop chan struct{}
@@ -128,9 +122,6 @@ func NewServer(cfg Config) *Server {
 	if cfg.CacheBytes > 0 {
 		s.cache = rescache.New(cfg.CacheBytes)
 		s.flight = rescache.NewFlight()
-		if cfg.CacheSpotCheck > 0 {
-			s.spot = newSpotChecker(cfg.CacheSpotCheck)
-		}
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -268,11 +259,10 @@ func (s *Server) execute(ctx context.Context, spec Spec) (*JobResult, *httpError
 	return s.executeMode(ctx, spec, false)
 }
 
-// executeMode is the common execution path. bypassCache marks honesty
-// re-executions — POST /verify and cache spot-checks — which must reach a
-// real engine run: they skip both the cache lookup and the singleflight
-// join (their outcome still refreshes the cache, but is never read from
-// it, so verification can never become circular).
+// executeMode is the common execution path. bypassCache marks POST
+// /verify, which must reach a real engine run: it skips both the cache
+// lookup and the singleflight join (its outcome still refreshes the cache,
+// but is never read from it, so verification can never become circular).
 func (s *Server) executeMode(ctx context.Context, spec Spec, bypassCache bool) (*JobResult, *httpError) {
 	spec, kind, herr := s.normalize(spec)
 	if herr != nil {
@@ -282,31 +272,31 @@ func (s *Server) executeMode(ctx context.Context, spec Spec, bypassCache bool) (
 	if spec.TimeoutMS > 0 {
 		timeout = time.Duration(spec.TimeoutMS) * time.Millisecond
 	}
+	deadline := time.Now().Add(timeout)
 	key, cacheable := s.cacheKey(spec, kind)
 	if !cacheable || bypassCache {
-		return s.runJob(ctx, spec, kind, key, cacheable, false, timeout)
+		return s.runJob(ctx, spec, kind, key, cacheable, false, deadline)
 	}
 
 	if v, ok := s.cache.Get(key); ok {
-		return s.serveHit(ctx, key, spec, v.(*cachedResult))
+		s.count("serve.cache.hit")
+		return v.(*cachedResult).result(), nil
 	}
 	s.count("serve.cache.miss")
 
 	// Collapse concurrent identical submissions onto one execution. The
-	// leader detaches from its own request context (bounded by the job
-	// deadline instead): a leader disconnect must not poison the outcome
-	// its followers are waiting to share. Followers wait under their own
-	// context plus the same deadline.
+	// leader detaches from its own request context (submit still holds it
+	// to the job deadline): a leader disconnect must not poison the
+	// outcome its followers are waiting to share. Followers wait under
+	// their own context, bounded by their own deadline.
 	type outcome struct {
 		res *JobResult
 		err *httpError
 	}
-	wctx, wcancel := context.WithTimeout(ctx, timeout)
+	wctx, wcancel := context.WithDeadline(ctx, deadline)
 	defer wcancel()
 	v, ferr, leader := s.flight.Do(wctx, key, func() (any, error) {
-		lctx, lcancel := context.WithTimeout(context.WithoutCancel(ctx), timeout)
-		defer lcancel()
-		res, lerr := s.runJob(lctx, spec, kind, key, true, true, timeout)
+		res, lerr := s.runJob(context.WithoutCancel(ctx), spec, kind, key, true, true, deadline)
 		return outcome{res: res, err: lerr}, nil
 	})
 	if ferr != nil {
@@ -329,44 +319,20 @@ func (s *Server) executeMode(ctx context.Context, spec Spec, bypassCache bool) (
 	return out.res, out.err
 }
 
-// serveHit answers a request from a resident cache entry, first giving the
-// spot-checker its chance to re-execute the spec and compare fingerprints.
-// A mismatch is the cache caught lying: the entry is evicted and the fresh
-// (true) result is served. A spot-check that cannot run — draining, queue
-// full, deadline — skips rather than fails: honesty enforcement needs an
-// engine, and the hit is still backed by a verifiable receipt.
-func (s *Server) serveHit(ctx context.Context, key rescache.Key, spec Spec, cr *cachedResult) (*JobResult, *httpError) {
-	s.count("serve.cache.hit")
-	if s.spot != nil && s.spot.pick() {
-		s.count("serve.cache.spotcheck")
-		fresh, herr := s.executeMode(ctx, spec, true)
-		switch {
-		case herr != nil:
-			s.count("serve.cache.spotcheck.skip")
-		case fresh.Receipt.Fingerprint != cr.Receipt.Fingerprint:
-			s.count("serve.cache.spotcheck.mismatch")
-			s.cache.Remove(key)
-			return fresh, nil
-		}
-	}
-	return cr.result(), nil
-}
-
 // runJob submits one job and waits for its result: the tail of every
 // execution path, cached or not. key is the result-cache address of the
 // spec when store or recheck is set. store caches the outcome after a
 // successful run; recheck serves from the cache if the key was filled
 // while the job queued (a verify re-execution can land the result first)
-// so an admitted spec never executes twice. Honesty re-executions (verify,
-// spot-check) set store without recheck — they exist to run.
-func (s *Server) runJob(ctx context.Context, spec Spec, kind *Kind, key rescache.Key, store, recheck bool, timeout time.Duration) (*JobResult, *httpError) {
+// so an admitted spec never executes twice. A verify sets store without
+// recheck — it exists to run.
+func (s *Server) runJob(ctx context.Context, spec Spec, kind *Kind, key rescache.Key, store, recheck bool, deadline time.Time) (*JobResult, *httpError) {
 	what := func() string { return "job " + spec.String() }
-	return submit(s.exec, ctx, time.Now().Add(timeout), what, func(tid int, admitted time.Time) (*JobResult, *httpError) {
+	return submit(s.exec, ctx, deadline, what, func(tid int, admitted time.Time) (*JobResult, *httpError) {
 		if recheck {
 			if v, ok := s.cache.Get(key); ok {
-				// Queued-then-cached: the result landed (via a verify or
-				// spot-check re-execution) while this job waited for a
-				// worker. Serving the resident copy keeps the
+				// Queued-then-cached: the result landed (via a verify)
+				// while this job waited for a worker. Serving the resident copy keeps the
 				// one-execution-per-spec property instead of running the
 				// same pure function twice.
 				s.exec.met.Counter("serve.cache.hit_queued").Add(tid, 1)

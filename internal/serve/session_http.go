@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"galois"
-	"galois/internal/rescache"
 	"galois/internal/session"
 	"galois/internal/stats"
 )
@@ -43,19 +42,6 @@ type sessionVerifyRequest struct {
 	Threads    int    `json:"threads,omitempty"`
 }
 
-// cachedLink is the result-cache payload for one session batch, keyed by
-// rescache.KeyOfLink(prev, canon). Because the key pins the exact chain
-// prefix, the fingerprints are pure functions of the key — which is what
-// makes caching them sound. They are used as a cross-check, never as a
-// substitute for execution (the state must actually advance), so a hit
-// costs nothing and a mismatch is a determinism alarm.
-type cachedLink struct {
-	stateFP  uint64
-	resultFP uint64
-}
-
-func (c *cachedLink) size() int64 { return 64 }
-
 // runBatch executes one session batch on a worker. Batches share the
 // executor with one-shot jobs: same queue, same workers, same engine pool,
 // same deadline semantics. The session's own lock serializes batches
@@ -77,7 +63,7 @@ func (s *Server) runBatch(tid int, admitted time.Time, sess *session.Session, b 
 		st        stats.Stats
 		engineHit bool
 	)
-	runner := func(k *session.Kind, state any, b session.BatchSpec, prev, canon []byte) (uint64, uint64, error) {
+	runner := func(k *session.Kind, state any, b session.BatchSpec) (uint64, uint64, error) {
 		var stateFP, resultFP uint64
 		var aerr error
 		herr := s.exec.withEngine(threads, tid, func(eng *galois.Engine, hit bool) {
@@ -90,11 +76,7 @@ func (s *Server) runBatch(tid int, admitted time.Time, sess *session.Session, b 
 		if herr != nil {
 			return 0, 0, errors.New(herr.msg)
 		}
-		if aerr != nil {
-			return 0, 0, aerr
-		}
-		s.checkLinkCache(tid, prev, canon, stateFP, resultFP)
-		return stateFP, resultFP, nil
+		return stateFP, resultFP, aerr
 	}
 	now := time.Now().UnixNano() //detlint:ordered idle-eviction bookkeeping only: session.Batch stores the timestamp as lastUsed and never feeds it into the chain hash
 	link, err := sess.Batch(b, now, runner)
@@ -115,43 +97,15 @@ func (s *Server) runBatch(tid int, admitted time.Time, sess *session.Session, b 
 	}, nil
 }
 
-// checkLinkCache cross-checks a freshly computed batch result against the
-// chain-prefix-keyed cache and refreshes the entry. Unlike one-shot jobs,
-// a hit can never skip execution — the pinned state must advance — so the
-// cache's value here is purely evidential: an agreeing entry (from an
-// identical session elsewhere, or a previous life of this chain prefix)
-// confirms cross-run determinism, a disagreeing one is evicted and
-// counted as a determinism alarm.
-func (s *Server) checkLinkCache(tid int, prev, canon []byte, stateFP, resultFP uint64) {
-	if s.cache == nil {
-		return
-	}
-	key, err := rescache.KeyOfLink(prev, canon)
-	if err != nil {
-		return
-	}
-	if v, ok := s.cache.Get(key); ok {
-		cl := v.(*cachedLink)
-		if cl.stateFP == stateFP && cl.resultFP == resultFP {
-			s.exec.met.Counter("serve.session.chain.confirm").Add(tid, 1)
-		} else {
-			s.exec.met.Counter("serve.session.chain.mismatch").Add(tid, 1)
-			s.cache.Remove(key)
-		}
-	}
-	cl := &cachedLink{stateFP: stateFP, resultFP: resultFP}
-	s.cache.Put(key, cl, cl.size())
-}
-
 // runSessionVerify replays a session's whole chain on one worker with one
-// checked-out engine. It bypasses the link cache entirely — read and
-// write — because an audit is only evidence if it reaches real runs.
+// checked-out engine: every link is a real run, because an audit is only
+// evidence if it reaches real runs.
 func (s *Server) runSessionVerify(tid int, sess *session.Session, expect string, threads int) (*session.VerifyOutcome, *httpError) {
 	variant := sess.Init().Variant
 	var out session.VerifyOutcome
 	var verr error
 	herr := s.exec.withEngine(threads, tid, func(eng *galois.Engine, hit bool) {
-		runner := func(k *session.Kind, state any, b session.BatchSpec, prev, canon []byte) (uint64, uint64, error) {
+		runner := func(k *session.Kind, state any, b session.BatchSpec) (uint64, uint64, error) {
 			stateFP, resultFP, _, err := k.Apply(state, b, schedOpts(variant, threads, eng, nil))
 			return stateFP, resultFP, err
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -357,51 +356,5 @@ func TestConcurrentSessionChains(t *testing.T) {
 			t.Errorf("%s: concurrent sessions ended on different chains %s and %s",
 				kinds[i], finals[i-2], finals[i])
 		}
-	}
-}
-
-// TestSessionLinkCacheCrossCheck: with the result cache enabled, a second
-// identical session confirms the first's links (serve.session.chain.confirm);
-// a poisoned cache entry raises the mismatch alarm and is evicted.
-func TestSessionLinkCacheCrossCheck(t *testing.T) {
-	s, c := newTestServer(t, Config{Workers: 2, QueueDepth: 32, CacheBytes: 1 << 20})
-	ctx := context.Background()
-	batch := session.BatchSpec{Op: "reweight", Edges: 8, Seed: 7}
-
-	for i := 0; i < 2; i++ {
-		si, err := c.CreateSession(ctx, session.InitSpec{Kind: "sssp", Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.SessionBatch(ctx, si.ID, batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.exec.met.Counter("serve.session.chain.confirm").Value(); got != 1 {
-		t.Errorf("chain.confirm = %d after identical twin session, want 1", got)
-	}
-
-	// Poison: same prefix, wrong fingerprints — the next identical run must
-	// flag and evict it.
-	si, err := c.CreateSession(ctx, session.InitSpec{Kind: "sssp", Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := s.sessions.Kinds().Lookup("sssp")
-	canon, err := k.Canon(&session.BatchSpec{Op: batch.Op, Edges: batch.Edges, Seed: batch.Seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevRaw, err := hex.DecodeString(si.Head)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.checkLinkCache(0, prevRaw, canon, 0xbad, 0xbad)
-	before := s.exec.met.Counter("serve.session.chain.mismatch").Value()
-	if _, err := c.SessionBatch(ctx, si.ID, batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.exec.met.Counter("serve.session.chain.mismatch").Value(); got != before+1 {
-		t.Errorf("chain.mismatch = %d, want %d (poisoned entry must alarm)", got, before+1)
 	}
 }

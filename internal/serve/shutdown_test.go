@@ -15,20 +15,20 @@ import (
 // slowRegistry returns the default registry plus a "slow" kind whose runs
 // block for d (signalling each start on started, if non-nil) — the lever
 // the admission and shutdown tests use to hold jobs in flight and in
-// queue deterministically.
+// queue deterministically — and "slow-exclusive", the same run over an
+// Exclusive input.
 func slowRegistry(d time.Duration, started chan struct{}) *Registry {
 	reg := DefaultRegistry()
-	reg.Register(&Kind{
-		Name:  "slow",
-		Build: func(inputs.Scale, uint64) any { return struct{}{} },
-		Run: func(_ any, _ []galois.Option) (uint64, stats.Stats) {
-			if started != nil {
-				started <- struct{}{}
-			}
-			time.Sleep(d)
-			return 42, stats.Stats{}
-		},
-	})
+	run := func(_ any, _ []galois.Option) (uint64, stats.Stats) {
+		if started != nil {
+			started <- struct{}{}
+		}
+		time.Sleep(d)
+		return 42, stats.Stats{}
+	}
+	build := func(inputs.Scale, uint64) any { return struct{}{} }
+	reg.Register(&Kind{Name: "slow", Build: build, Run: run})
+	reg.Register(&Kind{Name: "slow-exclusive", Exclusive: true, Build: build, Reset: func(any) {}, Run: run})
 	return reg
 }
 

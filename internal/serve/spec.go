@@ -36,8 +36,8 @@ type Spec struct {
 
 // WithDefaults fills the optional fields every normalized spec carries:
 // variant g-d, scale small, threads 1. It is the one place those defaults
-// are decided — galoisd's normalization and galoisrouter's consistent-hash
-// key both call it, so a routing key always matches the backend's cache
+// are decided — galoisd's normalization and galoisrouter's placement key
+// both call it, so a routing key always matches the backend's cache
 // key.
 func (s Spec) WithDefaults() Spec {
 	if s.Variant == "" {

@@ -12,11 +12,9 @@ import (
 
 // ApplyRunner executes one batch during a live submission or a replay.
 // The serving layer supplies it to interpose engine checkout, scheduler
-// options, deadlines and metrics; prev is the raw chain hash of the
-// preceding link and canon the batch's canonical encoding (together they
-// key the result cache). It must return the post-state and result
+// options, deadlines and metrics. It must return the post-state and result
 // fingerprints from k.Apply.
-type ApplyRunner func(k *Kind, state any, b BatchSpec, prev []byte, canon []byte) (stateFP, resultFP uint64, err error)
+type ApplyRunner func(k *Kind, state any, b BatchSpec) (stateFP, resultFP uint64, err error)
 
 // Session is one pinned mutable input plus its receipt chain. All access
 // is serialized by mu: batches against the same session execute one at a
@@ -268,7 +266,7 @@ func (s *Session) Batch(b BatchSpec, now int64, run ApplyRunner) (Link, error) {
 		return Link{}, ErrPrevMismatch
 	}
 
-	stateFP, resultFP, err := run(s.kind, s.state, b, s.head[:], canon)
+	stateFP, resultFP, err := run(s.kind, s.state, b)
 	if err != nil {
 		return Link{}, err
 	}
@@ -354,7 +352,7 @@ func ReplayChain(k *Kind, sc inputs.Scale, init InitSpec, links []Link, expectFi
 					Reason: fmt.Sprintf("link %d: recorded batch does not canonicalize: %v", i, err)}, nil
 			}
 			var rerr error
-			stFP, resFP, rerr = run(k, state, l.Batch, head[:], canon)
+			stFP, resFP, rerr = run(k, state, l.Batch)
 			if rerr != nil {
 				return VerifyOutcome{}, fmt.Errorf("replaying link %d: %w", i, rerr)
 			}

@@ -12,7 +12,7 @@ import (
 // the deterministic scheduler — the session layer's contract is the same
 // whichever executor hosts it.
 func testRunner(threads int) ApplyRunner {
-	return func(k *Kind, state any, b BatchSpec, prev, canon []byte) (uint64, uint64, error) {
+	return func(k *Kind, state any, b BatchSpec) (uint64, uint64, error) {
 		stFP, resFP, _, err := k.Apply(state, b, []galois.Option{
 			galois.WithThreads(threads), galois.WithSched(galois.Deterministic)})
 		return stFP, resFP, err
@@ -177,9 +177,9 @@ func TestPrevReplayAndMismatch(t *testing.T) {
 	// Retry of b1 (lost response): same Prev, same payload → recorded link,
 	// marked Replayed, chain unextended.
 	executions := 0
-	counting := func(k *Kind, state any, b BatchSpec, prev, canon []byte) (uint64, uint64, error) {
+	counting := func(k *Kind, state any, b BatchSpec) (uint64, uint64, error) {
 		executions++
-		return testRunner(1)(k, state, b, prev, canon)
+		return testRunner(1)(k, state, b)
 	}
 	got, err := s.Batch(b1, 4, counting)
 	if err != nil {

@@ -110,12 +110,6 @@ func (c *Collector) Stop() { c.elapsed = time.Since(c.start) }
 // Commit records a committed task on thread tid.
 func (c *Collector) Commit(tid int) { c.threads[tid].Commits++ }
 
-// Abort records an aborted/failed task attempt on thread tid.
-func (c *Collector) Abort(tid int) { c.threads[tid].Aborts++ }
-
-// Push records a newly created task on thread tid.
-func (c *Collector) Push(tid int) { c.threads[tid].Pushes++ }
-
 // AtomicOp records n atomic shared-memory updates on thread tid. This is the
 // paper's proxy for inter-task communication (Figure 5).
 func (c *Collector) AtomicOp(tid int, n int) { c.threads[tid].AtomicOps += uint64(n) }

@@ -12,8 +12,7 @@ func TestCollectorMerge(t *testing.T) {
 		for i := 0; i <= tid; i++ {
 			c.Commit(tid)
 		}
-		c.Abort(tid)
-		c.Push(tid)
+		c.Add(tid, Tally{Aborts: 1, Pushes: 1})
 		c.AtomicOp(tid, 10)
 		c.Inspect(tid)
 	}

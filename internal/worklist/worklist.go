@@ -280,47 +280,3 @@ func (w *ChunkedFIFO[T]) Size() int { return int(w.size.Load()) }
 func (w *ChunkedFIFO[T]) BalanceSpares() {
 	balanceSpares(len(w.local), func(i int) *spares[T] { return &w.local[i].spare })
 }
-
-// FIFO is a mutex-protected global queue, useful as a simple baseline
-// worklist and for tests.
-type FIFO[T any] struct {
-	mu    sync.Mutex
-	items []T
-	head  int
-}
-
-// NewFIFO returns an empty FIFO.
-func NewFIFO[T any]() *FIFO[T] { return &FIFO[T]{} }
-
-// Push appends item.
-func (f *FIFO[T]) Push(item T) {
-	f.mu.Lock()
-	f.items = append(f.items, item)
-	f.mu.Unlock()
-}
-
-// Pop removes the oldest item.
-func (f *FIFO[T]) Pop() (item T, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.head == len(f.items) {
-		var zero T
-		return zero, false
-	}
-	item = f.items[f.head]
-	var zero T
-	f.items[f.head] = zero
-	f.head++
-	if f.head == len(f.items) {
-		f.items = f.items[:0]
-		f.head = 0
-	}
-	return item, true
-}
-
-// Len returns the number of queued items.
-func (f *FIFO[T]) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.items) - f.head
-}

@@ -126,25 +126,6 @@ func TestChunkedLIFOConcurrentPushPop(t *testing.T) {
 	}
 }
 
-func TestFIFOOrder(t *testing.T) {
-	f := NewFIFO[string]()
-	f.Push("a")
-	f.Push("b")
-	f.Push("c")
-	if f.Len() != 3 {
-		t.Fatalf("len = %d", f.Len())
-	}
-	for _, want := range []string{"a", "b", "c"} {
-		got, ok := f.Pop()
-		if !ok || got != want {
-			t.Fatalf("pop = %q,%v want %q", got, ok, want)
-		}
-	}
-	if _, ok := f.Pop(); ok {
-		t.Fatal("pop from empty FIFO succeeded")
-	}
-}
-
 func TestChunkedFIFOSingleThread(t *testing.T) {
 	w := NewChunkedFIFO[int](1)
 	const n = 500

@@ -3,10 +3,11 @@
 #
 # Starts TWO galoisd backends and one galoisrouter on ephemeral ports and
 # fires one concurrent burst through the router (scripts/burst.sh: every
-# registered kind × {g-n, g-d, g-dnc} at threads 1 and 2), so each
-# deterministic cell's two fingerprints may come from different backends
-# and must still agree, and each receipt re-verifies through the router's
-# round-robin verify path. Then walks the headline portability demo with
+# registered kind × {g-n, g-d, g-dnc} at threads 1 and 2). The router
+# places each det spec by its key, and a cell's two thread counts are two
+# keys, so its two fingerprints may come from different backends and must
+# still agree; each receipt re-verifies through the router's round-robin
+# verify path. Then walks the headline portability demo with
 # curl: submit one job, note which backend produced it (X-Galois-Backend),
 # verify the receipt twice — round-robin guarantees the two verifies land
 # on different backends, so at least one is a cross-node replay — and
@@ -56,11 +57,11 @@ b2=$(cat "$tmp/b2")
 echo "cluster-smoke: backends on $b1 and $b2"
 
 "$tmp/galoisrouter" -addr 127.0.0.1:0 -addr-file "$tmp/r" \
-    -backends "$b1,$b2" -policy least-loaded -probe-interval 500ms &
+    -backends "$b1,$b2" -probe-interval 500ms &
 router_pid=$!
 wait_addr "$tmp/r" "$router_pid" "galoisrouter"
 raddr=$(cat "$tmp/r")
-echo "cluster-smoke: router on $raddr (least-loaded over 2 backends)"
+echo "cluster-smoke: router on $raddr (2 backends)"
 
 hz=$(curl -sf "http://$raddr/healthz")
 case "$hz" in
@@ -68,9 +69,10 @@ case "$hz" in
 *) echo "cluster-smoke: router healthz unexpected: $hz" >&2; exit 1 ;;
 esac
 
-# Concurrent burst through the router: each det cell's t1 and t2
-# submissions spread across both backends and must agree, and its receipt
-# re-verifies via the router's round-robin verify path.
+# Concurrent burst through the router: a det cell's t1 and t2 submissions
+# are two keys, each placed by the rendezvous hash on either backend, and
+# must agree; its receipt re-verifies via the router's round-robin verify
+# path, which ignores placement.
 burst cluster-smoke "$raddr" "$tmp/burst"
 
 # Headline portability demo, by hand: one job, two verifies.
