@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-effects test race soak-smoke trace-smoke serve-smoke cluster-smoke bench bench-smoke microbench-smoke profile-finegrain profile-mesh profile-serve
+.PHONY: check build vet lint lint-effects test race soak-smoke trace-smoke serve-smoke cluster-smoke bench bench-smoke microbench-smoke profile-finegrain profile-mesh profile-serve ledger
 
 # Everything CI runs, in CI's order.
 check: vet lint build test race soak-smoke trace-smoke serve-smoke cluster-smoke bench-smoke microbench-smoke
@@ -89,6 +89,11 @@ bench:
 # CI runs it to keep the yardstick building against the tree it measures.
 bench-smoke:
 	cd benchmark && $(GO) test .
+
+# The removal ledger: non-test Go lines outside benchmark/ and testdata/,
+# the count every removal PR quotes (ROADMAP, ground rules). Not in check.
+ledger:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 # Every in-tree microbenchmark of the packages EXPERIMENTS.md H14–H16 cite
 # rows from, one iteration each: they keep compiling and running, nothing

@@ -64,8 +64,8 @@ const (
 )
 
 // Ctx is the per-task execution context. See the core package for the
-// method set: Acquire, OnCommit, Push, PushWithID, Item, TID, Threads,
-// Deterministic, CountAtomic.
+// method set: Acquire, OnCommit, Push, Item, TID, Threads, Deterministic,
+// CountAtomic.
 type Ctx[T any] = core.Ctx[T]
 
 // PlanOf returns the executing task's plan: a *P zeroed at the body's first
@@ -106,11 +106,6 @@ func WithThreads(n int) Option { return func(o *core.Options) { o.Threads = n } 
 // in its commit phase (the baseline of §3.2). Output is unaffected; this
 // exists for the Figure 10 ablation.
 func WithoutContinuation() Option { return func(o *core.Options) { o.Continuation = false } }
-
-// WithPreassignedIDs declares that every task created via PushWithID
-// carries an explicit deterministic priority, skipping the (parent, k)
-// sort of §3.2 — the third optimization of §3.3.
-func WithPreassignedIDs() Option { return func(o *core.Options) { o.PreassignedIDs = true } }
 
 // WithFIFO selects an approximately-FIFO worklist for the non-deterministic
 // scheduler (default: chunked LIFO with stealing). A scheduling hint in the
@@ -179,7 +174,7 @@ func WithProfile(t *Tracer) Option { return func(o *core.Options) { o.Profile = 
 //
 // The body must follow the cautious-task protocol documented on Ctx:
 // Acquire every location it reads, defer every shared write into OnCommit,
-// and create tasks only through Push/PushWithID.
+// and create tasks only through Push.
 //
 // Each call allocates and discards its run state (workers, arenas,
 // contexts) unless an Engine is supplied with WithEngine; programs that
@@ -194,7 +189,7 @@ func ForEach[T any](items []T, body func(*Ctx[T], T), opts ...Option) Stats {
 
 // Engine retains run state across loops: the persistent worker pool,
 // barriers, the statistics collector and, per item type, generation arenas,
-// execution contexts and gather/sort scratch. The first run on an engine
+// execution contexts and gather and formation buffers. The first run on an engine
 // allocates this state; later runs of similar shape reuse it, so the steady
 // state of a repeatedly driven engine allocates (near) zero per run.
 //

@@ -2,40 +2,32 @@ package core
 
 // gatherLane is one worker's share of a round's gather, written only by
 // its owning worker during the execute phase: the failed tasks of the
-// worker's static window range (in range order) and the children its
-// committed tasks produced. The pad keeps neighboring lanes' slice headers
-// off each other's cache lines — the headers are rewritten every append.
+// worker's static window range, in range order. The pad keeps neighboring
+// lanes' slice headers off each other's cache lines — the header is
+// rewritten every append.
 type gatherLane[T any] struct {
-	failed   []*detTask[T]
-	children []child[T]
-	_        [128 - 2*24]byte // two 24-byte slice headers, padded to 128
+	failed []*detTask[T]
+	_      [128 - 24]byte // one 24-byte slice header, padded to 128
 }
 
-// commitCollector owns the end-of-round gather of the DIG scheduler: the
-// children of committed tasks are collected and failed tasks are compacted
-// in front of the untried remainder (failed tasks keep their priority).
-// Two pipelines produce the identical result:
+// commitCollector owns the end-of-round gather of the DIG scheduler: failed
+// tasks are compacted in front of the untried remainder (failed tasks keep
+// their priority). Two pipelines produce the identical result:
 //
 //   - gather: the serial walk (every round of a one-thread run, and the
 //     batched sub-parallel rounds of any run);
 //   - per-worker lanes: during the execute phase each worker appends its
-//     static range's failed tasks and children to its own lane, so the
-//     gather costs no extra phase and no extra barrier. Concatenating the
-//     failed lanes in tid order reproduces the serial compaction order
-//     exactly (static ranges are ascending in tid, range order is window
-//     order). Children lanes accumulate across the generation's rounds and
-//     are merged once at generation end — their order is irrelevant,
-//     because every generation is sorted by globally-unique child keys
-//     ((parent, k), or (pre, parent, k) under preassigned ids) before
-//     forming the next, so any deterministic concatenation yields the same
-//     next generation.
+//     static range's failed tasks to its own lane, so the gather costs no
+//     extra phase and no extra barrier. Concatenating the lanes in tid
+//     order reproduces the serial compaction order exactly (static ranges
+//     are ascending in tid, range order is window order).
 //
-// All buffers are engine-retained scratch: the produced buffer and every
-// lane keep their capacity across rounds and runs, so a reused engine
-// gathers without allocating.
+// Children are not gathered: a committed task keeps them in its arena slot,
+// and endGeneration reads them there in id order. Every lane keeps its
+// capacity across rounds and runs, so a reused engine gathers without
+// allocating.
 type commitCollector[T any] struct {
-	produced []child[T]
-	lanes    []gatherLane[T]
+	lanes []gatherLane[T]
 }
 
 // ensureLanes grows the lane set to at least n workers. Serial (pre-fork).
@@ -47,22 +39,11 @@ func (cc *commitCollector[T]) ensureLanes(n int) {
 	}
 }
 
-// reset prepares the collector for a new generation, keeping capacity.
-func (cc *commitCollector[T]) reset() {
-	cc.produced = cc.produced[:0]
-	for i := range cc.lanes {
-		cc.lanes[i].failed = cc.lanes[i].failed[:0]
-		cc.lanes[i].children = cc.lanes[i].children[:0]
-	}
-}
-
-// scrub zeroes the buffers over their whole capacity (see Engine.Scrub).
+// scrub zeroes the lanes over their whole capacity (see Engine.Scrub).
 func (cc *commitCollector[T]) scrub() {
-	clear(cc.produced[:cap(cc.produced)])
 	for i := range cc.lanes {
 		lane := &cc.lanes[i]
 		clear(lane.failed[:cap(lane.failed)])
-		clear(lane.children[:cap(lane.children)])
 	}
 }
 
@@ -90,25 +71,9 @@ func (cc *commitCollector[T]) mergeFailed(r *roundExecutor[T]) int {
 	return nf
 }
 
-// mergeProduced concatenates the per-worker children lanes onto the
-// produced buffer (which already holds the children of any serially
-// gathered rounds) and returns it. Runs once per generation, inside the
-// closing coordination callback; the concatenation order is fixed (tid
-// ascending) but immaterial — endGeneration sorts by unique keys next.
-func (cc *commitCollector[T]) mergeProduced(nthreads int) []child[T] {
-	for i := 0; i < nthreads; i++ {
-		lane := &cc.lanes[i]
-		if len(lane.children) > 0 {
-			cc.produced = append(cc.produced, lane.children...)
-			lane.children = lane.children[:0]
-		}
-	}
-	return cc.produced
-}
-
 // gather is the serial pipeline (inside a barrier callback: every round at
-// one thread, one batched sub-parallel round otherwise): harvest children,
-// compact failed tasks, and finish the round.
+// one thread, one batched sub-parallel round otherwise): compact failed
+// tasks and finish the round.
 //
 // The failed compaction is in place: cur and rest are adjacent views of
 // r.next, so moving the nf failed task pointers into next[w-nf:w] makes
@@ -125,9 +90,6 @@ func (cc *commitCollector[T]) gather(r *roundExecutor[T]) {
 			continue
 		}
 		committed++
-		if len(t.children) > 0 {
-			cc.produced = append(cc.produced, t.children...)
-		}
 		// See execRange: same closure-drop, same buffer retention.
 		t.commitFn = nil
 	}

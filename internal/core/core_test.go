@@ -329,49 +329,6 @@ func TestDeterministicAbortsAtOneThread(t *testing.T) {
 	}
 }
 
-func TestPreassignedIDs(t *testing.T) {
-	// Children pushed with explicit ids execute in id order; verify with
-	// a non-commutative fold.
-	run := func(threads int) uint64 {
-		var acc cell
-		seed := []int{-1}
-		ForEach(seed, func(ctx *Ctx[int], i int) {
-			ctx.Acquire(&acc.Lockable)
-			if i < 0 {
-				ctx.OnCommit(func(cc *Ctx[int]) {
-					// Push in scrambled order with ids that
-					// demand execution in 0..31 item order.
-					for _, id := range rng.New(5).Perm(32) {
-						cc.PushWithID(id, uint64(id)+1)
-					}
-				})
-				return
-			}
-			ctx.OnCommit(func(*Ctx[int]) { acc.value = acc.value*31 + uint64(i) })
-		}, optsFor(Deterministic, threads, func(o *Options) {
-			o.PreassignedIDs = true
-			o.LocalityInterleave = false
-			// Small window to force multiple rounds over children.
-			o.WindowInit = 4
-		}))
-		return acc.value
-	}
-	// Children conflict on acc, so the fold observes the commit order.
-	// The order follows pre-assigned ids modulo window dynamics (within a
-	// round the max id commits first); what must hold is that it is
-	// identical for every thread count, and independent of the scrambled
-	// push order because the ids — not creation order — define it.
-	ref := run(1)
-	if ref == 0 {
-		t.Fatal("children did not run")
-	}
-	for _, th := range []int{2, 8} {
-		if got := run(th); got != ref {
-			t.Fatalf("preassigned ids: threads=%d got %x want %x", th, got, ref)
-		}
-	}
-}
-
 func TestUserPanicPropagates(t *testing.T) {
 	defer func() {
 		if r := recover(); r == nil {

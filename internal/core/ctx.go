@@ -30,17 +30,6 @@ const (
 // unwinding is all the rollback that is ever needed (§2.1).
 type conflictSignal struct{}
 
-// child is a dynamically created task plus its deterministic sort key.
-type child[T any] struct {
-	item T
-	// parent is id(t) of the creating task; k is the creation index
-	// within the parent. Together they are the lexicographic sort key of
-	// §3.2. In PreassignedIDs mode, pre carries the user-supplied id.
-	parent uint64
-	k      uint64
-	pre    uint64
-}
-
 // Ctx is the per-task execution context handed to task bodies. It carries
 // the task's item and mark record, the deferred commit closure and any
 // created children. A Ctx is owned by one worker goroutine at a time and
@@ -70,14 +59,13 @@ type Ctx[T any] struct {
 	// inCommit is true while commitFn runs; Acquire is then illegal.
 	inCommit bool
 
-	children []child[T]
-	nchild   uint64
+	children []T
 	// scratch is a ctx-owned children buffer for validate-mode
 	// re-execution. After the inspect phase, children aliases the buffer
 	// of the last task this worker inspected; validate-mode bodies must
 	// append into a buffer no task owns, or two tasks executing
 	// concurrently on different workers could write one backing array.
-	scratch []child[T]
+	scratch []T
 
 	// plans are the worker's plan slots (PlanOf): one per position in the
 	// worker's static share of a round, which its inspect and execute
@@ -120,7 +108,6 @@ func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec, item T, slot int) {
 	c.inCommit = false
 	c.failed = false
 	c.children = c.children[:0]
-	c.nchild = 0
 }
 
 // forgetTask drops what the context still holds of the tasks it ran — the
@@ -273,20 +260,11 @@ func (c *Ctx[T]) OnCommit(fn func(*Ctx[T])) {
 
 // Push creates a new task (an element of S(t), §2). The task enters the
 // pool only if the creating task commits. Under the DIG scheduler the new
-// task's deterministic id derives from (id(parent), creation index).
+// task's place in the next generation is (id(parent), creation index):
+// the committed tasks' children are concatenated in parent id order, each
+// parent's in push order.
 func (c *Ctx[T]) Push(item T) {
-	c.nchild++
-	c.children = append(c.children, child[T]{item: item, parent: c.rec.ID(), k: c.nchild})
-}
-
-// PushWithID creates a new task with an explicit scheduling priority,
-// implementing the pre-assigned-ids optimization of §3.3. It requires the
-// loop to run with PreassignedIDs; ids must be unique across the loop for
-// the schedule to be fully deterministic (ties are broken by creation
-// order, which is deterministic under DIG anyway).
-func (c *Ctx[T]) PushWithID(item T, id uint64) {
-	c.nchild++
-	c.children = append(c.children, child[T]{item: item, parent: c.rec.ID(), k: c.nchild, pre: id})
+	c.children = append(c.children, item)
 }
 
 // CountAtomic adds n application-level atomic updates to the run's

@@ -8,14 +8,15 @@ import (
 // detTask is the scheduler-side record for one task in the current
 // generation. Its rec is the task's identity in the marks protocol; the id
 // in rec is the task's position in the generation's deterministic order
-// (§3.2), so task id lives at arena.tasks[id-1]. The children slice is
-// per-task scratch whose capacity survives arena recycling, which is what
-// makes a reused engine's steady state allocation-free.
+// (§3.2), so task id lives at arena.tasks[id-1]. children holds what the
+// task's committing execution pushed, in push order, until endGeneration
+// reads it; its capacity survives arena recycling, which is what makes a
+// reused engine's steady state allocation-free.
 type detTask[T any] struct {
 	rec      marks.Rec
 	item     T
 	commitFn func(*Ctx[T])
-	children []child[T]
+	children []T
 	// failed records this round's outcome: the task was not in the
 	// selected independent set and is retried next round.
 	failed bool
@@ -23,15 +24,14 @@ type detTask[T any] struct {
 
 // runDeterministic is the DIG scheduler of Figure 2, phase-structured over
 // the engine's retained state. Tasks execute in generations: the initial
-// tasks form generation zero; tasks created during a generation are
-// collected by the commitCollector, sorted by their deterministic keys, and
-// form the next generation (todo/next in the pseudocode). The whole
-// generation loop — formation, rounds, gather, sort — runs inside one
+// tasks form generation zero; the children of its tasks, concatenated in
+// parent id order, form the next generation (todo/next in the pseudocode).
+// The whole generation loop — formation, rounds, gather — runs inside one
 // worker region (roundExecutor.workerLoop), so generation boundaries cost a
 // barrier instead of a pool fork/join and the coordination steps run as
-// barrier callbacks. All storage — arenas, contexts, children scratch, sort
-// scratch, the executor itself — comes from the engine and is returned to
-// it, so repeated runs on one engine allocate (near) nothing.
+// barrier callbacks. All storage — arenas, contexts, children buffers, the
+// executor itself — comes from the engine and is returned to it, so
+// repeated runs on one engine allocate (near) nothing.
 func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*Ctx[T], T), opt Options, col *stats.Collector) {
 	nthreads := opt.Threads
 	// Profiled runs execute single-threaded: the cachesim tracer orders
@@ -69,8 +69,7 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 	r.barCrossings, r.barMark = 0, 0
 	r.genIdx = 0
 	r.runDone = false
-	r.formItems, r.formChildren = items, nil
-	r.formN = len(items)
+	r.formSrc, r.formN = items, len(items)
 	r.beginGeneration()
 	r.arena = st.free.take(len(items))
 	_, parks0, wait0 := r.bar.Stats()
@@ -148,8 +147,7 @@ func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid, slot int) {
 		if t.commitFn != nil {
 			// The ctx has inspected other tasks since this one: rebind it.
 			ctx.reset(tid, modeInspect, &t.rec, t.item, slot)
-			ctx.children = t.children
-			ctx.nchild = childMax(t.children)
+			ctx.children = t.children // the closure's pushes follow the inspect's
 			ctx.inCommit = true
 			t.commitFn(ctx)
 			ctx.inCommit = false
@@ -180,16 +178,4 @@ func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid, slot int) {
 		t.children = append(t.children[:0], ctx.children...)
 	}
 	ctx.tally.Pushes += uint64(len(t.children))
-}
-
-// childMax returns the largest creation index among cs, so that pushes from
-// the commit closure continue the parent's (id, k) sequence.
-func childMax[T any](cs []child[T]) uint64 {
-	var m uint64
-	for i := range cs {
-		if cs[i].k > m {
-			m = cs[i].k
-		}
-	}
-	return m
 }

@@ -67,9 +67,9 @@
 //
 // The deterministic schedule is a pure function of the input because every
 // input to every scheduling decision is: (i) the generation order — the
-// caller's slice order, then sorted (parent id, creation index) keys of
-// committed pushes, optionally pre-permuted by the deterministic
-// interleave; (ii) the window sequence — a pure function of per-round
+// caller's slice order, then committed pushes in (parent id, creation
+// index) order — parents by slot, each parent's pushes in push order —
+// optionally pre-permuted by the deterministic interleave; (ii) the window sequence — a pure function of per-round
 // commit counts (window.go); (iii) mark resolution — max over a round's
 // ids per location, order-independent. Thread count, chunking, stealing
 // and timing can change which worker executes what and in which order

@@ -15,7 +15,7 @@ import (
 // Engine owns the run state both schedulers reuse across loops: the
 // persistent worker pool, barriers, the statistics collector, registered
 // metrics instruments, and — per item type — generation arenas, contexts and
-// gather/sort scratch. A fresh run allocates this state on demand; every
+// gather and formation buffers. A fresh run allocates this state on demand; every
 // later run of similar shape finds it warm, so the steady state of a
 // repeatedly driven engine allocates (near) zero.
 //
@@ -76,7 +76,7 @@ func (e *Engine) Close() {
 
 // Scrub zeroes every slot of the engine's retained scratch that can still
 // point into the data of the runs since the last Scrub — task items, commit
-// closures, children, gather lanes, sort scratch, each context's buffers —
+// closures, children, gather lanes, the produced buffer, each context's buffers —
 // and keeps all capacity, so the next run finds the engine as warm as before
 // and allocates nothing more. Until then one stale item in a slot the next
 // run does not reach keeps everything reachable from it alive for as long as
@@ -145,8 +145,9 @@ type engState[T any] struct {
 	free genFreeList[T]
 	// commit is the end-of-round collector and its retained gather buffers.
 	commit commitCollector[T]
-	// sortScratch is the merge buffer for sorting generations of children.
-	sortScratch []child[T]
+	// produced is the next generation's items: the children of the
+	// exhausted one, concatenated by endGeneration and read by formation.
+	produced []T
 	// exec is the retained DIG executor: its barrier callbacks and worker
 	// closure are built once, so the round hot loop constructs nothing.
 	exec *roundExecutor[T]
@@ -219,8 +220,8 @@ func (st *engState[T]) scrub() {
 }
 
 // scrubItems zeroes every retained copy of an item, and the commit closures
-// stored beside them: arenas up to their dirty mark, the collector's lanes
-// and produced buffer, the sort scratch and the contexts' children buffers.
+// stored beside them: arenas up to their dirty mark, the collector's lanes,
+// the produced buffer and the contexts' children buffers.
 // The speculative worklists need nothing — a pop zeroes its slot, so the
 // drained chunks they keep for reuse hold no item.
 func (st *engState[T]) scrubItems() {
@@ -230,7 +231,7 @@ func (st *engState[T]) scrubItems() {
 		}
 	}
 	st.commit.scrub()
-	clear(st.sortScratch[:cap(st.sortScratch)])
+	clear(st.produced[:cap(st.produced)])
 	for _, ctx := range st.ctxs {
 		clear(ctx.children[:cap(ctx.children)])
 		clear(ctx.scratch[:cap(ctx.scratch)])

@@ -203,7 +203,7 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 // parallel round pipeline: a window large enough to stay above the serial
 // batching bound (w > serialSpan×nthreads) runs static-range phases with
 // gather fused into execute, and must reuse the collector's per-worker
-// lanes and produced buffer, not allocate them per round.
+// lanes, not allocate them per round.
 func TestEngineSteadyStateAllocsParallelGather(t *testing.T) {
 	// Disjoint tasks keep every round at the full window (all commit, no
 	// shrinking), so each round of each run exercises the parallel pipeline.

@@ -1,7 +1,5 @@
 package core
 
-import "galois/internal/psort"
-
 // The locality interleave reorders a generation's tasks so that tasks
 // adjacent in the original iteration order land in different scheduling
 // windows — the locality-aware round placement of §3.3. Applications lay
@@ -42,43 +40,4 @@ func interleaveSrc(p, n, buckets int) int {
 		b, j = rem+p/q, p%q
 	}
 	return b + j*buckets
-}
-
-// sortChildren orders dynamically created tasks deterministically with a
-// parallel merge sort (the sort of Figure 2 line 5; keys are unique, so
-// parallelism cannot perturb the order). In the default mode the key is
-// the lexicographic pair (id(parent), k) of §3.2; with pre-assigned ids
-// (§3.3) the user-supplied id leads the key and (parent, k) breaks ties
-// deterministically. scratch is the reusable merge buffer (engine-retained),
-// grown and returned by psort.SortScratch.
-func sortChildren[T any](cs []child[T], preassigned bool, threads int, scratch []child[T]) []child[T] {
-	if preassigned {
-		return psort.SortScratch(cs, func(a, b child[T]) int {
-			switch {
-			case a.pre != b.pre:
-				return cmpU64(a.pre, b.pre)
-			case a.parent != b.parent:
-				return cmpU64(a.parent, b.parent)
-			default:
-				return cmpU64(a.k, b.k)
-			}
-		}, threads, scratch)
-	}
-	return psort.SortScratch(cs, func(a, b child[T]) int {
-		if a.parent != b.parent {
-			return cmpU64(a.parent, b.parent)
-		}
-		return cmpU64(a.k, b.k)
-	}, threads, scratch)
-}
-
-func cmpU64(a, b uint64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

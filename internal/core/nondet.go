@@ -143,7 +143,7 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 				if n := len(ctx.children); n > 0 {
 					pending.Add(int64(n))
 					for _, ch := range ctx.children {
-						wl.Push(tid, ch.item)
+						wl.Push(tid, ch)
 					}
 					tally.Pushes += uint64(n)
 				}

@@ -48,11 +48,6 @@ type Options struct {
 	// tasks adjacent in iteration order are dealt into different rounds.
 	LocalityInterleave bool
 
-	// PreassignedIDs declares that every dynamically created task carries
-	// an explicit priority via Ctx.PushWithID, letting the scheduler skip
-	// the (id(parent), k) sort of §3.2.
-	PreassignedIDs bool
-
 	// WindowInit is the initial window size for a generation of n tasks;
 	// 0 means the default policy max(defaultWindowMin, n/windowInitDivisor).
 	// Only tests set it, as they set LocalityInterleave: the public API

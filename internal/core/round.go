@@ -62,14 +62,14 @@ type roundExecutor[T any] struct {
 	// re-raises it once every worker has left (see contain).
 	failure atomic.Pointer[any]
 
-	// arena stores the live generation; formItems/formChildren (exactly
-	// one non-nil) and formN describe the generation about to be formed;
-	// buckets is its locality-interleave bucket count (<= 1: identity).
-	arena        *genArena[T]
-	formItems    []T
-	formChildren []child[T]
-	formN        int
-	buckets      int
+	// arena stores the live generation; formSrc and formN describe the
+	// generation about to be formed (the run's items, or the engine's
+	// produced buffer); buckets is its locality-interleave bucket count
+	// (<= 1: identity).
+	arena   *genArena[T]
+	formSrc []T
+	formN   int
+	buckets int
 
 	// next is the generation's pending tasks in deterministic order; cur is
 	// the current round's window prefix, of w tasks.
@@ -166,30 +166,26 @@ func (r *roundExecutor[T]) contain(serial bool) {
 }
 
 // formGeneration is one worker's share of forming the next generation from
-// formItems/formChildren: fill, locality interleave and id assignment fused
-// into one pass over a static block partition. Output slot p is a pure
-// function of p — its source index comes from interleaveSrc, its id is p+1
-// (0 means "unowned" in the marks protocol) — so the partition cannot
-// perturb the deterministic order (§3.2), and id assignment never enters a
-// serial section (the paper's Opt 3).
+// formSrc: fill, locality interleave and id assignment fused into one pass
+// over a static block partition. Output slot p is a pure function of p —
+// its source index comes from interleaveSrc, its id is p+1 (0 means
+// "unowned" in the marks protocol) — so the partition cannot perturb the
+// deterministic order (§3.2), and id assignment never enters a serial
+// section.
 func (r *roundExecutor[T]) formGeneration(tid int) {
 	n := r.formN
 	lo, hi := para.BlockRange(n, r.nthreads, tid)
 	backing := r.arena.tasks[:n]
 	order := r.arena.order[:n]
-	items, children := r.formItems, r.formChildren
+	src := r.formSrc
 	buckets := r.buckets
 	for p := lo; p < hi; p++ {
-		src := p
+		i := p
 		if buckets > 1 {
-			src = interleaveSrc(p, n, buckets)
+			i = interleaveSrc(p, n, buckets)
 		}
 		t := &backing[p]
-		if items != nil {
-			t.item = items[src]
-		} else {
-			t.item = children[src].item
-		}
+		t.item = src[i]
 		t.children = t.children[:0]
 		t.commitFn = nil
 		t.failed = false
@@ -209,10 +205,8 @@ func (r *roundExecutor[T]) beginGeneration() {
 }
 
 // startGeneration opens the freshly formed generation: barrier callback
-// after the formation pass. The commit collector is reset here — after
-// formation, because formChildren aliases its produced buffer until every
-// item has been copied out. Like coordinate, it drains any leading
-// stretch of sub-parallel rounds before releasing the workers.
+// after the formation pass. Like coordinate, it drains any leading stretch
+// of sub-parallel rounds before releasing the workers.
 func (r *roundExecutor[T]) startGeneration() {
 	defer r.contain(true)
 	r.barCrossings++
@@ -222,8 +216,7 @@ func (r *roundExecutor[T]) startGeneration() {
 	for _, ctx := range r.ctxs[:r.nthreads] {
 		ctx.tasks = r.arena.tasks // where Acquire finds the tasks it displaces
 	}
-	r.cc.reset()
-	r.formItems, r.formChildren = nil, nil
+	r.formSrc = nil
 	emit(r.sink, 0, obs.Event{Kind: obs.KindGenStart, Gen: r.genIdx,
 		Args: [4]int64{int64(r.formN)}})
 	r.next = r.arena.order[:r.formN]
@@ -294,8 +287,7 @@ func (r *roundExecutor[T]) inspectRange(ctx *Ctx[T], tid, lo, hi int) {
 
 // execRange runs Phase 2 (Figure 2 line 19) over the same static range the
 // worker inspected — the task records are still cache-warm from Phase 1 —
-// with the gather fused in: failed tasks and produced children go to the
-// worker's own lane.
+// with the gather fused in: failed tasks go to the worker's own lane.
 func (r *roundExecutor[T]) execRange(ctx *Ctx[T], tid, lo, hi int) {
 	if r.failure.Load() != nil {
 		return // an inspect panicked: the marks are incomplete, nothing may commit
@@ -304,23 +296,17 @@ func (r *roundExecutor[T]) execRange(ctx *Ctx[T], tid, lo, hi int) {
 	defer ctx.flush(tid)
 	lane := &r.cc.lanes[tid]
 	failed := lane.failed[:0]
-	children := lane.children
 	for j, t := range r.cur[lo:hi] {
 		r.execTask(ctx, t, tid, j)
 		if t.failed {
 			failed = append(failed, t)
 			continue
 		}
-		if len(t.children) > 0 {
-			children = append(children, t.children...)
-		}
-		// Drop the commit closure (it can pin arbitrary user state) but
-		// keep the children buffer: its capacity is the engine's
-		// per-task scratch, recycled by the next fill.
+		// Drop the commit closure (it can pin arbitrary user state); the
+		// children stay in the task until endGeneration reads them.
 		t.commitFn = nil
 	}
 	lane.failed = failed
-	lane.children = children
 }
 
 // coordinate is the end-of-round serial section of a parallel round (a
@@ -364,30 +350,38 @@ func (r *roundExecutor[T]) finishRound(committed, nf int) {
 	r.next = r.next[r.w-nf:]
 }
 
-// endGeneration closes the exhausted generation: merge the per-worker
-// children lanes into the produced buffer, sort it, recycle the arena, and
-// stage the next generation's formation — or mark the run done. Runs
-// inside a coordination callback (all other workers parked), so the sort's
-// internal fork-join is safe here.
+// endGeneration closes the exhausted generation: concatenate its tasks'
+// children into the engine's produced buffer, recycle the arena, and stage
+// the next generation's formation — or mark the run done. Runs inside a
+// coordination callback (all other workers parked).
+//
+// The concatenation is §3.2's sort without a comparison. Every task of the
+// generation has committed, and each holds exactly what its committing
+// execution pushed, in push order (under continuation the inspect's pushes,
+// then the commit closure's; without it the validate re-execution's). Slot
+// p holds id p+1, so walking the slots in order yields the children in
+// (id(parent), k) order. The walk must finish before the arena is put back:
+// a same-class take returns the same arena, whose slots formation rewrites.
 func (r *roundExecutor[T]) endGeneration() {
 	st := r.st
-	produced := r.cc.mergeProduced(r.nthreads)
+	produced := st.produced[:0]
+	for i := range r.arena.tasks[:r.formN] {
+		produced = append(produced, r.arena.tasks[i].children...)
+	}
+	st.produced = produced
 	emit(r.sink, 0, obs.Event{Kind: obs.KindGenEnd, Gen: r.genIdx,
 		Args: [4]int64{int64(len(produced))}})
 	if len(produced) == 0 {
 		r.runDone = true
 		return
 	}
-	st.sortScratch = sortChildren(produced, r.opt.PreassignedIDs, r.nthreads, st.sortScratch)
+	// The next generation's order is fixed here; gen-sort marks it.
 	emit(r.sink, 0, obs.Event{Kind: obs.KindGenSort, Gen: r.genIdx,
 		Args: [4]int64{int64(len(produced))}})
-	// The parent generation is fully committed; recycle its arena before
-	// taking the next so same-class generations reuse it.
 	st.free.put(r.arena)
 	r.arena = st.free.take(len(produced))
 	r.genIdx++
-	r.formItems, r.formChildren = nil, produced
-	r.formN = len(produced)
+	r.formSrc, r.formN = produced, len(produced)
 	r.beginGeneration()
 }
 
@@ -404,6 +398,6 @@ func (r *roundExecutor[T]) release() {
 	r.clock = nil
 	r.failure.Store(nil)
 	r.arena = nil
-	r.formItems, r.formChildren = nil, nil
+	r.formSrc = nil
 	r.next, r.cur = nil, nil
 }

@@ -117,7 +117,7 @@ func mallocsOf(f func()) uint64 {
 
 // TestScrubReleasesRunData: an engine that is kept alive must not keep its
 // finished runs' data alive once scrubbed. A large run and then a small one
-// leave items in arena slots, children buffers, lanes and sort scratch that
+// leave items in arena slots, children buffers, lanes and the produced buffer that
 // the small run never reached; after Scrub and two collections every item,
 // every child, the closures' captured state and each run's own metrics
 // registry are gone — and before the scrub, each scheduler's tail has

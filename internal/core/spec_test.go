@@ -11,13 +11,11 @@ import (
 // specTask is one task of a generated program: it reads and writes locs
 // (its whole neighborhood), folds tag into each of them when it commits,
 // and, while depth > 0, creates children that are a pure function of the
-// task. pre is the id its parent pre-assigned to it (read only under
-// PreassignedIDs; roots have none).
+// task.
 type specTask struct {
 	tag   uint64
 	locs  []int
 	depth int
-	pre   uint64
 }
 
 // specProgram is a randomly generated task set over nlocs locations; a
@@ -48,9 +46,7 @@ func genProgram(seed uint64, depth int) specProgram {
 }
 
 // childrenOf derives a task's children from the task alone: zero to two of
-// them, one to three locations each. Pre-assigned ids are drawn from four
-// values, so they tie between siblings and across parents all the time and
-// the (parent, k) tie-break decides most of the order.
+// them, one to three locations each.
 func childrenOf(nlocs int, t specTask) []specTask {
 	if t.depth == 0 {
 		return nil
@@ -69,7 +65,7 @@ func childrenOf(nlocs int, t specTask) []specTask {
 				locs = append(locs, l)
 			}
 		}
-		out = append(out, specTask{tag: tag, locs: locs, depth: t.depth - 1, pre: (tag >> 1) % 4})
+		out = append(out, specTask{tag: tag, locs: locs, depth: t.depth - 1})
 	}
 	return out
 }
@@ -80,18 +76,18 @@ func childrenOf(nlocs int, t specTask) []specTask {
 // enabled), labelled with deterministic ids by position, and run in
 // windowed rounds — owner = maximum id per location, commit iff the task
 // owns its entire neighborhood, failed tasks precede the untried remainder.
-// The children of committed tasks, ordered by (parent id, creation index)
-// — led by the pre-assigned id under PreassignedIDs — form the next
-// generation. It returns the per-location fold values and the number of
-// rounds.
+// The children of committed tasks, sorted by (parent id, creation index),
+// form the next generation: the engine reaches that order without a
+// comparison, so this sort is what checks it. It returns the per-location
+// fold values and the number of rounds.
 func interpret(p specProgram, opt Options) ([]uint64, int) {
 	type sched struct {
 		id uint64 // scheduling priority: slot position in the generation
 		t  specTask
 	}
 	type born struct {
-		pre, parent, k uint64
-		t              specTask
+		parent, k uint64
+		t         specTask
 	}
 	values := make([]uint64, p.nlocs)
 	rounds := 0
@@ -143,11 +139,7 @@ func interpret(p specProgram, opt Options) ([]uint64, int) {
 					values[l] = values[l]*31 + s.t.tag
 				}
 				for k, c := range childrenOf(p.nlocs, s.t) {
-					b := born{parent: s.id, k: uint64(k) + 1, t: c}
-					if opt.PreassignedIDs {
-						b.pre = c.pre
-					}
-					produced = append(produced, b)
+					produced = append(produced, born{parent: s.id, k: uint64(k) + 1, t: c})
 				}
 			}
 			win.update(w, committed)
@@ -155,9 +147,6 @@ func interpret(p specProgram, opt Options) ([]uint64, int) {
 		}
 		sort.Slice(produced, func(i, j int) bool {
 			a, b := produced[i], produced[j]
-			if a.pre != b.pre {
-				return a.pre < b.pre
-			}
 			if a.parent != b.parent {
 				return a.parent < b.parent
 			}
@@ -176,20 +165,13 @@ func interpret(p specProgram, opt Options) ([]uint64, int) {
 // the commit closure, so creation indices continue across the two.
 func runScheduler(p specProgram, opt Options) ([]uint64, int) {
 	cells := make([]cell, p.nlocs)
-	push := func(ctx *Ctx[specTask], c specTask) {
-		if opt.PreassignedIDs {
-			ctx.PushWithID(c, c.pre)
-		} else {
-			ctx.Push(c)
-		}
-	}
 	st := ForEach(p.roots, func(ctx *Ctx[specTask], tk specTask) {
 		for _, l := range tk.locs {
 			ctx.Acquire(&cells[l].Lockable)
 		}
 		kids := childrenOf(p.nlocs, tk)
 		if len(kids) > 0 {
-			push(ctx, kids[0])
+			ctx.Push(kids[0])
 			kids = kids[1:]
 		}
 		ctx.OnCommit(func(ctx *Ctx[specTask]) {
@@ -197,7 +179,7 @@ func runScheduler(p specProgram, opt Options) ([]uint64, int) {
 				cells[l].value = cells[l].value*31 + tk.tag
 			}
 			for _, c := range kids {
-				push(ctx, c)
+				ctx.Push(c)
 			}
 		})
 	}, opt)
@@ -259,9 +241,12 @@ func TestSchedulerMatchesSpecificationWithInterleave(t *testing.T) {
 }
 
 // TestSchedulerMatchesSpecificationWithChildren extends the conformance
-// check to dynamic task creation, two levels deep: with and without
-// pre-assigned ids, child generations interleaved or not, and from the
-// default window or one that starts wider than the generation.
+// check to dynamic task creation, two levels deep: child generations
+// interleaved or not, and from the default window or one that starts wider
+// than the generation. The interpreter sorts each generation's children on
+// (parent id, creation index); the engine concatenates them by parent slot,
+// so a formation that walked the slots in another order, or took the
+// children in commit order, fails here.
 func TestSchedulerMatchesSpecificationWithChildren(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -270,8 +255,6 @@ func TestSchedulerMatchesSpecificationWithChildren(t *testing.T) {
 		{"push", func(o *Options) { o.LocalityInterleave = false }},
 		{"push/interleave", func(*Options) {}},
 		{"push/window4096", func(o *Options) { o.WindowInit = 4096 }},
-		{"preassigned", func(o *Options) { o.PreassignedIDs = true }},
-		{"preassigned/window4096", func(o *Options) { o.PreassignedIDs = true; o.WindowInit = 4096 }},
 	} {
 		t.Run(c.name, func(t *testing.T) { checkAgainstSpec(t, 2, 20, c.configure) })
 	}

@@ -154,11 +154,11 @@ func TestInterleaveSrcMatchesAppendReference(t *testing.T) {
 // fused pass, so comparing runs cannot cross-check fill, interleave or id
 // assignment; this test does, against a reference that shares no code with
 // formGeneration or interleaveSrc: deal the sources round-robin into
-// ceil(n/w0) buckets, concatenate, number the slots from 1. Every worker
-// count, both source kinds, over a recycled arena that still holds the
-// previous generation. The bucket count is set from w0 directly rather than
-// through beginGeneration, whose window floor would lift w0 = 1 and 3 to
-// defaultWindowMin.
+// ceil(n/w0) buckets, concatenate, number the slots from 1, and leave no
+// task a child. Every worker count, over a recycled arena that still holds
+// the previous generation and its children. The bucket count is set from
+// w0 directly rather than through beginGeneration, whose window floor
+// would lift w0 = 1 and 3 to defaultWindowMin.
 func TestFormGenerationMatchesNaiveReference(t *testing.T) {
 	st := &engState[int]{}
 	r := newRoundExecutor(st)
@@ -176,36 +176,33 @@ func TestFormGenerationMatchesNaiveReference(t *testing.T) {
 					}
 				}
 				items := make([]int, n)
-				children := make([]child[int], n)
 				for i := range items {
 					items[i] = 1000 + i
-					children[i] = child[int]{item: 1000 + i, parent: 1, k: uint64(i + 1)}
 				}
 				for _, threads := range []int{1, 2, 3, 8} {
-					for _, fromChildren := range []bool{false, true} {
-						r.nthreads = threads
-						r.formItems, r.formChildren, r.formN = items, nil, n
-						if fromChildren {
-							r.formItems, r.formChildren = nil, children
-						}
-						r.buckets = 1
-						if interleave {
-							r.buckets = interleaveBuckets(n, w0)
-						}
-						r.arena = st.free.take(n)
-						for tid := threads - 1; tid >= 0; tid-- {
-							r.formGeneration(tid)
-						}
-						for p := 0; p < n; p++ {
-							task := &r.arena.tasks[p]
-							if task.rec.ID() != uint64(p)+1 || r.arena.order[p] != task || task.item != ref[p] {
-								t.Fatalf("n=%d w0=%d interleave=%v threads=%d children=%v slot %d: id %d item %d in order %v, want id %d item %d",
-									n, w0, interleave, threads, fromChildren, p,
-									task.rec.ID(), task.item, r.arena.order[p] == task, p+1, ref[p])
-							}
-						}
-						st.free.put(r.arena)
+					r.nthreads = threads
+					r.formSrc, r.formN = items, n
+					r.buckets = 1
+					if interleave {
+						r.buckets = interleaveBuckets(n, w0)
 					}
+					r.arena = st.free.take(n)
+					for tid := threads - 1; tid >= 0; tid-- {
+						r.formGeneration(tid)
+					}
+					for p := 0; p < n; p++ {
+						task := &r.arena.tasks[p]
+						if task.rec.ID() != uint64(p)+1 || r.arena.order[p] != task || task.item != ref[p] || len(task.children) != 0 {
+							t.Fatalf("n=%d w0=%d interleave=%v threads=%d slot %d: id %d item %d in order %v children %d, want id %d item %d no children",
+								n, w0, interleave, threads, p,
+								task.rec.ID(), task.item, r.arena.order[p] == task, len(task.children), p+1, ref[p])
+						}
+					}
+					// Leave children behind for the next formation to clear.
+					for p := range r.arena.tasks[:n] {
+						r.arena.tasks[p].children = append(r.arena.tasks[p].children, -1)
+					}
+					st.free.put(r.arena)
 				}
 			}
 		}
@@ -228,39 +225,6 @@ func TestInterleavePermuteSpreadsNeighbors(t *testing.T) {
 		if pos[i]/w0 == pos[i+1]/w0 {
 			t.Fatalf("adjacent items %d,%d share window %d", i, i+1, pos[i]/w0)
 		}
-	}
-}
-
-func TestSortChildrenLexicographic(t *testing.T) {
-	cs := []child[string]{
-		{item: "c", parent: 2, k: 1},
-		{item: "a", parent: 1, k: 1},
-		{item: "b", parent: 1, k: 2},
-		{item: "d", parent: 2, k: 2},
-	}
-	sortChildren(cs, false, 2, nil)
-	got := ""
-	for _, c := range cs {
-		got += c.item
-	}
-	if got != "abcd" {
-		t.Fatalf("order = %q", got)
-	}
-}
-
-func TestSortChildrenPreassigned(t *testing.T) {
-	cs := []child[string]{
-		{item: "b", parent: 9, k: 1, pre: 5},
-		{item: "a", parent: 1, k: 3, pre: 2},
-		{item: "c", parent: 1, k: 1, pre: 5}, // tie on pre: parent breaks it
-	}
-	sortChildren(cs, true, 2, nil)
-	got := ""
-	for _, c := range cs {
-		got += c.item
-	}
-	if got != "acb" {
-		t.Fatalf("order = %q", got)
 	}
 }
 

@@ -391,18 +391,28 @@ func measureAllocs(reps int, fn func()) uint64 {
 // inputs, with slack; one object per commit (10k+) or per round (115 to
 // 1449) trips it.
 //
+// Generation boundary: bfs and sssp push children, and a warm engine forms
+// each next generation in engine storage — the children are concatenated
+// by parent slot into a retained buffer, with no sort and no goroutine —
+// so their ceiling is the lower boundaryCeiling: above the last two rows
+// below with slack, and below the row before them, whose boundary sorted
+// the children and forked above 8 192 of them.
+//
 // Payoff: a fresh run allocates at least Pushes/2 objects more than the
 // engine run — the children buffers a cold arena hands to pushing tasks.
 // mis and mm push nothing, so for them this only says reuse is no worse.
 //
 // Measured engine allocs/run (small inputs, 2 threads; the mode of 25
-// processes, the first run of a process reads up to 20 more):
+// processes, of 6 for "children read by slot", whose maximum follows it;
+// the first run of a process reads up to 20 more):
 //
 //	                         bfs    mis   sssp     mm
 //	inspects               23457  23260  40128 112743
 //	rounds                   575    493   1449    115
 //	closure per commit     20001  23266  49142  10292
 //	handler built once        25      8     50     34
+//	children read by slot      8      8     10     34
+//	  (max of 6 processes)     9     13     12     37
 //
 // dt and dmr allocate in the operator — the new elements per commit (dt
 // also one association array) — so their ceiling is objects per inspect,
@@ -426,19 +436,20 @@ func measureAllocs(reps int, fn func()) uint64 {
 // scheduler, whose retained worklist refills the chunks it drained: one
 // chunk per 64 pushes or seeded tasks (over 300 a run) trips the ceiling.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	const ceiling = 96
+	const ceiling, boundaryCeiling = 96, 16
 	in := smallInputs()
 	sg := inputs.SSSPGraph(in.sc.SSSPNodes, in.sc.SSSPDegree, in.sc.SSSPMaxW, in.sc.Seed)
 	apps := []struct {
-		app string
-		run func(opts ...galois.Option) stats.Stats
+		app    string
+		pushes bool
+		run    func(opts ...galois.Option) stats.Stats
 	}{
-		{"bfs", func(opts ...galois.Option) stats.Stats { return bfs.Galois(in.bfsGraph, 0, opts...).Stats }},
-		{"mis", func(opts ...galois.Option) stats.Stats { return mis.Galois(in.bfsGraph, opts...).Stats }},
-		{"sssp", func(opts ...galois.Option) stats.Stats {
+		{"bfs", true, func(opts ...galois.Option) stats.Stats { return bfs.Galois(in.bfsGraph, 0, opts...).Stats }},
+		{"mis", false, func(opts ...galois.Option) stats.Stats { return mis.Galois(in.bfsGraph, opts...).Stats }},
+		{"sssp", true, func(opts ...galois.Option) stats.Stats {
 			return sssp.Galois(sg, 0, sssp.DefaultOptions(in.sc.SSSPMaxW), opts...).Stats
 		}},
-		{"mm", func(opts ...galois.Option) stats.Stats { return mm.Galois(in.bfsGraph, opts...).Stats }},
+		{"mm", false, func(opts ...galois.Option) stats.Stats { return mm.Galois(in.bfsGraph, opts...).Stats }},
 	}
 	for _, c := range apps {
 		det := []galois.Option{galois.WithSched(galois.Deterministic), galois.WithThreads(2)}
@@ -455,6 +466,9 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		if engineAllocs > ceiling {
 			t.Errorf("%s: engine run allocates %d objects, over %d — something allocates per task or per round (%d inspects, %d rounds)",
 				c.app, engineAllocs, ceiling, st.Inspects, st.Rounds)
+		} else if c.pushes && engineAllocs > boundaryCeiling {
+			t.Errorf("%s: engine run allocates %d objects, over %d — forming a generation from its children allocates (%d rounds, %d pushes)",
+				c.app, engineAllocs, boundaryCeiling, st.Rounds, st.Pushes)
 		}
 		if engineAllocs+st.Pushes/2 > freshAllocs {
 			t.Errorf("%s: engine run allocates %d objects vs %d fresh — reuse saves less than half of %d pushes",

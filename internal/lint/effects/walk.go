@@ -192,7 +192,7 @@ func (fr *frame) handleCall(call *ast.CallExpr) {
 				}
 			}
 		}
-		return // Push, PushWithID, CountAtomic, ... have no shared effect
+		return // Push, CountAtomic, ... have no shared effect
 	}
 	if isAtomic, writes := isAtomicMethod(fn); isAtomic {
 		if writes {

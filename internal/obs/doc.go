@@ -11,7 +11,7 @@
 //     are stamped inside the sink, never read by the scheduler, and are
 //     excluded from the canonical event encoding that tests compare.
 //   - Under the DIG scheduler every structural event (round start/end,
-//     window decision, generation sort, suspend/resume aggregates) is
+//     window decision, generation order, suspend/resume aggregates) is
 //     emitted from a serial section inside a barrier callback, so the
 //     event sequence is a pure function of the schedule — identical for
 //     every thread count, which TestTraceEventSequenceThreadInvariant

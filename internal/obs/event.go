@@ -19,8 +19,9 @@ const (
 	KindGenStart
 	// KindGenEnd closes a generation. Args: tasks produced for the next.
 	KindGenEnd
-	// KindGenSort records the deterministic (id(parent), k) sort of the
-	// produced tasks (§3.2). Args: tasks sorted.
+	// KindGenSort marks where the next generation's (id(parent), k) order
+	// of §3.2 is fixed; no comparison sort runs, the children are read out
+	// by parent slot. Args: tasks in the next generation.
 	KindGenSort
 	// KindRoundStart opens a DIG round. Args: window size, tasks pending
 	// beyond the window.

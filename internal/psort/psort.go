@@ -1,10 +1,9 @@
-// Package psort provides a deterministic parallel merge sort, used by the
-// DIG scheduler to order large generations of dynamically created tasks
-// (the sort in Figure 2 line 5). The output is the unique sorted
-// permutation for any comparison function that never reports equality for
-// distinct elements (the scheduler's (parent, k) keys are unique), so
-// parallelism cannot perturb determinism; for equal elements the merge is
-// stable.
+// Package psort provides a deterministic parallel merge sort. The output
+// is the unique sorted permutation for any comparison function that never
+// reports equality for distinct elements, so parallelism cannot perturb
+// determinism; for equal elements the merge is stable. The DIG scheduler
+// does not use it: a generation's children are already in (id(parent), k)
+// order when read by slot (internal/core, endGeneration).
 package psort
 
 import (
@@ -19,25 +18,17 @@ const serialThreshold = 1 << 13
 // Sort sorts items in place with cmp (negative = a before b) using up to
 // nthreads goroutines.
 func Sort[T any](items []T, cmp func(a, b T) int, nthreads int) {
-	SortScratch(items, cmp, nthreads, nil)
-}
-
-// SortScratch is Sort with a caller-provided merge buffer. The buffer is
-// grown when too small and returned so callers that sort repeatedly (the
-// DIG scheduler sorts every generation's children) can reuse it and keep
-// their steady state allocation-free.
-func SortScratch[T any](items []T, cmp func(a, b T) int, nthreads int, scratch []T) []T {
 	n := len(items)
 	if nthreads <= 1 || n <= serialThreshold {
 		slices.SortStableFunc(items, cmp)
-		return scratch
+		return
 	}
 	blocks := nthreads
 	if n/blocks < serialThreshold/4 {
 		blocks = n / (serialThreshold / 4)
 		if blocks < 2 {
 			slices.SortStableFunc(items, cmp)
-			return scratch
+			return
 		}
 	}
 	// Block boundaries.
@@ -57,11 +48,7 @@ func SortScratch[T any](items []T, cmp func(a, b T) int, nthreads int, scratch [
 	}
 	wg.Wait()
 	// Iterative pairwise merging, each level's merges in parallel.
-	if cap(scratch) < n {
-		scratch = make([]T, n)
-	}
-	buf := scratch[:n]
-	src, dst := items, buf
+	src, dst := items, make([]T, n)
 	for width := 1; width < blocks; width *= 2 {
 		var mw sync.WaitGroup
 		for b := 0; b < blocks; b += 2 * width {
@@ -82,7 +69,6 @@ func SortScratch[T any](items []T, cmp func(a, b T) int, nthreads int, scratch [
 	if &src[0] != &items[0] {
 		copy(items, src)
 	}
-	return scratch
 }
 
 // mergeInto merges the sorted runs a and b into out (stable: ties prefer a).

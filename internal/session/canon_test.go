@@ -1,7 +1,9 @@
 package session
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -47,6 +49,70 @@ func TestCanonEncodingsInjective(t *testing.T) {
 		}
 		seen[enc] = name
 	}
+}
+
+// FuzzCanonEncodings: two distinct init, tombstone, refine or reweight
+// tuples never encode to the same bytes, records of different types never
+// collide, and every record leads with the version byte. A batch tuple
+// outside its range has no encoding and drops out. The seeds probe field
+// boundaries (a byte moved from one string to the next), a seed that
+// spells a string's tail, a type's name in another type's field, and the
+// range edges.
+func FuzzCanonEncodings(f *testing.F) {
+	f.Add("dmr", "g-d", "small", uint64(42), "idle", 2500, 16, uint64(1),
+		"dmr", "g-d", "small", uint64(43), "closed", 2501, 17, uint64(1))
+	f.Add("dmr", "g-d", "small", uint64(42), "idle", 2500, 16, uint64(1),
+		"dm", "rg-d", "small", uint64(42), "idl", 2500, 16, uint64(2))
+	f.Add("sssp", "g-dnc", "smal", uint64(0x6c), "", 3000, 1<<16, uint64(0),
+		"sssp", "g-dnc", "small", uint64(0), "refine", 1, 1, uint64(1<<63))
+	f.Add("", "", "", uint64(0), "init", 0, 0, uint64(0),
+		"init", "", "", uint64(0), "", 3001, 1<<16+1, uint64(0))
+	f.Add(strings.Repeat("k", 200), "g-d", "small", uint64(7), "reweight", 127, 128, uint64(7),
+		strings.Repeat("k", 201), "g-d", "small", uint64(7), "reweight", 128, 127, uint64(7))
+	f.Fuzz(func(t *testing.T, kind1, variant1, scale1 string, seed1 uint64, reason1 string, angle1, edges1 int, rseed1 uint64,
+		kind2, variant2, scale2 string, seed2 uint64, reason2 string, angle2, edges2 int, rseed2 uint64) {
+		type record struct {
+			tuple string // the record's type and fields, %q-quoted: equal iff the tuples are
+			enc   []byte
+		}
+		var recs []record
+		add := func(enc []byte, err error, format string, fields ...any) {
+			if err != nil {
+				return
+			}
+			tuple := fmt.Sprintf(format, fields...)
+			if len(enc) == 0 || enc[0] != canonVersion {
+				t.Fatalf("%s: encoding does not lead with the version byte", tuple)
+			}
+			recs = append(recs, record{tuple, enc})
+		}
+		for _, in := range []struct {
+			kind, variant, scale string
+			seed                 uint64
+			reason               string
+			angle, edges         int
+			rseed                uint64
+		}{
+			{kind1, variant1, scale1, seed1, reason1, angle1, edges1, rseed1},
+			{kind2, variant2, scale2, seed2, reason2, angle2, edges2, rseed2},
+		} {
+			add(canonInit(InitSpec{Kind: in.kind, Variant: in.variant, Scale: in.scale, Seed: in.seed}), nil,
+				"init(%q, %q, %q, %d)", in.kind, in.variant, in.scale, in.seed)
+			add(canonTombstone(in.reason), nil, "tombstone(%q)", in.reason)
+			enc, err := canonRefine(&BatchSpec{Op: "refine", AngleCentideg: in.angle})
+			add(enc, err, "refine(%d)", in.angle)
+			enc, err = canonReweight(&BatchSpec{Op: "reweight", Edges: in.edges, Seed: in.rseed})
+			add(enc, err, "reweight(%d, %d)", in.edges, in.rseed)
+		}
+		for i := range recs {
+			for j := i + 1; j < len(recs); j++ {
+				a, b := recs[i], recs[j]
+				if a.tuple != b.tuple && bytes.Equal(a.enc, b.enc) {
+					t.Fatalf("%s and %s share the encoding %x", a.tuple, b.tuple, a.enc)
+				}
+			}
+		}
+	})
 }
 
 // TestCanonValidation pins the batch parameter ranges.
