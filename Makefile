@@ -95,11 +95,11 @@ bench-smoke:
 ledger:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
-# Every in-tree microbenchmark of the packages EXPERIMENTS.md H14–H16 cite
-# rows from, one iteration each: they keep compiling and running, nothing
-# is timed.
+# Every in-tree microbenchmark of the packages EXPERIMENTS.md H14–H16 and
+# H29 cite rows from, one iteration each: they keep compiling and running,
+# nothing is timed.
 microbench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/marks ./internal/para ./internal/core
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mesh ./internal/marks ./internal/para ./internal/core ./internal/worklist ./internal/graph
 
 # Where a per-task cost claim starts: a CPU profile of the fine-grained hot
 # loop — bfs and mis, g-d, repeated on one reused engine at two threads,

@@ -149,6 +149,11 @@ func Seq(root *mesh.Element, q Quality) *Result {
 }
 
 // Galois refines the mesh under the given scheduler options.
+//
+// The speculative variant takes no worklist hint, so it runs on the
+// default chunked LIFO, the Lonestar choice for refinement: the bad
+// triangles a commit creates are popped next, while their neighbourhood is
+// still in cache.
 func Galois(root *mesh.Element, q Quality, opts ...galois.Option) *Result {
 	initial := badTriangles(root, q)
 	anchor := root

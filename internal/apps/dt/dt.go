@@ -69,6 +69,9 @@ type assoc struct {
 	pts      []geom.Point
 	pointTri []atomic.Pointer[mesh.Element]
 	inserted atomic.Int64
+	// moved, if set, counts the associated points commits move
+	// (export_test.go reads it; nothing else sets it).
+	moved *atomic.Int64
 }
 
 func newAssoc(pts []geom.Point) (*assoc, *mesh.Element) {
@@ -105,6 +108,13 @@ func (a *assoc) commitCavity(cav *mesh.Cavity) {
 			a.pointTri[idx].Store(e)
 		}
 	}
+	if a.moved != nil {
+		n := 0
+		for _, e := range created {
+			n += len(e.Assoc)
+		}
+		a.moved.Add(int64(n))
+	}
 	a.inserted.Add(1)
 }
 
@@ -118,9 +128,25 @@ func (a *assoc) root() *mesh.Element {
 
 // Galois triangulates pts under the given scheduler options; the insertion
 // order (task priority under DIG) is the BRIO order derived from seed.
+//
+// The variant runs with a FIFO worklist hint (see galois.WithFIFO), as the
+// Galois original does: the speculative scheduler then inserts roughly in
+// BRIO order, coarse rounds first. Under LIFO it would insert the finest
+// round first, so every early cavity redistributes long association lists:
+// at one thread the points moved per insertion grow by about 1.5× per
+// doubling of the input under LIFO and by about 1.1× under FIFO
+// (TestScalingGN).
 func Galois(pts []geom.Point, seed uint64, opts ...galois.Option) *Result {
+	return galoisWith(pts, seed, nil, opts...)
+}
+
+// galoisWith is Galois, counting into moved (if set) the associated points
+// its commits move.
+func galoisWith(pts []geom.Point, seed uint64, moved *atomic.Int64, opts ...galois.Option) *Result {
 	ordered := geom.BRIO(pts, seed)
 	a, _ := newAssoc(ordered)
+	a.moved = moved
+	opts = append([]galois.Option{galois.WithFIFO()}, opts...)
 	items := make([]int32, len(ordered))
 	for i := range items {
 		items[i] = int32(i)

@@ -1,6 +1,7 @@
 package dt
 
 import (
+	"runtime"
 	"testing"
 
 	"galois"
@@ -26,9 +27,12 @@ func TestSeqProducesDelaunay(t *testing.T) {
 }
 
 func TestGaloisNondetMatchesSeq(t *testing.T) {
+	// A run's workers are capped at GOMAXPROCS; raise it so the 4- and
+	// 8-thread runs have that many workers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	pts := testPoints(600)
 	want := Seq(pts, testSeed).Fingerprint()
-	for _, threads := range []int{1, 4, 8} {
+	for _, threads := range []int{1, 2, 4, 8} {
 		r := Galois(pts, testSeed, galois.WithThreads(threads))
 		if err := mesh.CheckConforming(r.Root); err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)

@@ -202,6 +202,10 @@ type node struct {
 // task per node; the task acquires the node and all neighbors, reads their
 // states, and joins the set iff no neighbor has joined. The two commit
 // handlers are built once and find their node through Ctx.Item.
+//
+// The speculative variant takes no worklist hint (the default chunked
+// LIFO): tasks create no children, and any order yields a maximal
+// independent set, so the cheapest worklist is the right one.
 func Galois(g *graph.CSR, opts ...galois.Option) *Result {
 	n := g.N()
 	nodes := make([]node, n)

@@ -184,6 +184,10 @@ func PBBS(g *graph.CSR, nthreads int) *Result {
 
 // Galois runs the edge-task matching under the given scheduler options. The
 // commit handler is built once and finds its edge through Ctx.Item.
+//
+// The speculative variant takes no worklist hint (the default chunked
+// LIFO): tasks create no children, and any order yields a maximal
+// matching, so the cheapest worklist is the right one.
 func Galois(g *graph.CSR, opts ...galois.Option) *Result {
 	edges := EdgesOf(g)
 	nodes := make([]node, g.N())

@@ -137,6 +137,10 @@ type component struct {
 // task pool is the set of live components; each task locates its lightest
 // outgoing edge (skipping intra-component edges lazily) and merges with the
 // neighbor at commit, re-enqueueing the survivor.
+//
+// The speculative variant runs with a FIFO worklist hint (see
+// galois.WithFIFO), which keeps contraction balanced; under LIFO,
+// TestScalingGN fails.
 func Galois(n int, edges []WEdge, opts ...galois.Option) *Result {
 	comps := make([]*component, n)
 	for i := range comps {

@@ -22,6 +22,11 @@ type task struct {
 // Galois loop over the active nodes; tasks discharge one node (acquiring
 // the node and its residual neighbors), activate neighbors, and re-push
 // themselves while their wave budget lasts.
+//
+// The speculative variant takes no worklist hint (the default chunked
+// LIFO): a task that re-pushes itself is popped next, so a node keeps
+// discharging while its arcs are in cache, for as long as its wave budget
+// lasts.
 func Galois(nw *Network, opts ...galois.Option) (int64, stats.Stats) {
 	n := nw.N
 	s, t := nw.Source, nw.Sink

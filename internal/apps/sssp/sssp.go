@@ -124,6 +124,11 @@ func DefaultOptions(maxWeight uint32) Options {
 // expands one node: it acquires the node and its neighbors, relaxes every
 // improvable edge at commit, and creates expansion tasks for improved
 // neighbors (the same shape as the paper's bfs, with weights).
+//
+// The speculative variant's worklist hint is OBIM by distance / o.Delta
+// (see galois.WithPriority), as in Galois's delta-stepping sssp: nodes near
+// the frontier's minimum distance expand first, so few are relabeled
+// later. With o.Delta = 0 it is FIFO, for bfs's reason.
 func Galois(g *graph.Weighted, src int, o Options, opts ...galois.Option) *Result {
 	n := g.N()
 	nodes := make([]node, n)

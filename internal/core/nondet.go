@@ -86,9 +86,14 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 		wl.Push(i%nthreads, it)
 	}
 
-	// pending counts tasks that exist but have not committed. Workers
-	// terminate when it reaches zero; while any worker holds a popped
-	// task, pending stays positive, so termination detection is exact.
+	// pending counts the live tasks plus the commits not yet flushed into
+	// it. A commit with n children applies n-1 before pushing them (nothing
+	// when n = 1); a childless commit adds to its worker's local count,
+	// which the worker flushes whenever its pop fails, before it reads
+	// pending. Increments are never late, so pending never under-counts,
+	// and a worker that flushed and reads zero knows every other count is
+	// zero too: termination is exact, and the per-task path writes no
+	// shared word but the marks.
 	var pending atomic.Int64
 	pending.Store(int64(len(items)))
 	// failure holds the first value an operator or commit closure panicked
@@ -115,9 +120,14 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 		rec.Enter(epoch)
 
 		backoff := 0
+		var done int64 // childless commits not yet flushed into pending
 		for failure.Load() == nil {
 			item, ok := wl.Pop(tid)
 			if !ok {
+				if done > 0 {
+					pending.Add(-done)
+					done = 0
+				}
 				if pending.Load() == 0 {
 					emit(opt.Sink, tid, obs.Event{Kind: obs.KindWorker,
 						Args: [4]int64{int64(tally.Commits), int64(tally.Aborts)}})
@@ -140,8 +150,12 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 					ctx.inCommit = false
 					ctx.traceCommitTouches(ctx.acquired)
 				}
-				if n := len(ctx.children); n > 0 {
-					pending.Add(int64(n))
+				if n := len(ctx.children); n == 0 {
+					done++
+				} else {
+					if n > 1 {
+						pending.Add(int64(n - 1))
+					}
 					for _, ch := range ctx.children {
 						wl.Push(tid, ch)
 					}
@@ -167,7 +181,6 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 			}
 			backoff = 0
 			tally.Commits++
-			pending.Add(-1)
 		}
 	})
 	// As after a deterministic run: the last closure and item pin operator

@@ -14,11 +14,15 @@ func RandomKOut(n, k int, seed uint64) *CSR {
 	if k >= n {
 		panic("graph: RandomKOut requires k < n")
 	}
-	b := NewBuilder(n)
+	// Every node gets exactly k targets, kept in the order they are drawn,
+	// so the CSR is written directly: u's edges are edges[u*k : (u+1)*k].
+	offsets := make([]int64, n+1)
+	edges := make([]uint32, n*k)
 	r := rng.New(seed)
-	targets := make([]uint32, 0, k)
 	for u := 0; u < n; u++ {
-		targets = targets[:0]
+		lo := u * k
+		offsets[u] = int64(lo)
+		targets := edges[lo:lo]
 	pick:
 		for len(targets) < k {
 			v := uint32(r.Uint64n(uint64(n)))
@@ -32,11 +36,9 @@ func RandomKOut(n, k int, seed uint64) *CSR {
 			}
 			targets = append(targets, v)
 		}
-		for _, v := range targets {
-			b.AddEdge(u, int(v))
-		}
 	}
-	return b.Build()
+	offsets[n] = int64(n * k)
+	return &CSR{offsets: offsets, edges: edges}
 }
 
 // Chain generates a path graph of n nodes (worst case for level-synchronous

@@ -89,19 +89,18 @@ func (b *Builder) Build() *CSR {
 func Symmetrize(g *CSR) *CSR {
 	n := g.N()
 	// Count degrees of the symmetrized multigraph first.
-	deg := make([]int64, n+1)
+	offsets := make([]int64, n+1)
 	for u := 0; u < n; u++ {
 		for _, v := range g.Neighbors(u) {
 			if int(v) == u {
 				continue
 			}
-			deg[u+1]++
-			deg[v+1]++
+			offsets[u+1]++
+			offsets[v+1]++
 		}
 	}
-	offsets := make([]int64, n+1)
 	for i := 0; i < n; i++ {
-		offsets[i+1] = offsets[i] + deg[i+1]
+		offsets[i+1] += offsets[i]
 	}
 	edges := make([]uint32, offsets[n])
 	cursor := make([]int64, n)
@@ -117,21 +116,30 @@ func Symmetrize(g *CSR) *CSR {
 			cursor[v]++
 		}
 	}
-	// Sort and dedupe each adjacency list in place.
-	out := NewBuilder(n)
+	// Sort and dedupe each adjacency list in place, compacting the lists
+	// toward the front: the write cursor w never passes the read cursor, and
+	// lo keeps u's old start, which offsets[u] then overwrites.
+	w, lo := int64(0), int64(0)
 	for u := 0; u < n; u++ {
-		lo, hi := offsets[u], offsets[u+1]
+		hi := offsets[u+1]
 		adj := edges[lo:hi]
 		sortU32(adj)
+		offsets[u] = w
 		var prev uint32 = ^uint32(0)
 		for _, v := range adj {
 			if v != prev {
-				out.AddEdge(u, int(v))
+				edges[w] = v
+				w++
 				prev = v
 			}
 		}
+		lo = hi
 	}
-	return out.Build()
+	offsets[n] = w
+	// An exact-size copy, so Bytes charges only the deduplicated edges.
+	out := make([]uint32, w)
+	copy(out, edges)
+	return &CSR{offsets: offsets, edges: out}
 }
 
 // sortU32 sorts a small-to-medium uint32 slice (insertion sort below a

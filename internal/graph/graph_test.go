@@ -237,3 +237,107 @@ func TestRandomWeightedSymmetricWeights(t *testing.T) {
 		}
 	}
 }
+
+// builderKOut is RandomKOut as it was first written, through the Builder,
+// and builderSymmetrize is Symmetrize's definition (per-node lists, sorted
+// and deduplicated) through the Builder: the references the direct CSR
+// writers must match byte for byte.
+func builderKOut(n, k int, seed uint64) *CSR {
+	b := NewBuilder(n)
+	r := rng.New(seed)
+	targets := make([]uint32, 0, k)
+	for u := 0; u < n; u++ {
+		targets = targets[:0]
+	pick:
+		for len(targets) < k {
+			v := uint32(r.Uint64n(uint64(n)))
+			if int(v) == u {
+				continue
+			}
+			for _, w := range targets {
+				if w == v {
+					continue pick
+				}
+			}
+			targets = append(targets, v)
+		}
+		for _, v := range targets {
+			b.AddEdge(u, int(v))
+		}
+	}
+	return b.Build()
+}
+
+func builderSymmetrize(g *CSR) *CSR {
+	n := g.N()
+	adj := make([][]uint32, n)
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			if int(v) != u {
+				adj[u] = append(adj[u], v)
+				adj[v] = append(adj[v], uint32(u))
+			}
+		}
+	}
+	out := NewBuilder(n)
+	for u, a := range adj {
+		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+		for i, v := range a {
+			if i == 0 || v != a[i-1] {
+				out.AddEdge(u, int(v))
+			}
+		}
+	}
+	return out.Build()
+}
+
+// sameCSR reports whether x and y have equal offsets and edges, and equal
+// capacities, so that Bytes agrees too.
+func sameCSR(x, y *CSR) bool {
+	if x.Bytes() != y.Bytes() || len(x.offsets) != len(y.offsets) || len(x.edges) != len(y.edges) {
+		return false
+	}
+	for i := range x.offsets {
+		if x.offsets[i] != y.offsets[i] {
+			return false
+		}
+	}
+	for i := range x.edges {
+		if x.edges[i] != y.edges[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDirectCSRMatchesBuilder: RandomKOut and Symmetrize write their CSR
+// directly, and must produce exactly what the Builder path produces — the
+// same arrays at the same capacities — on the k-out family the inputs use
+// and on arbitrary multigraphs with self-loops and duplicate edges.
+func TestDirectCSRMatchesBuilder(t *testing.T) {
+	for _, n := range []int{6, 10, 100, 2000, 20000} {
+		for _, k := range []int{1, 4, 5} {
+			for seed := uint64(1); seed <= 3; seed++ {
+				g := RandomKOut(n, k, seed)
+				if !sameCSR(g, builderKOut(n, k, seed)) {
+					t.Fatalf("RandomKOut(%d, %d, %d) differs from the Builder path", n, k, seed)
+				}
+				if !sameCSR(Symmetrize(g), builderSymmetrize(g)) {
+					t.Fatalf("Symmetrize(RandomKOut(%d, %d, %d)) differs from the Builder path", n, k, seed)
+				}
+			}
+		}
+	}
+	r := rng.New(11)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(40)
+		b := NewBuilder(n)
+		for i, m := 0, r.Intn(150); i < m; i++ {
+			b.AddEdge(r.Intn(n), r.Intn(n))
+		}
+		g := b.Build()
+		if !sameCSR(Symmetrize(g), builderSymmetrize(g)) {
+			t.Fatalf("trial %d: Symmetrize differs from the Builder path", trial)
+		}
+	}
+}

@@ -18,7 +18,6 @@ import (
 type OBIM[T any] struct {
 	buckets []*ChunkedLIFO[T]
 	minHint atomic.Int64
-	size    atomic.Int64
 }
 
 // NewOBIM returns an OBIM with the given number of priority levels for
@@ -48,7 +47,6 @@ func (o *OBIM[T]) clamp(prio int) int {
 func (o *OBIM[T]) PushPrio(tid int, item T, prio int) {
 	p := o.clamp(prio)
 	o.buckets[p].Push(tid, item)
-	o.size.Add(1)
 	// Lower the hint if this push went below it.
 	for {
 		cur := o.minHint.Load()
@@ -74,7 +72,6 @@ func (o *OBIM[T]) Pop(tid int) (item T, ok bool) {
 			if p > start {
 				o.minHint.CompareAndSwap(int64(start), int64(p))
 			}
-			o.size.Add(-1)
 			return it, true
 		}
 	}
@@ -82,13 +79,9 @@ func (o *OBIM[T]) Pop(tid int) (item T, ok bool) {
 	for p := 0; p < start && p < len(o.buckets); p++ {
 		if it, ok := o.buckets[p].Pop(tid); ok {
 			o.minHint.Store(int64(p))
-			o.size.Add(-1)
 			return it, true
 		}
 	}
 	var zero T
 	return zero, false
 }
-
-// Size returns the number of queued tasks.
-func (o *OBIM[T]) Size() int { return int(o.size.Load()) }

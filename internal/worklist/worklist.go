@@ -9,7 +9,6 @@ package worklist
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"galois/internal/rng"
 )
@@ -73,7 +72,6 @@ func balanceSpares[T any](n int, at func(int) *spares[T]) {
 // with stealing. LIFO order maximizes locality for data-driven algorithms.
 type ChunkedLIFO[T any] struct {
 	perThread []localQueue[T]
-	size      atomic.Int64
 }
 
 type localQueue[T any] struct {
@@ -108,12 +106,12 @@ func (w *ChunkedLIFO[T]) Push(tid int, item T) {
 	}
 	q.cur.items[q.cur.n] = item
 	q.cur.n++
-	w.size.Add(1)
 }
 
 // Pop removes a task, preferring thread tid's own queue and stealing
-// otherwise. ok is false only if no task was found anywhere (which does not
-// by itself imply global emptiness; see Size).
+// otherwise. ok is false only if no task was found anywhere, which does not
+// by itself imply global emptiness: another thread's private chunk is not
+// visible to thieves, so termination is the scheduler's to detect.
 func (w *ChunkedLIFO[T]) Pop(tid int) (item T, ok bool) {
 	q := &w.perThread[tid]
 	if q.cur != nil && q.cur.n > 0 {
@@ -121,7 +119,6 @@ func (w *ChunkedLIFO[T]) Pop(tid int) (item T, ok bool) {
 		item = q.cur.items[q.cur.n]
 		var zero T
 		q.cur.items[q.cur.n] = zero
-		w.size.Add(-1)
 		return item, true
 	}
 	// Refill from own shelf.
@@ -171,10 +168,6 @@ func (w *ChunkedLIFO[T]) takeChunk(victim int) *chunk[T] {
 	return c
 }
 
-// Size returns the number of tasks currently in the worklist. It is exact
-// when no concurrent pushes/pops are in flight.
-func (w *ChunkedLIFO[T]) Size() int { return int(w.size.Load()) }
-
 // BalanceSpares deals the threads' drained chunks out evenly, so the next
 // pushes of every thread find spares. Only for a worklist no thread is using,
 // such as a drained one between runs.
@@ -192,7 +185,6 @@ type ChunkedFIFO[T any] struct {
 	queue []*chunk[T]
 	head  int
 	local []fifoLocal[T]
-	size  atomic.Int64
 }
 
 type fifoLocal[T any] struct {
@@ -216,7 +208,6 @@ func (w *ChunkedFIFO[T]) Push(tid int, item T) {
 	}
 	q.write.items[q.write.n] = item
 	q.write.n++
-	w.size.Add(1)
 	if q.write.n == chunkSize {
 		w.mu.Lock()
 		w.queue = append(w.queue, q.write)
@@ -239,7 +230,6 @@ func (w *ChunkedFIFO[T]) Pop(tid int) (item T, ok bool) {
 			q.spare.put(q.read)
 			q.read = nil
 		}
-		w.size.Add(-1)
 		return item, true
 	}
 	// Take the oldest shared chunk.
@@ -270,9 +260,6 @@ func (w *ChunkedFIFO[T]) Pop(tid int) (item T, ok bool) {
 	var zero T
 	return zero, false
 }
-
-// Size returns the number of queued tasks.
-func (w *ChunkedFIFO[T]) Size() int { return int(w.size.Load()) }
 
 // BalanceSpares deals the threads' drained chunks out evenly, so the next
 // pushes of every thread find spares. Only for a worklist no thread is using,
