@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-effects test race soak-smoke trace-smoke serve-smoke cluster-smoke bench bench-smoke microbench-smoke profile-finegrain profile-mesh profile-serve ledger
+.PHONY: check build vet lint lint-effects test race fuzz-smoke soak-smoke trace-smoke serve-smoke cluster-smoke bench bench-smoke microbench-smoke profile-finegrain profile-mesh profile-serve ledger
 
 # Everything CI runs, in CI's order.
-check: vet lint build test race soak-smoke trace-smoke serve-smoke cluster-smoke bench-smoke microbench-smoke
+check: vet lint build test race fuzz-smoke soak-smoke trace-smoke serve-smoke cluster-smoke bench-smoke microbench-smoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,25 @@ test:
 # linter cannot see.
 race:
 	$(GO) test -race ./internal/marks/... ./internal/detres/... ./internal/core/... ./internal/apps/... ./internal/serve/... ./internal/session/... ./internal/router/... ./internal/para/... ./internal/psort/... ./internal/scan/...
+
+# Native fuzzing, three seconds per target: the seed corpora run in `test`;
+# this explores past them. `go test -fuzz` takes one target per run, so the
+# loop runs one each. A finding fails the target, and Go names the failing
+# input it writes under that package's testdata/fuzz/ — nothing lands in
+# the tree otherwise.
+FUZZ_TARGETS = \
+	./internal/serve:FuzzSpecDecode \
+	./internal/serve:FuzzInputSize \
+	./internal/session:FuzzCanonEncodings \
+	./internal/rescache:FuzzKeyOf \
+	./internal/mesh:FuzzStarWiring \
+	./internal/geom:FuzzOrientConsistency \
+	./internal/geom:FuzzInCircleSymmetry
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t##*:} ($${t%%:*})"; \
+		$(GO) test -run '^$$' -fuzz "^$${t##*:}$$" -fuzztime 3s $${t%%:*}; \
+	done
 
 # What a finished job leaves behind is bounded: a kept engine, once
 # scrubbed, holds nothing of its runs (weak pointers die), a speculative run

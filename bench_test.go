@@ -22,12 +22,12 @@ import (
 	"galois/internal/apps/cavity"
 	"galois/internal/apps/freqmine"
 	"galois/internal/apps/mm"
-	"galois/internal/apps/msf"
-	"galois/internal/apps/sssp"
 	"galois/internal/cachesim"
+	"galois/internal/catalog"
 	"galois/internal/coredet"
 	"galois/internal/graph"
 	"galois/internal/harness"
+	"galois/internal/inputs"
 	"galois/internal/para"
 )
 
@@ -38,9 +38,9 @@ var (
 	inputsVal  *harness.Inputs
 )
 
-func inputs(b *testing.B) *harness.Inputs {
+func benchInputs(b *testing.B) *harness.Inputs {
 	inputsOnce.Do(func() {
-		sc, err := harness.ScaleByName(*benchScale)
+		sc, err := inputs.ScaleByName(*benchScale)
 		if err != nil {
 			panic(err)
 		}
@@ -54,7 +54,7 @@ func inputs(b *testing.B) *harness.Inputs {
 // (measured iterations share run state, the steady state a serving workload
 // sees), reporting the paper's per-run metrics plus -benchmem allocations.
 func benchRun(b *testing.B, app, variant string, threads int) {
-	in := inputs(b)
+	in := benchInputs(b)
 	if variant != "seq" && variant != "pbbs" {
 		eng := galois.NewEngine(galois.WithThreads(threads))
 		defer eng.Close()
@@ -79,9 +79,10 @@ func benchRun(b *testing.B, app, variant string, threads int) {
 // rates per app and variant at one thread and at GOMAXPROCS.
 func BenchmarkFig4And5Rates(b *testing.B) {
 	maxT := para.DefaultThreads()
-	for _, app := range harness.Apps {
+	in := benchInputs(b)
+	for _, app := range paperApps() {
 		for _, variant := range []string{"g-n", "g-d", "pbbs"} {
-			if !harness.HasVariant(app, variant) {
+			if !in.Has(app, variant) {
 				continue
 			}
 			for _, threads := range []int{1, maxT} {
@@ -97,8 +98,8 @@ func BenchmarkFig4And5Rates(b *testing.B) {
 // and without CoreDet-style deterministic thread scheduling.
 func BenchmarkFig6CoreDet(b *testing.B) {
 	maxT := para.DefaultThreads()
-	in := inputs(b)
-	sc := harness.SmallScale()
+	in := benchInputs(b)
+	sc := inputs.SmallScale()
 	apps := map[string]func(threads int, rt *coredet.Runtime){
 		"blackscholes": func(t int, rt *coredet.Runtime) {
 			blackscholes.Run(blackscholes.GenPortfolio(sc.BSOptions, 1), sc.BSRounds, t, rt)
@@ -142,9 +143,10 @@ func BenchmarkFig6CoreDet(b *testing.B) {
 // 1 thread and GOMAXPROCS (speedups are ratios of these timings).
 func BenchmarkFig7Speedup(b *testing.B) {
 	maxT := para.DefaultThreads()
-	for _, app := range harness.Apps {
-		for _, variant := range harness.Variants {
-			if !harness.HasVariant(app, variant) {
+	in := benchInputs(b)
+	for _, app := range paperApps() {
+		for _, variant := range catalog.Variants {
+			if !in.Has(app, variant) {
 				continue
 			}
 			threadSet := []int{1, maxT}
@@ -164,7 +166,7 @@ func BenchmarkFig7Speedup(b *testing.B) {
 // g-dnc (baseline scheduler, commit-phase re-execution).
 func BenchmarkFig10Continuation(b *testing.B) {
 	maxT := para.DefaultThreads()
-	for _, app := range harness.Apps {
+	for _, app := range paperApps() {
 		for _, variant := range []string{"g-d", "g-dnc"} {
 			b.Run(fmt.Sprintf("%s/%s/t%d", app, variant, maxT), func(b *testing.B) {
 				benchRun(b, app, variant, maxT)
@@ -178,8 +180,8 @@ func BenchmarkFig10Continuation(b *testing.B) {
 // accesses (Figure 11's quantity, normalized).
 func BenchmarkFig11Locality(b *testing.B) {
 	maxT := para.DefaultThreads()
-	in := inputs(b)
-	for _, app := range harness.Apps {
+	in := benchInputs(b)
+	for _, app := range paperApps() {
 		for _, variant := range []string{"g-n", "g-d"} {
 			b.Run(fmt.Sprintf("%s/%s", app, variant), func(b *testing.B) {
 				var rep cachesim.Report
@@ -197,13 +199,13 @@ func BenchmarkFig11Locality(b *testing.B) {
 }
 
 // BenchmarkExtensions covers the library extensions beyond the paper's
-// benchmark set: maximal matching, Boruvka spanning forest, and SSSP (the
-// OBIM priority worklist's showcase), each under both schedulers.
+// benchmark set: maximal matching on its own graph, and the catalog's
+// other apps — Boruvka spanning forest and SSSP (the OBIM priority
+// worklist's showcase) — on their catalog inputs, each under both
+// schedulers and its pbbs variant where it has one.
 func BenchmarkExtensions(b *testing.B) {
 	maxT := para.DefaultThreads()
 	g := graph.Symmetrize(graph.RandomKOut(10_000, 5, 42))
-	wg := graph.RandomWeighted(10_000, 4, 100, 42)
-	edges := msf.RandomWeights(g, 1000, 7)
 
 	b.Run(fmt.Sprintf("mm/g-n/t%d", maxT), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -220,34 +222,29 @@ func BenchmarkExtensions(b *testing.B) {
 			mm.PBBS(g, maxT)
 		}
 	})
-	b.Run(fmt.Sprintf("msf/g-n/t%d", maxT), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			msf.Galois(g.N(), edges, galois.WithThreads(maxT))
+	for _, app := range catalog.Apps() {
+		if app.Paper {
+			continue
 		}
-	})
-	b.Run(fmt.Sprintf("msf/g-d/t%d", maxT), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			msf.Galois(g.N(), edges, galois.WithThreads(maxT), galois.WithSched(galois.Deterministic))
+		for _, variant := range []string{"g-n", "g-d", "pbbs"} {
+			if !app.Has(variant) {
+				continue
+			}
+			b.Run(fmt.Sprintf("%s/%s/t%d", app.Name, variant, maxT), func(b *testing.B) {
+				benchRun(b, app.Name, variant, maxT)
+			})
 		}
-	})
-	b.Run(fmt.Sprintf("msf/pbbs/t%d", maxT), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			msf.PBBS(g.N(), edges, maxT)
+	}
+}
+
+// paperApps names the catalog's five paper apps, the ones the figure
+// benchmarks cover.
+func paperApps() []string {
+	var names []string
+	for _, app := range catalog.Apps() {
+		if app.Paper {
+			names = append(names, app.Name)
 		}
-	})
-	b.Run(fmt.Sprintf("sssp/obim/t%d", maxT), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sssp.Galois(wg, 0, sssp.DefaultOptions(100), galois.WithThreads(maxT))
-		}
-	})
-	b.Run(fmt.Sprintf("sssp/fifo/t%d", maxT), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sssp.Galois(wg, 0, sssp.Options{}, galois.WithThreads(maxT))
-		}
-	})
-	b.Run(fmt.Sprintf("sssp/g-d/t%d", maxT), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sssp.Galois(wg, 0, sssp.Options{}, galois.WithThreads(maxT), galois.WithSched(galois.Deterministic))
-		}
-	})
+	}
+	return names
 }

@@ -38,6 +38,7 @@ import (
 
 	"galois"
 	"galois/internal/harness"
+	"galois/internal/inputs"
 )
 
 func main() { os.Exit(run()) }
@@ -68,7 +69,7 @@ func run() int {
 		flag.Usage()
 		return 2
 	}
-	sc, err := harness.ScaleByName(*scale)
+	sc, err := inputs.ScaleByName(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		return 2
@@ -88,12 +89,7 @@ func run() int {
 	if len(sweep) == 0 {
 		sweep = harness.DefaultThreadSweep()
 	}
-	maxT := 1
-	for _, t := range sweep {
-		if t > maxT {
-			maxT = t
-		}
-	}
+	maxT := slices.Max(sweep)
 
 	fmt.Fprintf(os.Stderr, "generating inputs (scale=%s)...\n", sc.Name)
 	in := harness.MakeInputs(sc)
@@ -149,6 +145,7 @@ func run() int {
 	case "":
 		// -loop only.
 	case "ext":
+		//detlint:ignore taintfp inputs carry harness timing state; report fingerprints come from det receipts, not timings
 		if err := harness.Extensions(in, sweep[len(sweep)-1], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			return 1
@@ -225,7 +222,8 @@ func startCPUProfile(path string) (stop func(), err error) {
 // warm-up) and prints to w the cell's median wall and fingerprint, and — from
 // the metrics registry, the only place they are published — how often a
 // barrier waiter parked and how long waiters waited, per run. It is the
-// command line's one way to run a single harness cell.
+// command line's one way to run a single harness cell: any app/variant of
+// the catalog (internal/catalog), served apps and paper apps alike.
 func runLoop(w io.Writer, in *harness.Inputs, spec string, reps, threads int) error {
 	if reps < 1 {
 		return fmt.Errorf("-reps must be at least 1")
@@ -234,8 +232,8 @@ func runLoop(w io.Writer, in *harness.Inputs, spec string, reps, threads int) er
 	var cells []cell
 	for _, c := range strings.Split(spec, ",") {
 		app, variant, ok := strings.Cut(strings.TrimSpace(c), "/")
-		if !ok || !slices.Contains(harness.Apps, app) || !slices.Contains(harness.Variants, variant) {
-			return fmt.Errorf("bad -loop cell %q (want app/variant, e.g. bfs/g-d)", c)
+		if !ok || !in.Has(app, variant) {
+			return fmt.Errorf("bad -loop cell %q (want app/variant of the catalog, e.g. bfs/g-d)", c)
 		}
 		cells = append(cells, cell{app, variant})
 	}

@@ -7,14 +7,15 @@ import (
 
 	"galois"
 	"galois/internal/harness"
+	"galois/internal/inputs"
 )
 
 // TestRunLoopRejectsBadCells: a cell that is not app/variant, or names an
-// app or variant the harness does not have, fails the whole spec before any
-// cell runs.
+// app the catalog does not have or a variant its app does not have (pfp
+// and sssp have no pbbs), fails the whole spec before any cell runs.
 func TestRunLoopRejectsBadCells(t *testing.T) {
-	in := harness.MakeInputs(harness.SmallScale())
-	for _, spec := range []string{"bfs", "bfs/g-d,nosuch/g-d", "bfs/nosuch", "bfs/g-d/x"} {
+	in := harness.MakeInputs(inputs.SmallScale())
+	for _, spec := range []string{"bfs", "bfs/g-d,nosuch/g-d", "bfs/nosuch", "bfs/g-d/x", "pfp/pbbs", "sssp/g-d,sssp/pbbs"} {
 		var out strings.Builder
 		if err := runLoop(&out, in, spec, 1, 2); err == nil {
 			t.Errorf("-loop %q accepted", spec)
@@ -30,11 +31,11 @@ func TestRunLoopRejectsBadCells(t *testing.T) {
 
 // TestRunLoopPrintsTheOneThreadFingerprint: the single-cell front door runs
 // a cell on a shared engine at two threads and prints the fingerprint of
-// the one-thread run of the same cell — a fine-grained graph app and a mesh
-// app.
+// the one-thread run of the same cell — a fine-grained graph app, a mesh
+// app and a served app outside the paper's five.
 func TestRunLoopPrintsTheOneThreadFingerprint(t *testing.T) {
-	in := harness.MakeInputs(harness.SmallScale())
-	apps := []string{"bfs", "dt"}
+	in := harness.MakeInputs(inputs.SmallScale())
+	apps := []string{"bfs", "dt", "sssp"}
 	want := make(map[string]uint64)
 	for _, app := range apps {
 		want[app] = in.RunOnce(app, "g-d", 1, nil).Fingerprint
@@ -44,7 +45,7 @@ func TestRunLoopPrintsTheOneThreadFingerprint(t *testing.T) {
 	in.Engine = eng
 
 	var out strings.Builder
-	if err := runLoop(&out, in, "bfs/g-d, dt/g-d", 1, 2); err != nil {
+	if err := runLoop(&out, in, "bfs/g-d, dt/g-d,sssp/g-d", 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")

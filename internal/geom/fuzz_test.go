@@ -12,6 +12,10 @@ func FuzzOrientConsistency(f *testing.F) {
 	f.Add(0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
 	f.Add(0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
 	f.Add(1e-300, 1e-300, 2e-300, 2e-300, 3e-300, 3.0000000001e-300)
+	// Exponents 1 000 binary orders apart: 200-bit floats round b - c.
+	f.Add(1.1111111111111111e-301, 6e-300, -7.0, 27.0, 3e-300, 3.0000000001e-300)
+	// Orient(b, c, a)'s products underflow to 0: the filter cannot decide.
+	f.Add(1e-300, 1e-300, 8e-300, 1e-300, 55.0, 3.0000000001e-300)
 	f.Fuzz(func(t *testing.T, ax, ay, bx, by, cx, cy float64) {
 		for _, v := range []float64{ax, ay, bx, by, cx, cy} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -29,6 +29,12 @@ var (
 	incircleBound = (10.0 + 96.0*epsilon) * epsilon
 )
 
+// tiny is where the filters stop: their bounds are relative errors, which
+// hold only while no term underflows. A product below the smallest normal
+// double is off by up to 2^-1075 absolute, or is 0 when its factors are
+// not, so a determinant whose magnitude sum is below 2^-900 goes exact.
+const tiny = 0x1p-900
+
 // Orient computes the orientation of the triple (a, b, c):
 // +1 if counterclockwise, -1 if clockwise, 0 if collinear. Exact.
 func Orient(a, b, c Point) int { return OrientFrom(a, b, c, Sub(a, c), Sub(b, c)) }
@@ -57,9 +63,16 @@ func OrientFrom(a, b, c, ac, bc Point) int {
 		}
 		detsum = -detleft - detright
 	default:
-		return sign(det)
+		// detleft is 0: exactly, when a factor is, or by underflow. Either
+		// way a detright beyond tiny decides; one that is 0 decides only
+		// when it is exactly 0 as well.
+		exact := ac.X == 0 || bc.Y == 0
+		if exact && (detright != 0 || ac.Y == 0 || bc.X == 0) || detright > tiny || detright < -tiny {
+			return sign(det)
+		}
+		return orientExact(a, b, c)
 	}
-	if det >= orientBound*detsum || -det >= orientBound*detsum {
+	if detsum > tiny && (det >= orientBound*detsum || -det >= orientBound*detsum) {
 		return sign(det)
 	}
 	return orientExact(a, b, c)
@@ -76,22 +89,31 @@ func sign(v float64) int {
 	}
 }
 
+// orientExact decides Orient with 200-bit floats, which hold every offset
+// and product exactly while the coordinates' binary exponents lie within
+// ~45 of each other (true of every input the apps build). Past that a term
+// was rounded, and rationals decide.
 func orientExact(a, b, c Point) int {
-	ax, ay := big.NewFloat(a.X), big.NewFloat(a.Y)
-	bx, by := big.NewFloat(b.X), big.NewFloat(b.Y)
-	cx, cy := big.NewFloat(c.X), big.NewFloat(c.Y)
-	// Use big.Float with enough precision for exact products of doubles
-	// (53*2 bits) and exact sums (a few more); 200 bits is ample.
 	const prec = 200
-	for _, f := range []*big.Float{ax, ay, bx, by, cx, cy} {
-		f.SetPrec(prec)
+	f := func(v float64) *big.Float { return new(big.Float).SetPrec(prec).SetFloat64(v) }
+	ax, ay, bx, by, cx, cy := f(a.X), f(a.Y), f(b.X), f(b.Y), f(c.X), f(c.Y)
+	l := new(big.Float).SetPrec(prec).Mul(ax.Sub(ax, cx), by.Sub(by, cy))
+	r := new(big.Float).SetPrec(prec).Mul(ay.Sub(ay, cy), bx.Sub(bx, cx))
+	for _, z := range []*big.Float{ax, by, ay, bx, l, r} {
+		if z.Acc() != big.Exact {
+			return orientRat(a, b, c)
+		}
 	}
-	t1 := new(big.Float).SetPrec(prec).Sub(ax, cx)
-	t2 := new(big.Float).SetPrec(prec).Sub(by, cy)
-	t3 := new(big.Float).SetPrec(prec).Sub(ay, cy)
-	t4 := new(big.Float).SetPrec(prec).Sub(bx, cx)
-	l := new(big.Float).SetPrec(prec).Mul(t1, t2)
-	r := new(big.Float).SetPrec(prec).Mul(t3, t4)
+	return l.Cmp(r)
+}
+
+// orientRat is orientExact over rationals: exact for any doubles, and an
+// order of magnitude slower than the 200-bit floats.
+func orientRat(a, b, c Point) int {
+	rat := func(v float64) *big.Rat { return new(big.Rat).SetFloat64(v) }
+	sub := func(p, q float64) *big.Rat { return new(big.Rat).Sub(rat(p), rat(q)) }
+	l := new(big.Rat).Mul(sub(a.X, c.X), sub(b.Y, c.Y))
+	r := new(big.Rat).Mul(sub(a.Y, c.Y), sub(b.X, c.X))
 	return l.Cmp(r)
 }
 
@@ -124,7 +146,7 @@ func InCircle(a, b, c, d Point) int {
 		(math.Abs(cdxady)+math.Abs(adxcdy))*blift +
 		(math.Abs(adxbdy)+math.Abs(bdxady))*clift
 	errbound := incircleBound * permanent
-	if det > errbound || -det > errbound {
+	if permanent > tiny && (det > errbound || -det > errbound) {
 		return sign(det)
 	}
 	return inCircleExact(a, b, c, d)

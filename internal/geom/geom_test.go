@@ -1,8 +1,11 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -222,6 +225,68 @@ func TestHilbertSortPreservesMultiset(t *testing.T) {
 	for p, c := range orig {
 		if got[p] != c {
 			t.Fatal("multiset changed")
+		}
+	}
+}
+
+// hilbertSortStable is HilbertSort as it was before it sorted packed keys:
+// a stable sort of an index slice by curve distance. TestHilbertSortPinned
+// holds the packed-key sort to its order.
+func hilbertSortStable(pts []Point) {
+	if len(pts) < 2 {
+		return
+	}
+	minX, minY := pts[0].X, pts[0].Y
+	maxX, maxY := minX, minY
+	for _, p := range pts[1:] {
+		minX, minY = min(minX, p.X), min(minY, p.Y)
+		maxX, maxY = max(maxX, p.X), max(maxY, p.Y)
+	}
+	sx, sy := maxX-minX, maxY-minY
+	if sx == 0 {
+		sx = 1
+	}
+	if sy == 0 {
+		sy = 1
+	}
+	const order = 16
+	const side = 1 << order
+	keys := make([]uint64, len(pts))
+	for i, p := range pts {
+		keys[i] = hilbertD(order, uint32((p.X-minX)/sx*(side-1)), uint32((p.Y-minY)/sy*(side-1)))
+	}
+	idx := make([]int, len(pts))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	out := make([]Point, len(pts))
+	for i, j := range idx {
+		out[i] = pts[j]
+	}
+	copy(pts, out)
+}
+
+// TestHilbertSortPinned: HilbertSort reorders points exactly as the stable
+// index sort did — on uniform points of every size dt and the benchmark
+// sort, and on a grid whose points repeat, where many share a cell and
+// only the tie order separates the two.
+func TestHilbertSortPinned(t *testing.T) {
+	cases := map[string][]Point{}
+	for _, n := range []int{0, 1, 2, 10, 1_000, 6_000, 50_000} {
+		cases[fmt.Sprintf("uniform/%d", n)] = UniformPoints(n, uint64(n)+5)
+	}
+	var grid []Point
+	for i := 0; i < 3_000; i++ {
+		grid = append(grid, Point{X: float64(i % 7), Y: float64(i % 11)}, Point{X: float64(i%7) + 1e-9, Y: float64(i % 11)})
+	}
+	cases["grid"] = grid
+	for name, pts := range cases {
+		got, want := slices.Clone(pts), slices.Clone(pts)
+		HilbertSort(got)
+		hilbertSortStable(want)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: HilbertSort's order differs from the stable index sort's", name)
 		}
 	}
 }

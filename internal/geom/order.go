@@ -1,7 +1,7 @@
 package geom
 
 import (
-	"sort"
+	"slices"
 
 	"galois/internal/rng"
 )
@@ -44,20 +44,19 @@ func HilbertSort(pts []Point) {
 	}
 	const order = 16 // 2^16 cells per axis
 	const side = 1 << order
+	// Each key packs the point's curve distance (below 2^32 at order 16)
+	// over its index (below 2^32 too), so sorting the keys as integers
+	// orders points by distance and ties by input order: a stable sort.
 	keys := make([]uint64, len(pts))
 	for i, p := range pts {
 		x := uint32((p.X - minX) / sx * (side - 1))
 		y := uint32((p.Y - minY) / sy * (side - 1))
-		keys[i] = hilbertD(order, x, y)
+		keys[i] = hilbertD(order, x, y)<<32 | uint64(i)
 	}
-	idx := make([]int, len(pts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	slices.Sort(keys)
 	out := make([]Point, len(pts))
-	for i, j := range idx {
-		out[i] = pts[j]
+	for i, k := range keys {
+		out[i] = pts[uint32(k)]
 	}
 	copy(pts, out)
 }

@@ -3,18 +3,20 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
 	"galois"
+	"galois/internal/apps/bfs"
 	"galois/internal/apps/blackscholes"
 	"galois/internal/apps/bodytrack"
 	"galois/internal/apps/cavity"
 	"galois/internal/apps/freqmine"
+	"galois/internal/apps/mis"
 	"galois/internal/apps/mm"
-	"galois/internal/apps/msf"
-	"galois/internal/apps/sssp"
 	"galois/internal/cachesim"
+	"galois/internal/catalog"
 	"galois/internal/coredet"
 	"galois/internal/graph"
 	"galois/internal/linreg"
@@ -38,7 +40,7 @@ func WindowTrace(in *Inputs, threads int, tr *galois.Trace, w, diag io.Writer) e
 	defer func() { in.TraceSink = prev }()
 
 	fmt.Fprintf(w, "Adaptive window trace (threads=%d; identical for any thread count)\n", threads)
-	for _, app := range Apps {
+	for _, app := range appNames(false) {
 		fmt.Fprintf(diag, "tracing %s (g-d, %d threads)\n", app, threads)
 		before := len(tr.Rounds())
 		r := in.RunOnce(app, "g-d", threads, nil)
@@ -57,39 +59,39 @@ func WindowTrace(in *Inputs, threads int, tr *galois.Trace, w, diag io.Writer) e
 // Extensions renders the library-extension comparison (mm, msf, sssp —
 // not paper figures): per variant timings plus the msf re-run of the
 // paper's mis lesson, that a deterministic-by-construction algorithm beats
-// deterministic scheduling of a non-deterministic one when it exists.
+// deterministic scheduling of a non-deterministic one when it exists. msf
+// and sssp are the catalog's apps outside the paper and run on their
+// catalog inputs; mm, which galoisd does not serve, keeps its own graph.
 func Extensions(in *Inputs, threads int, w io.Writer) error {
 	fmt.Fprintf(w, "Extensions (mm, msf, sssp) at %d threads\n", threads)
 	g := graph.Symmetrize(graph.RandomKOut(in.sc.BFSNodes/10, 5, in.sc.Seed+20))
-	wg := graph.RandomWeighted(in.sc.BFSNodes/10, 4, 100, in.sc.Seed+21)
-	edges := msf.RandomWeights(g, 1000, in.sc.Seed+22)
 
+	row := func(name string, elapsed time.Duration) {
+		fmt.Fprintf(w, "  %-14s %12s\n", name, elapsed.Round(time.Microsecond))
+	}
 	timeIt := func(name string, f func()) {
 		start := time.Now()
 		f()
-		fmt.Fprintf(w, "  %-14s %12s\n", name, time.Since(start).Round(time.Microsecond))
+		row(name, time.Since(start))
 	}
 	fmt.Fprintln(w, "maximal matching:")
 	timeIt("seq", func() { mm.Seq(g) })
 	timeIt("g-n", func() { mm.Galois(g, galois.WithThreads(threads)) })
 	timeIt("g-d", func() { mm.Galois(g, galois.WithThreads(threads), galois.WithSched(galois.Deterministic)) })
 	timeIt("pbbs", func() { mm.PBBS(g, threads) })
-	fmt.Fprintln(w, "boruvka spanning forest:")
-	timeIt("seq (kruskal)", func() { msf.Seq(g.N(), edges) })
-	timeIt("g-n", func() { msf.Galois(g.N(), edges, galois.WithThreads(threads)) })
-	timeIt("g-d", func() {
-		msf.Galois(g.N(), edges, galois.WithThreads(threads), galois.WithSched(galois.Deterministic))
-	})
-	timeIt("pbbs", func() { msf.PBBS(g.N(), edges, threads) })
-	fmt.Fprintln(w, "sssp:")
-	timeIt("seq (dijkstra)", func() { sssp.Seq(wg, 0) })
-	timeIt("g-n obim", func() { sssp.Galois(wg, 0, sssp.DefaultOptions(100), galois.WithThreads(threads)) })
-	timeIt("g-n fifo", func() { sssp.Galois(wg, 0, sssp.Options{}, galois.WithThreads(threads)) })
-	timeIt("g-d", func() {
-		sssp.Galois(wg, 0, sssp.Options{}, galois.WithThreads(threads), galois.WithSched(galois.Deterministic))
-	})
-	fmt.Fprintln(w, "\nNote the msf shape: the round-based deterministic-by-construction variant")
-	fmt.Fprintln(w, "dominates DIG scheduling of contraction — the paper's mis lesson (§5.3).")
+	for _, app := range appNames(false) {
+		if in.apps[app].Paper {
+			continue
+		}
+		fmt.Fprintf(w, "%s:\n", app)
+		for _, variant := range catalog.Variants {
+			if in.Has(app, variant) {
+				row(variant, in.RunOnce(app, variant, threads, nil).Elapsed)
+			}
+		}
+	}
+	fmt.Fprintln(w, "\nNote the msf shape: the round-based deterministic-by-construction boruvka")
+	fmt.Fprintln(w, "variant (pbbs) dominates DIG scheduling of contraction — the paper's mis lesson (§5.3).")
 	return nil
 }
 
@@ -98,38 +100,14 @@ func Figure(n int, in *Inputs, threads []int, w io.Writer) error {
 	if len(threads) == 0 {
 		threads = DefaultThreadSweep()
 	}
-	switch n {
-	case 4:
-		return Fig4(in, threads, w)
-	case 5:
-		return Fig5(in, threads, w)
-	case 6:
-		return Fig6(in, threads, w)
-	case 7:
-		return Fig7(in, threads, w)
-	case 8:
-		return Fig8(in, w)
-	case 9:
-		return Fig9(in, threads, w)
-	case 10:
-		return Fig10(in, threads, w)
-	case 11:
-		return Fig11(in, threads, w)
-	case 12:
-		return Fig12(in, threads, w)
-	default:
+	fig, ok := map[int]func(*Inputs, []int, io.Writer) error{
+		4: Fig4, 5: Fig5, 6: Fig6, 7: Fig7, 9: Fig9, 10: Fig10, 11: Fig11, 12: Fig12,
+		8: func(in *Inputs, _ []int, w io.Writer) error { return Fig8(in, w) },
+	}[n]
+	if !ok {
 		return fmt.Errorf("harness: the paper has no figure %d in §5 (use 4-12)", n)
 	}
-}
-
-func maxThreads(threads []int) int {
-	m := 1
-	for _, t := range threads {
-		if t > m {
-			m = t
-		}
-	}
-	return m
+	return fig(in, threads, w)
 }
 
 func median(xs []float64) float64 {
@@ -144,14 +122,14 @@ func median(xs []float64) float64 {
 // Fig4 reproduces Figure 4: task execution rates, abort ratios and round
 // counts at 1 thread and at the maximum thread count.
 func Fig4(in *Inputs, threads []int, w io.Writer) error {
-	maxT := maxThreads(threads)
+	maxT := slices.Max(threads)
 	fmt.Fprintf(w, "Figure 4: committed tasks/us, abort ratio, rounds (threads: 1 and %d)\n", maxT)
 	fmt.Fprintf(w, "%-6s %-6s | %12s %12s %10s | %12s %12s %10s\n",
 		"app", "var", "tasks/us@1", "abort@1", "rounds@1", fmt.Sprintf("tasks/us@%d", maxT),
 		fmt.Sprintf("abort@%d", maxT), fmt.Sprintf("rounds@%d", maxT))
-	for _, app := range Apps {
+	for _, app := range appNames(true) {
 		for _, variant := range []string{"g-n", "g-d", "pbbs"} {
-			if !HasVariant(app, variant) {
+			if !in.Has(app, variant) {
 				continue
 			}
 			r1 := in.RunMedian(app, variant, 1)
@@ -167,7 +145,8 @@ func Fig4(in *Inputs, threads []int, w io.Writer) error {
 	return nil
 }
 
-// runParsec measures one PARSEC-side app; returns elapsed and sync-op rate.
+// runParsec measures one pthread-style app — a PARSEC kernel, a cavity
+// profile or Figure 6's bfs-pt/mis-pt; returns elapsed and sync-op rate.
 func runParsec(in *Inputs, app string, threads int, enabled bool) (time.Duration, float64) {
 	sc := in.sc
 	rt := coredet.New(enabled, 0)
@@ -185,8 +164,12 @@ func runParsec(in *Inputs, app string, threads int, enabled bool) (time.Duration
 		cavity.Run(cavity.DMRProfile(sc.CavityTasks), threads, rt, sc.Seed+13)
 	case "dt-pt":
 		cavity.Run(cavity.DTProfile(sc.CavityTasks), threads, rt, sc.Seed+14)
+	case "bfs-pt":
+		PThreadBFS(in, threads, rt)
+	case "mis-pt":
+		PThreadMIS(in, threads, rt)
 	default:
-		panic("harness: unknown parsec app " + app)
+		panic("harness: unknown pthread-style app " + app)
 	}
 	elapsed := time.Since(start)
 	us := elapsed.Seconds() * 1e6
@@ -200,12 +183,12 @@ func runParsec(in *Inputs, app string, threads int, enabled bool) (time.Duration
 // Fig5 reproduces Figure 5: atomic update rates, contrasting the PARSEC
 // applications with the irregular benchmarks.
 func Fig5(in *Inputs, threads []int, w io.Writer) error {
-	maxT := maxThreads(threads)
+	maxT := slices.Max(threads)
 	fmt.Fprintf(w, "Figure 5: atomic updates/us (threads: 1 and %d)\n", maxT)
 	fmt.Fprintf(w, "%-14s %-6s | %14s %14s\n", "app", "var", "atomics/us@1", fmt.Sprintf("atomics/us@%d", maxT))
-	for _, app := range Apps {
+	for _, app := range appNames(true) {
 		for _, variant := range []string{"g-n", "g-d", "pbbs"} {
-			if !HasVariant(app, variant) {
+			if !in.Has(app, variant) {
 				continue
 			}
 			r1 := in.RunMedian(app, variant, 1)
@@ -235,9 +218,9 @@ func Fig6(in *Inputs, threads []int, w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 	var slowdowns, pbbsSlowdowns []float64
-	maxT := maxThreads(threads)
+	maxT := slices.Max(threads)
 	for _, app := range apps {
-		base := in.runFig6(app, 1, false)
+		base, _ := runParsec(in, app, 1, false)
 		var coredetMax, plainMax time.Duration
 		for _, enabled := range []bool{false, true} {
 			mode := "plain"
@@ -246,7 +229,7 @@ func Fig6(in *Inputs, threads []int, w io.Writer) error {
 			}
 			fmt.Fprintf(w, "%-14s %-8s |", app, mode)
 			for _, t := range threads {
-				el := in.runFig6(app, t, enabled)
+				el, _ := runParsec(in, app, t, enabled)
 				fmt.Fprintf(w, " %8.2f", base.Seconds()/el.Seconds())
 				if t == maxT {
 					if enabled {
@@ -273,24 +256,6 @@ func Fig6(in *Inputs, threads []int, w io.Writer) error {
 	return nil
 }
 
-func (in *Inputs) runFig6(app string, threads int, enabled bool) time.Duration {
-	switch app {
-	case "bfs-pt":
-		start := time.Now()
-		rtc := coredet.New(enabled, 0)
-		bfsPT(in, threads, rtc)
-		return time.Since(start)
-	case "mis-pt":
-		start := time.Now()
-		rtc := coredet.New(enabled, 0)
-		misPT(in, threads, rtc)
-		return time.Since(start)
-	default:
-		el, _ := runParsec(in, app, threads, enabled)
-		return el
-	}
-}
-
 // Fig7 reproduces Figure 7: speedups of g-n, g-d and pbbs over the best
 // sequential baseline.
 func Fig7(in *Inputs, threads []int, w io.Writer) error {
@@ -300,13 +265,13 @@ func Fig7(in *Inputs, threads []int, w io.Writer) error {
 		fmt.Fprintf(w, " %8s", fmt.Sprintf("t=%d", t))
 	}
 	fmt.Fprintln(w)
-	maxT := maxThreads(threads)
+	maxT := slices.Max(threads)
 	var gnOverPbbs, gdOverPbbs []float64
-	for _, app := range Apps {
+	for _, app := range appNames(true) {
 		base := in.RunMedian(app, "seq", 1).Elapsed
 		atMax := map[string]time.Duration{}
 		for _, variant := range []string{"g-n", "g-d", "pbbs"} {
-			if !HasVariant(app, variant) {
+			if !in.Has(app, variant) {
 				continue
 			}
 			fmt.Fprintf(w, "%-6s %-6s |", app, variant)
@@ -333,7 +298,7 @@ func Fig7(in *Inputs, threads []int, w io.Writer) error {
 func Fig8(in *Inputs, w io.Writer) error {
 	fmt.Fprintln(w, "Figure 8: baseline sequential times (best 1-thread variant)")
 	fmt.Fprintf(w, "%-6s %-10s %12s\n", "app", "variant", "time")
-	for _, app := range Apps {
+	for _, app := range appNames(true) {
 		r := in.RunMedian(app, "seq", 1)
 		fmt.Fprintf(w, "%-6s %-10s %12s\n", app, "seq", r.Elapsed.Round(time.Millisecond))
 	}
@@ -342,7 +307,7 @@ func Fig8(in *Inputs, w io.Writer) error {
 
 // relToPBBS computes t_pbbs(p)/t_var(p) across the sweep.
 func relToPBBS(in *Inputs, app, variant string, threads []int) (mean, maxV, i1, imax float64) {
-	maxT := maxThreads(threads)
+	maxT := slices.Max(threads)
 	var sum float64
 	n := 0
 	for _, t := range threads {
@@ -370,8 +335,8 @@ func Fig9(in *Inputs, threads []int, w io.Writer) error {
 	fmt.Fprintln(w, "Figure 9: performance relative to the pbbs variant (t_pbbs/t_var)")
 	fmt.Fprintf(w, "%-6s %-6s | %8s %8s %8s %8s\n", "app", "var", "mean", "max", "I1", "Imax")
 	var gdImax []float64
-	for _, app := range Apps {
-		if !HasVariant(app, "pbbs") {
+	for _, app := range appNames(true) {
+		if !in.Has(app, "pbbs") {
 			continue
 		}
 		for _, variant := range []string{"g-n", "g-d"} {
@@ -393,9 +358,9 @@ func Fig10(in *Inputs, threads []int, w io.Writer) error {
 	fmt.Fprintln(w, "Figure 10: deterministic scheduling without the continuation optimization")
 	fmt.Fprintf(w, "%-6s %-7s | %8s %8s %8s %8s\n", "app", "var", "mean", "max", "I1", "Imax")
 	var improvements []float64
-	maxT := maxThreads(threads)
-	for _, app := range Apps {
-		if HasVariant(app, "pbbs") {
+	maxT := slices.Max(threads)
+	for _, app := range appNames(true) {
+		if in.Has(app, "pbbs") {
 			mean, maxV, i1, imax := relToPBBS(in, app, "g-dnc", threads)
 			fmt.Fprintf(w, "%-6s %-7s | %8.2f %8.2f %8.2f %8.2f\n", app, "g-dnc", mean, maxV, i1, imax)
 		}
@@ -405,30 +370,19 @@ func Fig10(in *Inputs, threads []int, w io.Writer) error {
 		improvements = append(improvements, nc/withC)
 	}
 	fmt.Fprintf(w, "\nContinuation optimization speedup (t_nocont/t_cont at %d threads):", maxT)
-	for i, app := range Apps {
+	for i, app := range appNames(true) {
 		fmt.Fprintf(w, " %s=%.2fx", app, improvements[i])
 	}
 	fmt.Fprintf(w, "\nmedian %.2fx (paper: 1.14x, largest for dmr and dt)\n", median(improvements))
 	return nil
 }
 
-// profilable reports whether a variant routes its accesses through mark
-// words, which is what the tracer instruments. The bfs/mis pbbs variants
-// use raw atomics (no abstract locations), so they have no trace; the paper
-// reads hardware counters, which see everything.
-func profilable(app, variant string) bool {
-	if variant != "pbbs" {
-		return true
-	}
-	return app == "dt" || app == "dmr"
-}
-
 // profileRun runs app/variant at the given thread count with the locality
 // tracer attached and returns the modeled memory report.
-func (in *Inputs) profileRun(app, variant string, threads, cacheLocs int) cachesim.Report {
+func (in *Inputs) profileRun(app, variant string, threads int) cachesim.Report {
 	tr := cachesim.NewTracer(threads)
 	in.RunOnce(app, variant, threads, tr)
-	return tr.Analyze(cacheLocs)
+	return tr.Analyze(fig11CacheLocs)
 }
 
 // fig11CacheLocs is the modeled cache capacity in abstract locations. It
@@ -441,23 +395,28 @@ func (in *Inputs) profileRun(app, variant string, threads, cacheLocs int) caches
 // touch is a modeled DRAM request. Input-independent so the same number is
 // comparable across apps and scales (the effect needs default scale or
 // larger to appear, matching the paper's multi-megabyte windows).
-func (in *Inputs) fig11CacheLocs(string) int { return 4096 }
+const fig11CacheLocs = 4096
 
 // Fig11 reproduces Figure 11: modeled DRAM requests per variant (reuse
 // distances beyond the modeled cache; see internal/cachesim for the
 // substitution of hardware counters).
 func Fig11(in *Inputs, threads []int, w io.Writer) error {
-	maxT := maxThreads(threads)
+	maxT := slices.Max(threads)
 	fmt.Fprintf(w, "Figure 11: modeled DRAM requests (reuse distance > cache) at %d threads\n", maxT)
 	fmt.Fprintf(w, "%-6s %-6s | %14s %14s %14s %12s\n",
 		"app", "var", "accesses", "dram-reqs", "mean-dist", "dram-ratio")
-	for _, app := range Apps {
-		cacheLocs := in.fig11CacheLocs(app)
+	for _, app := range appNames(true) {
 		for _, variant := range []string{"g-n", "g-d", "pbbs"} {
-			if !HasVariant(app, variant) || !profilable(app, variant) {
+			if !in.Has(app, variant) {
 				continue
 			}
-			rep := in.profileRun(app, variant, maxT, cacheLocs)
+			// The bfs/mis pbbs variants use raw atomics, not mark words,
+			// so the tracer sees nothing of them; the paper reads hardware
+			// counters, which see everything.
+			rep := in.profileRun(app, variant, maxT)
+			if rep.Accesses == 0 {
+				continue
+			}
 			ratio := 0.0
 			if rep.Accesses > 0 {
 				ratio = float64(rep.DRAMRequests()) / float64(rep.Accesses)
@@ -476,18 +435,17 @@ func Fig11(in *Inputs, threads []int, w io.Writer) error {
 func Fig12(in *Inputs, threads []int, w io.Writer) error {
 	fmt.Fprintln(w, "Figure 12: R^2 of the locality model eff_var = B0 + B1*(PC_gn/PC_var)*eff_gn")
 	fmt.Fprintf(w, "%-6s | %8s %8s %6s\n", "app", "R2", "B1", "pts")
-	maxT := maxThreads(threads)
-	for _, app := range Apps {
-		cacheLocs := in.fig11CacheLocs(app)
+	maxT := slices.Max(threads)
+	for _, app := range appNames(true) {
 		// Modeled counters per variant (measured once at max threads;
 		// the modeled counter is schedule-, not timing-, dependent).
 		pc := map[string]float64{}
 		variants := []string{"g-n", "g-d"}
-		if HasVariant(app, "pbbs") && profilable(app, "pbbs") {
+		if in.Has(app, "pbbs") {
 			variants = append(variants, "pbbs")
 		}
 		for _, v := range variants {
-			pc[v] = float64(in.profileRun(app, v, maxT, cacheLocs).DRAMRequests())
+			pc[v] = float64(in.profileRun(app, v, maxT).DRAMRequests())
 		}
 		base := in.RunMedian(app, "seq", 1).Elapsed.Seconds()
 		eff := func(variant string, t int) float64 {
@@ -513,6 +471,14 @@ func Fig12(in *Inputs, threads []int, w io.Writer) error {
 	return nil
 }
 
-// bfsPT and misPT adapt the pthread variants to the shared inputs.
-func bfsPT(in *Inputs, threads int, rt *coredet.Runtime) { pthreadBFS(in, threads, rt) }
-func misPT(in *Inputs, threads int, rt *coredet.Runtime) { pthreadMIS(in, threads, rt) }
+// PThreadBFS runs the pthread-style BFS (Figure 6's bfs-pt) on the shared
+// bfs input.
+func PThreadBFS(in *Inputs, threads int, rt *coredet.Runtime) {
+	bfs.PThread(in.input("bfs").(*graph.CSR), 0, threads, rt)
+}
+
+// PThreadMIS runs the pthread-style MIS (Figure 6's mis-pt) on the shared
+// graph input.
+func PThreadMIS(in *Inputs, threads int, rt *coredet.Runtime) {
+	mis.PThread(in.input("mis").(*graph.CSR), threads, rt)
+}

@@ -19,29 +19,20 @@ import (
 	"galois/internal/apps/mis"
 	"galois/internal/apps/mm"
 	"galois/internal/apps/sssp"
+	"galois/internal/catalog"
+	"galois/internal/graph"
 	"galois/internal/inputs"
 	"galois/internal/obs"
 	"galois/internal/stats"
 )
 
-func smallInputs() *Inputs { return MakeInputs(SmallScale()) }
-
-func TestScaleByName(t *testing.T) {
-	for _, name := range []string{"small", "default", "full", ""} {
-		if _, err := ScaleByName(name); err != nil {
-			t.Fatalf("%q: %v", name, err)
-		}
-	}
-	if _, err := ScaleByName("gigantic"); err == nil {
-		t.Fatal("bad scale accepted")
-	}
-}
+func smallInputs() *Inputs { return MakeInputs(inputs.SmallScale()) }
 
 func TestRunOnceAllCombos(t *testing.T) {
 	in := smallInputs()
-	for _, app := range Apps {
-		for _, variant := range Variants {
-			if !HasVariant(app, variant) {
+	for _, app := range appNames(false) {
+		for _, variant := range catalog.Variants {
+			if !in.Has(app, variant) {
 				continue
 			}
 			r := in.RunOnce(app, variant, 2, nil)
@@ -57,9 +48,9 @@ func TestRunOnceAllCombos(t *testing.T) {
 
 func TestDeterministicVariantsAgreeAcrossThreads(t *testing.T) {
 	in := smallInputs()
-	for _, app := range Apps {
+	for _, app := range appNames(false) {
 		for _, variant := range []string{"g-d", "pbbs"} {
-			if !HasVariant(app, variant) {
+			if !in.Has(app, variant) {
 				continue
 			}
 			a := in.RunOnce(app, variant, 1, nil)
@@ -141,7 +132,7 @@ func TestPortabilityThreadSweep(t *testing.T) {
 	}
 
 	var lines []string
-	for _, app := range Apps {
+	for _, app := range appNames(false) {
 		for _, variant := range []string{"g-d", "g-dnc"} {
 			line := sweep(app, variant)
 			lines = append(lines, line)
@@ -180,7 +171,7 @@ func TestPortabilityThreadSweep(t *testing.T) {
 // the schedule and the schedule is a pure function of the input.
 func TestTraceEventSequenceThreadInvariant(t *testing.T) {
 	in := smallInputs()
-	for _, app := range Apps {
+	for _, app := range appNames(false) {
 		for _, variant := range []string{"g-d", "g-dnc"} {
 			var want []string
 			for _, th := range []int{1, 2, 4, 8} {
@@ -226,14 +217,15 @@ func TestTraceEventSequenceThreadInvariant(t *testing.T) {
 }
 
 func TestSemanticAgreementAcrossVariants(t *testing.T) {
-	// For confluent apps (bfs distances, dt mesh, pfp flow value, and
-	// mis/dmr validity-checked elsewhere) the seq fingerprint is the
-	// ground truth all variants must hit.
+	// For confluent apps (bfs and sssp distances, the dt mesh, the msf
+	// forest — its edge keys are unique — and the pfp flow value; mis/dmr
+	// are validity-checked elsewhere) the seq fingerprint is the ground
+	// truth all variants must hit.
 	in := smallInputs()
-	for _, app := range []string{"bfs", "dt", "pfp"} {
+	for _, app := range []string{"bfs", "dt", "msf", "pfp", "sssp"} {
 		want := in.RunOnce(app, "seq", 1, nil).Fingerprint
 		for _, variant := range []string{"g-n", "g-d", "g-dnc", "pbbs"} {
-			if !HasVariant(app, variant) {
+			if !in.Has(app, variant) {
 				continue
 			}
 			// bfs pbbs fingerprints include the parent tree, which
@@ -292,7 +284,7 @@ func TestWindowTraceRenders(t *testing.T) {
 	if err := WindowTrace(in, 2, tr, &sb, &diag); err != nil {
 		t.Fatal(err)
 	}
-	for _, app := range Apps {
+	for _, app := range appNames(false) {
 		if !strings.Contains(sb.String(), app+":") {
 			t.Fatalf("window trace missing %s", app)
 		}
@@ -341,7 +333,7 @@ func TestExtensionsRenders(t *testing.T) {
 // engine: what Scrub zeroes, no later run may need.
 func TestEngineReuseFingerprints(t *testing.T) {
 	in := smallInputs()
-	for _, app := range Apps {
+	for _, app := range appNames(false) {
 		for _, variant := range []string{"g-d", "g-dnc"} {
 			for _, th := range []int{1, 2, 4, 8} {
 				in.Engine = nil
@@ -438,18 +430,19 @@ func measureAllocs(reps int, fn func()) uint64 {
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	const ceiling, boundaryCeiling = 96, 16
 	in := smallInputs()
+	g := in.input("bfs").(*graph.CSR)
 	sg := inputs.SSSPGraph(in.sc.SSSPNodes, in.sc.SSSPDegree, in.sc.SSSPMaxW, in.sc.Seed)
 	apps := []struct {
 		app    string
 		pushes bool
 		run    func(opts ...galois.Option) stats.Stats
 	}{
-		{"bfs", true, func(opts ...galois.Option) stats.Stats { return bfs.Galois(in.bfsGraph, 0, opts...).Stats }},
-		{"mis", false, func(opts ...galois.Option) stats.Stats { return mis.Galois(in.bfsGraph, opts...).Stats }},
+		{"bfs", true, func(opts ...galois.Option) stats.Stats { return bfs.Galois(g, 0, opts...).Stats }},
+		{"mis", false, func(opts ...galois.Option) stats.Stats { return mis.Galois(g, opts...).Stats }},
 		{"sssp", true, func(opts ...galois.Option) stats.Stats {
 			return sssp.Galois(sg, 0, sssp.DefaultOptions(in.sc.SSSPMaxW), opts...).Stats
 		}},
-		{"mm", false, func(opts ...galois.Option) stats.Stats { return mm.Galois(in.bfsGraph, opts...).Stats }},
+		{"mm", false, func(opts ...galois.Option) stats.Stats { return mm.Galois(g, opts...).Stats }},
 	}
 	for _, c := range apps {
 		det := []galois.Option{galois.WithSched(galois.Deterministic), galois.WithThreads(2)}
@@ -501,14 +494,15 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	eng := galois.NewEngine(galois.WithThreads(2))
 	defer eng.Close()
 	opts := []galois.Option{galois.WithSched(galois.Deterministic), galois.WithThreads(2), galois.WithEngine(eng)}
+	pts := inputs.DTPoints(in.sc.DTPoints, in.sc.Seed)
 	for _, c := range []struct {
 		app        string
 		perInspect float64
 	}{{"dt", 5.25}, {"dmr", 3.0}} {
 		run := func() (allocs uint64, st stats.Stats) {
-			job := func() { st = dt.Galois(in.dtPoints, in.sc.Seed+3, opts...).Stats }
+			job := func() { st = dt.Galois(pts, in.sc.Seed+3, opts...).Stats }
 			if c.app == "dmr" {
-				root := dmr.MakeInput(in.dmrPts, in.sc.Seed+4) // refined in place: one per run, not measured
+				root := inputs.DMRMesh(in.sc.DMRPoints, in.sc.Seed) // refined in place: one per run, not measured
 				job = func() { st = dmr.Galois(root, dmr.DefaultQuality(), opts...).Stats }
 			}
 			allocs = measureAllocs(1, job)
@@ -548,7 +542,7 @@ func TestBarrierAndPhaseCountersConsistent(t *testing.T) {
 		threads      int
 	}
 	var cells []cell
-	for _, app := range Apps {
+	for _, app := range appNames(false) {
 		for _, variant := range []string{"g-d", "g-dnc"} {
 			cells = append(cells, cell{app, variant, 1}, cell{app, variant, 2})
 		}

@@ -7,11 +7,12 @@
 // The pieces:
 //
 //   - Job registry (Registry, Kind): maps a job kind plus JSON parameters
-//     (scale, variant, seed, threads) onto a runnable closure over the
-//     existing app entry points. Inputs are derived through
-//     internal/inputs — the same derivations the experiment harness uses —
-//     and cached per (input family, scale, seed) in a byte-budgeted LRU
-//     (input.go), so client-chosen seeds cannot grow the process.
+//     (scale, variant, seed, threads) onto the app's catalog entry
+//     (internal/catalog), the table the experiment harness reads too.
+//     Inputs are derived through internal/inputs and cached per (input
+//     family, scale, seed) in a byte-budgeted LRU (input.go), so
+//     client-chosen seeds cannot grow the process; only the small and
+//     default scales are served.
 //   - Engine pool (EnginePool): checks reusable galois.Engine instances in
 //     and out, keyed by thread count and lazily grown to one engine per
 //     worker, so

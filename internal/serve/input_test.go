@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"galois"
-	"galois/internal/apps/pfp"
 	"galois/internal/graph"
 	"galois/internal/inputs"
 	"galois/internal/stats"
@@ -389,9 +388,12 @@ func FuzzInputSize(f *testing.F) {
 	f.Add(uint64(42), uint16(200), uint8(5))
 	f.Add(uint64(0), uint16(2), uint8(1))
 	f.Add(uint64(1<<63), uint16(1500), uint8(9))
+	f.Add(uint64(0), uint16(2), uint8(4)) // a degree the node count caps
 	reg := DefaultRegistry()
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, degree uint8) {
-		nodes, deg := int(n)%2000+2, int(degree)%8+1
+		// A k-out graph needs k < n (graph.RandomKOut).
+		nodes := int(n)%2000 + 2
+		deg := min(int(degree)%8+1, nodes-1)
 		sc := inputs.SmallScale()
 		sc.BFSNodes, sc.BFSDegree = nodes, deg
 		sc.SSSPNodes, sc.SSSPDegree = nodes, deg
@@ -402,23 +404,28 @@ func FuzzInputSize(f *testing.F) {
 		for _, name := range reg.Names() {
 			kind := reg.Lookup(name)
 			data := kind.Build(sc, seed)
+			// The floor is read off the same cell rebuilt through
+			// internal/inputs, whose derivations are deterministic.
 			var floor int64
-			switch d := data.(type) {
-			case *graph.CSR:
-				floor = csrBytes(d)
-			case *ssspData:
-				floor = csrBytes(d.g.CSR) + int64(len(d.g.W))*4
-			case *msfInput:
-				floor = int64(len(d.edges)) * 16
-			case *pfp.Network:
+			switch name {
+			case "bfs", "mis":
+				floor = csrBytes(inputs.BFSGraph(nodes, deg, seed))
+			case "sssp":
+				g := inputs.SSSPGraph(nodes, deg, sc.SSSPMaxW, seed)
+				floor = csrBytes(g.CSR) + int64(len(g.W))*4
+			case "msf":
+				_, edges := inputs.MSFEdges(nodes, deg, sc.MSFMaxW, seed)
+				floor = int64(len(edges)) * 16
+			case "pfp":
+				d := inputs.PFPNetwork(nodes, deg, seed)
 				_, arcs := d.Arcs(d.N - 1)
 				floor = int64(d.N+1)*8 + arcs*(4+3*8) + int64(d.N)*16
-			case *dtInput:
-				floor = int64(len(d.pts)) * 16
-			case *dmrInput:
+			case "dt":
+				floor = int64(nodes) * 16
+			case "dmr":
 				floor = 3 * 8
 			default:
-				t.Fatalf("%s: unexpected input type %T", name, data)
+				t.Fatalf("unexpected kind %s", name)
 			}
 			if got := kind.Size(data); got < floor {
 				t.Errorf("%s (n=%d degree=%d seed=%d): Size %d below the %d bytes its arrays hold", name, nodes, deg, seed, got, floor)

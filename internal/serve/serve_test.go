@@ -10,9 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"galois"
-	"galois/internal/apps/msf"
-	"galois/internal/apps/sssp"
 	"galois/internal/harness"
 	"galois/internal/inputs"
 	"galois/internal/obs"
@@ -42,7 +39,7 @@ func submitOK(t *testing.T, c *Client, spec Spec) *JobResult {
 
 // detKinds returns the default registry's kinds (registration order);
 // every one supports the deterministic variants.
-func detKinds() []string { return []string{"bfs", "mis", "sssp", "msf", "pfp", "dt", "dmr"} }
+func detKinds() []string { return []string{"bfs", "dmr", "dt", "mis", "msf", "pfp", "sssp"} }
 
 // TestDeterminismUnderLoad is the subsystem's load-bearing invariant: for
 // every deterministic job kind × {g-d, g-dnc}, the fingerprint is
@@ -122,42 +119,17 @@ func testDeterminismUnderLoad(t *testing.T) {
 		}
 	}
 
-	// Direct in-process execution must agree too. bfs/mis/pfp/dt/dmr go
-	// through the experiment harness (shared derivations in
-	// internal/inputs — the dmr cell also proves the server's Exclusive
-	// mesh reset reproduces a fresh build); sssp/msf call their app entry
-	// points directly.
-	in := harness.MakeInputs(harness.SmallScale())
-	for _, app := range []string{"bfs", "mis", "pfp", "dt", "dmr"} {
+	// Direct in-process execution must agree too: every kind through the
+	// experiment harness, which builds its inputs once through the same
+	// catalog — the dmr cell also proves the server's Exclusive mesh reset
+	// reproduces a fresh build.
+	in := harness.MakeInputs(inputs.SmallScale())
+	for _, app := range detKinds() {
 		for _, variant := range []string{"g-d", "g-dnc"} {
 			got := fmt.Sprintf("%016x", in.RunOnce(app, variant, 2, nil).Fingerprint)
 			if want := serial[app+"/"+variant]; got != want {
 				t.Errorf("%s/%s: harness fingerprint %s != served %s", app, variant, got, want)
 			}
-		}
-	}
-	sc := inputs.SmallScale()
-	detOpts := func(nc bool) []galois.Option {
-		opts := []galois.Option{galois.WithThreads(2), galois.WithSched(galois.Deterministic)}
-		if nc {
-			opts = append(opts, galois.WithoutContinuation())
-		}
-		return opts
-	}
-	sg := inputs.SSSPGraph(sc.SSSPNodes, sc.SSSPDegree, sc.SSSPMaxW, 42)
-	mn, medges := inputs.MSFEdges(sc.MSFNodes, sc.MSFDegree, sc.MSFMaxW, 42)
-	for _, nc := range []bool{false, true} {
-		variant := "g-d"
-		if nc {
-			variant = "g-dnc"
-		}
-		got := fmt.Sprintf("%016x", sssp.Galois(sg, 0, sssp.DefaultOptions(sc.SSSPMaxW), detOpts(nc)...).Fingerprint())
-		if want := serial["sssp/"+variant]; got != want {
-			t.Errorf("sssp/%s: direct fingerprint %s != served %s", variant, got, want)
-		}
-		got = fmt.Sprintf("%016x", msf.Galois(mn, medges, detOpts(nc)...).Fingerprint())
-		if want := serial["msf/"+variant]; got != want {
-			t.Errorf("msf/%s: direct fingerprint %s != served %s", variant, got, want)
 		}
 	}
 }

@@ -213,12 +213,10 @@ func (s *Server) normalize(spec Spec) (Spec, *Kind, *httpError) {
 	default:
 		return spec, nil, errf(http.StatusBadRequest, "unknown variant %q (g-n|g-d|g-dnc)", spec.Variant)
 	}
-	switch spec.Scale {
-	case "small", "default", "full":
-	default:
-		return spec, nil, errf(http.StatusBadRequest, "unknown scale %q (small|default|full)", spec.Scale)
+	herr := admitScale(spec.Scale)
+	if herr != nil {
+		return spec, nil, herr
 	}
-	var herr *httpError
 	if spec.Threads, herr = s.threads(spec.Threads, 0); herr != nil {
 		return spec, nil, herr
 	}
@@ -226,6 +224,17 @@ func (s *Server) normalize(spec Spec) (Spec, *Kind, *httpError) {
 		return spec, nil, errf(http.StatusBadRequest, "negative timeout_ms")
 	}
 	return spec, kind, nil
+}
+
+// admitScale refuses every scale but small and default, before any input
+// is built: the paper's full scale (10 M dt points, 2.5 M dmr points) has
+// no budget a server could hold it to, so only cmd/repro runs it.
+func admitScale(scale string) *httpError {
+	switch scale {
+	case "small", "default":
+		return nil
+	}
+	return errf(http.StatusBadRequest, "scale %q is not served (small|default)", scale)
 }
 
 // threads resolves a request's thread count: the first positive of

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"net/http"
 	"time"
@@ -161,8 +162,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errf(http.StatusServiceUnavailable, "server is draining; not accepting sessions"))
 		return
 	}
-	var herr *httpError
-	if is.Threads, herr = s.threads(is.Threads, 0); herr != nil {
+	herr := admitScale(cmp.Or(is.Scale, "small")) // session.Manager's default
+	if herr == nil {
+		is.Threads, herr = s.threads(is.Threads, 0)
+	}
+	if herr != nil {
 		writeError(w, herr)
 		return
 	}

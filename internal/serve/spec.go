@@ -11,13 +11,14 @@ import (
 // Receipt carries, so re-executing a receipt needs no access to server
 // defaults.
 type Spec struct {
-	// Kind names a registered job kind (bfs, mis, sssp, msf, pfp, dt, dmr).
+	// Kind names a registered job kind: an app of internal/catalog.
 	Kind string `json:"kind"`
 	// Variant selects the scheduler: g-n (speculative, non-deterministic),
 	// g-d (DIG-scheduled deterministic) or g-dnc (deterministic without
 	// the continuation optimization). Default g-d.
 	Variant string `json:"variant,omitempty"`
-	// Scale names the input size (small | default | full). Default small.
+	// Scale names the input size (small | default). Default small. The
+	// paper's full scale is cmd/repro's alone: galoisd refuses it.
 	Scale string `json:"scale,omitempty"`
 	// Seed seeds the deterministic input derivation. Part of the job
 	// identity: same (kind, scale, seed) means byte-identical input.

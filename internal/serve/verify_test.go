@@ -3,7 +3,10 @@ package serve
 import (
 	"context"
 	"net/http"
+	"strings"
 	"testing"
+
+	"galois/internal/session"
 )
 
 // TestVerifyRoundTrip: a receipt from a completed deterministic job
@@ -102,4 +105,35 @@ func TestBadRequests(t *testing.T) {
 	if ae, ok := err.(*APIError); !ok || ae.Status != http.StatusBadRequest {
 		t.Errorf("fingerprint-less receipt: got %v, want 400", err)
 	}
+}
+
+// TestFullScaleRefused: galoisd serves the small and default scales only.
+// A job, a verify or a session at the paper's full scale is a 400 that
+// names the served scales, and no input is built for it.
+func TestFullScaleRefused(t *testing.T) {
+	s, c := newTestServer(t, Config{Workers: 1})
+	ctx := context.Background()
+	wantRefused := func(what string, err error) {
+		t.Helper()
+		ae, ok := err.(*APIError)
+		if !ok || ae.Status != http.StatusBadRequest || !strings.Contains(ae.Msg, "small|default") {
+			t.Errorf("%s at full scale: got %v, want a 400 naming small|default", what, err)
+		}
+	}
+	for _, kind := range detKinds() {
+		_, err := c.Submit(ctx, Spec{Kind: kind, Scale: "full"})
+		wantRefused("job "+kind, err)
+	}
+	_, err := c.Verify(ctx, Receipt{Spec: Spec{Kind: "dt", Scale: "full"}, Fingerprint: "0000000000000001", Deterministic: true})
+	wantRefused("verify", err)
+	_, err = c.CreateSession(ctx, session.InitSpec{Kind: "dmr", Scale: "full"})
+	wantRefused("session", err)
+	if cc := s.InputCacheCounters(); cc.Misses+cc.Stores != 0 {
+		t.Errorf("refused requests reached the input cache: %+v", cc)
+	}
+	if s.sessions.Live() != 0 {
+		t.Errorf("a refused session was created")
+	}
+	// The scales galoisd serves still run.
+	submitOK(t, c, Spec{Kind: "pfp", Scale: "small"})
 }
