@@ -26,7 +26,8 @@
 // Jobs, session batches and chain verifies share one admission queue
 // (-queue; full => 429) and one set of -workers workers, each keeping up
 // to one pooled engine per thread count; -timeout is the default per-task
-// deadline, which bounds queue wait and run together.
+// deadline (per link for a chain verify), which bounds queue wait and run
+// together.
 //
 //	galoisd -addr :8090
 //	curl -s localhost:8090/jobs -d '{"kind":"bfs","variant":"g-d","scale":"small"}'

@@ -15,11 +15,11 @@
 package bfs
 
 import (
-	"hash/fnv"
 	"math"
 	"sync/atomic"
 
 	"galois"
+	"galois/internal/canon"
 	"galois/internal/graph"
 	"galois/internal/para"
 	"galois/internal/scan"
@@ -42,19 +42,14 @@ type Result struct {
 
 // Fingerprint hashes the distance array (and parent array when present).
 func (r *Result) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
-	put := func(v uint32) {
-		buf[0], buf[1], buf[2], buf[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(buf[:])
-	}
+	h := canon.NewFNV()
 	for _, d := range r.Dist {
-		put(d)
+		h = h.U32(d)
 	}
 	for _, p := range r.Parent {
-		put(p)
+		h = h.U32(p)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Seq runs sequential BFS from src.

@@ -14,6 +14,7 @@
 package freqmine
 
 import (
+	"galois/internal/canon"
 	"galois/internal/coredet"
 	"galois/internal/rng"
 )
@@ -158,7 +159,7 @@ func Run(cfg Config, txns [][]uint16, nthreads int, rt *coredet.Runtime) Result 
 	})
 
 	res := Result{FrequentItems: len(frequent)}
-	var h uint64 = 1469598103934665603
+	h := canon.NewFNV()
 	for k := range pairCounts {
 		for j, c := range pairCounts[k] {
 			if j <= k {
@@ -168,12 +169,11 @@ func Run(cfg Config, txns [][]uint16, nthreads int, rt *coredet.Runtime) Result 
 			// symmetric, count once.
 			if c >= int64(cfg.MinSupport) {
 				res.FrequentPairs++
-				h ^= uint64(k)<<32 ^ uint64(j)<<16 ^ uint64(c)
-				h *= 1099511628211
+				h = h.Word(uint64(k)<<32 ^ uint64(j)<<16 ^ uint64(c))
 			}
 		}
 	}
-	res.Checksum = h
+	res.Checksum = uint64(h)
 	return res
 }
 

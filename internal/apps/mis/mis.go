@@ -16,10 +16,10 @@ package mis
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sync/atomic"
 
 	"galois"
+	"galois/internal/canon"
 	"galois/internal/graph"
 	"galois/internal/para"
 	"galois/internal/stats"
@@ -45,16 +45,13 @@ type Result struct {
 
 // Fingerprint hashes the membership bitmap.
 func (r *Result) Fingerprint() uint64 {
-	h := fnv.New64a()
-	buf := make([]byte, 0, 64)
+	h := canon.NewFNV()
 	for i, in := range r.InSet {
-		if in {
-			v := uint64(i)
-			buf = append(buf[:0], byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32))
-			h.Write(buf)
+		if in { // a member's index, five bytes least significant first
+			h = h.U32(uint32(i)).Byte(byte(uint64(i) >> 32))
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Size returns the number of set members.

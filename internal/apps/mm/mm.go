@@ -15,9 +15,9 @@ package mm
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"galois"
+	"galois/internal/canon"
 	"galois/internal/detres"
 	"galois/internal/graph"
 	"galois/internal/stats"
@@ -66,13 +66,11 @@ func (r *Result) Size() int {
 
 // Fingerprint hashes the mate array.
 func (r *Result) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [4]byte
+	h := canon.NewFNV()
 	for _, m := range r.Mate {
-		buf[0], buf[1], buf[2], buf[3] = byte(m), byte(m>>8), byte(m>>16), byte(m>>24)
-		h.Write(buf[:])
+		h = h.U32(m)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Check verifies matching consistency and maximality against g.

@@ -24,11 +24,11 @@
 package msf
 
 import (
-	"hash/fnv"
 	"sort"
 	"sync/atomic"
 
 	"galois"
+	"galois/internal/canon"
 	"galois/internal/graph"
 	"galois/internal/para"
 	"galois/internal/rng"
@@ -78,15 +78,11 @@ type Result struct {
 func (r *Result) Fingerprint() uint64 {
 	keys := append([]uint64(nil), r.Chosen...)
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	h := fnv.New64a()
-	var buf [8]byte
+	h := canon.NewFNV()
 	for _, k := range keys {
-		for i := range buf {
-			buf[i] = byte(k >> (8 * i))
-		}
-		h.Write(buf[:])
+		h = h.U64(k)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Seq computes the MSF with Kruskal's algorithm.

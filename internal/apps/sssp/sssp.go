@@ -18,11 +18,11 @@ package sssp
 
 import (
 	"container/heap"
-	"hash/fnv"
 	"math"
 	"sync/atomic"
 
 	"galois"
+	"galois/internal/canon"
 	"galois/internal/graph"
 	"galois/internal/stats"
 )
@@ -41,15 +41,11 @@ type Result struct {
 
 // Fingerprint hashes the distance array.
 func (r *Result) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := canon.NewFNV()
 	for _, d := range r.Dist {
-		for i := range buf {
-			buf[i] = byte(d >> (8 * i))
-		}
-		h.Write(buf[:])
+		h = h.U64(d)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // pqItem is a heap entry for Dijkstra.

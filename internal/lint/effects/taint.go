@@ -10,9 +10,9 @@ import (
 
 // Taint tracking for the taintfp pass: values whose content depends on a
 // nondeterministic order — map iteration, wall-clock reads, global RNG
-// draws — must not flow into fingerprint sinks (hash writes, receipt
-// Fingerprint fields), because the det-mode guarantee is exactly that
-// fingerprints are pure functions of the input.
+// draws — must not flow into fingerprint sinks (hash writes, internal/canon's
+// writers, receipt Fingerprint fields), because the det-mode guarantee is
+// exactly that fingerprints are pure functions of the input.
 //
 // The analysis is object-based and flow-insensitive within one function
 // region (a declaration plus its nested literals), with summaries for
@@ -351,7 +351,8 @@ func (ta *taintAnalysis) callTaint(call *ast.CallExpr) taint {
 				if sum.retParams&(1<<i) != 0 {
 					t = t.union(at)
 				}
-				if sum.sinkParams&(1<<i) != 0 && at.src != "" && ta.report {
+				// A canon writer is reported as a sink by checkSinkCall.
+				if sum.sinkParams&(1<<i) != 0 && at.src != "" && ta.report && !isCanonWriter(fn) {
 					ta.violationf(call.Pos(), "order-dependent value (%s) passed to %s, which feeds it into a fingerprint sink; sort or annotate the source with //detlint:ordered", at.src, fn.Name())
 				}
 				if sum.sinkParams&(1<<i) != 0 {
@@ -465,8 +466,10 @@ func (ta *taintAnalysis) checkSinkCall(call *ast.CallExpr) {
 	}
 	sink := ""
 	switch {
-	case isHashSinkMethod(fn):
+	case isHashSink(fn):
 		sink = "hash " + fn.Name()
+	case isCanonWriter(fn):
+		sink = "canon " + fn.Name()
 	case ta.isHashSinkRecv(call, fn):
 		// hash.Hash embeds io.Writer, so Write resolves to an io method;
 		// the receiver's static type identifies the digest.
@@ -498,17 +501,21 @@ func (ta *taintAnalysis) violationf(pos token.Pos, format string, args ...any) {
 	ta.violations = append(ta.violations, Violation{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-// isHashSinkMethod reports whether fn is a digest-building method of a
-// hash or crypto package type (hash.Hash.Write, Sum32, …).
-func isHashSinkMethod(fn *types.Func) bool {
+// isHashSink reports whether fn digests its arguments: a package-level
+// function of a hash or crypto package (sha256.Sum256) or a digest-building
+// method of one of their types (hash.Hash.Write, Sum32, …).
+func isHashSink(fn *types.Func) bool {
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || fn.Pkg() == nil {
+	if !ok || fn.Pkg() == nil || !isHashPkgPath(fn.Pkg().Path()) {
 		return false
 	}
-	if !isSinkMethodName(fn.Name()) {
-		return false
-	}
-	return isHashPkgPath(fn.Pkg().Path())
+	return sig.Recv() == nil || isSinkMethodName(fn.Name())
+}
+
+// isCanonWriter reports whether fn is exported by internal/canon, the
+// layer that writes every receipt's preimage and digest.
+func isCanonWriter(fn *types.Func) bool {
+	return fn.Exported() && fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "/internal/canon")
 }
 
 // isHashSinkRecv reports whether the call is a sink-named method invoked

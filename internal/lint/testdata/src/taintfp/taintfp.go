@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"galois/internal/canon"
 )
 
 type receipt struct {
@@ -30,6 +32,49 @@ func hashUnsortedKeys(m map[string]int) [32]byte {
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
+}
+
+// A one-shot digest function is a sink like a hash's Write.
+func sumUnsortedKeys(m map[string]int) [32]byte {
+	var b []byte
+	for k := range m { // want maprange
+		b = append(b, k...)
+	}
+	return sha256.Sum256(b) // want taintfp
+}
+
+// The canonical byte layer's writers are sinks: a map-ordered value is
+// flagged where it enters a preimage or a digest.
+func canonPreimageOfUnsortedKeys(m map[string]int) [canon.Size]byte {
+	var buf [64]byte
+	p := canon.Begin(buf[:], 1)
+	for k := range m { // want maprange
+		p = p.Str(k) // want taintfp
+	}
+	return p.Sum()
+}
+
+func canonDigestOfUnsortedValues(m map[string]uint64) uint64 {
+	h := canon.NewFNV()
+	for _, v := range m { // want maprange
+		h = h.Word(v) // want taintfp
+	}
+	return uint64(h)
+}
+
+// Collect, sort, emit: the digest of a sorted collection is clean through
+// the layer too.
+func canonDigestOfSortedKeys(m map[string]int) uint64 {
+	keys := make([]string, 0, len(m))
+	for k := range m { // want maprange
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := canon.NewFNV()
+	for _, k := range keys {
+		h = h.Bytes([]byte(k))
+	}
+	return uint64(h)
 }
 
 // Collect, sort, emit: the canonical deterministic merge. The sort

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 
+	"galois/internal/canon"
 	"galois/internal/geom"
 )
 
@@ -150,16 +151,11 @@ func Fingerprint(root *Element, excludeSuper bool) uint64 {
 	slices.SortFunc(keys, func(a, b [2]int) int {
 		return bytes.Compare(arena[a[0]:a[1]], arena[b[0]:b[1]])
 	})
-	var h uint64 = 14695981039346656037
+	h := canon.NewFNV()
 	for _, k := range keys {
-		for _, c := range arena[k[0]:k[1]] {
-			h ^= uint64(c)
-			h *= 1099511628211
-		}
-		h ^= 0xff
-		h *= 1099511628211
+		h = h.Bytes(arena[k[0]:k[1]]).Byte(0xff)
 	}
-	return h
+	return uint64(h)
 }
 
 // fingerprintKeyLen is the usual length of a key: six coordinates of a

@@ -9,12 +9,10 @@
 //
 // The package provides three pieces, composed by internal/serve:
 //
-//   - Key / KeyOf: a canonical, field-ordered byte encoding of the
-//     semantic spec fields hashed to a fixed-size address. Non-semantic
-//     fields (timeout, trace) are excluded; non-deterministic (g-n) specs
-//     are rejected — their output is not a function of the spec.
-//     KeyOfInput is the other key domain (built inputs), under its own
-//     version byte.
+//   - Key / KeyOf: the semantic spec fields' canonical preimage
+//     (internal/canon) hashed to a fixed-size address. Timeout and trace
+//     are excluded; g-n specs are rejected — their output is not a
+//     function of the spec. KeyOfInput addresses built inputs.
 //   - Cache: a byte-budget LRU over opaque result values, safe for
 //     concurrent use, with counters.
 //   - Flight: singleflight collapse of concurrent identical submissions
@@ -25,10 +23,11 @@
 package rescache
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"galois/internal/canon"
 )
 
 // keyVersion is the first byte of every key preimage. Bump it whenever the
@@ -50,7 +49,7 @@ var ErrNondeterministic = errors.New("rescache: non-deterministic (g-n) specs ha
 
 // Key is the content address of one canonical deterministic job spec: the
 // SHA-256 of the spec's normalized field-ordered encoding.
-type Key [sha256.Size]byte
+type Key [canon.Size]byte
 
 // String renders a short prefix of the key for logs and error messages.
 func (k Key) String() string { return fmt.Sprintf("%x", k[:8]) }
@@ -61,13 +60,12 @@ func (k Key) Low64() int64 { return int64(binary.BigEndian.Uint64(k[:8])) }
 
 // KeyOf hashes the semantic fields of a normalized spec to its cache key.
 //
-// The encoding is canonical: a fixed version byte, then the fields in a
-// fixed order, strings length-prefixed (uvarint) so adjacent fields can
-// never re-segment into each other ("ab","c" and "a","bc" hash apart).
-// Because the caller passes *normalized* values, two JSON specs that are
-// semantically identical — different field order, defaults spelled out or
-// omitted — reach this function with identical arguments and collide onto
-// the same key. Timeout and trace flags are intentionally absent: they
+// The preimage is canonical (internal/canon): the version byte, kind,
+// variant, scale, seed, then threads as a uvarint. Because the caller
+// passes *normalized* values, two JSON specs that are semantically
+// identical — different field order, defaults spelled out or omitted —
+// reach this function with identical arguments and collide onto the same
+// key. Timeout and trace flags are intentionally absent: they
 // change how a run is supervised, not what it computes.
 //
 // KeyOf rejects g-n variants (ErrNondeterministic) and un-normalized
@@ -81,39 +79,17 @@ func KeyOf(kind, variant, scale string, seed uint64, threads int) (Key, error) {
 		return Key{}, fmt.Errorf("rescache: spec not normalized (kind=%q variant=%q scale=%q threads=%d)",
 			kind, variant, scale, threads)
 	}
-	h := sha256.New()
-	var buf [binary.MaxVarintLen64]byte
-	field := func(s string) {
-		n := binary.PutUvarint(buf[:], uint64(len(s)))
-		h.Write(buf[:n])
-		h.Write([]byte(s))
-	}
-	h.Write([]byte{keyVersion})
-	field(kind)
-	field(variant)
-	field(scale)
-	binary.BigEndian.PutUint64(buf[:8], seed)
-	h.Write(buf[:8])
-	n := binary.PutUvarint(buf[:], uint64(threads))
-	h.Write(buf[:n])
-	var k Key
-	h.Sum(k[:0])
-	return k, nil
+	var buf [96]byte // keeps the preimage of any registered spec on the stack
+	p := canon.Begin(buf[:], keyVersion).Str(kind).Str(variant).Str(scale).Word(seed)
+	return canon.Preimage(binary.AppendUvarint(p, uint64(threads))).Sum(), nil
 }
 
 // KeyOfInput addresses one built input cell: the input family (kinds that
 // run on the same input share one), the scale name and the seed — what the
-// canonical derivations in internal/inputs are a pure function of. Same
-// encoding discipline as KeyOf: version byte, strings length-prefixed,
-// fixed-width seed. The arguments come from a normalized spec and the
+// canonical derivations in internal/inputs are a pure function of, after
+// its own version byte. The arguments come from a normalized spec and the
 // registry, so there is nothing to reject.
 func KeyOfInput(family, scale string, seed uint64) Key {
-	var backing [96]byte // keeps the preimage of any registered family on the stack
-	b := append(backing[:0], inputKeyVersion)
-	b = binary.AppendUvarint(b, uint64(len(family)))
-	b = append(b, family...)
-	b = binary.AppendUvarint(b, uint64(len(scale)))
-	b = append(b, scale...)
-	b = binary.BigEndian.AppendUint64(b, seed)
-	return sha256.Sum256(b)
+	var buf [96]byte // keeps the preimage of any registered family on the stack
+	return canon.Begin(buf[:], inputKeyVersion).Str(family).Str(scale).Word(seed).Sum()
 }

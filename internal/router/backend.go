@@ -1,11 +1,11 @@
 package router
 
 import (
-	"hash/fnv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"galois/internal/canon"
 	"galois/internal/rng"
 )
 
@@ -65,11 +65,9 @@ type Backend struct {
 }
 
 func newBackend(url string) *Backend {
-	h := fnv.New64a()
-	h.Write([]byte(url))
 	return &Backend{
 		URL: strings.TrimRight(url, "/"),
-		id:  rng.Mix64(h.Sum64()),
+		id:  rng.Mix64(uint64(canon.NewFNV().Bytes([]byte(url)))),
 	}
 }
 

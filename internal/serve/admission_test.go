@@ -28,8 +28,8 @@ type workCell struct {
 	// id they address ("" when there is none yet).
 	prepare func(t *testing.T, s *Server, started chan struct{}) string
 	// request builds one request; timeoutMS > 0 bounds the work where the
-	// request can carry a bound (verify runs under the server's
-	// DefaultTimeout).
+	// request can carry a bound (a verify gets the server's DefaultTimeout
+	// per chain link).
 	request func(t *testing.T, s *Server, id string, timeoutMS int64) workRequest
 	// completed names the worker-side counter a finished run bumps.
 	completed string
@@ -230,9 +230,9 @@ func TestQueuedJobDeadline(t *testing.T) {
 
 			reqA := w.request(t, s, id, 0)
 			if w.name == "verify" {
-				// A verify runs under the server's default deadline, set
-				// here to B's budget, so a job with a budget of its own
-				// holds the worker instead.
+				// A verify's budget is the server's default per chain link,
+				// here 2 × 50ms, still short of A's 250ms run; a job with a
+				// budget of its own holds the worker instead.
 				reqA = jobRequest(Spec{Kind: "slow", Scale: "small", TimeoutMS: 10_000})
 			}
 			resA := make(chan int, 1)
@@ -240,7 +240,7 @@ func TestQueuedJobDeadline(t *testing.T) {
 			<-started // A occupies the only worker for 250ms
 
 			// B can only start after A, 250ms from now, but its budget is
-			// 50ms.
+			// 50ms (100ms for the two-link verify).
 			reqB := w.request(t, s, id, 50)
 			if rec := call(ctx, s, reqB.path, reqB.body); rec.Code != http.StatusGatewayTimeout {
 				t.Fatalf("expired queued task: status %d (%s), want 504", rec.Code, rec.Body)
@@ -261,6 +261,34 @@ func TestQueuedJobDeadline(t *testing.T) {
 				t.Errorf("serve.timeout = %d, want 1", got)
 			}
 		})
+	}
+}
+
+// TestVerifyBudgetPerLink: a chain verify gets the server's default
+// deadline once per link it replays, genesis included, so a chain whose
+// every batch ran within the default verifies even when its whole replay
+// outlives one default.
+func TestVerifyBudgetPerLink(t *testing.T) {
+	const run, batches = 50 * time.Millisecond, 6
+	started := make(chan struct{}, 2*batches)
+	s, _ := newSlowServer(t, Config{Workers: 1, DefaultTimeout: 150 * time.Millisecond}, run, started)
+	ctx := context.Background()
+	id := createSlowSession(t, s)
+	for i := 0; i < batches; i++ {
+		if rec := call(ctx, s, "/sessions/"+id+"/batches", session.BatchSpec{Op: "slow"}); rec.Code != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+		<-started
+	}
+	// The replay takes 6 × 50ms, twice one default; the chain's 7 links
+	// get 7 × 150ms.
+	rec := call(ctx, s, "/sessions/"+id+"/verify", sessionVerifyRequest{})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("verify of a %d-link chain: status %d (%s), want 200", batches+1, rec.Code, rec.Body)
+	}
+	var out session.VerifyOutcome
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || !out.Match {
+		t.Fatalf("verify outcome %+v (%v), want a match", out, err)
 	}
 }
 
@@ -289,8 +317,8 @@ func TestRunOutlivesDeadline(t *testing.T) {
 		{Config{}, job("job-cache-off", "slow")},
 		{Config{CacheBytes: 64 << 20}, job("exclusive", "slow-exclusive")},
 		{Config{}, work[1]},
-		// A verify carries no deadline of its own: it runs under the
-		// server's default, here the budget.
+		// A verify carries no deadline of its own: it gets the server's
+		// default per link, here twice the budget, still short of the run.
 		{Config{DefaultTimeout: budgetMS * time.Millisecond}, work[3]},
 	}
 	for _, w := range cells {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"galois"
+	"galois/internal/canon"
 	"galois/internal/obs"
 	"galois/internal/rescache"
 	"galois/internal/session"
@@ -31,7 +32,7 @@ type Config struct {
 	// MaxThreads clamps per-job thread requests. Default 8.
 	MaxThreads int
 	// DefaultTimeout bounds queue wait + execution when the spec omits
-	// timeout_ms. Default 60s.
+	// timeout_ms; a chain verify gets one per link. Default 60s.
 	DefaultTimeout time.Duration
 	// Registry supplies the job kinds. Default DefaultRegistry().
 	Registry *Registry
@@ -376,7 +377,7 @@ func (s *Server) runJob(ctx context.Context, spec Spec, kind *Kind, key rescache
 			res = &JobResult{
 				Receipt: Receipt{
 					Spec:          spec,
-					Fingerprint:   fmt.Sprintf("%016x", fp),
+					Fingerprint:   canon.Hex(fp),
 					Deterministic: spec.Deterministic(),
 				},
 				WallNS:    wall.Nanoseconds(),

@@ -257,8 +257,12 @@ func (s *Server) handleSessionVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr)
 		return
 	}
+	// The replay re-runs every link, genesis included: it gets the budget
+	// each link had when it first ran by default.
+	_, links, _ := sess.Snapshot()
+	budget := time.Duration(len(links)) * s.cfg.DefaultTimeout
 	what := func() string { return "session " + id + " verify" }
-	out, herr := submit(s.exec, r.Context(), time.Now().Add(s.cfg.DefaultTimeout), what, func(tid int, _ time.Time) (*session.VerifyOutcome, *httpError) {
+	out, herr := submit(s.exec, r.Context(), time.Now().Add(budget), what, func(tid int, _ time.Time) (*session.VerifyOutcome, *httpError) {
 		return s.runSessionVerify(tid, sess, req.FinalChain, threads)
 	})
 	if herr != nil {

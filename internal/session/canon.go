@@ -1,49 +1,29 @@
 package session
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+
+	"galois/internal/canon"
 )
 
-// Canonical encodings. A link's hash covers bytes, not JSON: every field
-// is length-prefixed or fixed-width so no two distinct specs share an
-// encoding, and a version byte leads so the scheme can evolve without
-// old chains verifying against new rules. This mirrors rescache's key
-// construction — same problem, same shape.
+// Canonical encodings (internal/canon). A link's hash covers bytes, not
+// JSON, and a version byte leads so the scheme can evolve without old
+// chains verifying against new rules.
 
 const canonVersion = 1
-
-func appendUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
 
 // canonInit encodes the genesis payload. Threads is deliberately absent:
 // the chain is thread-count independent.
 func canonInit(is InitSpec) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, canonVersion)
-	b = appendString(b, "init")
-	b = appendString(b, is.Kind)
-	b = appendString(b, is.Variant)
-	b = appendString(b, is.Scale)
-	b = binary.BigEndian.AppendUint64(b, is.Seed)
-	return b
+	return canon.Begin(make([]byte, 0, 64), canonVersion).Str("init").
+		Str(is.Kind).Str(is.Variant).Str(is.Scale).Word(is.Seed)
 }
 
 // canonTombstone encodes an eviction marker.
 func canonTombstone(reason string) []byte {
-	b := make([]byte, 0, 32)
-	b = append(b, canonVersion)
-	b = appendString(b, "tombstone")
-	b = appendString(b, reason)
-	return b
+	return canon.Begin(make([]byte, 0, 32), canonVersion).Str("tombstone").Str(reason)
 }
 
 // canonRefine encodes dmr's refine batch.
@@ -51,11 +31,8 @@ func canonRefine(b *BatchSpec) ([]byte, error) {
 	if b.AngleCentideg <= 0 || b.AngleCentideg > 3000 {
 		return nil, fmt.Errorf("refine: angle_centideg %d out of range (0, 3000]", b.AngleCentideg)
 	}
-	out := make([]byte, 0, 32)
-	out = append(out, canonVersion)
-	out = appendString(out, "refine")
-	out = appendUvarint(out, uint64(b.AngleCentideg))
-	return out, nil
+	p := canon.Begin(make([]byte, 0, 32), canonVersion).Str("refine")
+	return binary.AppendUvarint(p, uint64(b.AngleCentideg)), nil
 }
 
 // canonReweight encodes sssp's reweight batch.
@@ -63,47 +40,19 @@ func canonReweight(b *BatchSpec) ([]byte, error) {
 	if b.Edges <= 0 || b.Edges > 1<<16 {
 		return nil, fmt.Errorf("reweight: edges %d out of range (0, 65536]", b.Edges)
 	}
-	out := make([]byte, 0, 32)
-	out = append(out, canonVersion)
-	out = appendString(out, "reweight")
-	out = appendUvarint(out, uint64(b.Edges))
-	out = binary.BigEndian.AppendUint64(out, b.Seed)
-	return out, nil
+	p := canon.Begin(make([]byte, 0, 32), canonVersion).Str("reweight")
+	return canon.Preimage(binary.AppendUvarint(p, uint64(b.Edges))).Word(b.Seed), nil
 }
 
 // chainHash is the link function: SHA-256 over the previous link's raw
-// hash, the length-prefixed canonical payload, and the two fingerprints
-// the link attests to.
-func chainHash(prev [sha256.Size]byte, payload []byte, stateFP, resultFP uint64) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte{canonVersion})
-	h.Write(prev[:])
-	var lb [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lb[:], uint64(len(payload)))
-	h.Write(lb[:n])
-	h.Write(payload)
-	var fp [16]byte
-	binary.BigEndian.PutUint64(fp[:8], stateFP)
-	binary.BigEndian.PutUint64(fp[8:], resultFP)
-	h.Write(fp[:])
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+// hash, the length-prefixed payload and the two fingerprints it attests.
+func chainHash(prev [canon.Size]byte, payload []byte, stateFP, resultFP uint64) [canon.Size]byte {
+	var buf [128]byte
+	p := append(canon.Begin(buf[:], canonVersion), prev[:]...)
+	return p.Bytes(payload).Word(stateFP).Word(resultFP).Sum()
 }
 
 // genesisPrev is the all-zero predecessor of the genesis link.
-var genesisPrev [sha256.Size]byte
+var genesisPrev [canon.Size]byte
 
-func chainHex(c [sha256.Size]byte) string { return hex.EncodeToString(c[:]) }
-
-func chainFromHex(s string) ([sha256.Size]byte, error) {
-	var out [sha256.Size]byte
-	raw, err := hex.DecodeString(s)
-	if err != nil || len(raw) != sha256.Size {
-		return out, fmt.Errorf("bad chain fingerprint %q", s)
-	}
-	copy(out[:], raw)
-	return out, nil
-}
-
-func fpHex(fp uint64) string { return fmt.Sprintf("%016x", fp) }
+func chainHex(c [canon.Size]byte) string { return hex.EncodeToString(c[:]) }

@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -51,10 +52,42 @@ func TestCanonEncodingsInjective(t *testing.T) {
 	}
 }
 
-// FuzzCanonEncodings: two distinct init, tombstone, refine or reweight
-// tuples never encode to the same bytes, records of different types never
-// collide, and every record leads with the version byte. A batch tuple
-// outside its range has no encoding and drops out. The seeds probe field
+// field and word spell out the documented encoding the payloads and link
+// preimages below are built from: a string is its uvarint length and its
+// bytes, a seed or fingerprint eight big-endian bytes, a count a uvarint.
+func field(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+func word(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+
+func initPreimage(is InitSpec) []byte {
+	return word(field(field(field(field([]byte{1}, "init"), is.Kind), is.Variant), is.Scale), is.Seed)
+}
+
+func tombstonePreimage(reason string) []byte { return field(field([]byte{1}, "tombstone"), reason) }
+
+func refinePreimage(angle int) []byte {
+	return binary.AppendUvarint(field([]byte{1}, "refine"), uint64(angle))
+}
+
+func reweightPreimage(edges int, seed uint64) []byte {
+	return word(binary.AppendUvarint(field([]byte{1}, "reweight"), uint64(edges)), seed)
+}
+
+// linkPreimage is what chainHash hashes: the version byte, the previous
+// link's raw hash, the length-prefixed payload and both fingerprints.
+func linkPreimage(prev [sha256.Size]byte, payload []byte, stateFP, resultFP uint64) []byte {
+	b := append([]byte{1}, prev[:]...)
+	b = append(binary.AppendUvarint(b, uint64(len(payload))), payload...)
+	return word(word(b, stateFP), resultFP)
+}
+
+// FuzzCanonEncodings: every init, tombstone, refine and reweight payload
+// and every link hash is exactly its documented preimage (or its SHA-256),
+// two distinct tuples never encode to the same bytes, records of
+// different types never collide, and every record leads with the version
+// byte. A batch tuple outside its range has no encoding and drops out. The seeds probe field
 // boundaries (a byte moved from one string to the next), a seed that
 // spells a string's tail, a type's name in another type's field, and the
 // range edges.
@@ -76,7 +109,8 @@ func FuzzCanonEncodings(f *testing.F) {
 			enc   []byte
 		}
 		var recs []record
-		add := func(enc []byte, err error, format string, fields ...any) {
+		var prev [sha256.Size]byte
+		add := func(enc []byte, err error, want []byte, format string, fields ...any) {
 			if err != nil {
 				return
 			}
@@ -84,6 +118,16 @@ func FuzzCanonEncodings(f *testing.F) {
 			if len(enc) == 0 || enc[0] != canonVersion {
 				t.Fatalf("%s: encoding does not lead with the version byte", tuple)
 			}
+			if !bytes.Equal(enc, want) {
+				t.Fatalf("%s: encoding %x, documented preimage %x", tuple, enc, want)
+			}
+			// Chain each record onto the last, attesting two seeds as the
+			// link's fingerprints.
+			next := chainHash(prev, enc, seed1, rseed2)
+			if next != sha256.Sum256(linkPreimage(prev, enc, seed1, rseed2)) {
+				t.Fatalf("%s: chainHash is not sha256 of its documented preimage", tuple)
+			}
+			prev = next
 			recs = append(recs, record{tuple, enc})
 		}
 		for _, in := range []struct {
@@ -96,13 +140,13 @@ func FuzzCanonEncodings(f *testing.F) {
 			{kind1, variant1, scale1, seed1, reason1, angle1, edges1, rseed1},
 			{kind2, variant2, scale2, seed2, reason2, angle2, edges2, rseed2},
 		} {
-			add(canonInit(InitSpec{Kind: in.kind, Variant: in.variant, Scale: in.scale, Seed: in.seed}), nil,
-				"init(%q, %q, %q, %d)", in.kind, in.variant, in.scale, in.seed)
-			add(canonTombstone(in.reason), nil, "tombstone(%q)", in.reason)
+			is := InitSpec{Kind: in.kind, Variant: in.variant, Scale: in.scale, Seed: in.seed}
+			add(canonInit(is), nil, initPreimage(is), "init(%q, %q, %q, %d)", in.kind, in.variant, in.scale, in.seed)
+			add(canonTombstone(in.reason), nil, tombstonePreimage(in.reason), "tombstone(%q)", in.reason)
 			enc, err := canonRefine(&BatchSpec{Op: "refine", AngleCentideg: in.angle})
-			add(enc, err, "refine(%d)", in.angle)
+			add(enc, err, refinePreimage(in.angle), "refine(%d)", in.angle)
 			enc, err = canonReweight(&BatchSpec{Op: "reweight", Edges: in.edges, Seed: in.rseed})
-			add(enc, err, "reweight(%d, %d)", in.edges, in.rseed)
+			add(enc, err, reweightPreimage(in.edges, in.rseed), "reweight(%d, %d)", in.edges, in.rseed)
 		}
 		for i := range recs {
 			for j := i + 1; j < len(recs); j++ {
@@ -158,26 +202,13 @@ func TestChainHashSensitivity(t *testing.T) {
 	}
 }
 
-// TestChainHexRoundtrip covers the receipt-presentation helpers.
-func TestChainHexRoundtrip(t *testing.T) {
+// TestChainHex: a link's chain renders as 64 lowercase hex digits.
+func TestChainHex(t *testing.T) {
 	var c [sha256.Size]byte
 	for i := range c {
 		c[i] = byte(i * 7)
 	}
-	s := chainHex(c)
-	if len(s) != 64 || strings.ToLower(s) != s {
+	if s := chainHex(c); len(s) != 64 || strings.ToLower(s) != s {
 		t.Fatalf("chainHex %q: want 64 lowercase hex chars", s)
-	}
-	back, err := chainFromHex(s)
-	if err != nil || back != c {
-		t.Fatalf("roundtrip failed: %v", err)
-	}
-	for _, bad := range []string{"", "zz", s[:62], s + "00"} {
-		if _, err := chainFromHex(bad); err == nil {
-			t.Errorf("chainFromHex(%q): want error", bad)
-		}
-	}
-	if got := fpHex(0xdeadbeef); got != "00000000deadbeef" {
-		t.Errorf("fpHex = %q, want 16-digit zero-padded hex", got)
 	}
 }

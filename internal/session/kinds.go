@@ -8,6 +8,7 @@ import (
 	"galois"
 	"galois/internal/apps/dmr"
 	"galois/internal/apps/sssp"
+	"galois/internal/canon"
 	"galois/internal/graph"
 	"galois/internal/inputs"
 	"galois/internal/mesh"
@@ -86,12 +87,11 @@ type ssspState struct {
 // weightFP fingerprints the graph's weight array in edge-index order
 // (deterministic: CSR layout is a pure function of the input derivation).
 func weightFP(w []uint32) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	fp := uint64(offset64)
+	h := canon.NewFNV()
 	for _, x := range w {
-		fp = (fp ^ uint64(x)) * prime64
+		h = h.Word(uint64(x))
 	}
-	return fp
+	return uint64(h)
 }
 
 // DefaultKinds returns the standard session kinds: "dmr" (mesh refinement

@@ -2,11 +2,11 @@ package session
 
 import (
 	cryptorand "crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sync"
 
+	"galois/internal/canon"
 	"galois/internal/inputs"
 )
 
@@ -29,7 +29,7 @@ type Session struct {
 	sc       inputs.Scale
 	state    any
 	links    []Link
-	head     [sha256.Size]byte
+	head     [canon.Size]byte
 	lastFP   uint64 // state fingerprint after the newest link
 	lastUsed int64  // unix nanos of the last batch, injected by the caller
 	evicted  bool
@@ -143,7 +143,7 @@ func (m *Manager) Create(is InitSpec, now int64) (*Session, error) {
 			Index:   0,
 			Prev:    chainHex(genesisPrev),
 			Batch:   BatchSpec{Op: "init"},
-			StateFP: fpHex(stateFP),
+			StateFP: canon.Hex(stateFP),
 			Chain:   chainHex(chain),
 		}},
 		head:     chain,
@@ -221,7 +221,7 @@ func (s *Session) evictLocked(reason string) {
 		Index:   len(s.links),
 		Prev:    chainHex(s.head),
 		Batch:   BatchSpec{Op: "tombstone", Reason: reason},
-		StateFP: fpHex(s.lastFP),
+		StateFP: canon.Hex(s.lastFP),
 		Chain:   chainHex(chain),
 	})
 	s.head = chain
@@ -255,12 +255,12 @@ func (s *Session) Batch(b BatchSpec, now int64, run ApplyRunner) (Link, error) {
 	if s.evicted {
 		return Link{}, ErrEvicted
 	}
-	canon, err := s.kind.Canon(&b)
+	enc, err := s.kind.Canon(&b)
 	if err != nil {
 		return Link{}, err
 	}
 	if b.Prev != "" && b.Prev != chainHex(s.head) {
-		if l, ok := s.replayLocked(b.Prev, canon); ok {
+		if l, ok := s.replayLocked(b.Prev, enc); ok {
 			return l, nil
 		}
 		return Link{}, ErrPrevMismatch
@@ -270,15 +270,15 @@ func (s *Session) Batch(b BatchSpec, now int64, run ApplyRunner) (Link, error) {
 	if err != nil {
 		return Link{}, err
 	}
-	chain := chainHash(s.head, canon, stateFP, resultFP)
+	chain := chainHash(s.head, enc, stateFP, resultFP)
 	link := Link{
 		Index: len(s.links),
 		Prev:  chainHex(s.head),
 		// Serving-time controls are scrubbed from the recorded batch: the
 		// chain (and any replay of it) covers only the canonical fields.
 		Batch:    scrub(b),
-		StateFP:  fpHex(stateFP),
-		ResultFP: fpHex(resultFP),
+		StateFP:  canon.Hex(stateFP),
+		ResultFP: canon.Hex(resultFP),
 		Chain:    chainHex(chain),
 	}
 	s.links = append(s.links, link)
@@ -289,16 +289,16 @@ func (s *Session) Batch(b BatchSpec, now int64, run ApplyRunner) (Link, error) {
 }
 
 // replayLocked finds a historical link whose predecessor is prev and
-// whose batch re-encodes to canon, i.e. the exact submission that built
+// whose batch re-encodes to enc, i.e. the exact submission that built
 // it. Caller holds s.mu.
-func (s *Session) replayLocked(prev string, canon []byte) (Link, bool) {
+func (s *Session) replayLocked(prev string, enc []byte) (Link, bool) {
 	for i := 1; i < len(s.links); i++ {
 		l := s.links[i]
 		if l.Prev != prev || l.Batch.Op == "tombstone" {
 			continue
 		}
 		rc, err := s.kind.Canon(&l.Batch)
-		if err == nil && string(rc) == string(canon) {
+		if err == nil && string(rc) == string(enc) {
 			l.Replayed = true
 			return l, true
 		}
@@ -340,13 +340,13 @@ func ReplayChain(k *Kind, sc inputs.Scale, init InitSpec, links []Link, expectFi
 	}
 	for i := 1; i < len(links); i++ {
 		l := links[i]
-		var chain [sha256.Size]byte
+		var chain [canon.Size]byte
 		var stFP, resFP uint64
 		if l.Batch.Op == "tombstone" {
 			chain = chainHash(head, canonTombstone(l.Batch.Reason), lastFP, 0)
 			stFP = lastFP
 		} else {
-			canon, err := k.Canon(&l.Batch)
+			enc, err := k.Canon(&l.Batch)
 			if err != nil {
 				return VerifyOutcome{FailedIndex: i, Links: len(links), FinalChain: chainHex(head),
 					Reason: fmt.Sprintf("link %d: recorded batch does not canonicalize: %v", i, err)}, nil
@@ -356,17 +356,17 @@ func ReplayChain(k *Kind, sc inputs.Scale, init InitSpec, links []Link, expectFi
 			if rerr != nil {
 				return VerifyOutcome{}, fmt.Errorf("replaying link %d: %w", i, rerr)
 			}
-			chain = chainHash(head, canon, stFP, resFP)
+			chain = chainHash(head, enc, stFP, resFP)
 			lastFP = stFP
-			if fpHex(resFP) != l.ResultFP {
+			if canon.Hex(resFP) != l.ResultFP {
 				return VerifyOutcome{FailedIndex: i, Links: len(links), FinalChain: chainHex(chain),
-					Reason: fmt.Sprintf("link %d: recomputed result %s, recorded %s", i, fpHex(resFP), l.ResultFP)}, nil
+					Reason: fmt.Sprintf("link %d: recomputed result %s, recorded %s", i, canon.Hex(resFP), l.ResultFP)}, nil
 			}
 		}
-		if got := chainHex(chain); got != l.Chain || fpHex(stFP) != l.StateFP {
+		if got := chainHex(chain); got != l.Chain || canon.Hex(stFP) != l.StateFP {
 			return VerifyOutcome{FailedIndex: i, Links: len(links), FinalChain: got,
 				Reason: fmt.Sprintf("link %d: recomputed chain %s state %s, recorded chain %s state %s",
-					i, got, fpHex(stFP), l.Chain, l.StateFP)}, nil
+					i, got, canon.Hex(stFP), l.Chain, l.StateFP)}, nil
 		}
 		head = chain
 	}
