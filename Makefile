@@ -36,9 +36,11 @@ test:
 # goroutines share marks, worklists and task state. detlint's static rules
 # and -race are complementary: the linter catches order hazards races
 # never exhibit, the race detector catches unsynchronized access the
-# linter cannot see.
+# linter cannot see. dt's speculative test runs ten times more: a commit
+# that publishes its new triangles too early races only now and then.
 race:
 	$(GO) test -race ./internal/marks/... ./internal/detres/... ./internal/core/... ./internal/apps/... ./internal/serve/... ./internal/session/... ./internal/router/... ./internal/para/... ./internal/psort/... ./internal/scan/...
+	$(GO) test -race -count=10 -run TestGaloisNondetMatchesSeq ./internal/apps/dt
 
 # Native fuzzing, three seconds per target: the seed corpora run in `test`;
 # this explores past them. `go test -fuzz` takes one target per run, so the

@@ -100,19 +100,21 @@ func (a *assoc) insertBody(cav *mesh.Cavity, i int32, acq mesh.Acquirer) bool {
 
 // commitCavity applies a built cavity and refreshes the association of
 // every point that lived in the killed triangles. The created slice belongs
-// to cav and is read before commitCavity returns.
+// to cav. Every list is read before the first hint is published: through a
+// hint, a g-n task holding nothing of cav can commit over a new element.
 func (a *assoc) commitCavity(cav *mesh.Cavity) {
 	created := cav.Retriangulate(a.pts)
+	var buf [16][]int32 // more than nearly every cavity creates; append spills the rest
+	lists, n := buf[:0], 0
 	for _, e := range created {
-		for _, idx := range e.Assoc {
+		lists, n = append(lists, e.Assoc), n+len(e.Assoc)
+	}
+	for k, e := range created {
+		for _, idx := range lists[k] {
 			a.pointTri[idx].Store(e)
 		}
 	}
 	if a.moved != nil {
-		n := 0
-		for _, e := range created {
-			n += len(e.Assoc)
-		}
 		a.moved.Add(int64(n))
 	}
 	a.inserted.Add(1)

@@ -15,6 +15,7 @@ package cachesim
 
 import (
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"galois/internal/marks"
@@ -35,20 +36,50 @@ type access struct {
 // global atomic sequence number captures the interleaved access order; each
 // worker appends to a private buffer, so tracing adds one atomic increment
 // per access.
+//
+// A task's read phase is kept as a span (Begin, End) and replayed by its
+// commit (Replay): round-based scheduling puts the rest of the round between
+// the two visits, the locality loss the paper reads from DRAM counters.
 type Tracer struct {
 	seq     atomic.Uint64
 	buffers [][]access
+	open    []int // open[tid]: where thread tid's span began
+
+	mu    sync.Mutex
+	spans map[int][]access
 }
 
 // NewTracer returns a tracer for nthreads workers.
 func NewTracer(nthreads int) *Tracer {
-	return &Tracer{buffers: make([][]access, nthreads)}
+	return &Tracer{buffers: make([][]access, nthreads), open: make([]int, nthreads), spans: make(map[int][]access)}
 }
 
 // Touch records that thread tid accessed location loc.
 func (t *Tracer) Touch(tid int, loc *marks.Lockable) {
 	s := t.seq.Add(1)
 	t.buffers[tid] = append(t.buffers[tid], access{seq: s, loc: loc})
+}
+
+// Begin opens a span on thread tid: the accesses it records until End.
+func (t *Tracer) Begin(tid int) { t.open[tid] = len(t.buffers[tid]) }
+
+// End keeps thread tid's span as task key's read phase, for Replay.
+func (t *Tracer) End(tid, key int) {
+	b := t.buffers[tid]
+	t.mu.Lock()
+	t.spans[key] = b[t.open[tid]:len(b):len(b)] // later appends never write it
+	t.mu.Unlock()
+}
+
+// Replay records on thread tid one more access to every location of task
+// key's span, in order: the task's commit.
+func (t *Tracer) Replay(tid, key int) {
+	t.mu.Lock()
+	span := t.spans[key]
+	t.mu.Unlock()
+	for _, a := range span {
+		t.Touch(tid, a.loc)
+	}
 }
 
 // Len returns the total number of recorded accesses.
@@ -58,14 +89,6 @@ func (t *Tracer) Len() int {
 		n += len(b)
 	}
 	return n
-}
-
-// Reset discards all recorded accesses.
-func (t *Tracer) Reset() {
-	for i := range t.buffers {
-		t.buffers[i] = t.buffers[i][:0]
-	}
-	t.seq.Store(0)
 }
 
 // Report summarizes the locality of a trace.

@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"sync"
 	"testing"
 
 	"galois/internal/marks"
@@ -99,20 +100,6 @@ func TestMultiThreadMergeOrder(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr := NewTracer(1)
-	var l marks.Lockable
-	tr.Touch(0, &l)
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatalf("len after reset = %d", tr.Len())
-	}
-	rep := tr.Analyze(4)
-	if rep.Accesses != 0 {
-		t.Fatalf("accesses = %d", rep.Accesses)
-	}
-}
-
 func TestTemporalSplitIncreasesDistance(t *testing.T) {
 	// Model of the paper's §5.4 argument: a task touches its neighborhood
 	// twice. If the two touches are adjacent (non-deterministic
@@ -143,5 +130,35 @@ func TestTemporalSplitIncreasesDistance(t *testing.T) {
 	}
 	if b.CapacityMisses != tasks {
 		t.Fatalf("split touches should all miss, got %d", b.CapacityMisses)
+	}
+}
+
+// TestSpanReplay: a span holds exactly the accesses between Begin and End,
+// later appends to its thread's buffer never reach it, and another thread
+// may replay it once End has happened before (here, a join).
+func TestSpanReplay(t *testing.T) {
+	tr := NewTracer(2)
+	locs := make([]marks.Lockable, 6)
+	var wg sync.WaitGroup
+	for tid := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr.Touch(tid, &locs[5]) // before the span
+			tr.Begin(tid)
+			tr.Touch(tid, &locs[2*tid])
+			tr.Touch(tid, &locs[2*tid+1])
+			tr.End(tid, tid)
+			for range 100 {
+				tr.Touch(tid, &locs[5]) // after it, growing the buffer
+			}
+		}()
+	}
+	wg.Wait()
+	before := len(tr.buffers[1])
+	tr.Replay(1, 0) // thread 0's span, replayed on thread 1
+	replayed := tr.buffers[1][before:]
+	if len(replayed) != 2 || replayed[0].loc != &locs[0] || replayed[1].loc != &locs[1] {
+		t.Fatalf("replay recorded %d accesses, want the span's 2, in order", len(replayed))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 
 	"galois/internal/cachesim"
 	"sync/atomic"
@@ -526,4 +527,79 @@ func TestDeterministicLocalityTrace(t *testing.T) {
 				threads, acc, dram, accA, dramA)
 		}
 	}
+}
+
+// TestFailDepthRecorded: a task that loses a location after owning two
+// others is recorded once in acquire.fail_depth, at depth two, under both
+// schedulers. A one-worker run never loses a location (DIG inspects in id
+// order, and the speculative scheduler has no rival), so the loss is staged
+// across two workers: the loser waits until its rival holds the shared
+// location, and the rival cannot finish first.
+func TestFailDepthRecorded(t *testing.T) {
+	want := fmt.Sprint([]uint64{0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	spin := func(cond func() bool) {
+		for !cond() {
+			runtime.Gosched()
+		}
+	}
+	t.Run("det", func(t *testing.T) {
+		// 16 tasks, the window floor: one parallel round, positions 0-7 on
+		// worker 0 and 8-15 on worker 1. Task 15 marks the shared cell;
+		// task 0, waiting for that, owns two cells and then loses the
+		// shared one to the higher id.
+		cells := make([]cell, 18)
+		var marked atomic.Bool
+		items := make([]int, 16)
+		for i := range items {
+			items[i] = i
+		}
+		o := optsFor(Deterministic, 2, func(o *Options) { o.LocalityInterleave = false })
+		o.Metrics = obs.NewRegistry(2)
+		ForEach(items, func(ctx *Ctx[int], i int) {
+			switch i {
+			case 0:
+				ctx.Acquire(&cells[0].Lockable)
+				ctx.Acquire(&cells[16].Lockable)
+				spin(marked.Load)
+				ctx.Acquire(&cells[17].Lockable)
+			case 15:
+				ctx.Acquire(&cells[17].Lockable)
+				marked.Store(true)
+			default:
+				ctx.Acquire(&cells[i].Lockable)
+			}
+		}, o)
+		if got := fmt.Sprint(o.Metrics.Histogram("acquire.fail_depth", nil).Counts()); got != want {
+			t.Errorf("acquire.fail_depth buckets %s, want %s", got, want)
+		}
+	})
+	t.Run("nondet", func(t *testing.T) {
+		// Item 0 seeds worker 0 and item 1 worker 1. Item 0 holds the
+		// shared cell until item 1's first attempt has owned two cells
+		// and lost it; later attempts of item 1 take one cell and commit.
+		cells := make([]cell, 3)
+		var held atomic.Bool
+		var attempts atomic.Int32
+		o := optsFor(NonDeterministic, 2)
+		o.Metrics = obs.NewRegistry(2)
+		ForEach([]int{0, 1}, func(ctx *Ctx[int], i int) {
+			if i == 0 {
+				ctx.Acquire(&cells[2].Lockable)
+				held.Store(true)
+				spin(func() bool { return attempts.Load() >= 2 })
+				return
+			}
+			if attempts.Add(1) > 1 {
+				ctx.Acquire(&cells[1].Lockable)
+				return
+			}
+			spin(held.Load)
+			ctx.Acquire(&cells[0].Lockable)
+			ctx.Acquire(&cells[1].Lockable)
+			ctx.Acquire(&cells[2].Lockable)
+		}, o)
+		if got := fmt.Sprint(o.Metrics.Histogram("acquire.fail_depth", nil).Counts()); got != want {
+			t.Errorf("acquire.fail_depth buckets %s, want %s", got, want)
+		}
+	})
 }

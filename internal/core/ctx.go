@@ -45,14 +45,14 @@ type Ctx[T any] struct {
 	// tasks is the live generation's task array under the DIG scheduler:
 	// the task a WriteMax displaced is tasks[id-1].
 	tasks []detTask[T]
-	// acquired lists the locations the task holds: the speculative
-	// scheduler releases them when the task ends; the DIG scheduler never
-	// un-marks and fills the list only for the locality profile.
+	// acquired lists the locations a speculative task holds, released when
+	// it ends. The DIG scheduler never un-marks and keeps no list.
 	acquired []*marks.Lockable
 	depth    int // locations owned so far in inspect mode
-	// failed is set in inspect mode when the task loses a location; the
-	// body keeps running so that remaining locations still see its id.
-	failed bool
+	// failed is set in inspect mode when the task loses a location, at
+	// failDepth; the body runs on so later locations still see its id.
+	failed    bool
+	failDepth int
 
 	// commitFn is the failsafe continuation registered by OnCommit.
 	commitFn func(*Ctx[T])
@@ -77,20 +77,18 @@ type Ctx[T any] struct {
 	// (DIG) or when the worker leaves (speculative).
 	tally stats.Tally
 	col   *stats.Collector
-	pro   *cachesim.Tracer
-	met   *coreMetrics
+	pro   *cachesim.Tracer // the one observer Acquire reports to; run-scoped
 }
 
 // prepare binds a retained context's per-run fields. Engines keep contexts
 // alive across runs (their scratch capacity is part of the allocation-free
 // steady state); prepare is called serially before the workers of a new run
 // fork.
-func (c *Ctx[T]) prepare(threads int, det bool, col *stats.Collector, opt Options, met *coreMetrics) {
+func (c *Ctx[T]) prepare(threads int, det bool, col *stats.Collector, opt Options) {
 	c.threads = threads
 	c.det = det
 	c.col = col
 	c.pro = opt.Profile
-	c.met = met
 	c.tally = stats.Tally{} // a run that panicked may have left counts behind
 }
 
@@ -110,14 +108,16 @@ func (c *Ctx[T]) reset(tid int, m mode, rec *marks.Rec, item T, slot int) {
 	c.children = c.children[:0]
 }
 
-// forgetTask drops what the context still holds of the tasks it ran — the
-// last commit closure and item, and every plan, any of which can pin
-// operator state — once a run is over.
+// forgetTask drops what the context still holds of the run — the last
+// commit closure and item, every plan, any of which can pin operator state,
+// and the tracer, which pins every location the run reached — once the run
+// is over.
 func (c *Ctx[T]) forgetTask() {
 	var zero T
 	c.commitFn = nil
 	c.item = zero
 	clear(c.plans)
+	c.pro = nil
 }
 
 // Item returns the item of the task being executed, in its body and in its
@@ -192,9 +192,6 @@ func (c *Ctx[T]) Acquire(l *marks.Lockable) {
 		ok, ops := l.TryAcquire(c.rec)
 		c.tally.AtomicOps += uint64(ops)
 		if !ok {
-			if c.met != nil {
-				c.met.failDepth.Observe(c.tid, int64(len(c.acquired)))
-			}
 			panic(conflictSignal{})
 		}
 		if len(c.acquired) == 0 || c.acquired[len(c.acquired)-1] != l {
@@ -211,17 +208,12 @@ func (c *Ctx[T]) Acquire(l *marks.Lockable) {
 				c.tally.AtomicOps++
 			}
 			c.depth++
-			if c.pro != nil {
-				c.acquired = append(c.acquired, l)
-			}
 		} else if !c.failed {
 			// A higher-id task holds the mark; this task cannot
 			// commit this round, but inspection continues so the
 			// remaining locations still observe its id.
-			if c.met != nil {
-				c.met.failDepth.Observe(c.tid, int64(c.depth))
-			}
 			c.failed = true
+			c.failDepth = c.depth
 			c.rec.Prevent()
 			c.tally.AtomicOps++
 		}
@@ -295,19 +287,4 @@ func (c *Ctx[T]) runBody(body func(*Ctx[T], T), item T) (conflicted bool) {
 func (c *Ctx[T]) flush(tid int) {
 	c.col.Add(tid, c.tally)
 	c.tally = stats.Tally{}
-}
-
-// traceCommitTouches records the write phase's accesses to the task's
-// neighborhood for the locality model (§5.4): the commit phase revisits the
-// data the read phase loaded. Under the non-deterministic scheduler the two
-// visits are adjacent in time (cache hits); under DIG they are separated by
-// the rest of the round's inspect phase — the locality loss the paper
-// measures with DRAM counters.
-func (c *Ctx[T]) traceCommitTouches(acquired []*marks.Lockable) {
-	if c.pro == nil {
-		return
-	}
-	for _, l := range acquired {
-		c.pro.Touch(c.tid, l)
-	}
 }

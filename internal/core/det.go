@@ -47,7 +47,7 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 	st.dirty = true
 	st.ensure(nthreads)
 	for _, ctx := range st.ctxs[:nthreads] {
-		ctx.prepare(nthreads, true, col, opt, met)
+		ctx.prepare(nthreads, true, col, opt)
 	}
 
 	r := st.exec
@@ -84,7 +84,7 @@ func runDeterministic[T any](e *Engine, st *engState[T], items []T, body func(*C
 	r.release()
 
 	// inspectTask/execTask swap task-owned children scratch through the
-	// contexts, so each ctx still aliases the last task buffer it touched.
+	// contexts, so each ctx still aliases the last task buffer it used.
 	// Those buffers live in the arena and go to *other* workers on the next
 	// run, and the nondeterministic scheduler treats a leftover ctx.children
 	// as private scratch; a surviving alias lets two workers grow one
@@ -117,17 +117,22 @@ func (r *roundExecutor[T]) inspectTask(ctx *Ctx[T], t *detTask[T], tid, slot int
 	t.rec.Enter(r.epoch)
 	ctx.reset(tid, modeInspect, &t.rec, t.item, slot)
 	ctx.children = t.children[:0]
-	ctx.runBody(r.body, t.item)
+	if ctx.pro == nil {
+		ctx.runBody(r.body, t.item)
+	} else {
+		ctx.pro.Begin(tid)
+		ctx.runBody(r.body, t.item)
+		ctx.pro.End(tid, int(t.rec.ID()))
+	}
+	if ctx.failed && r.met != nil {
+		r.met.failDepth.Observe(tid, int64(ctx.failDepth))
+	}
 	if r.opt.Continuation {
 		t.commitFn = ctx.commitFn
 		t.children = ctx.children
 	} else {
 		t.commitFn = nil
 		t.children = ctx.children[:0]
-	}
-	if ctx.pro != nil {
-		touched := &r.arena.touched[t.rec.ID()-1]
-		*touched = append((*touched)[:0], ctx.acquired...)
 	}
 	ctx.tally.Inspects++
 }
@@ -152,8 +157,8 @@ func (r *roundExecutor[T]) execTask(ctx *Ctx[T], t *detTask[T], tid, slot int) {
 			t.commitFn(ctx)
 			ctx.inCommit = false
 			t.children = ctx.children
-			if ctx.pro != nil {
-				ctx.traceCommitTouches(r.arena.touched[t.rec.ID()-1])
+			if ctx.pro != nil { // it lost no location: its span is what it owns
+				ctx.pro.Replay(tid, int(t.rec.ID()))
 			}
 		}
 	} else {

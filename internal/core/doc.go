@@ -40,7 +40,7 @@
 // # Why the commit phase is race- and determinism-safe
 //
 // Committed tasks within one round have disjoint neighborhoods (they all
-// own everything they touched), so their write phases touch disjoint
+// own their whole neighborhoods), so their write phases touch disjoint
 // locations. A validating re-execution (baseline mode) can run while other
 // tasks commit, but every location it reads it owns — if control flow ever
 // reaches a location it does not own, Acquire unwinds it before the value

@@ -211,7 +211,6 @@ func (st *engState[T]) scrub() {
 	st.dirty = false
 	for _, ctx := range st.ctxs {
 		ctx.forgetTask()
-		ctx.met = nil
 		clear(ctx.acquired[:cap(ctx.acquired)])
 	}
 	if st.ptrItems {

@@ -18,17 +18,14 @@ import (
 type genArena[T any] struct {
 	tasks []detTask[T]
 	order []*detTask[T]
-	// touched[id-1] is task id's neighborhood as inspected this round, for
-	// the locality model's commit-time replay (§5.4). Profiled runs only.
-	touched [][]*marks.Lockable
 	// dirty is the scrub high-water mark: no generation formed since the
 	// last scrub was larger, so tasks[dirty:] hold nothing of a run.
 	dirty int
 }
 
 // scrub zeroes what tasks[:dirty] still hold of finished runs — the item,
-// the commit closure a failed run can leave, the children and touched
-// buffers over their whole capacity — and keeps the buffers.
+// the commit closure a failed run can leave, the children buffer over its
+// whole capacity — and keeps the buffers.
 func (a *genArena[T]) scrub() {
 	for i := range a.tasks[:a.dirty] {
 		t := &a.tasks[i]
@@ -36,9 +33,6 @@ func (a *genArena[T]) scrub() {
 		t.item = zero
 		t.commitFn = nil
 		clear(t.children[:cap(t.children)])
-	}
-	for i := range a.touched[:min(a.dirty, len(a.touched))] {
-		clear(a.touched[i][:cap(a.touched[i])])
 	}
 	a.dirty = 0
 }

@@ -75,7 +75,7 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 	st.dirty = true
 	st.ensure(nthreads)
 	for _, ctx := range st.ctxs[:nthreads] {
-		ctx.prepare(nthreads, false, col, opt, met)
+		ctx.prepare(nthreads, false, col, opt)
 	}
 
 	wl := pickWorklist(st, opt, nthreads)
@@ -148,7 +148,11 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 					ctx.inCommit = true
 					ctx.commitFn(ctx)
 					ctx.inCommit = false
-					ctx.traceCommitTouches(ctx.acquired)
+					if ctx.pro != nil { // §5.4: the commit revisits its held list, which unlike its span has no repeats
+						for _, l := range ctx.acquired {
+							ctx.pro.Touch(tid, l)
+						}
+					}
 				}
 				if n := len(ctx.children); n == 0 {
 					done++
@@ -161,6 +165,9 @@ func runNonDeterministic[T any](e *Engine, st *engState[T], items []T, body func
 					}
 					tally.Pushes += uint64(n)
 				}
+			}
+			if conflicted && met != nil {
+				met.failDepth.Observe(tid, int64(len(ctx.acquired)))
 			}
 			// Commit or roll back, every mark acquired so far is released
 			// (Figure 1b lines 7-8). Cautious tasks performed no shared

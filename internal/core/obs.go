@@ -25,8 +25,8 @@ type coreMetrics struct {
 	tasksPerRound *obs.Histogram
 	// abortsPerRound counts failed tasks per deterministic round.
 	abortsPerRound *obs.Histogram
-	// failDepth is the neighborhood size already acquired when an Acquire
-	// failed — how deep into its neighborhood a task got before losing.
+	// failDepth is the neighborhood size a task had acquired when it lost a
+	// location, recorded by the scheduler once per lost inspect or attempt.
 	failDepth *obs.Histogram
 	// phaseInspect/phaseExec/phaseCoord are the per-round wall durations
 	// of the three DIG round phases, in nanoseconds. They quantify the

@@ -210,9 +210,6 @@ func (r *roundExecutor[T]) beginGeneration() {
 func (r *roundExecutor[T]) startGeneration() {
 	defer r.contain(true)
 	r.barCrossings++
-	if a := r.arena; r.opt.Profile != nil && len(a.touched) < len(a.tasks) {
-		a.touched = make([][]*marks.Lockable, len(a.tasks))
-	}
 	for _, ctx := range r.ctxs[:r.nthreads] {
 		ctx.tasks = r.arena.tasks // where Acquire finds the tasks it displaces
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"weak"
 
+	"galois/internal/cachesim"
 	"galois/internal/marks"
 	"galois/internal/obs"
 )
@@ -18,15 +19,16 @@ type scrubNode struct {
 }
 
 // scrubWitness holds weak pointers to what a run worked on: its items, the
-// children its commits pushed, the state its commit closures captured, and
-// the metrics registry attached for that run alone with one of its
-// instruments.
+// children its commits pushed, the state its commit closures captured, the
+// metrics registry attached for that run alone with one of its instruments,
+// and the locality tracer of a profiled run.
 type scrubWitness struct {
 	items    []weak.Pointer[scrubNode]
 	children []weak.Pointer[scrubNode]
 	captured weak.Pointer[[1024]uint64]
 	registry weak.Pointer[obs.Registry]
 	failHist weak.Pointer[obs.Histogram]
+	tracer   weak.Pointer[cachesim.Tracer]
 }
 
 func (w *scrubWitness) alive() (items, children int, captured bool) {
@@ -45,10 +47,11 @@ func (w *scrubWitness) alive() (items, children int, captured bool) {
 
 // scrubRun runs n pointer items on opt's engine; every one pushes a child
 // from its commit closure, which also touches state the closure captured.
-// All of it is garbage once scrubRun returns, but for what the engine keeps.
+// A profiled run attaches a locality tracer of its own. All of it is garbage
+// once scrubRun returns, but for what the engine keeps.
 //
 //go:noinline
-func scrubRun(n int, opt Options) *scrubWitness {
+func scrubRun(n int, opt Options, profiled bool) *scrubWitness {
 	w := &scrubWitness{
 		items:    make([]weak.Pointer[scrubNode], n),
 		children: make([]weak.Pointer[scrubNode], n),
@@ -65,6 +68,10 @@ func scrubRun(n int, opt Options) *scrubWitness {
 	opt.Metrics = obs.NewRegistry(opt.Threads)
 	w.registry = weak.Make(opt.Metrics)
 	w.failHist = weak.Make(opt.Metrics.Histogram("acquire.fail_depth", obs.Pow2Bounds(1<<12)))
+	if profiled {
+		opt.Profile = cachesim.NewTracer(opt.Threads)
+		w.tracer = weak.Make(opt.Profile)
+	}
 	ForEach(items, func(ctx *Ctx[*scrubNode], nd *scrubNode) {
 		ctx.Acquire(&nd.Lockable)
 		if nd.depth > 0 {
@@ -119,9 +126,10 @@ func mallocsOf(f func()) uint64 {
 // finished runs' data alive once scrubbed. A large run and then a small one
 // leave items in arena slots, children buffers, lanes and the produced buffer that
 // the small run never reached; after Scrub and two collections every item,
-// every child, the closures' captured state and each run's own metrics
-// registry are gone — and before the scrub, each scheduler's tail has
-// already dropped the contexts' last items and closures, and every plan:
+// every child, the closures' captured state, each run's own metrics
+// registry and the small run's locality tracer are gone — and before the
+// scrub, each scheduler's tail has already dropped the contexts' last items
+// and closures, and every plan:
 // plans are not items, so a Scrub of pointer-free items would never look at
 // them. The engine is still as warm as it was: the next run allocates no
 // more than the steady-state ceiling of TestEngineSteadyStateAllocs.
@@ -140,8 +148,8 @@ func TestScrubReleasesRunData(t *testing.T) {
 			defer eng.Close()
 			opt := optsFor(Deterministic, 2, c.mod, func(o *Options) { o.Engine = eng })
 
-			big := scrubRun(700, opt)
-			small := scrubRun(20, opt)
+			big := scrubRun(700, opt, false)
+			small := scrubRun(20, opt, true)
 			planned := planRun(300, opt)
 			// RunOn never scrubs, and an engine nobody parks is never
 			// scrubbed: a run's own tail must leave no task in the contexts,
@@ -175,6 +183,9 @@ func TestScrubReleasesRunData(t *testing.T) {
 				if w.registry.Value() != nil || w.failHist.Value() != nil {
 					t.Errorf("%s: the scrubbed engine still holds the run's metrics registry (%v) or its instruments (%v)",
 						name, w.registry.Value() != nil, w.failHist.Value() != nil)
+				}
+				if w.tracer.Value() != nil {
+					t.Errorf("%s: the scrubbed engine still holds the run's locality tracer", name)
 				}
 			}
 

@@ -40,7 +40,6 @@ type Runtime struct {
 
 	syncOps atomic.Uint64
 	quanta  atomic.Uint64
-	work    atomic.Uint64
 }
 
 // New returns a runtime. quantum <= 0 selects DefaultQuantum.
@@ -58,9 +57,6 @@ func (rt *Runtime) SyncOps() uint64 { return rt.syncOps.Load() }
 
 // Quanta returns the number of serialization rounds executed.
 func (rt *Runtime) Quanta() uint64 { return rt.quanta.Load() }
-
-// WorkDone returns the total logical instructions reported.
-func (rt *Runtime) WorkDone() uint64 { return rt.work.Load() }
 
 // Thread is one deterministically scheduled thread.
 type Thread struct {
@@ -104,7 +100,6 @@ func (rt *Runtime) Run(nthreads int, body func(*Thread)) {
 // the quantum is exhausted the thread parks at the quantum boundary until
 // every live thread arrives (the deterministic round barrier).
 func (t *Thread) Work(n int64) {
-	t.rt.work.Add(uint64(n))
 	if !t.rt.enabled {
 		return
 	}

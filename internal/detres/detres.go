@@ -140,6 +140,10 @@ func For(n int, step Step, opt Options) stats.Stats {
 			s.rec.Reset(marks.MaxID - uint64(s.idx))
 			s.rec.Enter(epoch)
 			s.res = Reserver{rec: &s.rec, pro: opt.Profile, tid: tid}
+			if opt.Profile != nil {
+				opt.Profile.Begin(tid)
+				defer opt.Profile.End(tid, k) // the item's reservations are its span
+			}
 			s.done = !step.Reserve(s.idx, &s.res)
 			col.AtomicOp(tid, s.res.ops)
 			col.Inspect(tid)
@@ -162,12 +166,8 @@ func For(n int, step Step, opt Options) stats.Stats {
 				}
 				if held {
 					step.Commit(s.idx)
-					if opt.Profile != nil {
-						// The write phase revisits the
-						// reserved locations (§5.4).
-						for _, l := range s.res.acquired {
-							opt.Profile.Touch(tid, l)
-						}
+					if opt.Profile != nil { // all held: its span is what it reserved (§5.4)
+						opt.Profile.Replay(tid, k)
 					}
 					s.failed = false
 				} else {

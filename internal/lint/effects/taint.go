@@ -101,6 +101,7 @@ type taintAnalysis struct {
 	params   map[types.Object]int
 	tainted  map[types.Object]taint
 	cleansed map[types.Object]bool
+	lits     map[types.Object]*ast.FuncLit
 
 	report     bool
 	violations []Violation
@@ -113,6 +114,7 @@ func newTaintAnalysis(w *World, pkg *Pkg, decl *ast.FuncDecl) *taintAnalysis {
 		params:   make(map[types.Object]int),
 		tainted:  make(map[types.Object]taint),
 		cleansed: make(map[types.Object]bool),
+		lits:     make(map[types.Object]*ast.FuncLit),
 		sum:      &taintSum{},
 	}
 	idx := 0
@@ -206,6 +208,12 @@ func (ta *taintAnalysis) propagate() (changed bool) {
 					t = ta.exprTaint(st.Rhs[0])
 				}
 				joinExprTarget(lhs, t)
+				id, _ := lhs.(*ast.Ident) // remember the function literal a local holds
+				if lit, ok := st.Rhs[min(i, len(st.Rhs)-1)].(*ast.FuncLit); ok && id != nil {
+					if obj := info.ObjectOf(id); ta.lits[obj] != lit {
+						ta.lits[obj], changed = lit, true
+					}
+				}
 			}
 		case *ast.RangeStmt:
 			t := ta.exprTaint(st.X)
@@ -229,6 +237,18 @@ func (ta *taintAnalysis) propagate() (changed bool) {
 			}
 		case *ast.CallExpr:
 			ta.noteCleanse(st)
+			// A call of a function literal, in place or through a local
+			// holding one, taints its parameters (the last one variadically).
+			lit, _ := ast.Unparen(st.Fun).(*ast.FuncLit)
+			if id, ok := ast.Unparen(st.Fun).(*ast.Ident); ok {
+				lit = ta.lits[info.ObjectOf(id)]
+			}
+			if lit != nil {
+				params := info.TypeOf(lit).(*types.Signature).Params()
+				for i, arg := range st.Args {
+					join(params.At(min(i, params.Len()-1)), ta.exprTaint(arg))
+				}
+			}
 		}
 		return true
 	})

@@ -120,6 +120,53 @@ func assignsFingerprintField(m map[string]bool, r *receipt) {
 	r.Fingerprint = parts // want taintfp
 }
 
+// A digest written through a local closure: the closure's parameter takes
+// the taint of each argument it is called with, in place or through the
+// variable that holds it.
+func digestThroughClosure(m map[string]int) [32]byte {
+	h := sha256.New()
+	field := func(s string) {
+		h.Write([]byte(s)) // want taintfp
+	}
+	for k := range m { // want maprange
+		field(k)
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+func digestThroughClosureInPlace(m map[string]int) [32]byte {
+	h := sha256.New()
+	for k := range m { // want maprange
+		func(parts ...string) {
+			for _, p := range parts {
+				h.Write([]byte(p)) // want taintfp
+			}
+		}("key", k)
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// The same closure fed sorted keys is clean.
+func digestSortedThroughClosure(m map[string]int) [32]byte {
+	h := sha256.New()
+	field := func(s string) { h.Write([]byte(s)) }
+	keys := make([]string, 0, len(m))
+	for k := range m { // want maprange
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		field(k)
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
 // digestInto feeds its parameter into a hash sink; callers passing
 // order-tainted data are flagged at the call site.
 func digestInto(h hash.Hash, s string) {

@@ -65,9 +65,6 @@ func NewSegment(a, b geom.Point) *Element {
 // IsSegment reports whether e is a boundary segment.
 func (e *Element) IsSegment() bool { return e.dim == 2 }
 
-// Dim returns the number of points (3 for triangles, 2 for segments).
-func (e *Element) Dim() int { return int(e.dim) }
-
 // Edge returns the endpoints of edge i.
 func (e *Element) Edge(i int) (geom.Point, geom.Point) {
 	return e.Pts[i], e.Pts[(i+1)%int(e.dim)]
@@ -83,9 +80,6 @@ func (e *Element) NEdges() int {
 
 // Adj returns the neighbor across edge i.
 func (e *Element) Adj(i int) *Element { return e.adj[i] }
-
-// SetAdj sets the neighbor across edge i.
-func (e *Element) SetAdj(i int, nb *Element) { e.adj[i] = nb }
 
 // EdgeIndex returns the index of the (undirected) edge {u, v}, or -1.
 func (e *Element) EdgeIndex(u, v geom.Point) int {

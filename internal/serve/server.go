@@ -180,9 +180,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // the life of the server).
 func (s *Server) Metrics() *obs.Registry { return s.exec.met }
 
-// Sessions returns the server's session manager.
-func (s *Server) Sessions() *session.Manager { return s.sessions }
-
 // PoolCounters snapshots the engine pool's checkout statistics.
 func (s *Server) PoolCounters() PoolCounters { return s.exec.pool.Counters() }
 

@@ -230,17 +230,6 @@ func (s Stats) MeanWindow() float64 {
 	return float64(s.WindowSum) / float64(s.Rounds)
 }
 
-// BarriersPerRound returns the mean barrier crossings per deterministic
-// round — the headline coordination-overhead metric (2 is the semantic
-// floor for a parallel round: inspect→execute and execute→next-inspect
-// both require a rendezvous; batched sub-parallel rounds amortize below it).
-func (s Stats) BarriersPerRound() float64 {
-	if s.Rounds == 0 {
-		return 0
-	}
-	return float64(s.Barriers) / float64(s.Rounds)
-}
-
 // Add returns the element-wise sum of s and o (durations add). Useful for
 // aggregating phases of one logical run.
 func (s Stats) Add(o Stats) Stats {
